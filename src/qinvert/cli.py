@@ -32,7 +32,7 @@ from .constraints import (
     monogamy_report,
     shadow_report,
 )
-from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list
+from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, relative_mask
 from .invariants import invariant_table
 from .inversion import (
     DetectionParams,
@@ -104,7 +104,7 @@ def _emit(
     }
     if extra:
         obj.update(extra)
-    stream.write(json.dumps(obj) + "\n")
+    stream.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
 def _emit_report(
@@ -289,6 +289,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cap = _dim_cap()
     dims = _parse_dims(args.dims, cap)
     size = args.size
+    if size < 1:
+        raise ValueError(f"--size must be at least 1, got {size}")
     seed = args.seed
     requested = (
         list(VERIFY_SUITES)
@@ -372,8 +374,8 @@ def _run_suite(
             prod = assemble_product(dims, {s: rho_s.matrix, sc: rho_c.matrix})
             for t in masks:
                 lhs = invert_sum(prod.matrix, dims, t)
-                rhs_s = invert_sum(rho_s.matrix, rho_s.dims, _project_mask(t, s))
-                rhs_c = invert_sum(rho_c.matrix, rho_c.dims, _project_mask(t, sc))
+                rhs_s = invert_sum(rho_s.matrix, rho_s.dims, relative_mask(t, s))
+                rhs_c = invert_sum(rho_c.matrix, rho_c.dims, relative_mask(t, sc))
                 rhs = block_product({s: rhs_s, sc: rhs_c}, dims)
                 dev = max(dev, float(np.max(np.abs(lhs - rhs))))
         return [("max product-state factorization residual", -dev, -1e-11, 0.0)]
@@ -403,21 +405,6 @@ def _run_suite(
                     dev = max(dev, abs(table.c_squared(t) - pinned_ghz_invariant(n_eff, pins, t)))
         return [(f"max closed-form residual at n={n_eff}", -dev, -1e-10, 0.0)]
     raise ValueError(f"unknown suite {suite!r}")
-
-
-def _project_mask(t: int, block: int) -> int:
-    """Restrict mask ``t`` to ``block`` and re-index against the block's
-    parties in ascending order."""
-    out = 0
-    pos = 0
-    j = 0
-    while block >> j:
-        if block >> j & 1:
-            if t >> j & 1:
-                out |= 1 << pos
-            pos += 1
-        j += 1
-    return out
 
 
 def cmd_make_state(args: argparse.Namespace) -> int:

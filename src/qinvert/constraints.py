@@ -10,14 +10,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask
+from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask, relative_mask
 from .invariants import invariant_table
+from .inversion import invert_product
 from .states import DensityMatrix, PureState, linear_entropies
 from .tensor import (
     embed,
     herm_defect,
     min_eigenvalue,
     partial_trace,
+    reduction_sweep,
+    signed_subset_sums,
     trace_product,
 )
 
@@ -70,28 +73,26 @@ def _entry(
 # correlation constraints and monogamy relations
 
 
+def _entropy_sums(taus: Mapping[int, float], n: int, skip: int = 0) -> list[float]:
+    """sum over nonempty S other than ``skip`` of (-1)^{|S & T| + 1} tau_S,
+    for every mask T (index 0 included)."""
+    signed = [0.0 if s in (0, skip) else -taus[s] for s in range(1 << n)]
+    return signed_subset_sums(signed).tolist()
+
+
 def correlation_constraint(rho: DensityMatrix, t: int) -> float:
     """(1/2) sum_{S nonempty} (-1)^{|S & T| + 1} tau_S, which is nonnegative
     for every state; equals Tr[rho I_T(rho)]."""
     rho.dims.validate_mask(t)
     if t == 0:
         raise ValueError("t = empty set gives the trivial constraint; pick t != 0")
-    taus = linear_entropies(rho)
-    total = 0.0
-    for s in sorted(taus):
-        total += taus[s] if mask_size(s & t) % 2 else -taus[s]
-    return 0.5 * total
+    return 0.5 * _entropy_sums(linear_entropies(rho), rho.dims.n)[t]
 
 
 def correlation_report(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintReport:
     n = rho.dims.n
-    taus = linear_entropies(rho)
-    entries = []
-    for t in range(1, 1 << n):
-        total = 0.0
-        for s in sorted(taus):
-            total += taus[s] if mask_size(s & t) % 2 else -taus[s]
-        entries.append(_entry(mask_bitstring(t, n), 0.5 * total, tol))
+    sums = _entropy_sums(linear_entropies(rho), n)
+    entries = [_entry(mask_bitstring(t, n), 0.5 * sums[t], tol) for t in range(1, 1 << n)]
     return ConstraintReport(family="correlation", entries=entries, tolerance=tol)
 
 
@@ -101,33 +102,31 @@ def monogamy_check(psi: PureState, t: int) -> float:
     psi.dims.validate_mask(t)
     if t == 0:
         raise ValueError("t = empty set gives the trivial constraint; pick t != 0")
-    taus = linear_entropies(psi.density())
-    full = psi.dims.full_mask
-    total = 0.0
-    for s in sorted(taus):
-        if s == full:
-            continue
-        total += taus[s] if mask_size(s & t) % 2 else -taus[s]
-    return total
+    return _entropy_sums(linear_entropies(psi.density()), psi.dims.n, psi.dims.full_mask)[t]
 
 
 def monogamy_report(psi: PureState, tol: float = PASS_TOL) -> ConstraintReport:
     n = psi.dims.n
-    taus = linear_entropies(psi.density())
-    full = psi.dims.full_mask
-    entries = []
-    for t in range(1, 1 << n):
-        total = 0.0
-        for s in sorted(taus):
-            if s == full:
-                continue
-            total += taus[s] if mask_size(s & t) % 2 else -taus[s]
-        entries.append(_entry(mask_bitstring(t, n), total, tol))
+    sums = _entropy_sums(linear_entropies(psi.density()), n, psi.dims.full_mask)
+    entries = [_entry(mask_bitstring(t, n), sums[t], tol) for t in range(1, 1 << n)]
     return ConstraintReport(family="monogamy", entries=entries, tolerance=tol)
 
 
 # ---------------------------------------------------------------------------
 # shadow inequalities
+
+
+def _shadow_sums(m1: np.ndarray, m2: np.ndarray, dims: SubsystemDims) -> list[float]:
+    """Shadow values for every mask: one reduction sweep per operand, then
+    one O(N 2^N) signed subset sum."""
+    for name, m in (("M1", m1), ("M2", m2)):
+        defect = herm_defect(np.asarray(m))
+        if defect > 1e-10:
+            raise ValueError(f"{name} is not Hermitian: max defect {defect:.3e}")
+    terms = np.empty(1 << dims.n)
+    for (s, a), (_, b) in zip(reduction_sweep(m1, dims), reduction_sweep(m2, dims)):
+        terms[s] = trace_product(a, b).real
+    return signed_subset_sums(terms).tolist()
 
 
 def shadow_value(
@@ -136,17 +135,7 @@ def shadow_value(
     """sum_S (-1)^{|S & T|} Tr[Tr_{S^c}(M1) Tr_{S^c}(M2)]; nonnegative for
     PSD M1, M2 of any normalization."""
     dims.validate_mask(t)
-    for name, m in (("M1", m1), ("M2", m2)):
-        defect = herm_defect(np.asarray(m))
-        if defect > 1e-10:
-            raise ValueError(f"{name} is not Hermitian: max defect {defect:.3e}")
-    total = 0.0
-    for s in dims.subset_masks():
-        term = trace_product(
-            partial_trace(m1, dims, s), partial_trace(m2, dims, s)
-        ).real
-        total += -term if mask_size(s & t) % 2 else term
-    return total
+    return _shadow_sums(m1, m2, dims)[t]
 
 
 def is_psd(mat: np.ndarray, tol: float = PSD_TOL) -> bool:
@@ -160,10 +149,10 @@ def shadow_report(
     entries are still reported but tagged non-theorem (no pass/fail
     judgement applies)."""
     psd_ok = is_psd(m1) and is_psd(m2)
-    entries = []
-    for t in dims.subset_masks():
-        value = shadow_value(m1, m2, dims, t)
-        entries.append(_entry(mask_bitstring(t, dims.n), value, tol, theorem=psd_ok))
+    entries = [
+        _entry(mask_bitstring(t, dims.n), value, tol, theorem=psd_ok)
+        for t, value in enumerate(_shadow_sums(m1, m2, dims))
+    ]
     notes = [] if psd_ok else ["inputs are not PSD: pass/fail judgement suppressed"]
     return ConstraintReport(family="shadow", entries=entries, tolerance=tol, notes=notes)
 
@@ -256,10 +245,8 @@ def entropy_inequalities(rho: DensityMatrix, tol: float = PASS_TOL) -> Constrain
                 _entry(f"ssa-analogue-reversed:mid={b}", lhs - rhs, tol, theorem=False)
             )
     else:
-        total = 0.0
-        for s in sorted(taus):
-            total += taus[s] if mask_size(s & full) % 2 else -taus[s]
-        entries.append(_entry("inclusion-exclusion:full", 0.5 * total, tol))
+        total = 0.5 * _entropy_sums(taus, n)[full]
+        entries.append(_entry("inclusion-exclusion:full", total, tol))
         notes.append(
             f"named 2- and 3-party inequality families are skipped for N = {n}; "
             "only the full-mask constraint is reported"
@@ -308,20 +295,21 @@ def _build_witness(
     return MarginalWitness(t=t, operator=out, min_eig=min_eigenvalue(out))
 
 
+def _odd_masks(dims: SubsystemDims) -> list[int]:
+    return [t for t in dims.subset_masks() if mask_size(t) % 2 == 1]
+
+
+def _state_witness(rho: DensityMatrix, t: int) -> MarginalWitness:
+    out = invert_product(rho.matrix, rho.dims, t) + rho.matrix
+    return MarginalWitness(t=t, operator=out, min_eig=min_eigenvalue(out))
+
+
 def marginal_witnesses(rho: DensityMatrix) -> list[MarginalWitness]:
-    """Witnesses for every odd-size mask, built from the state's own
-    marginals (always PSD up to solver noise for a genuine state)."""
-    dims = rho.dims
-    marginals = {
-        s: partial_trace(rho.matrix, dims, s)
-        for s in dims.subset_masks()
-        if s not in (0, dims.full_mask)
-    }
-    return [
-        _build_witness(marginals, dims, t)
-        for t in dims.subset_masks()
-        if mask_size(t) % 2 == 1
-    ]
+    """Witnesses for every odd-size mask from the state's own marginals
+    (always PSD up to solver noise for a genuine state).  With the global
+    state known, W_T = I_T(rho) + rho (the full-set term of I_T(rho) is
+    -rho for odd T), evaluated by the factor kernel of :func:`invert_product`."""
+    return [_state_witness(rho, t) for t in _odd_masks(rho.dims)]
 
 
 def marginal_witnesses_from_marginals(
@@ -364,8 +352,8 @@ def marginal_witnesses_from_marginals(
             overlap = s1 & s2
             if overlap == 0:
                 continue
-            keep1 = _relative_mask(s1, overlap)
-            keep2 = _relative_mask(s2, overlap)
+            keep1 = relative_mask(overlap, s1)
+            keep2 = relative_mask(overlap, s2)
             sub2 = SubsystemDims(dims.dims_of(s2))
             r1 = partial_trace(table[s1], sub1, keep1)
             r2 = partial_trace(table[s2], sub2, keep2)
@@ -376,27 +364,15 @@ def marginal_witnesses_from_marginals(
                     f"{mask_bitstring(s2, dims.n)} disagree on their overlap "
                     f"by {dev:.3e}"
                 )
-    return [
-        _build_witness(table, dims, t)
-        for t in dims.subset_masks()
-        if mask_size(t) % 2 == 1
-    ]
-
-
-def _relative_mask(within: int, subset: int) -> int:
-    """Re-index ``subset`` (a submask of ``within``) against the parties of
-    ``within`` counted in ascending order."""
-    out = 0
-    for pos, p in enumerate(parties_from_mask(within)):
-        if subset >> (p - 1) & 1:
-            out |= 1 << pos
-    return out
+    return [_build_witness(table, dims, t) for t in _odd_masks(dims)]
 
 
 def marginal_report(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintReport:
+    """2^(N-1) D x D eigen-solves; witnesses are built, checked and
+    dropped one at a time."""
     entries = [
-        _entry(mask_bitstring(w.t, rho.dims.n), w.min_eig, tol)
-        for w in marginal_witnesses(rho)
+        _entry(mask_bitstring(t, rho.dims.n), _state_witness(rho, t).min_eig, tol)
+        for t in _odd_masks(rho.dims)
     ]
     return ConstraintReport(family="marginal", entries=entries, tolerance=tol)
 

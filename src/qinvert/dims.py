@@ -44,6 +44,17 @@ def mask_bitstring(mask: int, n: int) -> str:
     return "".join("1" if mask >> j & 1 else "0" for j in range(n))
 
 
+def relative_mask(mask: int, within: int) -> int:
+    """Restrict ``mask`` to the parties of ``within`` and re-index it
+    against those parties counted in ascending order, as the mask of a
+    subsystem whose party j is the j-th party of ``within``."""
+    out = 0
+    for pos, p in enumerate(parties_from_mask(within)):
+        if mask >> (p - 1) & 1:
+            out |= 1 << pos
+    return out
+
+
 def parse_party_list(text: str) -> int:
     """Parse a comma-separated 1-based party list such as ``"1,3"``."""
     text = text.strip()

@@ -5,10 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dims import mask_size
 from .inversion import invert_sum
 from .states import DensityMatrix, PureState
-from .tensor import subset_purities, trace_product
+from .tensor import signed_subset_sums, subset_purities, trace_product
 
 IMAG_TOL = 1e-11
 CLAMP_TOL = 1e-9
@@ -61,15 +60,11 @@ class InvariantTable:
 
 def invariant_table(rho: DensityMatrix) -> InvariantTable:
     """All 2^N squared invariants from a single sweep of subset purities:
-    C_T^2 = sum_S (-1)^{|S & T|} Tr(rho_S^2)."""
+    C_T^2 = sum_S (-1)^{|S & T|} Tr(rho_S^2), one Walsh-Hadamard
+    transform."""
     purities = subset_purities(rho.matrix, rho.dims)
-    values: dict[int, float] = {}
-    for t in rho.dims.subset_masks():
-        total = 0.0
-        for s, p in purities.items():
-            total += -p if mask_size(s & t) % 2 else p
-        values[t] = total
-    return InvariantTable(values=values)
+    sums = signed_subset_sums([purities[s] for s in rho.dims.subset_masks()])
+    return InvariantTable(values=dict(enumerate(sums.tolist())))
 
 
 def bipartite_concurrence_squared(psi: PureState, s: int) -> float:

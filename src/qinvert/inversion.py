@@ -41,17 +41,32 @@ def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
     return out
 
 
+def _apply_factors(
+    mat: np.ndarray, dims: SubsystemDims, weights: Mapping[int, float]
+) -> np.ndarray:
+    """Apply Tr_j(.) (x) 1_j + w_j id for each party j in ``weights``, in
+    ascending order, on the (d_1..d_N, d_1..d_N) reshape: one single-party
+    trace added onto the j-diagonal of w_j times the operand, so no
+    identity-padded D x D operator is formed.  O(D^2) per party."""
+    n = dims.n
+    tensor = np.asarray(mat, dtype=np.complex128).reshape(dims.dims + dims.dims)
+    for j in sorted(weights):
+        i = j - 1
+        traced = np.trace(tensor, axis1=i, axis2=i + n)
+        tensor = weights[j] * tensor
+        diagonal = np.moveaxis(tensor, (i, i + n), (0, 1))
+        for k in range(dims.dims[i]):
+            diagonal[k, k] += traced
+    return tensor.reshape(dims.total, dims.total)
+
+
 def invert_product(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
-    """Apply the N commuting factors Tr_j(.) (x) 1_j +/- id sequentially,
-    with a minus sign exactly for the parties in ``t``."""
+    """Apply the N commuting factors Tr_j(.) (x) 1_j +/- id through
+    :func:`_apply_factors`, with a minus sign exactly for the parties in
+    ``t``.  O(N D^2); agrees with :func:`invert_sum` to rounding."""
     dims.validate_mask(t)
-    out = np.asarray(mat, dtype=np.complex128)
-    rest = dims.full_mask
-    for j in range(1, dims.n + 1):
-        bit = 1 << (j - 1)
-        traced = embed(partial_trace(out, dims, rest ^ bit), rest ^ bit, dims)
-        out = traced - out if t & bit else traced + out
-    return out
+    weights = {j: -1.0 if t >> (j - 1) & 1 else 1.0 for j in range(1, dims.n + 1)}
+    return _apply_factors(mat, dims, weights)
 
 
 def invert_kraus(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
@@ -200,18 +215,13 @@ def apply_detection_map(
     mat: np.ndarray, dims: SubsystemDims, params: DetectionParams
 ) -> np.ndarray:
     """Apply the detection map; a negative eigenvalue of the output on a
-    state certifies entanglement between ``act_on`` and the rest."""
+    state certifies entanglement between ``act_on`` and the rest.  Runs
+    :func:`_apply_factors` with weights -alpha_j on ``t`` and beta_k on the
+    rest of ``act_on``."""
     dims.validate_mask(params.act_on)
-    out = np.asarray(mat, dtype=np.complex128)
-    rest = dims.full_mask
-    for j in parties_from_mask(params.act_on):
-        bit = 1 << (j - 1)
-        traced = embed(partial_trace(out, dims, rest ^ bit), rest ^ bit, dims)
-        if params.t & bit:
-            out = traced - params.alpha[j] * out
-        else:
-            out = traced + params.beta[j] * out
-    return out
+    weights = {j: -a for j, a in params.alpha.items()}
+    weights.update(params.beta)
+    return _apply_factors(mat, dims, weights)
 
 
 def choi_matrix(

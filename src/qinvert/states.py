@@ -15,6 +15,17 @@ TOL_PSD = 1e-9
 TOL_NORM = 1e-12
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    # NaN slips through every tolerance test below (NaN > tol is False)
+    bad = ~np.isfinite(a)
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{what} has non-finite entries (NaN or inf); "
+            f"the first is {a[index]} at index {index}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A normalized state: Hermitian, unit trace, positive semidefinite.
@@ -33,6 +44,7 @@ class DensityMatrix:
             raise ValueError(
                 f"density matrix shape {mat.shape} does not match total dimension {d}"
             )
+        _require_finite(mat, "density matrix")
         defect = herm_defect(mat)
         if defect > TOL_HERM:
             raise ValueError(
@@ -71,6 +83,7 @@ class PureState:
             raise ValueError(
                 f"state vector length {vec.shape[0]} does not match total dimension {d}"
             )
+        _require_finite(vec, "state vector")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > TOL_NORM:
             raise ValueError(f"state vector norm {norm} is not 1 within {TOL_NORM}")

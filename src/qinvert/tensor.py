@@ -8,6 +8,9 @@ summation order and makes trace compositions reproducible.
 
 from __future__ import annotations
 
+import math
+from typing import Iterator
+
 import numpy as np
 
 from .dims import SubsystemDims, parties_from_mask
@@ -15,29 +18,14 @@ from .dims import SubsystemDims, parties_from_mask
 TOL_HERM = 1e-10
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def herm_defect(a: np.ndarray) -> float:
     """Largest absolute entry of a - a^dagger."""
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
-    return herm_defect(a) <= tol
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with ``a`` as the left (most significant) factor."""
     return np.kron(a, b)
-
-
-def kron_all(ops) -> np.ndarray:
-    out = np.asarray(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
 
 
 def partial_trace(mat: np.ndarray, dims: SubsystemDims, keep: int) -> np.ndarray:
@@ -127,19 +115,49 @@ def purity_value(mat: np.ndarray) -> float:
     return trace_product(mat, mat).real
 
 
-def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> dict[int, float]:
-    """Tr(rho_S^2) for every subset S, keyed by bitmask.
-
-    The empty subset maps to (Tr rho)^2, the value the scalar reduction
-    contributes to sign-alternating purity sums.
-    """
-    out: dict[int, float] = {}
-    for s in dims.subset_masks():
-        if s == 0:
-            out[s] = float(np.trace(mat).real) ** 2
-        else:
-            out[s] = purity_value(partial_trace(mat, dims, s))
+def signed_subset_sums(x) -> np.ndarray:
+    """out[T] = sum_S (-1)^{|S & T|} x[S] over a length-2^N array indexed by
+    bitmask, as a fast Walsh-Hadamard transform in O(N 2^N).  One
+    butterfly stage per party, party 1 (bit 0) first: the summation order
+    is fixed, so results are bit-reproducible."""
+    out = np.array(x, dtype=np.float64)
+    if out.ndim != 1 or out.size == 0 or out.size & (out.size - 1):
+        raise ValueError(f"expected a 1-d array of length 2^N, got shape {out.shape}")
+    for j in range(out.size.bit_length() - 1):
+        pairs = out.reshape(-1, 2, 1 << j)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
     return out
+
+
+def reduction_sweep(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(S, partial_trace(mat, dims, S))`` for every subset S,
+    depth first from the full set down, in a fixed (not ascending) order.
+
+    Each reduction is one single-party trace of its parent, with parties
+    leaving in ascending order as in :func:`partial_trace`, so results are
+    bit-identical to it.  Only one chain of ancestors is alive at a time,
+    at most about 4/3 D^2 entries; the full-set entry is a view of ``mat``.
+    """
+
+    def visit(mask: int, tensor: np.ndarray, first: int):
+        d = math.prod(tensor.shape[: tensor.ndim // 2])
+        yield mask, tensor.reshape(d, d)
+        axes = [j for j in range(dims.n) if mask >> j & 1]
+        for pos, j in enumerate(axes):
+            if j < first:
+                continue
+            child = np.trace(tensor, axis1=pos, axis2=pos + len(axes))
+            yield from visit(mask ^ (1 << j), child, j + 1)
+
+    tensor = np.asarray(mat, dtype=np.complex128).reshape(dims.dims + dims.dims)
+    return visit(dims.full_mask, tensor, 0)
+
+
+def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> dict[int, float]:
+    """Tr(rho_S^2) for every subset S, keyed by bitmask, from one
+    reduction sweep.  The empty subset maps to (Tr rho)^2, the value the
+    scalar reduction contributes to sign-alternating purity sums."""
+    return dict(sorted((s, purity_value(m_s)) for s, m_s in reduction_sweep(mat, dims)))
 
 
 def min_eigenvalue(h: np.ndarray, tol_herm: float = TOL_HERM) -> float:

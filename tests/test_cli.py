@@ -219,3 +219,36 @@ def test_report_file_output(tmp_path, bell_file, capsys):
     assert code == 0
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("kind", ["mixed", "pure"])
+def test_check_rejects_nan_state_before_any_report(capsys, tmp_path, kind):
+    rows = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [float("nan"), 0.0]]
+    data = rows if kind == "pure" else [
+        [[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)
+    ]
+    if kind == "mixed":
+        data[2][2] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dims": [2, 2], "kind": kind, "data": data}))
+    code = main(["check", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+def test_report_lines_are_strict_json(capsys, bell_file):
+    code = main(["check", "--state", bell_file, "--families", "correlation",
+                 "--tol", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "NaN" not in captured.out
+
+
+def test_verify_rejects_empty_campaign(capsys):
+    code = main(["verify", "--dims", "2,2", "--size", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--size" in captured.err

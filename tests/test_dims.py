@@ -6,6 +6,7 @@ from qinvert.dims import (
     mask_from_parties,
     parse_party_list,
     parties_from_mask,
+    relative_mask,
 )
 
 
@@ -64,3 +65,10 @@ def test_parse_party_list():
     assert parse_party_list("") == 0
     with pytest.raises(ValueError):
         parse_party_list("1,x")
+
+
+def test_relative_mask_restricts_and_reindexes():
+    assert relative_mask(0b101, 0b111) == 0b101
+    assert relative_mask(0b100, 0b110) == 0b10
+    assert relative_mask(0b1011, 0b1010) == 0b11
+    assert relative_mask(0b0001, 0b1010) == 0

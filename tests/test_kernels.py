@@ -1,0 +1,155 @@
+"""Property tests pinning the fast kernels to their reference routes: the
+Walsh-Hadamard subset sum, the depth-first reduction sweep and the
+per-party factor kernel behind invert_product, apply_detection_map and the
+state-based marginal witnesses."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qinvert.constraints import (
+    correlation_constraint,
+    correlation_report,
+    marginal_report,
+    marginal_witnesses,
+    marginal_witnesses_from_marginals,
+)
+from qinvert.dims import SubsystemDims, mask_size, parties_from_mask
+from qinvert.inversion import (
+    DetectionParams,
+    apply_detection_map,
+    invert_product,
+    invert_sum,
+)
+from qinvert.tensor import embed, partial_trace, reduction_sweep, signed_subset_sums
+from qinvert.zoo import ginibre_mixed
+
+EPS = np.finfo(np.float64).eps
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def subsystem_dims(draw, max_total=64):
+    dims = [draw(st.integers(2, 4))]
+    while draw(st.booleans()):
+        d = draw(st.integers(2, 4))
+        if math.prod(dims) * d > max_total:
+            break
+        dims.append(d)
+    return SubsystemDims(tuple(dims))
+
+
+def random_operator(dims, seed):
+    rng = np.random.default_rng(seed)
+    d = dims.total
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def direct_signed_sums(x):
+    """The double loop, correctly rounded, so only the kernel's own
+    rounding is measured."""
+    return [
+        math.fsum(-v if mask_size(s & t) % 2 else v for s, v in enumerate(x))
+        for t in range(len(x))
+    ]
+
+
+def embed_factor_loop(mat, dims, weights):
+    """The per-party factor product as written before the kernel: trace
+    one party out, pad it back with embed, add w_j times the operand."""
+    out = np.asarray(mat, dtype=np.complex128)
+    rest = dims.full_mask
+    for j in sorted(weights):
+        bit = 1 << (j - 1)
+        traced = embed(partial_trace(out, dims, rest ^ bit), rest ^ bit, dims)
+        out = traced + weights[j] * out
+    return out
+
+
+@PROPERTY
+@given(n=st.integers(0, 8), data=st.data())
+def test_signed_subset_sums_match_direct_double_loop(n, data):
+    x = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1 << n, max_size=1 << n))
+    got = signed_subset_sums(x)
+    want = direct_signed_sums(x)
+    tol = 4 * (n + 1) * (1 << n) * EPS * max((abs(v) for v in x), default=0.0)
+    assert got.shape == (1 << n,)
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def test_signed_subset_sums_rejects_bad_lengths():
+    for bad in ([], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            signed_subset_sums(bad)
+
+
+@PROPERTY
+@given(dims=subsystem_dims(), seed=seeds)
+def test_reduction_sweep_is_bit_identical_to_partial_trace(dims, seed):
+    mat = random_operator(dims, seed)
+    masks = []
+    for s, mat_s in reduction_sweep(mat, dims):
+        masks.append(s)
+        assert np.array_equal(mat_s, partial_trace(mat, dims, s))
+    assert sorted(masks) == list(dims.subset_masks())
+
+
+@pytest.mark.parametrize("local_dims", [(2, 3, 4), (3, 3)])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=seeds, data=st.data())
+def test_invert_product_matches_embed_loop_and_invert_sum(local_dims, seed, data):
+    dims = SubsystemDims(local_dims)
+    t = data.draw(st.integers(0, dims.full_mask))
+    mat = random_operator(dims, seed)
+    got = invert_product(mat, dims, t)
+    weights = {j: -1.0 if t >> (j - 1) & 1 else 1.0 for j in range(1, dims.n + 1)}
+    assert np.array_equal(got, embed_factor_loop(mat, dims, weights))
+    ref = invert_sum(mat, dims, t)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=24), seed=seeds, data=st.data())
+def test_detection_map_matches_embed_loop(dims, seed, data):
+    act_on = data.draw(st.integers(1, dims.full_mask))
+    t = data.draw(st.integers(0, dims.full_mask)) & act_on
+    weight = st.floats(0.0, 1.0)
+    alpha = {p: data.draw(weight) for p in parties_from_mask(t)}
+    beta = {p: data.draw(weight) for p in parties_from_mask(act_on & ~t)}
+    params = DetectionParams(t=t, act_on=act_on, alpha=alpha, beta=beta)
+    mat = random_operator(dims, seed)
+    weights = {j: -a for j, a in alpha.items()} | beta
+    assert np.array_equal(
+        apply_detection_map(mat, dims, params), embed_factor_loop(mat, dims, weights)
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(dims=subsystem_dims(max_total=24), seed=seeds)
+def test_marginal_witnesses_match_embed_construction(dims, seed):
+    rho = ginibre_mixed(dims, seed)
+    witnesses = marginal_witnesses(rho)
+    assert [e.value for e in marginal_report(rho).entries] == [w.min_eig for w in witnesses]
+    marginals = {
+        s: partial_trace(rho.matrix, dims, s)
+        for s in dims.subset_masks()
+        if s not in (0, dims.full_mask)
+    }
+    reference = marginal_witnesses_from_marginals(marginals, dims)
+    assert [w.t for w in witnesses] == [w.t for w in reference]
+    for w, ref in zip(witnesses, reference):
+        assert np.max(np.abs(w.operator - ref.operator)) <= 1e-12
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=32), seed=seeds)
+def test_correlation_constraint_is_bit_identical_to_report(dims, seed):
+    rho = ginibre_mixed(dims, seed)
+    entries = correlation_report(rho).entries
+    assert [correlation_constraint(rho, t) for t in range(1, 1 << dims.n)] == [
+        e.value for e in entries
+    ]

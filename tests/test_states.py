@@ -60,3 +60,16 @@ def test_reduce_returns_valid_state():
     assert abs(np.trace(red.matrix) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         rho.reduce(0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_are_rejected(bad):
+    dims = SubsystemDims((2, 2))
+    mat = np.eye(4, dtype=complex) / 4
+    mat[2, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(mat, dims)
+    vec = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    vec[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState(vec, dims)
