@@ -23,6 +23,7 @@ import numpy as np
 
 from .constraints import (
     FAMILIES,
+    PASS_TOL,
     ConstraintReport,
     correlation_report,
     entropy_inequalities,
@@ -35,11 +36,7 @@ from .constraints import (
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, relative_mask
 from .invariants import invariant_table
 from .inversion import (
-    DetectionParams,
-    apply_detection_map,
-    invert_kraus,
-    invert_product,
-    invert_sum,
+    DetectionParams, apply_detection_map, invert_kraus, invert_product, invert_sum
 )
 from .io import StateFileError, read_state_file, write_state_file
 from .states import DensityMatrix, PureState
@@ -129,8 +126,26 @@ def _emit_report(
         )
 
 
-def _as_density(state: DensityMatrix | PureState) -> DensityMatrix:
-    return state if isinstance(state, DensityMatrix) else state.density()
+def _tolerance(tol: float) -> float:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol}")
+    return tol
+
+
+def _select(text: str | None, valid: tuple[str, ...], what: str) -> list[str]:
+    """The entries of ``valid`` named in the comma list ``text`` (all of
+    them when it is None), in the order of ``valid``."""
+    names = valid if text is None else [x.strip() for x in text.split(",") if x.strip()]
+    for name in names:
+        if name not in valid:
+            raise ValueError(f"unknown {what} {name!r}; valid: {', '.join(valid)}")
+    return [x for x in valid if x in names]
+
+
+def _read_state(path: str) -> tuple[DensityMatrix | PureState, DensityMatrix]:
+    """The state file's state and its density matrix."""
+    state = read_state_file(path, cap=_dim_cap())
+    return state, (state if isinstance(state, DensityMatrix) else state.density())
 
 
 def _parse_dims(text: str, cap: int) -> SubsystemDims:
@@ -152,22 +167,13 @@ def _open_out(path: str | None):
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    cap = _dim_cap()
-    state = read_state_file(args.state, cap=cap)
-    rho = _as_density(state)
-    requested = (
-        list(FAMILIES)
-        if args.families is None
-        else [f.strip() for f in args.families.split(",") if f.strip()]
-    )
-    for fam in requested:
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family {fam!r}; valid: {', '.join(FAMILIES)}")
-    tol = args.tol
+    tol = _tolerance(args.tol)
+    state, rho = _read_state(args.state)
+    families = _select(args.families, FAMILIES, "family")
     stream, close = _open_out(args.out)
     failed = False
     try:
-        for fam in (f for f in FAMILIES if f in requested):
+        for fam in families:
             t0 = time.perf_counter()
             if fam == "correlation":
                 report = correlation_report(rho, tol=tol)
@@ -196,9 +202,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    cap = _dim_cap()
-    state = read_state_file(args.state, cap=cap)
-    rho = _as_density(state)
+    tol = _tolerance(args.tol)
+    _, rho = _read_state(args.state)
     n = rho.dims.n
     if args.masks == "all":
         masks = list(rho.dims.subset_masks())
@@ -208,7 +213,6 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             tok = tok.strip()
             mask = 0 if tok in ("", "0") else parse_party_list(tok)
             masks.append(rho.dims.validate_mask(mask))
-    tol = args.tol
     stream, close = _open_out(args.out)
     try:
         t0 = time.perf_counter()
@@ -237,15 +241,13 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    cap = _dim_cap()
-    state = read_state_file(args.state, cap=cap)
-    rho = _as_density(state)
+    tol = _tolerance(args.tol)
+    _, rho = _read_state(args.state)
     act_on = rho.dims.validate_mask(parse_party_list(args.act_on))
     t = rho.dims.validate_mask(parse_party_list(args.t)) if args.t else 0
     alpha = _parse_weights(args.alpha)
     beta = _parse_weights(args.beta)
     params = DetectionParams(t=t, act_on=act_on, alpha=alpha, beta=beta)
-    tol = args.tol
     stream, close = _open_out(args.out)
     try:
         t0 = time.perf_counter()
@@ -292,21 +294,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if size < 1:
         raise ValueError(f"--size must be at least 1, got {size}")
     seed = args.seed
-    requested = (
-        list(VERIFY_SUITES)
-        if args.suites is None
-        else [s.strip() for s in args.suites.split(",") if s.strip()]
-    )
-    for suite in requested:
-        if suite not in VERIFY_SUITES:
-            raise ValueError(
-                f"unknown suite {suite!r}; valid: {', '.join(VERIFY_SUITES)}"
-            )
+    suites = _select(args.suites, VERIFY_SUITES, "suite")
     stream, close = _open_out(args.out)
     all_pass = True
     worst_margin = math.inf
     try:
-        for suite in (s for s in VERIFY_SUITES if s in requested):
+        for suite in suites:
             t0 = time.perf_counter()
             lines = _run_suite(suite, dims, size, seed)
             elapsed = (time.perf_counter() - t0) * 1e3
@@ -348,7 +341,7 @@ def _run_suite(
         for k in range(size):
             rho = ginibre_mixed(dims, seed, member=k)
             for t in masks:
-                low = min(low, min_eigenvalue(invert_sum(rho.matrix, dims, t)))
+                low = min(low, min_eigenvalue(invert_product(rho.matrix, dims, t)))
         return [("worst min eigenvalue of inverted states", low, 0.0, 1e-9)]
     if suite == "parity":
         dev = 0.0
@@ -356,8 +349,8 @@ def _run_suite(
         scale = 2.0 ** (1 - n)
         for k in range(size):
             rho = ginibre_mixed(dims, seed, member=k)
-            odd = sum(invert_sum(rho.matrix, dims, t) for t in masks if bin(t).count("1") % 2 == 1)
-            even = sum(invert_sum(rho.matrix, dims, t) for t in masks if bin(t).count("1") % 2 == 0)
+            odd = sum(invert_product(rho.matrix, dims, t) for t in masks if t.bit_count() % 2)
+            even = sum(invert_product(rho.matrix, dims, t) for t in masks if not t.bit_count() % 2)
             dev = max(dev, float(np.max(np.abs(scale * odd - (eye - rho.matrix)))))
             dev = max(dev, float(np.max(np.abs(scale * even - (eye + rho.matrix)))))
         return [("max parity-sum residual", -dev, -1e-11, 0.0)]
@@ -373,9 +366,9 @@ def _run_suite(
             rho_c = ginibre_mixed(SubsystemDims(dims.dims_of(sc)), seed, member=2 * k + 1)
             prod = assemble_product(dims, {s: rho_s.matrix, sc: rho_c.matrix})
             for t in masks:
-                lhs = invert_sum(prod.matrix, dims, t)
-                rhs_s = invert_sum(rho_s.matrix, rho_s.dims, relative_mask(t, s))
-                rhs_c = invert_sum(rho_c.matrix, rho_c.dims, relative_mask(t, sc))
+                lhs = invert_product(prod.matrix, dims, t)
+                rhs_s = invert_product(rho_s.matrix, rho_s.dims, relative_mask(t, s))
+                rhs_c = invert_product(rho_c.matrix, rho_c.dims, relative_mask(t, sc))
                 rhs = block_product({s: rhs_s, sc: rhs_c}, dims)
                 dev = max(dev, float(np.max(np.abs(lhs - rhs))))
         return [("max product-state factorization residual", -dev, -1e-11, 0.0)]
@@ -442,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="path to a JSON state file")
     p.add_argument("--families", default=None,
                    help=f"comma list from: {', '.join(FAMILIES)} (default: all)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=PASS_TOL)
     p.add_argument("--out", default=None, help="report file (default: stdout)")
     p.set_defaults(fn=cmd_check)
 
@@ -451,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masks", default="all",
                    help='"all" or semicolon-separated party lists, e.g. "1;2;1,2" '
                         '("0" is the empty mask)')
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=PASS_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_invariants)
 
@@ -463,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None,
                    help='scalar or per-party pairs "2:1.0,3:0.5" (default 1.0)')
     p.add_argument("--beta", default=None, help="same format as --alpha")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=PASS_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_detect)
 

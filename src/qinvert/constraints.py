@@ -12,10 +12,10 @@ import numpy as np
 
 from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask, relative_mask
 from .invariants import invariant_table
-from .inversion import invert_product
+from .inversion import _signed_embed_sum, invert_product
 from .states import DensityMatrix, PureState, linear_entropies
 from .tensor import (
-    embed,
+    TOL_HERM,
     herm_defect,
     min_eigenvalue,
     partial_trace,
@@ -121,7 +121,7 @@ def _shadow_sums(m1: np.ndarray, m2: np.ndarray, dims: SubsystemDims) -> list[fl
     one O(N 2^N) signed subset sum."""
     for name, m in (("M1", m1), ("M2", m2)):
         defect = herm_defect(np.asarray(m))
-        if defect > 1e-10:
+        if defect > TOL_HERM:
             raise ValueError(f"{name} is not Hermitian: max defect {defect:.3e}")
     terms = np.empty(1 << dims.n)
     for (s, a), (_, b) in zip(reduction_sweep(m1, dims), reduction_sweep(m2, dims)):
@@ -279,19 +279,10 @@ class MarginalWitness:
 def _build_witness(
     marginals: Mapping[int, np.ndarray], dims: SubsystemDims, t: int
 ) -> MarginalWitness:
-    d = dims.total
-    out = np.zeros((d, d), dtype=np.complex128)
-    for s in dims.subset_masks():
-        if s == dims.full_mask:
-            continue
-        if s == 0:
-            term = np.eye(d, dtype=np.complex128)
-        else:
-            term = embed(marginals[s], s, dims)
-        if mask_size(s & t) % 2:
-            out -= term
-        else:
-            out += term
+    """Signed embed sum over the proper subsets in ascending mask order,
+    the empty set contributing the identity."""
+    terms = [(0, np.ones((1, 1)))] + [(s, marginals[s]) for s in range(1, dims.full_mask)]
+    out = _signed_embed_sum(terms, dims, t)
     return MarginalWitness(t=t, operator=out, min_eig=min_eigenvalue(out))
 
 

@@ -7,33 +7,37 @@ identity-padded sum of its reduced operators,
 
 where rho_S keeps the parties in S.  T = {1..N} is the universal state
 inversion; T = {j} on a single party is the reduction map Tr(.)1 - id.
-Three independent evaluation routes are provided: the subset sum above
-(:func:`invert_sum`, the reference), the commuting product of per-party
-factors (:func:`invert_product`), and the Gell-Mann Kraus channel applied
-to the conjugated input (:func:`invert_kraus`).
+Equivalently I_T is the product of the commuting single-party factors
+Tr_j(.) (x) 1_j -/+ id; that product, :func:`invert_product`, is the
+production route, and its block-form kernel also evaluates coarse
+graining, the detection map and Choi matrices.  The subset sum above
+(:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
+input (:func:`invert_kraus`) are kept only as cross-check references.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .dims import SubsystemDims, mask_size, parties_from_mask
+from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_size, parties_from_mask
 from .gellmann import build_basis, minus_channel_indices, plus_channel_indices
 from .tensor import embed, embed_single, partial_trace
 
 
-def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
-    """Signed sum of identity-padded reductions; subsets are accumulated in
-    ascending bitmask order so the summation order is reproducible."""
-    dims.validate_mask(t)
+def _signed_embed_sum(
+    terms: Iterable[tuple[int, np.ndarray]], dims: SubsystemDims, t: int
+) -> np.ndarray:
+    """sum of (-1)^{|S & T|} op_S (x) 1_{S^c} over the ``(S, op_S)`` pairs,
+    accumulated in the order given."""
     out = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for s in dims.subset_masks():
-        term = embed(partial_trace(mat, dims, s), s, dims)
+    for s, op_s in terms:
+        term = embed(op_s, s, dims)
         if mask_size(s & t) % 2:
             out -= term
         else:
@@ -41,23 +45,42 @@ def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
     return out
 
 
+def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
+    """Signed sum of identity-padded reductions; subsets are accumulated in
+    ascending bitmask order so the summation order is reproducible.
+    2^N embedded D x D terms: a reference route, not a production one."""
+    dims.validate_mask(t)
+    terms = ((s, partial_trace(mat, dims, s)) for s in dims.subset_masks())
+    return _signed_embed_sum(terms, dims, t)
+
+
 def _apply_factors(
     mat: np.ndarray, dims: SubsystemDims, weights: Mapping[int, float]
 ) -> np.ndarray:
-    """Apply Tr_j(.) (x) 1_j + w_j id for each party j in ``weights``, in
-    ascending order, on the (d_1..d_N, d_1..d_N) reshape: one single-party
-    trace added onto the j-diagonal of w_j times the operand, so no
-    identity-padded D x D operator is formed.  O(D^2) per party."""
+    """Apply Tr_b(.) (x) 1_b + w_b id for each block b of ``weights``
+    (disjoint party masks), in ascending mask order, on the
+    (d_1..d_N, d_1..d_N) reshape: the block's parties are traced out in
+    ascending order and the result is added onto the b-diagonal of w_b
+    times the operand, so no identity-padded D x D operator is formed.
+    O(D^2) per block; a single-party block is one trace and d_j diagonal
+    slices."""
     n = dims.n
-    tensor = np.asarray(mat, dtype=np.complex128).reshape(dims.dims + dims.dims)
-    for j in sorted(weights):
-        i = j - 1
-        traced = np.trace(tensor, axis1=i, axis2=i + n)
-        tensor = weights[j] * tensor
-        diagonal = np.moveaxis(tensor, (i, i + n), (0, 1))
-        for k in range(dims.dims[i]):
-            diagonal[k, k] += traced
+    tensor = np.array(mat, dtype=np.complex128).reshape(dims.dims + dims.dims)
+    for block in sorted(weights):
+        axes = [i for i in range(n) if block >> i & 1]
+        traced = tensor
+        for q, i in enumerate(axes):
+            traced = np.trace(traced, axis1=i - q, axis2=i + n - 2 * q)
+        tensor *= weights[block]
+        diagonal = np.moveaxis(tensor, axes + [i + n for i in axes], range(2 * len(axes)))
+        for k in itertools.product(*(range(dims.dims[i]) for i in axes)):
+            diagonal[k + k] += traced
     return tensor.reshape(dims.total, dims.total)
+
+
+def _inversion_weights(n: int, t: int) -> dict[int, float]:
+    """Single-party factor weights of I_T: -1 on the parties of t, +1 elsewhere."""
+    return {1 << i: -1.0 if t >> i & 1 else 1.0 for i in range(n)}
 
 
 def invert_product(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
@@ -65,8 +88,19 @@ def invert_product(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
     :func:`_apply_factors`, with a minus sign exactly for the parties in
     ``t``.  O(N D^2); agrees with :func:`invert_sum` to rounding."""
     dims.validate_mask(t)
-    weights = {j: -1.0 if t >> (j - 1) & 1 else 1.0 for j in range(1, dims.n + 1)}
-    return _apply_factors(mat, dims, weights)
+    return _apply_factors(mat, dims, _inversion_weights(dims.n, t))
+
+
+def _channel_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, ...]]:
+    """Per party, the Gell-Mann generators of its Kraus channel: the y types
+    for parties in ``t``, identity, x and z types otherwise."""
+    dims.validate_mask(t)
+    generators = []
+    for i, d in enumerate(dims.dims):
+        basis = build_basis(d).matrices
+        indices = minus_channel_indices(d) if t >> i & 1 else plus_channel_indices(d)
+        generators.append(tuple(basis[m] for m in indices))
+    return generators
 
 
 def invert_kraus(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
@@ -79,42 +113,24 @@ def invert_kraus(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
     result is accumulated in a single buffer.  Agrees with
     :func:`invert_sum` on Hermitian inputs.
     """
-    dims.validate_mask(t)
+    generators = _channel_generators(dims, t)
     out = np.asarray(mat, dtype=np.complex128).conj()
-    for j in range(1, dims.n + 1):
-        d = dims.dims[j - 1]
-        basis = build_basis(d)
-        if t >> (j - 1) & 1:
-            indices = minus_channel_indices(d)
-        else:
-            indices = plus_channel_indices(d)
+    for j, party_generators in enumerate(generators, start=1):
         acc = np.zeros_like(out)
-        for m in indices:
-            h = embed_single(basis.matrices[m], j, dims)
+        for g in party_generators:
+            h = embed_single(g, j, dims)
             acc += h @ out @ h
-        out = (2.0 / d) * acc
+        out = (2.0 / dims.dims[j - 1]) * acc
     return out
 
 
 def kraus_operators(dims: SubsystemDims, t: int) -> Iterator[np.ndarray]:
     """Yield the scaled tensor-product Kraus operators of the inversion
     channel, so that I_T(rho) = sum_K K rho* K for Hermitian rho."""
-    dims.validate_mask(t)
+    generators = _channel_generators(dims, t)
     scale = math.sqrt(2.0**dims.n / dims.total)
-    per_party = []
-    for j in range(1, dims.n + 1):
-        d = dims.dims[j - 1]
-        basis = build_basis(d)
-        if t >> (j - 1) & 1:
-            indices = minus_channel_indices(d)
-        else:
-            indices = plus_channel_indices(d)
-        per_party.append([basis.matrices[m] for m in indices])
-    for combo in itertools.product(*per_party):
-        op = np.array([[1.0 + 0.0j]])
-        for factor in combo:
-            op = np.kron(op, factor)
-        yield scale * op
+    for combo in itertools.product(*generators):
+        yield scale * functools.reduce(np.kron, combo)
 
 
 @dataclass(frozen=True)
@@ -147,32 +163,20 @@ class Grouping:
 def coarse_grain_invert(
     mat: np.ndarray, dims: SubsystemDims, grouping: Grouping, t_coarse: int
 ) -> np.ndarray:
-    """Inversion of the coarse-grained state, assembled from fine-grained
-    inversions.
-
-    For each block the fine subsets contributing are those whose parity
-    matches the block's coarse sign (odd inside minus blocks, even inside
-    plus blocks); each block of size n_b contributes a 2^{1-n_b} averaging
-    weight.  The result is returned in the fine-grained index layout.
-    """
+    """Inversion of the coarse-grained state, in which each block b of
+    ``grouping`` is one party: the block factor is Tr_b(.) (x) 1_b - id
+    when bit k of ``t_coarse`` is set for the k-th block, and
+    Tr_b(.) (x) 1_b + id otherwise.  One factor-kernel call, O(D^2) per
+    block; blocks need not be contiguous, and the result keeps the
+    fine-grained index layout."""
     if grouping.n != dims.n:
         raise ValueError("grouping does not match the number of parties")
     if t_coarse < 0 or t_coarse >> grouping.num_blocks:
         raise ValueError(
             f"coarse mask {bin(t_coarse)} addresses blocks beyond {grouping.num_blocks}"
         )
-    weight = 2.0 ** (grouping.num_blocks - dims.n)
-    out = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for t_fine in dims.subset_masks():
-        ok = True
-        for b, block in enumerate(grouping.blocks):
-            want_odd = t_coarse >> b & 1
-            if mask_size(t_fine & block) % 2 != want_odd:
-                ok = False
-                break
-        if ok:
-            out += invert_sum(mat, dims, t_fine)
-    return weight * out
+    weights = {b: -1.0 if t_coarse >> k & 1 else 1.0 for k, b in enumerate(grouping.blocks)}
+    return _apply_factors(mat, dims, weights)
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,8 @@ class DetectionParams:
     Parties in ``t`` get the factor Tr_j(.)1_j - alpha_j id, the remaining
     parties of ``act_on`` get Tr_k(.)1_k + beta_k id, and parties outside
     ``act_on`` are left untouched.  ``alpha``/``beta`` accept a scalar
-    (broadcast) or a mapping keyed by 1-based party index; all weights
-    must lie in [0, 1].
+    (broadcast) or a mapping keyed by 1-based party index that names
+    exactly the parties it weights; all weights must lie in [0, 1].
     """
 
     t: int
@@ -202,7 +206,11 @@ class DetectionParams:
 
 def _weights(value, parties: tuple[int, ...], name: str) -> dict[int, float]:
     if isinstance(value, Mapping):
-        table = {int(p): float(value[p]) for p in parties}
+        table = {int(p): float(w) for p, w in sorted(value.items())}
+        for p in sorted(set(table) ^ set(parties)):
+            if p in table:
+                raise ValueError(f"{name} names party {p}, which it does not weight")
+            raise ValueError(f"{name} has no weight for party {p}")
     else:
         table = {p: float(value) for p in parties}
     for p, w in table.items():
@@ -211,17 +219,21 @@ def _weights(value, parties: tuple[int, ...], name: str) -> dict[int, float]:
     return table
 
 
+def _detection_weights(params: DetectionParams) -> dict[int, float]:
+    """Single-party factor weights: -alpha_j on t, beta_k on the rest of act_on."""
+    weights = {1 << (j - 1): -a for j, a in params.alpha.items()}
+    weights.update({1 << (k - 1): b for k, b in params.beta.items()})
+    return weights
+
+
 def apply_detection_map(
     mat: np.ndarray, dims: SubsystemDims, params: DetectionParams
 ) -> np.ndarray:
     """Apply the detection map; a negative eigenvalue of the output on a
-    state certifies entanglement between ``act_on`` and the rest.  Runs
-    :func:`_apply_factors` with weights -alpha_j on ``t`` and beta_k on the
-    rest of ``act_on``."""
+    state certifies entanglement between ``act_on`` and the rest.  One
+    factor-kernel call, O(D^2) per party of ``act_on``."""
     dims.validate_mask(params.act_on)
-    weights = {j: -a for j, a in params.alpha.items()}
-    weights.update(params.beta)
-    return _apply_factors(mat, dims, weights)
+    return _apply_factors(mat, dims, _detection_weights(params))
 
 
 def choi_matrix(
@@ -229,7 +241,7 @@ def choi_matrix(
     dims: SubsystemDims,
     t: int = 0,
     params: DetectionParams | None = None,
-    cap: int = 4096,
+    cap: int = DEFAULT_DIM_CAP,
 ) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) map(|i><j|); positive semidefinite
     exactly when the map is completely positive.
@@ -242,29 +254,31 @@ def choi_matrix(
       positive in general),
     * ``"detection"`` - the map of :func:`apply_detection_map` with
       ``params``.
+
+    The result (id (x) map)(|Omega><Omega|), |Omega> = sum_i |i>|i>, is one
+    factor-kernel call with the map's weight table on the second copy of
+    the doubled 2N-party system, O(N D^4); the transposing kind starts from
+    the partial transpose of |Omega><Omega| (the swap operator).  ``cap``
+    bounds the Choi side D^2.
     """
     d = dims.total
     if d * d > cap:
-        raise ValueError(
-            f"Choi matrix side {d * d} exceeds the dimension cap {cap}"
-        )
-    if map_kind == "t_inversion_after_transpose":
+        raise ValueError(f"Choi matrix side {d * d} exceeds the dimension cap {cap}")
+    if map_kind in ("t_inversion_after_transpose", "t_inversion"):
         dims.validate_mask(t)
-        fn: Callable[[np.ndarray], np.ndarray] = lambda x: invert_sum(x.T, dims, t)
-    elif map_kind == "t_inversion":
-        dims.validate_mask(t)
-        fn = lambda x: invert_sum(x, dims, t)
+        weights = _inversion_weights(dims.n, t)
     elif map_kind == "detection":
         if params is None:
             raise ValueError("detection Choi matrix requires params")
-        fn = lambda x: apply_detection_map(x, dims, params)
+        dims.validate_mask(params.act_on)
+        weights = _detection_weights(params)
     else:
         raise ValueError(f"unknown map kind {map_kind!r}")
-    choi = np.zeros((d, d, d, d), dtype=np.complex128)
-    basis_op = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            basis_op[i, j] = 1.0
-            choi[i, :, j, :] = fn(basis_op)
-            basis_op[i, j] = 0.0
-    return choi.reshape(d * d, d * d)
+    omega = np.eye(d, dtype=np.complex128).reshape(d * d)
+    operand = np.outer(omega, omega).reshape(d, d, d, d)
+    if map_kind == "t_inversion_after_transpose":
+        operand = operand.transpose(0, 3, 2, 1)
+    doubled = SubsystemDims(dims.dims * 2, cap=cap)
+    return _apply_factors(
+        operand.reshape(d * d, d * d), doubled, {b << dims.n: w for b, w in weights.items()}
+    )

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dims import SubsystemDims
-from .tensor import herm_defect, partial_trace, purity_value, subset_purities
+from .tensor import TOL_HERM, herm_defect, partial_trace, purity_value, subset_purities
 
-TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-9
 TOL_NORM = 1e-12

@@ -252,3 +252,45 @@ def test_verify_rejects_empty_campaign(capsys):
     assert code == 2
     assert captured.out == ""
     assert "--size" in captured.err
+
+
+@pytest.mark.parametrize("option, text, party", [
+    ("--alpha", "2:0.5", "party 1"),       # alpha weights party 1 (t) only
+    ("--alpha", "1:0.5,9:0.3", "party 9"),
+    ("--beta", "2:0.5,3:0.1", "party 3"),  # beta weights party 2 only
+    ("--beta", "1:0.5", "party 1"),
+])
+def test_detect_rejects_weights_for_the_wrong_parties(capsys, bell_file, option, text, party):
+    code = main(["detect", "--state", bell_file, "--act-on", "1,2", "--t", "1", option, text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{option[2:]} " in captured.err and party in captured.err
+
+
+def test_detect_accepts_weights_for_exactly_the_governed_parties(capsys, bell_file):
+    code, lines = run(capsys, "detect", "--state", bell_file, "--act-on", "1,2",
+                      "--t", "1", "--alpha", "1:0.5", "--beta", "2:0.25")
+    assert code == 0
+    assert len(lines) == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["invariants"],
+    ["detect", "--act-on", "2", "--t", "2"],
+])
+def test_tol_must_be_finite_and_nonnegative(capsys, bell_file, argv, tol):
+    code = main([*argv, "--state", bell_file, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--tol must be a finite number >= 0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["check"], ["invariants"], ["detect", "--act-on", "2"]])
+def test_tol_zero_is_accepted(capsys, bell_file, argv):
+    code, lines = run(capsys, *argv, "--state", bell_file, "--tol", "0")
+    assert code in (0, 1)  # a verdict, not an input error
+    assert lines and all(l["tolerance"] == 0.0 for l in lines)

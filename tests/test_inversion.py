@@ -352,3 +352,23 @@ def test_choi_errors():
         choi_matrix("detection", dims)
     with pytest.raises(ValueError):
         choi_matrix("t_inversion", SubsystemDims((8, 8)), t=0, cap=4000)
+
+
+@pytest.mark.parametrize("name, own", [("alpha", 1), ("beta", 2)])
+def test_detection_weight_mapping_names_exactly_its_parties(name, own):
+    # t = {1}, act_on = {1, 2}: alpha weights party 1, beta weights party 2
+    params = DetectionParams(t=0b01, act_on=0b11, **{name: {own: 0.5}})
+    assert getattr(params, name) == {own: 0.5}
+    with pytest.raises(ValueError, match=f"{name} has no weight for party {own}"):
+        DetectionParams(t=0b01, act_on=0b11, **{name: {}})
+    with pytest.raises(ValueError, match=f"{name} names party 9"):
+        DetectionParams(t=0b01, act_on=0b11, **{name: {own: 0.5, 9: 0.3}})
+    with pytest.raises(ValueError, match=f"{name} names party {3 - own}"):
+        DetectionParams(t=0b01, act_on=0b11, **{name: {1: 0.5, 2: 0.5}})
+
+
+def test_choi_matrix_honours_the_cap():
+    dims = SubsystemDims((2, 2))
+    with pytest.raises(ValueError, match="exceeds the dimension cap 15"):
+        choi_matrix("t_inversion", dims, t=0b01, cap=15)
+    assert choi_matrix("t_inversion", dims, t=0b01, cap=16).shape == (16, 16)

@@ -1,7 +1,10 @@
 """Property tests pinning the fast kernels to their reference routes: the
-Walsh-Hadamard subset sum, the depth-first reduction sweep and the
-per-party factor kernel behind invert_product, apply_detection_map and the
-state-based marginal witnesses."""
+Walsh-Hadamard subset sum, the depth-first reduction sweep, the factor
+kernel behind invert_product, apply_detection_map and the state-based
+marginal witnesses, its block form behind coarse_grain_invert and
+choi_matrix, and the signed-embed sum shared by invert_sum and the
+witnesses from marginals.  The formulas the kernels replaced are kept here
+as oracles."""
 
 import math
 
@@ -20,7 +23,10 @@ from qinvert.constraints import (
 from qinvert.dims import SubsystemDims, mask_size, parties_from_mask
 from qinvert.inversion import (
     DetectionParams,
+    Grouping,
     apply_detection_map,
+    choi_matrix,
+    coarse_grain_invert,
     invert_product,
     invert_sum,
 )
@@ -153,3 +159,129 @@ def test_correlation_constraint_is_bit_identical_to_report(dims, seed):
     assert [correlation_constraint(rho, t) for t in range(1, 1 << dims.n)] == [
         e.value for e in entries
     ]
+
+
+# ---------------------------------------------------------------------------
+# the block form of the factor kernel: coarse graining and Choi matrices
+
+
+def coarse_mask_filter_sum(mat, dims, grouping, t_coarse):
+    """coarse_grain_invert as written before the block kernel: the
+    2^(B-N)-weighted sum of invert_sum over the fine masks whose parity
+    inside every block matches that block's coarse sign."""
+    out = np.zeros((dims.total, dims.total), dtype=np.complex128)
+    for t_fine in dims.subset_masks():
+        if all(mask_size(t_fine & b) % 2 == t_coarse >> k & 1
+               for k, b in enumerate(grouping.blocks)):
+            out += invert_sum(mat, dims, t_fine)
+    return 2.0 ** (grouping.num_blocks - dims.n) * out
+
+
+@st.composite
+def groupings(draw, n):
+    """Any partition of the n parties, blocks in a random order; blocks are
+    non-contiguous whenever the labels interleave."""
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {}
+    for j, label in enumerate(labels):
+        blocks[label] = blocks.get(label, 0) | 1 << j
+    return Grouping(blocks=tuple(draw(st.permutations(list(blocks.values())))), n=n)
+
+
+def assert_close(got, ref):
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+multi_party_dims = st.lists(st.integers(2, 4), min_size=2, max_size=5).filter(
+    lambda ds: math.prod(ds) <= 48).map(lambda ds: SubsystemDims(tuple(ds)))
+
+
+@PROPERTY
+@given(dims=multi_party_dims, seed=seeds, data=st.data())
+def test_coarse_grain_invert_matches_mask_filter_sum(dims, seed, data):
+    grouping = data.draw(groupings(dims.n))
+    t_coarse = data.draw(st.integers(0, (1 << grouping.num_blocks) - 1))
+    mat = random_operator(dims, seed)
+    got = coarse_grain_invert(mat, dims, grouping, t_coarse)
+    assert_close(got, coarse_mask_filter_sum(mat, dims, grouping, t_coarse))
+
+
+@pytest.mark.parametrize("local_dims, blocks", [
+    ((2, 3, 2), (0b101, 0b010)),              # (101|010)
+    ((2, 2, 3, 2), (0b0010, 0b1101)),         # (0100|1011)
+    ((3, 2, 2, 2), (0b0101, 0b1010)),         # (1010|0101)
+])
+def test_coarse_grain_invert_on_non_contiguous_blocks(local_dims, blocks):
+    dims = SubsystemDims(local_dims)
+    grouping = Grouping(blocks=blocks, n=dims.n)
+    mat = random_operator(dims, 20181119)
+    for t_coarse in range(1 << grouping.num_blocks):
+        got = coarse_grain_invert(mat, dims, grouping, t_coarse)
+        assert_close(got, coarse_mask_filter_sum(mat, dims, grouping, t_coarse))
+
+
+def choi_from_basis_operators(fn, d):
+    """choi_matrix as written before the block kernel: one map call per
+    basis operator |i><j|, D^2 calls in all."""
+    choi = np.zeros((d, d, d, d), dtype=np.complex128)
+    basis_op = np.zeros((d, d), dtype=np.complex128)
+    for i in range(d):
+        for j in range(d):
+            basis_op[i, j] = 1.0
+            choi[i, :, j, :] = fn(basis_op)
+            basis_op[i, j] = 0.0
+    return choi.reshape(d * d, d * d)
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=6), data=st.data())
+def test_choi_matrix_matches_basis_operator_construction(dims, data):
+    t = data.draw(st.integers(0, dims.full_mask))
+    act_on = data.draw(st.integers(1, dims.full_mask))
+    weight = st.floats(0.0, 1.0)
+    alpha = {p: data.draw(weight) for p in parties_from_mask(t & act_on)}
+    beta = {p: data.draw(weight) for p in parties_from_mask(act_on & ~t)}
+    params = DetectionParams(t=t & act_on, act_on=act_on, alpha=alpha, beta=beta)
+    cases = {
+        "t_inversion_after_transpose": lambda x: invert_sum(x.T, dims, t),
+        "t_inversion": lambda x: invert_sum(x, dims, t),
+        "detection": lambda x: apply_detection_map(x, dims, params),
+    }
+    for kind, fn in cases.items():
+        got = choi_matrix(kind, dims, t=t, params=params)
+        assert_close(got, choi_from_basis_operators(fn, dims.total))
+
+
+# ---------------------------------------------------------------------------
+# the shared signed-embed loop
+
+
+def witness_embed_loop(marginals, dims, t):
+    """The marginal-witness operator as written before the signed-embed
+    sum was shared with invert_sum."""
+    d = dims.total
+    out = np.zeros((d, d), dtype=np.complex128)
+    for s in dims.subset_masks():
+        if s == dims.full_mask:
+            continue
+        term = np.eye(d, dtype=np.complex128) if s == 0 else embed(marginals[s], s, dims)
+        if mask_size(s & t) % 2:
+            out -= term
+        else:
+            out += term
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(dims=subsystem_dims(max_total=24), seed=seeds)
+def test_witnesses_from_marginals_are_bit_identical_to_embed_loop(dims, seed):
+    rho = ginibre_mixed(dims, seed)
+    marginals = {
+        s: partial_trace(rho.matrix, dims, s)
+        for s in dims.subset_masks()
+        if s not in (0, dims.full_mask)
+    }
+    witnesses = marginal_witnesses_from_marginals(marginals, dims)
+    assert [w.t for w in witnesses] == [t for t in dims.subset_masks() if mask_size(t) % 2]
+    for w in witnesses:
+        assert np.array_equal(w.operator, witness_embed_loop(marginals, dims, w.t))
