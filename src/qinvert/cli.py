@@ -1,9 +1,14 @@
 """Command-line interface.
 
-Reports are emitted as one JSON object per line with a stable key order:
-command, family, label, value, threshold, margin, pass, tolerance,
-elapsed_ms (plus documented extras for some commands).  Exit codes:
-0 all theorem-backed entries pass, 1 at least one fails, 2 input error.
+check, invariants, detect and verify hand ConstraintReports to one writer,
+which emits one JSON object per line with a stable key order: command,
+family, label, value, threshold, margin, pass, tolerance, elapsed_ms (then
+c, clamped for invariants and verdict for detect).  A line passes when
+value - threshold >= -tolerance; non-theorem lines, such as the entropy
+falsifiers and every detect line, carry pass null.  elapsed_ms is the
+line's share of the time taken to produce its report.  Exit codes, the same
+for every subcommand: 0 every theorem-backed line passes, 1 some line
+prints pass false, 2 input error (reported before any line is written).
 
 The environment variable QINVERT_DIM_CAP overrides the total-dimension
 cap (default 4096).
@@ -17,7 +22,7 @@ import math
 import os
 import sys
 import time
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +30,8 @@ from .constraints import (
     FAMILIES,
     PASS_TOL,
     ConstraintReport,
+    ReportEntry,
+    _entry,
     correlation_report,
     entropy_inequalities,
     independence_rank,
@@ -55,15 +62,6 @@ from .zoo import (
 
 CAP_ENV_VAR = "QINVERT_DIM_CAP"
 
-VERIFY_SUITES = (
-    "cross_form",
-    "positivity",
-    "parity",
-    "factorization",
-    "independence",
-    "closed_form",
-)
-
 
 def _dim_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
@@ -75,55 +73,44 @@ def _dim_cap() -> int:
         raise ValueError(f"{CAP_ENV_VAR}={raw!r} is not an integer") from exc
 
 
-def _emit(
-    stream: IO[str],
-    command: str,
-    family: str,
-    label: str,
-    value: float,
-    threshold: float,
-    margin: float,
-    passed: bool | None,
-    tolerance: float,
-    elapsed_ms: float,
-    extra: dict | None = None,
-) -> None:
+def _emit(stream: IO[str], command: str, report: ConstraintReport,
+          e: ReportEntry, elapsed_ms: float) -> None:
     obj = {
         "command": command,
-        "family": family,
-        "label": label,
-        "value": value,
-        "threshold": threshold,
-        "margin": margin,
-        "pass": passed,
-        "tolerance": tolerance,
+        "family": report.family,
+        "label": e.label,
+        "value": e.value,
+        "threshold": e.threshold,
+        "margin": e.margin,
+        "pass": e.passed if e.theorem else None,
+        "tolerance": report.tolerance,
         "elapsed_ms": round(elapsed_ms, 3),
+        **(e.extra or {}),
     }
-    if extra:
-        obj.update(extra)
     stream.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
-def _emit_report(
-    stream: IO[str], command: str, report: ConstraintReport, elapsed_ms: float
-) -> None:
-    share = elapsed_ms / max(len(report.entries), 1)
-    for note in report.notes:
-        _emit(stream, command, report.family, f"note: {note}", 0.0, 0.0, 0.0,
-              None, report.tolerance, 0.0)
-    for e in report.entries:
-        _emit(
-            stream,
-            command,
-            report.family,
-            e.label,
-            e.value,
-            e.threshold,
-            e.margin,
-            e.passed if e.theorem else None,
-            report.tolerance,
-            share,
-        )
+def _write_reports(out: str | None, command: str, reports: Iterable[ConstraintReport]) -> int:
+    """Write the note and entry lines of every report to ``out`` (stdout
+    for None or "-"); each entry's ``elapsed_ms`` is its share of the time
+    taken to produce its report.  Returns the exit code: 1 when some
+    theorem-backed entry fails, else 0."""
+    stream = sys.stdout if out in (None, "-") else open(out, "w", encoding="utf-8")
+    failed = False
+    try:
+        t0 = time.perf_counter()
+        for report in reports:
+            share = (time.perf_counter() - t0) * 1e3 / max(len(report.entries), 1)
+            for note in report.notes:
+                _emit(stream, command, report, ReportEntry(note, 0.0, 0.0, 0.0, True, False), 0.0)
+            for e in report.entries:
+                _emit(stream, command, report, e, share)
+            failed = failed or not report.all_pass
+            t0 = time.perf_counter()
+    finally:
+        if stream is not sys.stdout:
+            stream.close()
+    return 1 if failed else 0
 
 
 def _tolerance(tol: float) -> float:
@@ -132,10 +119,12 @@ def _tolerance(tol: float) -> float:
     return tol
 
 
-def _select(text: str | None, valid: tuple[str, ...], what: str) -> list[str]:
+def _select(text: str | None, valid: tuple[str, ...], what: str, option: str) -> list[str]:
     """The entries of ``valid`` named in the comma list ``text`` (all of
     them when it is None), in the order of ``valid``."""
     names = valid if text is None else [x.strip() for x in text.split(",") if x.strip()]
+    if not names:
+        raise ValueError(f"{option} names no {what}; valid: {', '.join(valid)}")
     for name in names:
         if name not in valid:
             raise ValueError(f"unknown {what} {name!r}; valid: {', '.join(valid)}")
@@ -148,18 +137,12 @@ def _read_state(path: str) -> tuple[DensityMatrix | PureState, DensityMatrix]:
     return state, (state if isinstance(state, DensityMatrix) else state.density())
 
 
-def _parse_dims(text: str, cap: int) -> SubsystemDims:
+def _parse_dims(text: str) -> SubsystemDims:
     try:
         dims = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse dims {text!r}") from exc
-    return SubsystemDims(dims, cap=cap)
-
-
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+    return SubsystemDims(dims, cap=_dim_cap())
 
 
 # ---------------------------------------------------------------------------
@@ -169,240 +152,214 @@ def _open_out(path: str | None):
 def cmd_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
     state, rho = _read_state(args.state)
-    families = _select(args.families, FAMILIES, "family")
-    stream, close = _open_out(args.out)
-    failed = False
-    try:
+    families = _select(args.families, FAMILIES, "family", "--families")
+
+    def reports() -> Iterator[ConstraintReport]:
         for fam in families:
-            t0 = time.perf_counter()
             if fam == "correlation":
-                report = correlation_report(rho, tol=tol)
+                yield correlation_report(rho, tol=tol)
+            elif fam == "monogamy" and isinstance(state, PureState):
+                yield monogamy_report(state, tol=tol)
             elif fam == "monogamy":
-                if isinstance(state, PureState):
-                    report = monogamy_report(state, tol=tol)
-                else:
-                    _emit(stream, "check", "monogamy",
-                          "warning: mixed state; monogamy downgraded to correlation",
-                          0.0, 0.0, 0.0, None, tol, 0.0)
-                    report = correlation_report(rho, tol=tol)
+                yield ConstraintReport("monogamy", [], tol, [
+                    "warning: mixed state; monogamy downgraded to correlation"])
+                yield correlation_report(rho, tol=tol)
             elif fam == "shadow":
-                report = shadow_report(rho.matrix, rho.matrix, rho.dims, tol=tol)
+                yield shadow_report(rho.matrix, rho.matrix, rho.dims, tol=tol)
             elif fam == "entropy":
-                report = entropy_inequalities(rho, tol=tol)
+                yield entropy_inequalities(rho, tol=tol)
             else:
-                report = marginal_report(rho, tol=tol)
-            elapsed = (time.perf_counter() - t0) * 1e3
-            _emit_report(stream, "check", report, elapsed)
-            if not report.all_pass:
-                failed = True
-    finally:
-        if close:
-            stream.close()
-    return 1 if failed else 0
+                yield marginal_report(rho, tol=tol)
+
+    return _write_reports(args.out, "check", reports())
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
     _, rho = _read_state(args.state)
-    n = rho.dims.n
-    if args.masks == "all":
-        masks = list(rho.dims.subset_masks())
-    else:
-        masks = []
-        for tok in args.masks.split(";"):
-            tok = tok.strip()
-            mask = 0 if tok in ("", "0") else parse_party_list(tok)
-            masks.append(rho.dims.validate_mask(mask))
-    stream, close = _open_out(args.out)
-    try:
-        t0 = time.perf_counter()
+    masks = list(rho.dims.subset_masks()) if args.masks == "all" else [
+        rho.dims.validate_mask(0 if tok.strip() == "0" else parse_party_list(tok))
+        for tok in args.masks.split(";")
+    ]
+
+    def reports() -> Iterator[ConstraintReport]:
         table = invariant_table(rho)
-        elapsed = (time.perf_counter() - t0) * 1e3
-        share = elapsed / max(len(masks), 1)
-        for t in masks:
-            value = table.c_squared_clamped(t)
-            _emit(
-                stream,
-                "invariants",
-                "invariants",
-                mask_bitstring(t, n),
-                value,
-                0.0,
-                value,
-                value >= -tol,
-                tol,
-                share,
-                extra={"c": table.c(t), "clamped": table.was_clamped(t)},
-            )
-    finally:
-        if close:
-            stream.close()
-    return 0
+        entries = [
+            _entry(mask_bitstring(t, rho.dims.n), table.c_squared_clamped(t), tol,
+                   extra={"c": table.c(t), "clamped": table.was_clamped(t)})
+            for t in masks
+        ]
+        yield ConstraintReport("invariants", entries, tol)
+
+    return _write_reports(args.out, "invariants", reports())
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
     _, rho = _read_state(args.state)
     act_on = rho.dims.validate_mask(parse_party_list(args.act_on))
+    if act_on == 0:
+        raise ValueError("--act-on must name at least one party")
     t = rho.dims.validate_mask(parse_party_list(args.t)) if args.t else 0
-    alpha = _parse_weights(args.alpha)
-    beta = _parse_weights(args.beta)
+    alpha = _parse_weights(args.alpha, "--alpha")
+    beta = _parse_weights(args.beta, "--beta")
     params = DetectionParams(t=t, act_on=act_on, alpha=alpha, beta=beta)
-    stream, close = _open_out(args.out)
-    try:
-        t0 = time.perf_counter()
-        out = apply_detection_map(rho.matrix, rho.dims, params)
-        low = min_eigenvalue(out)
-        elapsed = (time.perf_counter() - t0) * 1e3
+
+    def reports() -> Iterator[ConstraintReport]:
+        low = min_eigenvalue(apply_detection_map(rho.matrix, rho.dims, params))
         verdict = "detected" if low < -tol else "inconclusive"
-        _emit(
-            stream,
-            "detect",
-            "detection",
-            f"act_on={args.act_on};t={args.t or ''}",
-            low,
-            0.0,
-            low,
-            None,
-            tol,
-            elapsed,
-            extra={"verdict": verdict},
-        )
-    finally:
-        if close:
-            stream.close()
-    return 0
+        yield ConstraintReport("detection", [
+            _entry(f"act_on={args.act_on};t={args.t or ''}", low, tol, theorem=False,
+                   extra={"verdict": verdict})], tol)
+
+    return _write_reports(args.out, "detect", reports())
 
 
-def _parse_weights(text: str | None) -> dict[int, float] | float:
+def _parse_weights(text: str | None, option: str) -> dict[int, float] | float:
     """Weights as a scalar ("1.0") or per-party pairs ("2:1.0,3:0.5")."""
     if text is None:
         return 1.0
     if ":" not in text:
-        return float(text)
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"{option} {text!r} is not a weight or party:weight list") from None
     table = {}
     for tok in text.split(","):
         party, _, weight = tok.partition(":")
-        table[int(party)] = float(weight)
+        try:
+            key, value = int(party), float(weight)
+        except ValueError:
+            raise ValueError(f"{option} token {tok!r} is not a party:weight pair") from None
+        if key in table:
+            raise ValueError(f"{option} names party {key} more than once")
+        table[key] = value
     return table
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cap = _dim_cap()
-    dims = _parse_dims(args.dims, cap)
-    size = args.size
-    if size < 1:
-        raise ValueError(f"--size must be at least 1, got {size}")
-    seed = args.seed
-    suites = _select(args.suites, VERIFY_SUITES, "suite")
-    stream, close = _open_out(args.out)
-    all_pass = True
-    worst_margin = math.inf
-    try:
+    dims = _parse_dims(args.dims)
+    if args.size < 1:
+        raise ValueError(f"--size must be at least 1, got {args.size}")
+    suites = _select(args.suites, VERIFY_SUITES, "suite", "--suites")
+
+    def reports() -> Iterator[ConstraintReport]:
+        rows: list[ReportEntry] = []
         for suite in suites:
-            t0 = time.perf_counter()
-            lines = _run_suite(suite, dims, size, seed)
-            elapsed = (time.perf_counter() - t0) * 1e3
-            for label, value, threshold, tol in lines:
-                margin = value - threshold
-                passed = margin >= -tol
-                all_pass = all_pass and passed
-                worst_margin = min(worst_margin, margin)
-                _emit(stream, "verify", suite, label, value, threshold, margin,
-                      passed, tol, elapsed / len(lines))
-        _emit(stream, "verify", "summary", "worst margin", worst_margin, 0.0,
-              worst_margin, all_pass, 0.0, 0.0)
-    finally:
-        if close:
-            stream.close()
-    return 0 if all_pass else 1
+            report = _run_suite(suite, dims, args.size, args.seed)
+            rows += report.entries
+            yield report
+        worst = min(e.margin for e in rows)
+        summary = ReportEntry("worst margin", worst, 0.0, worst, all(e.passed for e in rows))
+        yield ConstraintReport("summary", [summary], 0.0)
+
+    return _write_reports(args.out, "verify", reports())
 
 
-def _run_suite(
-    suite: str, dims: SubsystemDims, size: int, seed: int
-) -> list[tuple[str, float, float, float]]:
-    """Run one verification battery; returns (label, value, threshold,
-    tolerance) rows where pass means value - threshold >= -tolerance.
-    Deviation-style rows are encoded as value = -deviation against
-    threshold = -limit with zero slack."""
-    n = dims.n
+def _cross_form(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
+    dev = 0.0
+    for k in range(size):
+        rho = ginibre_mixed(dims, seed, member=k)
+        for t in dims.subset_masks():
+            ref = invert_sum(rho.matrix, dims, t)
+            dev = max(dev, float(np.max(np.abs(ref - invert_product(rho.matrix, dims, t)))))
+            dev = max(dev, float(np.max(np.abs(ref - invert_kraus(rho.matrix, dims, t)))))
+    return [("max deviation between forms", -dev, -1e-10)]
+
+
+def _positivity(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
+    low = math.inf
+    for k in range(size):
+        rho = ginibre_mixed(dims, seed, member=k)
+        for t in dims.subset_masks():
+            low = min(low, min_eigenvalue(invert_product(rho.matrix, dims, t)))
+    return [("worst min eigenvalue of inverted states", low, 0.0)]
+
+
+def _parity(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
+    dev = 0.0
     masks = list(dims.subset_masks())
-    if suite == "cross_form":
-        dev = 0.0
-        for k in range(size):
-            rho = ginibre_mixed(dims, seed, member=k)
-            for t in masks:
-                ref = invert_sum(rho.matrix, dims, t)
-                dev = max(dev, float(np.max(np.abs(ref - invert_product(rho.matrix, dims, t)))))
-                dev = max(dev, float(np.max(np.abs(ref - invert_kraus(rho.matrix, dims, t)))))
-        return [("max deviation between forms", -dev, -1e-10, 0.0)]
-    if suite == "positivity":
-        low = math.inf
-        for k in range(size):
-            rho = ginibre_mixed(dims, seed, member=k)
-            for t in masks:
-                low = min(low, min_eigenvalue(invert_product(rho.matrix, dims, t)))
-        return [("worst min eigenvalue of inverted states", low, 0.0, 1e-9)]
-    if suite == "parity":
-        dev = 0.0
-        eye = np.eye(dims.total)
-        scale = 2.0 ** (1 - n)
-        for k in range(size):
-            rho = ginibre_mixed(dims, seed, member=k)
-            odd = sum(invert_product(rho.matrix, dims, t) for t in masks if t.bit_count() % 2)
-            even = sum(invert_product(rho.matrix, dims, t) for t in masks if not t.bit_count() % 2)
-            dev = max(dev, float(np.max(np.abs(scale * odd - (eye - rho.matrix)))))
-            dev = max(dev, float(np.max(np.abs(scale * even - (eye + rho.matrix)))))
-        return [("max parity-sum residual", -dev, -1e-11, 0.0)]
-    if suite == "factorization":
-        if n < 2:
-            return [("skipped: needs at least 2 parties", 0.0, 0.0, 0.0)]
-        dev = 0.0
-        rng = stream_rng(seed, 10_001)
-        for k in range(size):
-            s = int(rng.integers(1, dims.full_mask))
-            sc = dims.full_mask ^ s
-            rho_s = ginibre_mixed(SubsystemDims(dims.dims_of(s)), seed, member=2 * k)
-            rho_c = ginibre_mixed(SubsystemDims(dims.dims_of(sc)), seed, member=2 * k + 1)
-            prod = assemble_product(dims, {s: rho_s.matrix, sc: rho_c.matrix})
-            for t in masks:
-                lhs = invert_product(prod.matrix, dims, t)
-                rhs_s = invert_product(rho_s.matrix, rho_s.dims, relative_mask(t, s))
-                rhs_c = invert_product(rho_c.matrix, rho_c.dims, relative_mask(t, sc))
-                rhs = block_product({s: rhs_s, sc: rhs_c}, dims)
-                dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-        return [("max product-state factorization residual", -dev, -1e-11, 0.0)]
-    if suite == "independence":
-        n_eff = min(n, 4)
-        rank = independence_rank(n_eff)
-        rows = [(f"pin-or-mix family rank at n={n_eff}", float(rank - (1 << n_eff)), 0.0, 0.0)]
-        if n_eff >= 2:
-            rank_pure = independence_rank_pure(n_eff)
-            rows.append(
-                (f"pinned-GHZ family rank at n={n_eff}",
-                 float(rank_pure - (1 << (n_eff - 1))), 0.0, 0.0)
-            )
-        return rows
-    if suite == "closed_form":
-        n_eff = min(n, 4)
-        dev = 0.0
-        for pins in range(1 << n_eff):
-            table = invariant_table(pinned_mix_state(n_eff, pins))
+    eye = np.eye(dims.total)
+    scale = 2.0 ** (1 - dims.n)
+    for k in range(size):
+        rho = ginibre_mixed(dims, seed, member=k)
+        odd = sum(invert_product(rho.matrix, dims, t) for t in masks if t.bit_count() % 2)
+        even = sum(invert_product(rho.matrix, dims, t) for t in masks if not t.bit_count() % 2)
+        dev = max(dev, float(np.max(np.abs(scale * odd - (eye - rho.matrix)))))
+        dev = max(dev, float(np.max(np.abs(scale * even - (eye + rho.matrix)))))
+    return [("max parity-sum residual", -dev, -1e-11)]
+
+
+def _factorization(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
+    if dims.n < 2:
+        return [("skipped: needs at least 2 parties", 0.0, 0.0)]
+    dev = 0.0
+    rng = stream_rng(seed, 10_001)
+    for k in range(size):
+        s = int(rng.integers(1, dims.full_mask))
+        sc = dims.full_mask ^ s
+        rho_s = ginibre_mixed(SubsystemDims(dims.dims_of(s)), seed, member=2 * k)
+        rho_c = ginibre_mixed(SubsystemDims(dims.dims_of(sc)), seed, member=2 * k + 1)
+        prod = assemble_product(dims, {s: rho_s.matrix, sc: rho_c.matrix})
+        for t in dims.subset_masks():
+            lhs = invert_product(prod.matrix, dims, t)
+            rhs_s = invert_product(rho_s.matrix, rho_s.dims, relative_mask(t, s))
+            rhs_c = invert_product(rho_c.matrix, rho_c.dims, relative_mask(t, sc))
+            rhs = block_product({s: rhs_s, sc: rhs_c}, dims)
+            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+    return [("max product-state factorization residual", -dev, -1e-11)]
+
+
+def _independence(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
+    n_eff = min(dims.n, 4)
+    rank = independence_rank(n_eff)
+    rows = [(f"pin-or-mix family rank at n={n_eff}", float(rank - (1 << n_eff)), 0.0)]
+    if n_eff >= 2:
+        rank_pure = independence_rank_pure(n_eff)
+        rows.append((f"pinned-GHZ family rank at n={n_eff}",
+                     float(rank_pure - (1 << (n_eff - 1))), 0.0))
+    return rows
+
+
+def _closed_form(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
+    n_eff = min(dims.n, 4)
+    dev = 0.0
+    for pins in range(1 << n_eff):
+        table = invariant_table(pinned_mix_state(n_eff, pins))
+        for t in range(1 << n_eff):
+            dev = max(dev, abs(table.c_squared(t) - pinned_mix_invariant(n_eff, pins, t)))
+    if n_eff >= 2:
+        for idx in range(1 << (n_eff - 1)):
+            pins = idx << 1
+            table = invariant_table(pinned_ghz_state(n_eff, pins).density())
             for t in range(1 << n_eff):
-                dev = max(dev, abs(table.c_squared(t) - pinned_mix_invariant(n_eff, pins, t)))
-        if n_eff >= 2:
-            for idx in range(1 << (n_eff - 1)):
-                pins = idx << 1
-                table = invariant_table(pinned_ghz_state(n_eff, pins).density())
-                for t in range(1 << n_eff):
-                    dev = max(dev, abs(table.c_squared(t) - pinned_ghz_invariant(n_eff, pins, t)))
-        return [(f"max closed-form residual at n={n_eff}", -dev, -1e-10, 0.0)]
-    raise ValueError(f"unknown suite {suite!r}")
+                dev = max(dev, abs(table.c_squared(t) - pinned_ghz_invariant(n_eff, pins, t)))
+    return [(f"max closed-form residual at n={n_eff}", -dev, -1e-10)]
+
+
+_SUITES = {
+    "cross_form": (_cross_form, 0.0),
+    "positivity": (_positivity, 1e-9),
+    "parity": (_parity, 0.0),
+    "factorization": (_factorization, 0.0),
+    "independence": (_independence, 0.0),
+    "closed_form": (_closed_form, 0.0),
+}
+VERIFY_SUITES = tuple(_SUITES)
+
+
+def _run_suite(suite: str, dims: SubsystemDims, size: int, seed: int) -> ConstraintReport:
+    """One verification battery as a report.  A battery returns (label,
+    value, threshold) rows, judged at the suite's tolerance; deviation rows
+    are value = -deviation against threshold = -limit."""
+    battery, tol = _SUITES[suite]
+    rows = [_entry(label, value, tol, threshold=threshold)
+            for label, value, threshold in battery(dims, size, seed)]
+    return ConstraintReport(suite, rows, tol)
 
 
 def cmd_make_state(args: argparse.Namespace) -> int:
-    cap = _dim_cap()
-    dims = _parse_dims(args.dims, cap)
+    dims = _parse_dims(args.dims)
     s = dims.validate_mask(parse_party_list(args.s)) if args.s else None
     recipe = StateRecipe(
         kind=args.kind, dims=dims, s=s, seed=args.seed, rank=args.rank

@@ -39,10 +39,14 @@ class ReportEntry:
     margin: float
     passed: bool
     theorem: bool = True
+    extra: Mapping[str, object] | None = None
 
 
 @dataclass
 class ConstraintReport:
+    """One family's entries plus note lines; notes carry their full
+    report-line label ("note: ...", "warning: ...")."""
+
     family: str
     entries: list[ReportEntry]
     tolerance: float
@@ -56,17 +60,12 @@ class ConstraintReport:
 
 
 def _entry(
-    label: str, value: float, tol: float, threshold: float = 0.0, theorem: bool = True
+    label: str, value: float, tol: float, threshold: float = 0.0, theorem: bool = True,
+    extra: Mapping[str, object] | None = None,
 ) -> ReportEntry:
+    """The one pass rule of every report line: value - threshold >= -tol."""
     margin = value - threshold
-    return ReportEntry(
-        label=label,
-        value=value,
-        threshold=threshold,
-        margin=margin,
-        passed=margin >= -tol,
-        theorem=theorem,
-    )
+    return ReportEntry(label, value, threshold, margin, margin >= -tol, theorem, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def shadow_report(
         _entry(mask_bitstring(t, dims.n), value, tol, theorem=psd_ok)
         for t, value in enumerate(_shadow_sums(m1, m2, dims))
     ]
-    notes = [] if psd_ok else ["inputs are not PSD: pass/fail judgement suppressed"]
+    notes = [] if psd_ok else ["note: inputs are not PSD: pass/fail judgement suppressed"]
     return ConstraintReport(family="shadow", entries=entries, tolerance=tol, notes=notes)
 
 
@@ -248,7 +247,7 @@ def entropy_inequalities(rho: DensityMatrix, tol: float = PASS_TOL) -> Constrain
         total = 0.5 * _entropy_sums(taus, n)[full]
         entries.append(_entry("inclusion-exclusion:full", total, tol))
         notes.append(
-            f"named 2- and 3-party inequality families are skipped for N = {n}; "
+            f"note: named 2- and 3-party inequality families are skipped for N = {n}; "
             "only the full-mask constraint is reported"
         )
     return ConstraintReport(family="entropy", entries=entries, tolerance=tol, notes=notes)

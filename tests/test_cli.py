@@ -268,6 +268,20 @@ def test_detect_rejects_weights_for_the_wrong_parties(capsys, bell_file, option,
     assert f"{option[2:]} " in captured.err and party in captured.err
 
 
+@pytest.mark.parametrize("text, named", [
+    ("1:0.5,1:0.9", "party 1"),  # a repeated party must not silently keep the last weight
+    ("1:", "'1:'"),
+    ("x:0.5", "'x:0.5'"),
+    ("abc", "'abc'"),
+])
+def test_detect_rejects_malformed_weight_lists(capsys, bell_file, text, named):
+    code = main(["detect", "--state", bell_file, "--act-on", "1,2", "--t", "1", "--alpha", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--alpha" in captured.err and named in captured.err
+
+
 def test_detect_accepts_weights_for_exactly_the_governed_parties(capsys, bell_file):
     code, lines = run(capsys, "detect", "--state", bell_file, "--act-on", "1,2",
                       "--t", "1", "--alpha", "1:0.5", "--beta", "2:0.25")
@@ -294,3 +308,79 @@ def test_tol_zero_is_accepted(capsys, bell_file, argv):
     code, lines = run(capsys, *argv, "--state", bell_file, "--tol", "0")
     assert code in (0, 1)  # a verdict, not an input error
     assert lines and all(l["tolerance"] == 0.0 for l in lines)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["check", "--families", ","], "--families"),
+    (["verify", "--dims", "2,2", "--suites", ","], "--suites"),
+    (["detect", "--act-on", ""], "--act-on"),
+])
+def test_empty_selection_is_an_input_error(capsys, bell_file, argv, option):
+    state = [] if argv[0] == "verify" else ["--state", bell_file]
+    code = main([*argv, *state])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert option in captured.err
+
+
+REPORT_KEYS = ["command", "family", "label", "value", "threshold", "margin", "pass",
+               "tolerance", "elapsed_ms"]
+
+
+@pytest.mark.parametrize("argv, extras", [
+    (["invariants"], ["c", "clamped"]),
+    (["detect", "--act-on", "2", "--t", "2"], ["verdict"]),
+])
+def test_report_lines_end_in_the_documented_extras(capsys, bell_file, argv, extras):
+    assert main([*argv, "--state", bell_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for raw in lines:
+        assert list(json.loads(raw)) == REPORT_KEYS + extras
+    if argv[0] == "detect":
+        assert json.loads(lines[0])["pass"] is None
+
+
+@pytest.mark.parametrize("low, passed, expected_code", [
+    (-5e-10, True, 0),   # inside the positivity suite's 1e-9 tolerance
+    (-2e-9, False, 1),
+])
+def test_verify_summary_is_the_worst_margin_and_the_and_of_passes(
+    capsys, monkeypatch, low, passed, expected_code
+):
+    monkeypatch.setattr("qinvert.cli.min_eigenvalue", lambda h: low)
+    code, lines = run(capsys, "verify", "--dims", "2,2", "--size", "2", "--seed", "3",
+                      "--suites", "positivity,parity")
+    *rows, summary = lines
+    assert [l["family"] for l in rows] == ["positivity", "parity"]
+    assert summary["label"] == "worst margin"
+    assert summary["value"] == summary["margin"] == min(l["margin"] for l in rows) == low
+    assert rows[0]["pass"] is passed
+    assert summary["pass"] is all(l["pass"] for l in rows) is passed
+    assert code == expected_code
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--families", "bogus"],
+    ["invariants", "--masks", "3"],
+    ["detect", "--act-on", "2", "--alpha", "1:0.5,1:0.5"],
+    ["verify", "--dims", "2,2", "--size", "0"],
+])
+def test_input_error_creates_no_out_file(capsys, bell_file, tmp_path, argv):
+    out = tmp_path / "report.jsonl"
+    state = [] if argv[0] == "verify" else ["--state", bell_file]
+    code = main([*argv, *state, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 2
+    assert not out.exists()
+
+
+def test_invariants_exit_1_when_a_printed_pass_is_false(capsys, monkeypatch, bell_file):
+    from qinvert.invariants import InvariantTable
+
+    table = InvariantTable(values={0: 3.0, 1: 0.0, 2: 0.0, 3: -1e-6})
+    monkeypatch.setattr("qinvert.cli.invariant_table", lambda rho: table)
+    code, lines = run(capsys, "invariants", "--state", bell_file)
+    assert [l["pass"] for l in lines] == [True, True, True, False]
+    assert code == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinvert.dims import SubsystemDims
 from qinvert.invariants import (
@@ -77,6 +79,30 @@ def test_local_unitary_invariance():
         rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, dims)
         for t in dims.subset_masks():
             assert abs(c_t_squared(rho, t) - c_t_squared(rotated, t)) < 1e-9
+
+
+@st.composite
+def mixed_dims(draw, max_total=48):
+    dims = [draw(st.integers(2, 4))]
+    while draw(st.booleans()):
+        d = draw(st.integers(2, 4))
+        if math.prod(dims) * d > max_total:
+            break
+        dims.append(d)
+    return SubsystemDims(tuple(dims))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(dims=mixed_dims(), seed=st.integers(0, 2**32 - 1))
+def test_invariant_table_is_local_unitary_invariant(dims, seed):
+    """Every C_T^2 is a degree-two LU invariant: rotating the state by
+    U_1 (x) ... (x) U_N leaves the whole table unchanged."""
+    rho = ginibre_mixed(dims, seed)
+    u = random_local_unitary(dims, stream_rng(seed, 1))
+    rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, dims)
+    before, after = invariant_table(rho), invariant_table(rotated)
+    for t in dims.subset_masks():
+        assert abs(before.c_squared(t) - after.c_squared(t)) < 1e-10
 
 
 def test_factorization_on_product_states():

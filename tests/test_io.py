@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinvert.dims import SubsystemDims
 from qinvert.io import (
@@ -33,6 +35,52 @@ def test_mixed_roundtrip_is_exact(tmp_path):
     loaded = read_state_file(path)
     assert isinstance(loaded, DensityMatrix)
     assert np.array_equal(loaded.matrix, rho.matrix)
+
+
+# -0.0 and subnormals are where a lossy float encoding shows first;
+# array_equal would call -0.0 equal to 0.0, so bit patterns are compared
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320])
+ROUNDTRIP = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def roundtrip_bits(tmp_path, state):
+    path = tmp_path / "state.json"
+    write_state_file(path, state)
+    loaded = read_state_file(path)
+    before = state.vector if isinstance(state, PureState) else state.matrix
+    after = loaded.vector if isinstance(loaded, PureState) else loaded.matrix
+    assert type(loaded) is type(state)
+    assert np.array_equal(after.view(np.uint64), before.view(np.uint64))
+
+
+@ROUNDTRIP
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pure_roundtrip_keeps_bit_patterns(tmp_path_factory, seed, data):
+    dims = SubsystemDims((2, 3))
+    vec = np.array(haar_pure(dims, seed).vector)
+    picks = data.draw(st.lists(st.integers(0, dims.total - 1), min_size=1, max_size=3, unique=True))
+    vec[picks] = 0.0
+    vec /= np.linalg.norm(vec)
+    for k in picks:
+        vec[k] = complex(data.draw(SPECIAL), data.draw(SPECIAL))
+    roundtrip_bits(tmp_path_factory.mktemp("pure"), PureState(vec, dims))
+
+
+@ROUNDTRIP
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_mixed_roundtrip_keeps_bit_patterns(tmp_path_factory, seed, data):
+    dims = SubsystemDims((2, 2))
+    d = dims.total
+    # mostly maximally mixed, so zeroing two off-diagonal pairs keeps it PSD
+    mat = 0.1 * ginibre_mixed(dims, seed).matrix + 0.9 * np.eye(d) / d
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+                               .filter(lambda p: p[0] < p[1]), max_size=2, unique=True))
+    for i, j in pairs:
+        mat[i, j] = complex(data.draw(SPECIAL), data.draw(SPECIAL))
+        mat[j, i] = mat[i, j].conjugate()
+    for k in data.draw(st.lists(st.integers(0, d - 1), max_size=d, unique=True)):
+        mat[k, k] = complex(mat[k, k].real, -0.0)
+    roundtrip_bits(tmp_path_factory.mktemp("mixed"), DensityMatrix(mat, dims))
 
 
 def test_label_preserved(tmp_path):
