@@ -43,7 +43,7 @@ from .constraints import (
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, relative_mask
 from .invariants import invariant_table
 from .inversion import (
-    DetectionParams, apply_detection_map, invert_kraus, invert_product, invert_sum
+    DetectionParams, apply_detection_map, invert_product, reference_inversions
 )
 from .io import StateFileError, read_state_file, write_state_file
 from .states import DensityMatrix, PureState
@@ -177,10 +177,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_invariants(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
     _, rho = _read_state(args.state)
-    masks = list(rho.dims.subset_masks()) if args.masks == "all" else [
-        rho.dims.validate_mask(0 if tok.strip() == "0" else parse_party_list(tok))
-        for tok in args.masks.split(";")
-    ]
+    if args.masks == "all":
+        masks = list(rho.dims.subset_masks())
+    else:
+        tokens = [tok.strip() for tok in args.masks.split(";")]
+        if "" in tokens:
+            raise ValueError(f'--masks token {tokens.index("") + 1} is empty; '
+                             '"0" names the empty mask')
+        masks = [rho.dims.validate_mask(0 if tok == "0" else parse_party_list(tok))
+                 for tok in tokens]
 
     def reports() -> Iterator[ConstraintReport]:
         table = invariant_table(rho)
@@ -260,10 +265,9 @@ def _cross_form(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, fl
     dev = 0.0
     for k in range(size):
         rho = ginibre_mixed(dims, seed, member=k)
-        for t in dims.subset_masks():
-            ref = invert_sum(rho.matrix, dims, t)
+        for t, ref, kraus in reference_inversions(rho.matrix, dims):
             dev = max(dev, float(np.max(np.abs(ref - invert_product(rho.matrix, dims, t)))))
-            dev = max(dev, float(np.max(np.abs(ref - invert_kraus(rho.matrix, dims, t)))))
+            dev = max(dev, float(np.max(np.abs(ref - kraus))))
     return [("max deviation between forms", -dev, -1e-10)]
 
 

@@ -56,7 +56,8 @@ def relative_mask(mask: int, within: int) -> int:
 
 
 def parse_party_list(text: str) -> int:
-    """Parse a comma-separated 1-based party list such as ``"1,3"``."""
+    """Parse a comma-separated 1-based party list such as ``"1,3"``; a
+    blank list is the empty mask and a repeated party is an error."""
     text = text.strip()
     if not text:
         return 0
@@ -64,6 +65,9 @@ def parse_party_list(text: str) -> int:
         parties = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse party list {text!r}") from exc
+    for pos, p in enumerate(parties):
+        if p in parties[:pos]:
+            raise ValueError(f"party list {text!r} names party {p} more than once")
     return mask_from_parties(parties)
 
 

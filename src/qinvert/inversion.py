@@ -13,6 +13,9 @@ production route, and its block-form kernel also evaluates coarse
 graining, the detection map and Choi matrices.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
 input (:func:`invert_kraus`) are kept only as cross-check references.
+:func:`reference_inversions` evaluates both for every T of one operand,
+bit-identical to the single-mask calls, with the reductions and the
+embedded generators built once instead of once per T.
 """
 
 from __future__ import annotations
@@ -27,17 +30,16 @@ import numpy as np
 
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_size, parties_from_mask
 from .gellmann import build_basis, minus_channel_indices, plus_channel_indices
-from .tensor import embed, embed_single, partial_trace
+from .tensor import embed, partial_trace, reduction_sweep
 
 
-def _signed_embed_sum(
+def _signed_sum(
     terms: Iterable[tuple[int, np.ndarray]], dims: SubsystemDims, t: int
 ) -> np.ndarray:
-    """sum of (-1)^{|S & T|} op_S (x) 1_{S^c} over the ``(S, op_S)`` pairs,
-    accumulated in the order given."""
+    """sum of (-1)^{|S & T|} term_S over the ``(S, term_S)`` pairs of D x D
+    terms, accumulated in the order given."""
     out = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for s, op_s in terms:
-        term = embed(op_s, s, dims)
+    for s, term in terms:
         if mask_size(s & t) % 2:
             out -= term
         else:
@@ -45,10 +47,19 @@ def _signed_embed_sum(
     return out
 
 
+def _signed_embed_sum(
+    terms: Iterable[tuple[int, np.ndarray]], dims: SubsystemDims, t: int
+) -> np.ndarray:
+    """:func:`_signed_sum` of the ``(S, op_S)`` pairs padded to
+    op_S (x) 1_{S^c}, each embedded as it arrives."""
+    return _signed_sum(((s, embed(op_s, s, dims)) for s, op_s in terms), dims, t)
+
+
 def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
     """Signed sum of identity-padded reductions; subsets are accumulated in
     ascending bitmask order so the summation order is reproducible.
-    2^N embedded D x D terms: a reference route, not a production one."""
+    2^N embedded D x D terms, streamed one at a time: a reference route,
+    not a production one."""
     dims.validate_mask(t)
     terms = ((s, partial_trace(mat, dims, s)) for s in dims.subset_masks())
     return _signed_embed_sum(terms, dims, t)
@@ -103,6 +114,27 @@ def _channel_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, .
     return generators
 
 
+def _embedded_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, ...]]:
+    """The generators of :func:`_channel_generators`, each embedded on its
+    party as a D x D operator."""
+    return [tuple(embed(g, 1 << i, dims) for g in party_generators)
+            for i, party_generators in enumerate(_channel_generators(dims, t))]
+
+
+def _kraus_channel(
+    conj: np.ndarray, generators: list[tuple[np.ndarray, ...]], dims: SubsystemDims
+) -> np.ndarray:
+    """The Kraus channel of :func:`invert_kraus` on ``conj``, the already
+    conjugated input, with the embedded generators of each party."""
+    out = conj
+    for d, party_generators in zip(dims.dims, generators):
+        acc = np.zeros_like(out)
+        for h in party_generators:
+            acc += h @ out @ h
+        out = (2.0 / d) * acc
+    return out
+
+
 def invert_kraus(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
     """Evaluate the inversion as a Kraus channel acting on the entrywise
     conjugate of ``mat``.
@@ -113,15 +145,26 @@ def invert_kraus(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
     result is accumulated in a single buffer.  Agrees with
     :func:`invert_sum` on Hermitian inputs.
     """
-    generators = _channel_generators(dims, t)
-    out = np.asarray(mat, dtype=np.complex128).conj()
-    for j, party_generators in enumerate(generators, start=1):
-        acc = np.zeros_like(out)
-        for g in party_generators:
-            h = embed_single(g, j, dims)
-            acc += h @ out @ h
-        out = (2.0 / dims.dims[j - 1]) * acc
-    return out
+    conj = np.asarray(mat, dtype=np.complex128).conj()
+    return _kraus_channel(conj, _embedded_generators(dims, t), dims)
+
+
+def reference_inversions(
+    mat: np.ndarray, dims: SubsystemDims
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(T, invert_sum(mat, dims, T), invert_kraus(mat, dims, T))``
+    for every mask T in ascending order, bit-identical to those calls.
+    What does not depend on T is done once: one reduction sweep, each
+    reduction embedded once in ascending S, and the embedded generators
+    of both signs per party.  Holds the 2^N embedded reductions,
+    2^N D^2 entries, where a single :func:`invert_sum` streams them."""
+    reductions = dict(reduction_sweep(mat, dims))
+    embedded = [(s, embed(reductions[s], s, dims)) for s in dims.subset_masks()]
+    plus, minus = (_embedded_generators(dims, t) for t in (0, dims.full_mask))
+    conj = np.asarray(mat, dtype=np.complex128).conj()
+    for t in dims.subset_masks():
+        generators = [minus[i] if t >> i & 1 else plus[i] for i in range(dims.n)]
+        yield t, _signed_sum(embedded, dims, t), _kraus_channel(conj, generators, dims)
 
 
 def kraus_operators(dims: SubsystemDims, t: int) -> Iterator[np.ndarray]:

@@ -47,48 +47,32 @@ def partial_trace(mat: np.ndarray, dims: SubsystemDims, keep: int) -> np.ndarray
 
 def embed(op_s: np.ndarray, s: int, dims: SubsystemDims) -> np.ndarray:
     """Pad ``op_s`` (acting on the parties in ``s``, in party order) with
-    identities on the complement and permute factors back into the global
-    party order.  ``s = 0`` promotes a 1x1 operator to a multiple of the
-    identity."""
+    identities on the complement, in the global party order.  ``s = 0``
+    promotes a 1x1 operator to a multiple of the identity.
+
+    One broadcast multiply on the (d_1..d_N, d_1..d_N) reshape: ``op_s``
+    sits on the axes of ``s`` and the complement's identity on the other
+    axes, each with size-1 axes in the gaps.  Every entry is the single
+    product op_s[a, b] * delta, as in the kron-and-permute construction,
+    so the result is bit-identical to it; no transpose copy is made."""
     dims.validate_mask(s)
-    d_total = dims.total
     op_s = np.asarray(op_s, dtype=np.complex128)
-    if s == 0:
-        if op_s.shape != (1, 1):
-            raise ValueError(f"empty mask expects a 1x1 operator, got {op_s.shape}")
-        return op_s[0, 0] * np.eye(d_total, dtype=np.complex128)
     d_s = dims.block_dim(s)
     if op_s.shape != (d_s, d_s):
         raise ValueError(
             f"operator shape {op_s.shape} does not match subsystem dimension {d_s}"
         )
     comp = dims.complement(s)
-    padded = np.kron(op_s, np.eye(dims.block_dim(comp), dtype=np.complex128))
-    if comp == 0:
-        return padded
-    order = parties_from_mask(s) + parties_from_mask(comp)
-    ordered_dims = tuple(dims.dims[p - 1] for p in order)
-    perm = [order.index(j) for j in range(1, dims.n + 1)]
-    axes = perm + [p + dims.n for p in perm]
-    tensor = padded.reshape(ordered_dims + ordered_dims)
-    return tensor.transpose(axes).reshape(d_total, d_total)
+    eye = np.eye(dims.block_dim(comp), dtype=np.complex128)
+    out = op_s.reshape(_padded_shape(dims, s)) * eye.reshape(_padded_shape(dims, comp))
+    return out.reshape(dims.total, dims.total)
 
 
-def embed_single(op: np.ndarray, party: int, dims: SubsystemDims) -> np.ndarray:
-    """Fast path of :func:`embed` for a single party (no permutation)."""
-    if not 1 <= party <= dims.n:
-        raise ValueError(f"party {party} out of range 1..{dims.n}")
-    d = dims.dims[party - 1]
-    if op.shape != (d, d):
-        raise ValueError(f"operator shape {op.shape} does not match d_{party} = {d}")
-    left = int(np.prod(dims.dims[: party - 1], initial=1))
-    right = int(np.prod(dims.dims[party:], initial=1))
-    out = op
-    if left > 1:
-        out = np.kron(np.eye(left, dtype=np.complex128), out)
-    if right > 1:
-        out = np.kron(out, np.eye(right, dtype=np.complex128))
-    return np.asarray(out, dtype=np.complex128)
+def _padded_shape(dims: SubsystemDims, mask: int) -> tuple[int, ...]:
+    """Row and column axes of an operator on ``mask``, with size-1 axes
+    for the parties outside it."""
+    half = tuple(d if mask >> j & 1 else 1 for j, d in enumerate(dims.dims))
+    return half + half
 
 
 def block_product(parts: dict[int, np.ndarray], dims: SubsystemDims) -> np.ndarray:

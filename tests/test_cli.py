@@ -115,6 +115,30 @@ def test_invariants_mask_out_of_range(capsys, bell_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("masks, position", [("1;;2", 2), ("1;", 2), ("", 1), (" ;1", 1)])
+def test_invariants_rejects_an_empty_mask_token(capsys, bell_file, masks, position):
+    code = main(["invariants", "--state", bell_file, "--masks", masks])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--masks" in captured.err and f"token {position}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--masks", "1,1"],
+    ["invariants", "--masks", "0;2,1,2"],
+    ["detect", "--act-on", "1,1"],
+    ["detect", "--act-on", "1,2", "--t", "2,2"],
+])
+def test_a_repeated_party_is_an_input_error(capsys, bell_file, argv):
+    code = main([*argv, "--state", bell_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    party = argv[-1].split(",")[-1]
+    assert f"names party {party} more than once" in captured.err
+
+
 def test_detect_bell(capsys, bell_file):
     code, lines = run(capsys, "detect", "--state", bell_file,
                       "--act-on", "2", "--t", "2", "--alpha", "1.0")

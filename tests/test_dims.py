@@ -65,6 +65,8 @@ def test_parse_party_list():
     assert parse_party_list("") == 0
     with pytest.raises(ValueError):
         parse_party_list("1,x")
+    with pytest.raises(ValueError, match="names party 3 more than once"):
+        parse_party_list("3,1,3")
 
 
 def test_relative_mask_restricts_and_reindexes():

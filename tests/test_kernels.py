@@ -2,9 +2,10 @@
 Walsh-Hadamard subset sum, the depth-first reduction sweep, the factor
 kernel behind invert_product, apply_detection_map and the state-based
 marginal witnesses, its block form behind coarse_grain_invert and
-choi_matrix, and the signed-embed sum shared by invert_sum and the
-witnesses from marginals.  The formulas the kernels replaced are kept here
-as oracles."""
+choi_matrix, the signed-embed sum shared by invert_sum and the
+witnesses from marginals, the broadcast embed, and the all-masks pass of
+the reference routes.  The formulas the kernels replaced are kept here as
+oracles."""
 
 import math
 
@@ -27,8 +28,10 @@ from qinvert.inversion import (
     apply_detection_map,
     choi_matrix,
     coarse_grain_invert,
+    invert_kraus,
     invert_product,
     invert_sum,
+    reference_inversions,
 )
 from qinvert.tensor import embed, partial_trace, reduction_sweep, signed_subset_sums
 from qinvert.zoo import ginibre_mixed
@@ -285,3 +288,49 @@ def test_witnesses_from_marginals_are_bit_identical_to_embed_loop(dims, seed):
     assert [w.t for w in witnesses] == [t for t in dims.subset_masks() if mask_size(t) % 2]
     for w in witnesses:
         assert np.array_equal(w.operator, witness_embed_loop(marginals, dims, w.t))
+
+
+# ---------------------------------------------------------------------------
+# the broadcast embed and the all-masks pass of the reference routes
+
+
+def kron_permute_embed(op_s, s, dims):
+    """embed as written before the broadcast multiply: kron with the
+    complement's identity, then permute the factors into party order."""
+    if s == 0:
+        return op_s[0, 0] * np.eye(dims.total, dtype=np.complex128)
+    comp = dims.complement(s)
+    padded = np.kron(op_s, np.eye(dims.block_dim(comp), dtype=np.complex128))
+    if comp == 0:
+        return padded
+    order = parties_from_mask(s) + parties_from_mask(comp)
+    ordered_dims = tuple(dims.dims[p - 1] for p in order)
+    perm = [order.index(j) for j in range(1, dims.n + 1)]
+    axes = perm + [p + dims.n for p in perm]
+    return (padded.reshape(ordered_dims + ordered_dims)
+            .transpose(axes).reshape(dims.total, dims.total))
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), seed=seeds)
+def test_embed_is_bit_identical_to_kron_and_permute(dims, seed):
+    rng = np.random.default_rng(seed)
+    for s in dims.subset_masks():
+        d_s = dims.block_dim(s)
+        op_s = rng.normal(size=(d_s, d_s)) + 1j * rng.normal(size=(d_s, d_s))
+        op_s[0, 0] = complex(-0.0, -0.0)  # signed zeros must survive too
+        got = embed(op_s, s, dims)
+        assert np.array_equal(got.view(np.uint64),
+                              kron_permute_embed(op_s, s, dims).view(np.uint64))
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), seed=seeds)
+def test_reference_inversions_equal_the_single_mask_routes(dims, seed):
+    mat = random_operator(dims, seed)
+    masks = []
+    for t, by_sum, by_kraus in reference_inversions(mat, dims):
+        masks.append(t)
+        assert np.array_equal(by_sum, invert_sum(mat, dims, t))
+        assert np.array_equal(by_kraus, invert_kraus(mat, dims, t))
+    assert masks == list(dims.subset_masks())
