@@ -12,10 +12,11 @@ import numpy as np
 
 from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask, relative_mask
 from .invariants import invariant_table
-from .inversion import _signed_embed_sum, invert_product
+from .inversion import _signed_sum, invert_product
 from .states import DensityMatrix, PureState, linear_entropies
 from .tensor import (
     TOL_HERM,
+    embed,
     herm_defect,
     min_eigenvalue,
     partial_trace,
@@ -281,7 +282,7 @@ def _build_witness(
     """Signed embed sum over the proper subsets in ascending mask order,
     the empty set contributing the identity."""
     terms = [(0, np.ones((1, 1)))] + [(s, marginals[s]) for s in range(1, dims.full_mask)]
-    out = _signed_embed_sum(terms, dims, t)
+    out = _signed_sum(((s, embed(op_s, s, dims)) for s, op_s in terms), dims, t)
     return MarginalWitness(t=t, operator=out, min_eig=min_eigenvalue(out))
 
 

@@ -14,8 +14,8 @@ graining, the detection map and Choi matrices.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
 input (:func:`invert_kraus`) are kept only as cross-check references.
 :func:`reference_inversions` evaluates both for every T of one operand,
-bit-identical to the single-mask calls, with the reductions and the
-embedded generators built once instead of once per T.
+with the embedded reductions and generators built once and handed to
+each call instead of rebuilt per T.
 """
 
 from __future__ import annotations
@@ -47,22 +47,23 @@ def _signed_sum(
     return out
 
 
-def _signed_embed_sum(
-    terms: Iterable[tuple[int, np.ndarray]], dims: SubsystemDims, t: int
+def invert_sum(
+    mat: np.ndarray,
+    dims: SubsystemDims,
+    t: int,
+    embedded: Iterable[tuple[int, np.ndarray]] | None = None,
 ) -> np.ndarray:
-    """:func:`_signed_sum` of the ``(S, op_S)`` pairs padded to
-    op_S (x) 1_{S^c}, each embedded as it arrives."""
-    return _signed_sum(((s, embed(op_s, s, dims)) for s, op_s in terms), dims, t)
-
-
-def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
     """Signed sum of identity-padded reductions; subsets are accumulated in
     ascending bitmask order so the summation order is reproducible.
     2^N embedded D x D terms, streamed one at a time: a reference route,
-    not a production one."""
+    not a production one.  ``embedded``, the ``(S, mat_S (x) 1_{S^c})``
+    pairs of ``mat`` in ascending S as :func:`reference_inversions` holds
+    them, replaces the 2^N partial traces and embeds."""
     dims.validate_mask(t)
-    terms = ((s, partial_trace(mat, dims, s)) for s in dims.subset_masks())
-    return _signed_embed_sum(terms, dims, t)
+    if embedded is None:
+        embedded = ((s, embed(partial_trace(mat, dims, s), s, dims))
+                    for s in dims.subset_masks())
+    return _signed_sum(embedded, dims, t)
 
 
 def _apply_factors(
@@ -121,12 +122,27 @@ def _embedded_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, 
             for i, party_generators in enumerate(_channel_generators(dims, t))]
 
 
-def _kraus_channel(
-    conj: np.ndarray, generators: list[tuple[np.ndarray, ...]], dims: SubsystemDims
+def invert_kraus(
+    mat: np.ndarray,
+    dims: SubsystemDims,
+    t: int,
+    generators: list[tuple[np.ndarray, ...]] | None = None,
 ) -> np.ndarray:
-    """The Kraus channel of :func:`invert_kraus` on ``conj``, the already
-    conjugated input, with the embedded generators of each party."""
-    out = conj
+    """Evaluate the inversion as a Kraus channel acting on the entrywise
+    conjugate of ``mat``.
+
+    Per party the channel sums over the y-type generators when the party
+    carries a minus sign, and over identity, x and z types otherwise.
+    Parties are iterated outermost and generator indices innermost; the
+    result is accumulated in a single buffer.  Agrees with
+    :func:`invert_sum` on Hermitian inputs.  ``generators``, the
+    embedded generators of each party for this ``t`` as
+    :func:`reference_inversions` selects them, skips rebuilding them.
+    """
+    dims.validate_mask(t)
+    if generators is None:
+        generators = _embedded_generators(dims, t)
+    out = np.asarray(mat, dtype=np.complex128).conj()
     for d, party_generators in zip(dims.dims, generators):
         acc = np.zeros_like(out)
         for h in party_generators:
@@ -135,36 +151,30 @@ def _kraus_channel(
     return out
 
 
-def invert_kraus(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
-    """Evaluate the inversion as a Kraus channel acting on the entrywise
-    conjugate of ``mat``.
-
-    Per party the channel sums over the y-type generators when the party
-    carries a minus sign, and over identity, x and z types otherwise.
-    Parties are iterated outermost and generator indices innermost; the
-    result is accumulated in a single buffer.  Agrees with
-    :func:`invert_sum` on Hermitian inputs.
-    """
-    conj = np.asarray(mat, dtype=np.complex128).conj()
-    return _kraus_channel(conj, _embedded_generators(dims, t), dims)
+# Bytes of embedded reductions (2^N D^2 complex entries) that
+# reference_inversions holds per operand, enough for 8 qubits; beyond
+# it every invert_sum streams its own terms.
+REFERENCE_HOLD_BYTES = 256 << 20
 
 
 def reference_inversions(
     mat: np.ndarray, dims: SubsystemDims
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(T, invert_sum(mat, dims, T), invert_kraus(mat, dims, T))``
-    for every mask T in ascending order, bit-identical to those calls.
-    What does not depend on T is done once: one reduction sweep, each
-    reduction embedded once in ascending S, and the embedded generators
-    of both signs per party.  Holds the 2^N embedded reductions,
-    2^N D^2 entries, where a single :func:`invert_sum` streams them."""
-    reductions = dict(reduction_sweep(mat, dims))
-    embedded = [(s, embed(reductions[s], s, dims)) for s in dims.subset_masks()]
+    for every mask T in ascending order.  What does not depend on T is
+    done once and handed to those calls: the embedded generators of both
+    signs per party, and one reduction sweep with each reduction embedded
+    once in ascending S.  The embedded reductions are 2^N D^2 entries;
+    above :data:`REFERENCE_HOLD_BYTES` they are not held and every
+    :func:`invert_sum` streams its own."""
+    embedded = None
+    if (1 << dims.n) * dims.total**2 * 16 <= REFERENCE_HOLD_BYTES:
+        reductions = dict(reduction_sweep(mat, dims))
+        embedded = [(s, embed(reductions[s], s, dims)) for s in dims.subset_masks()]
     plus, minus = (_embedded_generators(dims, t) for t in (0, dims.full_mask))
-    conj = np.asarray(mat, dtype=np.complex128).conj()
     for t in dims.subset_masks():
         generators = [minus[i] if t >> i & 1 else plus[i] for i in range(dims.n)]
-        yield t, _signed_sum(embedded, dims, t), _kraus_channel(conj, generators, dims)
+        yield t, invert_sum(mat, dims, t, embedded), invert_kraus(mat, dims, t, generators)
 
 
 def kraus_operators(dims: SubsystemDims, t: int) -> Iterator[np.ndarray]:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qinvert import inversion
 from qinvert.constraints import (
     correlation_constraint,
     correlation_report,
@@ -334,3 +335,22 @@ def test_reference_inversions_equal_the_single_mask_routes(dims, seed):
         assert np.array_equal(by_sum, invert_sum(mat, dims, t))
         assert np.array_equal(by_kraus, invert_kraus(mat, dims, t))
     assert masks == list(dims.subset_masks())
+
+
+@pytest.mark.parametrize("local_dims", [(2, 3), (2, 2, 2), (3, 2, 2)])
+def test_reference_inversions_stream_above_the_hold_budget(local_dims, monkeypatch):
+    """Within REFERENCE_HOLD_BYTES the pass takes no partial trace; above
+    it every invert_sum streams its 2^N reductions, with the same results."""
+    dims = SubsystemDims(local_dims)
+    mat = random_operator(dims, 7)
+    traced = []
+    monkeypatch.setattr(inversion, "partial_trace",
+                        lambda m, d, s: traced.append(s) or partial_trace(m, d, s))
+    held = list(reference_inversions(mat, dims))
+    assert traced == []
+    monkeypatch.setattr(inversion, "REFERENCE_HOLD_BYTES", 0)
+    streamed = list(reference_inversions(mat, dims))
+    assert traced == list(dims.subset_masks()) * (1 << dims.n)
+    for (t, by_sum, by_kraus), (u, by_sum2, by_kraus2) in zip(held, streamed, strict=True):
+        assert t == u
+        assert np.array_equal(by_sum, by_sum2) and np.array_equal(by_kraus, by_kraus2)
