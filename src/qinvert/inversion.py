@@ -20,7 +20,6 @@ each call instead of rebuilt per T.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ import numpy as np
 
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_size, parties_from_mask
 from .gellmann import build_basis, minus_channel_indices, plus_channel_indices
-from .tensor import embed, partial_trace, reduction_sweep
+from .tensor import _diagonal, _trace_out, block_product, embed, partial_trace, reduction_sweep
 
 
 def _signed_sum(
@@ -71,22 +70,18 @@ def _apply_factors(
 ) -> np.ndarray:
     """Apply Tr_b(.) (x) 1_b + w_b id for each block b of ``weights``
     (disjoint party masks), in ascending mask order, on the
-    (d_1..d_N, d_1..d_N) reshape: the block's parties are traced out in
-    ascending order and the result is added onto the b-diagonal of w_b
+    (d_1..d_N, d_1..d_N) reshape: the block's parties are traced out
+    (:func:`~qinvert.tensor._trace_out`) and the result is added in place
+    onto the b-diagonal view (:func:`~qinvert.tensor._diagonal`) of w_b
     times the operand, so no identity-padded D x D operator is formed.
-    O(D^2) per block; a single-party block is one trace and d_j diagonal
-    slices."""
-    n = dims.n
+    O(D^2) per block."""
     tensor = np.array(mat, dtype=np.complex128).reshape(dims.dims + dims.dims)
     for block in sorted(weights):
-        axes = [i for i in range(n) if block >> i & 1]
-        traced = tensor
-        for q, i in enumerate(axes):
-            traced = np.trace(traced, axis1=i - q, axis2=i + n - 2 * q)
+        axes = [p - 1 for p in parties_from_mask(block)]
+        traced = _trace_out(tensor, axes)
         tensor *= weights[block]
-        diagonal = np.moveaxis(tensor, axes + [i + n for i in axes], range(2 * len(axes)))
-        for k in itertools.product(*(range(dims.dims[i]) for i in axes)):
-            diagonal[k + k] += traced
+        diagonal = _diagonal(tensor, axes)
+        diagonal += traced
     return tensor.reshape(dims.total, dims.total)
 
 
@@ -183,7 +178,7 @@ def kraus_operators(dims: SubsystemDims, t: int) -> Iterator[np.ndarray]:
     generators = _channel_generators(dims, t)
     scale = math.sqrt(2.0**dims.n / dims.total)
     for combo in itertools.product(*generators):
-        yield scale * functools.reduce(np.kron, combo)
+        yield scale * block_product({1 << i: g for i, g in enumerate(combo)}, dims)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ write/read cycle reproduces every entry exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -34,6 +35,24 @@ def state_to_dict(state: DensityMatrix | PureState, label: str | None = None) ->
     return out
 
 
+def _entries(data, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array of ``shape`` held in ``data`` as nested [re, im]
+    pairs of real JSON numbers (not booleans or strings)."""
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StateFileError(f"invalid data: {exc}") from exc
+    if pairs.shape != shape + (2,):
+        raise StateFileError(f"data shape {pairs.shape} is not {shape + (2,)} (length {shape[0]})")
+    numbers = data
+    for _ in shape:
+        numbers = itertools.chain.from_iterable(numbers)
+    for t in set(map(type, numbers)):
+        if t is bool or not issubclass(t, (int, float)):
+            raise StateFileError(f"data entries must be JSON numbers, got {t.__name__}")
+    return pairs.view(np.complex128).reshape(shape)
+
+
 def state_from_dict(obj: dict, cap: int = DEFAULT_DIM_CAP) -> DensityMatrix | PureState:
     if not isinstance(obj, dict):
         raise StateFileError("state file must hold a JSON object")
@@ -41,37 +60,20 @@ def state_from_dict(obj: dict, cap: int = DEFAULT_DIM_CAP) -> DensityMatrix | Pu
         if key not in obj:
             raise StateFileError(f"state file is missing the {key!r} field")
     try:
-        dims = SubsystemDims(tuple(int(d) for d in obj["dims"]), cap=cap)
+        if not isinstance(obj["dims"], list) or any(type(d) is not int for d in obj["dims"]):
+            raise TypeError(f"expected a list of JSON integers, got {obj['dims']!r}")
+        dims = SubsystemDims(tuple(obj["dims"]), cap=cap)
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"invalid dims: {exc}") from exc
     kind = obj["kind"]
-    data = obj["data"]
+    if kind not in ("pure", "mixed"):
+        raise StateFileError(f"unknown state kind {kind!r}")
     d = dims.total
+    values = _entries(obj["data"], (d,) if kind == "pure" else (d, d))
     try:
-        if kind == "pure":
-            vec = np.array(
-                [complex(re, im) for re, im in data], dtype=np.complex128
-            )
-            if vec.shape != (d,):
-                raise StateFileError(
-                    f"pure data length {vec.shape[0]} does not match dimension {d}"
-                )
-            return PureState(vec, dims)
-        if kind == "mixed":
-            mat = np.array(
-                [[complex(re, im) for re, im in row] for row in data],
-                dtype=np.complex128,
-            )
-            if mat.shape != (d, d):
-                raise StateFileError(
-                    f"mixed data shape {mat.shape} does not match dimension {d}"
-                )
-            return DensityMatrix(mat, dims)
-    except StateFileError:
-        raise
-    except (TypeError, ValueError) as exc:
+        return PureState(values, dims) if kind == "pure" else DensityMatrix(values, dims)
+    except ValueError as exc:
         raise StateFileError(f"invalid state data: {exc}") from exc
-    raise StateFileError(f"unknown state kind {kind!r}")
 
 
 def write_state_file(

@@ -1,9 +1,12 @@
 """Dense operator algebra on multipartite tensor-product spaces.
 
 Operators are plain complex ``ndarray``s of shape (D, D) accompanied by a
-:class:`~qinvert.dims.SubsystemDims`.  Partial traces contract parties one
-at a time in ascending party order, which fixes the floating-point
-summation order and makes trace compositions reproducible.
+:class:`~qinvert.dims.SubsystemDims`.  On their (d_1..d_N, d_1..d_N) view
+three primitives do all the work: :func:`_trace_out` contracts parties one
+at a time in ascending party order (a fixed, reproducible summation
+order), :func:`_diagonal` is the writable party-diagonal view that
+identity-padded terms are added onto, and :func:`block_product` forms
+tensor products as one broadcast product.
 """
 
 from __future__ import annotations
@@ -28,6 +31,25 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _trace_out(tensor: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Trace the parties at ``axes`` (ascending 0-based positions) out of a
+    (d.., d..) tensor, one party at a time in ascending order."""
+    n = tensor.ndim // 2
+    for q, i in enumerate(axes):
+        tensor = np.trace(tensor, axis1=i - q, axis2=i + n - 2 * q)
+    return tensor
+
+
+def _diagonal(tensor: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Writable view of the entries of a (d.., d..) tensor whose row and
+    column indices agree on the parties at ``axes``, with those axes first
+    so that an operator on the other parties broadcasts over it."""
+    n = tensor.ndim // 2
+    rest = [i for i in range(n) if i not in axes]
+    labels = list(range(n)) + [i if i in axes else i + n for i in range(n)]
+    return np.einsum(tensor, labels, axes + rest + [i + n for i in rest])
+
+
 def partial_trace(mat: np.ndarray, dims: SubsystemDims, keep: int) -> np.ndarray:
     """Trace out the complement of ``keep``; the result lives on the kept
     parties in their original order.  ``keep = 0`` yields the 1x1 matrix
@@ -36,13 +58,9 @@ def partial_trace(mat: np.ndarray, dims: SubsystemDims, keep: int) -> np.ndarray
     if keep == dims.full_mask:
         return np.array(mat, dtype=np.complex128)
     tensor = np.asarray(mat, dtype=np.complex128).reshape(dims.dims + dims.dims)
-    remaining = list(range(1, dims.n + 1))
-    for p in parties_from_mask(dims.complement(keep)):
-        i = remaining.index(p)
-        tensor = np.trace(tensor, axis1=i, axis2=i + len(remaining))
-        remaining.remove(p)
+    traced = [p - 1 for p in parties_from_mask(dims.complement(keep))]
     d_keep = dims.block_dim(keep)
-    return tensor.reshape(d_keep, d_keep)
+    return _trace_out(tensor, traced).reshape(d_keep, d_keep)
 
 
 def embed(op_s: np.ndarray, s: int, dims: SubsystemDims) -> np.ndarray:
@@ -50,22 +68,14 @@ def embed(op_s: np.ndarray, s: int, dims: SubsystemDims) -> np.ndarray:
     identities on the complement, in the global party order.  ``s = 0``
     promotes a 1x1 operator to a multiple of the identity.
 
-    One broadcast multiply on the (d_1..d_N, d_1..d_N) reshape: ``op_s``
-    sits on the axes of ``s`` and the complement's identity on the other
-    axes, each with size-1 axes in the gaps.  Every entry is the single
-    product op_s[a, b] * delta, as in the kron-and-permute construction,
-    so the result is bit-identical to it; no transpose copy is made."""
+    The :func:`block_product` of one block: each entry is the single
+    product op_s[a, b] * delta, bit-identical to kron-and-permute."""
     dims.validate_mask(s)
     op_s = np.asarray(op_s, dtype=np.complex128)
     d_s = dims.block_dim(s)
     if op_s.shape != (d_s, d_s):
-        raise ValueError(
-            f"operator shape {op_s.shape} does not match subsystem dimension {d_s}"
-        )
-    comp = dims.complement(s)
-    eye = np.eye(dims.block_dim(comp), dtype=np.complex128)
-    out = op_s.reshape(_padded_shape(dims, s)) * eye.reshape(_padded_shape(dims, comp))
-    return out.reshape(dims.total, dims.total)
+        raise ValueError(f"operator shape {op_s.shape} does not match subsystem dimension {d_s}")
+    return block_product({s: op_s}, dims)
 
 
 def _padded_shape(dims: SubsystemDims, mask: int) -> tuple[int, ...]:
@@ -78,15 +88,20 @@ def _padded_shape(dims: SubsystemDims, mask: int) -> tuple[int, ...]:
 def block_product(parts: dict[int, np.ndarray], dims: SubsystemDims) -> np.ndarray:
     """Tensor product of block operators keyed by disjoint party masks,
     assembled in the global party order; uncovered parties get the
-    identity."""
+    identity.  One broadcast product of the blocks on their parties' axes
+    (size-1 axes elsewhere), in ascending mask order from the first block
+    itself, times the uncovered parties' identity last."""
     seen = 0
-    out = np.eye(dims.total, dtype=np.complex128)
+    out = None
     for s in sorted(parts):
         if s & seen:
             raise ValueError("blocks must act on disjoint party sets")
         seen |= s
-        out = out @ embed(parts[s], s, dims)
-    return out
+        op_s = np.asarray(parts[s], dtype=np.complex128).reshape(_padded_shape(dims, s))
+        out = op_s if out is None else out * op_s
+    comp = dims.complement(seen)
+    eye = np.eye(dims.block_dim(comp), dtype=np.complex128).reshape(_padded_shape(dims, comp))
+    return (eye if out is None else out * eye).reshape(dims.total, dims.total)
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
@@ -130,7 +145,7 @@ def reduction_sweep(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int,
         for pos, j in enumerate(axes):
             if j < first:
                 continue
-            child = np.trace(tensor, axis1=pos, axis2=pos + len(axes))
+            child = _trace_out(tensor, [pos])
             yield from visit(mask ^ (1 << j), child, j + 1)
 
     tensor = np.asarray(mat, dtype=np.complex128).reshape(dims.dims + dims.dims)

@@ -19,7 +19,7 @@ import numpy as np
 from .dims import SubsystemDims, mask_size
 from .invariants import c_t
 from .states import DensityMatrix, PureState
-from .tensor import block_product
+from .tensor import block_product, embed
 
 RECIPE_KINDS = (
     "ghz",
@@ -70,17 +70,17 @@ def w_state(n: int) -> PureState:
     return PureState(vec, dims)
 
 
+def _basis_index(dims: SubsystemDims, excited: int) -> int:
+    """Index of the product basis state |x_1...x_N>, x_j = [j in excited]."""
+    return int(np.ravel_multi_index([excited >> j & 1 for j in range(dims.n)], dims.dims))
+
+
 def basis_product_state(dims: SubsystemDims, excited: int = 0) -> PureState:
     """Computational basis product state |x_1...x_N> with x_j = 1 exactly
     for the parties in ``excited``."""
     dims.validate_mask(excited)
-    index = 0
-    for j in range(1, dims.n + 1):
-        index *= dims.dims[j - 1]
-        if excited >> (j - 1) & 1:
-            index += 1
     vec = np.zeros(dims.total, dtype=np.complex128)
-    vec[index] = 1.0
+    vec[_basis_index(dims, excited)] = 1.0
     return PureState(vec, dims)
 
 
@@ -89,15 +89,11 @@ def pinned_mix_state(n: int, pins: int, d: int = 2) -> DensityMatrix:
     mixed state elsewhere."""
     dims = SubsystemDims((d,) * n)
     dims.validate_mask(pins)
-    mat = np.array([[1.0 + 0.0j]])
-    for j in range(1, n + 1):
-        if pins >> (j - 1) & 1:
-            local = np.zeros((d, d), dtype=np.complex128)
-            local[0, 0] = 1.0
-        else:
-            local = np.eye(d, dtype=np.complex128) / d
-        mat = np.kron(mat, local)
-    return DensityMatrix(mat, dims)
+    pinned = np.zeros((d, d), dtype=np.complex128)
+    pinned[0, 0] = 1.0
+    mixed = np.eye(d, dtype=np.complex128) / d
+    parts = {1 << j: pinned if pins >> j & 1 else mixed for j in range(n)}
+    return DensityMatrix(block_product(parts, dims), dims)
 
 
 def pinned_ghz_state(n: int, pins: int) -> PureState:
@@ -108,15 +104,7 @@ def pinned_ghz_state(n: int, pins: int) -> PureState:
     if pins & 0b1:
         raise ValueError("party 1 cannot be pinned")
     vec = np.zeros(dims.total, dtype=np.complex128)
-    excited = dims.full_mask ^ pins
-    lo = 0
-    hi = 0
-    for j in range(1, n + 1):
-        lo *= 2
-        hi *= 2
-        if excited >> (j - 1) & 1:
-            hi += 1
-    vec[lo] = vec[hi] = 1.0 / math.sqrt(2.0)
+    vec[0] = vec[_basis_index(dims, dims.full_mask ^ pins)] = 1.0 / math.sqrt(2.0)
     return PureState(vec, dims)
 
 
@@ -185,10 +173,7 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_local_unitary(dims: SubsystemDims, rng: np.random.Generator) -> np.ndarray:
     """Tensor product of independent Haar-random local unitaries."""
-    u = np.array([[1.0 + 0.0j]])
-    for d in dims.dims:
-        u = np.kron(u, haar_unitary(d, rng))
-    return u
+    return block_product({1 << i: haar_unitary(d, rng) for i, d in enumerate(dims.dims)}, dims)
 
 
 def random_psd(
@@ -327,9 +312,8 @@ def monotone_counterexample(d_first: int = 2) -> tuple[float, float]:
     t = 0b110
     before = c_t(psi.density(), t)
     after = 0.0
-    eye_rest = np.eye(4, dtype=np.complex128)
     for k in measurement_kraus_pair(d_first):
-        branch = np.kron(k, eye_rest) @ psi.vector
+        branch = embed(k, 0b001, dims) @ psi.vector
         prob = float(np.vdot(branch, branch).real)
         if prob <= 1e-15:
             continue

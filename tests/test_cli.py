@@ -408,3 +408,19 @@ def test_invariants_exit_1_when_a_printed_pass_is_false(capsys, monkeypatch, bel
     code, lines = run(capsys, "invariants", "--state", bell_file)
     assert [l["pass"] for l in lines] == [True, True, True, False]
     assert code == 1
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"dims": [2.9, 2], "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "dims"),
+    ('{"dims": ["2", "2"], "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "dims"),
+    ('{"dims": [2], "kind": "pure", "data": [[true, false], [false, false]]}', "data"),
+    ('{"dims": [2], "kind": "pure", "data": [[' + "9" * 400 + ', 0], [0, 0]]}', "data"),
+], ids=["float-dims", "string-dims", "boolean-data", "overflowing-data"])
+def test_malformed_state_file_numbers_are_input_errors(capsys, tmp_path, text, field):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code = main(["check", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert field in captured.err and "Traceback" not in captured.err

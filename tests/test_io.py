@@ -131,3 +131,42 @@ def test_dims_with_trivial_party_rejected():
 def test_missing_file():
     with pytest.raises(StateFileError, match="cannot read"):
         read_state_file("/nonexistent/state.json")
+
+
+KET_00 = [[1, 0], [0, 0], [0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("dims", [[2.9, 2], [2.0, 2], ["2", "2"], "22"])
+def test_dims_must_be_json_integers(dims):
+    with pytest.raises(StateFileError, match="dims"):
+        state_from_dict({"dims": dims, "kind": "pure", "data": KET_00})
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("pure", [[True, False], [False, False], [False, False], [False, False]]),
+    ("pure", [[1, 0], [0, 0], [0, 0], [0, True]]),
+    ("mixed", [[[1, 0], [0, 0]], [[0, 0], [0, False]]]),
+])
+def test_data_entries_must_not_be_booleans(kind, data):
+    dims = [2, 2] if kind == "pure" else [2]
+    with pytest.raises(StateFileError, match="data entries must be JSON numbers, got bool"):
+        state_from_dict({"dims": dims, "kind": kind, "data": data})
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_an_overflowing_data_number_is_a_state_file_error(tmp_path, kind):
+    huge = "9" * 400
+    if kind == "pure":
+        data = f"[[{huge}, 0], [0, 0]]"
+    else:
+        data = f"[[[1, 0], [0, 0]], [[0, 0], [0, {huge}]]]"
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"dims": [2], "kind": "{kind}", "data": {data}}}')
+    with pytest.raises(StateFileError, match="invalid data"):
+        read_state_file(path)
+
+
+def test_integer_data_entries_are_accepted_exactly():
+    state = state_from_dict({"dims": [2, 2], "kind": "pure", "data": KET_00})
+    assert np.array_equal(state.vector.view(np.uint64),
+                          np.array([1, 0, 0, 0], dtype=np.complex128).view(np.uint64))

@@ -3,11 +3,15 @@ Walsh-Hadamard subset sum, the depth-first reduction sweep, the factor
 kernel behind invert_product, apply_detection_map and the state-based
 marginal witnesses, its block form behind coarse_grain_invert and
 choi_matrix, the signed-embed sum shared by invert_sum and the
-witnesses from marginals, the broadcast embed, and the all-masks pass of
-the reference routes.  The formulas the kernels replaced are kept here as
+witnesses from marginals, the broadcast embed and block product (with the
+Kraus operators built on it), and the all-masks pass of the reference
+routes.  The formulas the kernels replaced are kept here as
 oracles."""
 
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -32,9 +36,16 @@ from qinvert.inversion import (
     invert_kraus,
     invert_product,
     invert_sum,
+    kraus_operators,
     reference_inversions,
 )
-from qinvert.tensor import embed, partial_trace, reduction_sweep, signed_subset_sums
+from qinvert.tensor import (
+    block_product,
+    embed,
+    partial_trace,
+    reduction_sweep,
+    signed_subset_sums,
+)
 from qinvert.zoo import ginibre_mixed
 
 EPS = np.finfo(np.float64).eps
@@ -323,6 +334,46 @@ def test_embed_is_bit_identical_to_kron_and_permute(dims, seed):
         got = embed(op_s, s, dims)
         assert np.array_equal(got.view(np.uint64),
                               kron_permute_embed(op_s, s, dims).view(np.uint64))
+
+
+def kron_permute_product(parts, dims):
+    """block_product as a kron of the blocks in ascending mask order and
+    the uncovered parties' identity last, permuted into party order."""
+    comp = dims.complement(functools.reduce(operator.or_, parts, 0))
+    factors = [(s, parts[s]) for s in sorted(parts)]
+    factors.append((comp, np.eye(dims.block_dim(comp), dtype=np.complex128)))
+    padded = functools.reduce(np.kron, [op for _, op in factors])
+    order = [p for s, _ in factors for p in parties_from_mask(s)]
+    ordered_dims = tuple(dims.dims[p - 1] for p in order)
+    perm = [order.index(j) for j in range(1, dims.n + 1)]
+    return (padded.reshape(ordered_dims + ordered_dims)
+            .transpose(perm + [p + dims.n for p in perm]).reshape(dims.total, dims.total))
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), seed=seeds, data=st.data())
+def test_block_product_and_kraus_operators_match_kron_constructions(dims, seed, data):
+    """Random disjoint, possibly non-contiguous blocks, with or without
+    uncovered parties; and the Kraus operators against the kron chain
+    they were built with before."""
+    rng = np.random.default_rng(seed)
+    low = data.draw(st.sampled_from([0, 1]))  # label 0 leaves a party uncovered
+    labels = data.draw(st.lists(st.integers(low, dims.n), min_size=dims.n, max_size=dims.n))
+    masks = {}
+    for j, label in enumerate(labels):
+        if label:
+            masks[label] = masks.get(label, 0) | 1 << j
+    parts = {}
+    for s in masks.values():
+        d_s = dims.block_dim(s)
+        parts[s] = rng.normal(size=(d_s, d_s)) + 1j * rng.normal(size=(d_s, d_s))
+    assert np.array_equal(block_product(parts, dims), kron_permute_product(parts, dims))
+
+    t = data.draw(st.integers(0, dims.full_mask))
+    scale = math.sqrt(2.0**dims.n / dims.total)
+    combos = itertools.product(*inversion._channel_generators(dims, t))
+    for got, combo in zip(kraus_operators(dims, t), combos, strict=True):
+        assert np.array_equal(got, scale * functools.reduce(np.kron, combo))
 
 
 @PROPERTY
