@@ -131,10 +131,14 @@ def _select(text: str | None, valid: tuple[str, ...], what: str, option: str) ->
     return [x for x in valid if x in names]
 
 
-def _read_state(path: str) -> tuple[DensityMatrix | PureState, DensityMatrix]:
-    """The state file's state and its density matrix."""
-    state = read_state_file(path, cap=_dim_cap())
-    return state, (state if isinstance(state, DensityMatrix) else state.density())
+def _seed(seed: int | None) -> int | None:
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _read_state(path: str) -> DensityMatrix | PureState:
+    return read_state_file(path, cap=_dim_cap())
 
 
 def _parse_dims(text: str) -> SubsystemDims:
@@ -151,23 +155,25 @@ def _parse_dims(text: str) -> SubsystemDims:
 
 def cmd_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
-    state, rho = _read_state(args.state)
+    state = _read_state(args.state)
     families = _select(args.families, FAMILIES, "family", "--families")
+    needs_matrix = isinstance(state, PureState) and {"shadow", "marginal"} & set(families)
+    rho = state.density() if needs_matrix else state
 
     def reports() -> Iterator[ConstraintReport]:
         for fam in families:
             if fam == "correlation":
-                yield correlation_report(rho, tol=tol)
+                yield correlation_report(state, tol=tol)
             elif fam == "monogamy" and isinstance(state, PureState):
                 yield monogamy_report(state, tol=tol)
             elif fam == "monogamy":
                 yield ConstraintReport("monogamy", [], tol, [
                     "warning: mixed state; monogamy downgraded to correlation"])
-                yield correlation_report(rho, tol=tol)
+                yield correlation_report(state, tol=tol)
             elif fam == "shadow":
                 yield shadow_report(rho.matrix, rho.matrix, rho.dims, tol=tol)
             elif fam == "entropy":
-                yield entropy_inequalities(rho, tol=tol)
+                yield entropy_inequalities(state, tol=tol)
             else:
                 yield marginal_report(rho, tol=tol)
 
@@ -176,21 +182,21 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
-    _, rho = _read_state(args.state)
+    state = _read_state(args.state)
     if args.masks == "all":
-        masks = list(rho.dims.subset_masks())
+        masks = list(state.dims.subset_masks())
     else:
         tokens = [tok.strip() for tok in args.masks.split(";")]
         if "" in tokens:
             raise ValueError(f'--masks token {tokens.index("") + 1} is empty; '
                              '"0" names the empty mask')
-        masks = [rho.dims.validate_mask(0 if tok == "0" else parse_party_list(tok))
+        masks = [state.dims.validate_mask(0 if tok == "0" else parse_party_list(tok))
                  for tok in tokens]
 
     def reports() -> Iterator[ConstraintReport]:
-        table = invariant_table(rho)
+        table = invariant_table(state)
         entries = [
-            _entry(mask_bitstring(t, rho.dims.n), table.c_squared_clamped(t), tol,
+            _entry(mask_bitstring(t, state.dims.n), table.c_squared_clamped(t), tol,
                    extra={"c": table.c(t), "clamped": table.was_clamped(t)})
             for t in masks
         ]
@@ -201,7 +207,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
-    _, rho = _read_state(args.state)
+    state = _read_state(args.state)
+    rho = state if isinstance(state, DensityMatrix) else state.density()
     act_on = rho.dims.validate_mask(parse_party_list(args.act_on))
     if act_on == 0:
         raise ValueError("--act-on must name at least one party")
@@ -246,12 +253,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)
     if args.size < 1:
         raise ValueError(f"--size must be at least 1, got {args.size}")
+    seed = _seed(args.seed)
     suites = _select(args.suites, VERIFY_SUITES, "suite", "--suites")
 
     def reports() -> Iterator[ConstraintReport]:
         rows: list[ReportEntry] = []
         for suite in suites:
-            report = _run_suite(suite, dims, args.size, args.seed)
+            report = _run_suite(suite, dims, args.size, seed)
             rows += report.entries
             yield report
         worst = min(e.margin for e in rows)
@@ -366,7 +374,7 @@ def cmd_make_state(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)
     s = dims.validate_mask(parse_party_list(args.s)) if args.s else None
     recipe = StateRecipe(
-        kind=args.kind, dims=dims, s=s, seed=args.seed, rank=args.rank
+        kind=args.kind, dims=dims, s=s, seed=_seed(args.seed), rank=args.rank
     )
     state = build(recipe)
     if args.out is None or args.out == "-":

@@ -13,9 +13,10 @@ import numpy as np
 from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask, relative_mask
 from .invariants import invariant_table
 from .inversion import _signed_sum, invert_product
-from .states import DensityMatrix, PureState, linear_entropies
+from .states import DensityMatrix, PureState
 from .tensor import (
     TOL_HERM,
+    _require_finite,
     embed,
     herm_defect,
     min_eigenvalue,
@@ -73,25 +74,26 @@ def _entry(
 # correlation constraints and monogamy relations
 
 
-def _entropy_sums(taus: Mapping[int, float], n: int, skip: int = 0) -> list[float]:
+def _entropy_sums(purities: np.ndarray, skip: int = 0) -> list[float]:
     """sum over nonempty S other than ``skip`` of (-1)^{|S & T| + 1} tau_S,
-    for every mask T (index 0 included)."""
-    signed = [0.0 if s in (0, skip) else -taus[s] for s in range(1 << n)]
+    tau_S = 2 (1 - purities[S]), for every mask T (index 0 included)."""
+    signed = -(2.0 * (1.0 - purities))
+    signed[[0, skip]] = 0.0
     return signed_subset_sums(signed).tolist()
 
 
-def correlation_constraint(rho: DensityMatrix, t: int) -> float:
+def correlation_constraint(rho: DensityMatrix | PureState, t: int) -> float:
     """(1/2) sum_{S nonempty} (-1)^{|S & T| + 1} tau_S, which is nonnegative
-    for every state; equals Tr[rho I_T(rho)]."""
+    for every rho; equals Tr[rho I_T(rho)]."""
     rho.dims.validate_mask(t)
     if t == 0:
         raise ValueError("t = empty set gives the trivial constraint; pick t != 0")
-    return 0.5 * _entropy_sums(linear_entropies(rho), rho.dims.n)[t]
+    return 0.5 * _entropy_sums(rho.purities)[t]
 
 
-def correlation_report(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintReport:
+def correlation_report(rho: DensityMatrix | PureState, tol: float = PASS_TOL) -> ConstraintReport:
     n = rho.dims.n
-    sums = _entropy_sums(linear_entropies(rho), n)
+    sums = _entropy_sums(rho.purities)
     entries = [_entry(mask_bitstring(t, n), 0.5 * sums[t], tol) for t in range(1, 1 << n)]
     return ConstraintReport(family="correlation", entries=entries, tolerance=tol)
 
@@ -102,12 +104,12 @@ def monogamy_check(psi: PureState, t: int) -> float:
     psi.dims.validate_mask(t)
     if t == 0:
         raise ValueError("t = empty set gives the trivial constraint; pick t != 0")
-    return _entropy_sums(linear_entropies(psi.density()), psi.dims.n, psi.dims.full_mask)[t]
+    return _entropy_sums(psi.purities, psi.dims.full_mask)[t]
 
 
 def monogamy_report(psi: PureState, tol: float = PASS_TOL) -> ConstraintReport:
     n = psi.dims.n
-    sums = _entropy_sums(linear_entropies(psi.density()), n, psi.dims.full_mask)
+    sums = _entropy_sums(psi.purities, psi.dims.full_mask)
     entries = [_entry(mask_bitstring(t, n), sums[t], tol) for t in range(1, 1 << n)]
     return ConstraintReport(family="monogamy", entries=entries, tolerance=tol)
 
@@ -119,8 +121,9 @@ def monogamy_report(psi: PureState, tol: float = PASS_TOL) -> ConstraintReport:
 def _shadow_sums(m1: np.ndarray, m2: np.ndarray, dims: SubsystemDims) -> list[float]:
     """Shadow values for every mask: one reduction sweep per operand, then
     one O(N 2^N) signed subset sum."""
-    for name, m in (("M1", m1), ("M2", m2)):
-        defect = herm_defect(np.asarray(m))
+    for name, m in (("M1", np.asarray(m1)), ("M2", np.asarray(m2))):
+        _require_finite(m, name)
+        defect = herm_defect(m)
         if defect > TOL_HERM:
             raise ValueError(f"{name} is not Hermitian: max defect {defect:.3e}")
     terms = np.empty(1 << dims.n)
@@ -148,10 +151,11 @@ def shadow_report(
     """Evaluate every mask; if either operator fails the PSD check the
     entries are still reported but tagged non-theorem (no pass/fail
     judgement applies)."""
+    sums = _shadow_sums(m1, m2, dims)
     psd_ok = is_psd(m1) and is_psd(m2)
     entries = [
         _entry(mask_bitstring(t, dims.n), value, tol, theorem=psd_ok)
-        for t, value in enumerate(_shadow_sums(m1, m2, dims))
+        for t, value in enumerate(sums)
     ]
     notes = [] if psd_ok else ["note: inputs are not PSD: pass/fail judgement suppressed"]
     return ConstraintReport(family="shadow", entries=entries, tolerance=tol, notes=notes)
@@ -165,7 +169,8 @@ def _pset(mask: int) -> str:
     return "".join(str(p) for p in parties_from_mask(mask))
 
 
-def entropy_inequalities(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintReport:
+def entropy_inequalities(rho: DensityMatrix | PureState,
+                         tol: float = PASS_TOL) -> ConstraintReport:
     """Named linear-entropy inequalities for the party count at hand.
 
     Two parties: subadditivity and the triangle inequality.  Three
@@ -179,31 +184,28 @@ def entropy_inequalities(rho: DensityMatrix, tol: float = PASS_TOL) -> Constrain
     only, with a note.
     """
     n = rho.dims.n
-    taus = linear_entropies(rho)
+    tau = (2.0 * (1.0 - rho.purities)).tolist()
     full = rho.dims.full_mask
     entries: list[ReportEntry] = []
     notes: list[str] = []
 
-    def tau(mask: int) -> float:
-        return taus[mask]
-
     if n == 2:
         m1, m2 = 0b01, 0b10
-        entries.append(_entry("subadditivity:1|2", tau(m1) + tau(m2) - tau(full), tol))
+        entries.append(_entry("subadditivity:1|2", tau[m1] + tau[m2] - tau[full], tol))
         entries.append(
-            _entry("triangle:1|2", tau(full) - abs(tau(m1) - tau(m2)), tol)
+            _entry("triangle:1|2", tau[full] - abs(tau[m1] - tau[m2]), tol)
         )
     elif n == 3:
         for a in (0b001, 0b010, 0b100):
             b = full ^ a
             lbl = f"{_pset(a)}|{_pset(b)}"
-            entries.append(_entry(f"subadditivity:{lbl}", tau(a) + tau(b) - tau(full), tol))
-            entries.append(_entry(f"triangle:{lbl}", tau(full) - abs(tau(a) - tau(b)), tol))
+            entries.append(_entry(f"subadditivity:{lbl}", tau[a] + tau[b] - tau[full], tol))
+            entries.append(_entry(f"triangle:{lbl}", tau[full] - abs(tau[a] - tau[b]), tol))
         entries.append(
             _entry(
                 "reversed-ssa-symmetrized",
-                tau(0b001) + tau(0b010) + tau(0b100) + tau(full)
-                - tau(0b011) - tau(0b101) - tau(0b110),
+                tau[0b001] + tau[0b010] + tau[0b100] + tau[full]
+                - tau[0b011] - tau[0b101] - tau[0b110],
                 tol,
             )
         )
@@ -215,7 +217,7 @@ def entropy_inequalities(rho: DensityMatrix, tol: float = PASS_TOL) -> Constrain
             entries.append(
                 _entry(
                     f"weak-monotonicity:{a}|{c} via {b}",
-                    tau(ma | mb) + tau(mb | mc) + 2 * tau(full) - tau(ma) - tau(mc),
+                    tau[ma | mb] + tau[mb | mc] + 2 * tau[full] - tau[ma] - tau[mc],
                     tol,
                 )
             )
@@ -228,7 +230,7 @@ def entropy_inequalities(rho: DensityMatrix, tol: float = PASS_TOL) -> Constrain
                 entries.append(
                     _entry(
                         f"ssa-corrected:mid={b},double={c}",
-                        tau(ma | mb) + tau(mb | mc) + 2 * tau(mc) - tau(mb) - tau(full),
+                        tau[ma | mb] + tau[mb | mc] + 2 * tau[mc] - tau[mb] - tau[full],
                         tol,
                     )
                 )
@@ -236,8 +238,8 @@ def entropy_inequalities(rho: DensityMatrix, tol: float = PASS_TOL) -> Constrain
             a, c = (p for p in parties if p != b)
             mb = 1 << (b - 1)
             ma, mc = 1 << (a - 1), 1 << (c - 1)
-            lhs = tau(mb) + tau(full)
-            rhs = tau(ma | mb) + tau(mb | mc)
+            lhs = tau[mb] + tau[full]
+            rhs = tau[ma | mb] + tau[mb | mc]
             entries.append(
                 _entry(f"ssa-analogue:mid={b}", rhs - lhs, tol, theorem=False)
             )
@@ -245,7 +247,7 @@ def entropy_inequalities(rho: DensityMatrix, tol: float = PASS_TOL) -> Constrain
                 _entry(f"ssa-analogue-reversed:mid={b}", lhs - rhs, tol, theorem=False)
             )
     else:
-        total = 0.5 * _entropy_sums(taus, n)[full]
+        total = 0.5 * _entropy_sums(rho.purities)[full]
         entries.append(_entry("inclusion-exclusion:full", total, tol))
         notes.append(
             f"note: named 2- and 3-party inequality families are skipped for N = {n}; "
@@ -261,7 +263,7 @@ def entropy_inequalities(rho: DensityMatrix, tol: float = PASS_TOL) -> Constrain
 @dataclass(frozen=True, eq=False)
 class MarginalWitness:
     """Signed sum of identity-padded marginals over proper subsets for an
-    odd-size mask ``t``.  A joint state forces the operator to be PSD, so
+    odd-size mask ``t``.  A joint rho forces the operator to be PSD, so
     a negative minimal eigenvalue certifies incompatible marginals."""
 
     t: int
@@ -330,6 +332,7 @@ def marginal_witnesses_from_marginals(
                 f"marginal {mask_bitstring(s, dims.n)} has shape {m.shape}, "
                 f"expected {(d_s, d_s)}"
             )
+        _require_finite(m, f"marginal {mask_bitstring(s, dims.n)}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > overlap_tol:
             raise ValueError(

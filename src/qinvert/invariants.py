@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .inversion import invert_sum
 from .states import DensityMatrix, PureState
-from .tensor import signed_subset_sums, subset_purities, trace_product
+from .tensor import signed_subset_sums, trace_product
 
 IMAG_TOL = 1e-11
 CLAMP_TOL = 1e-9
@@ -58,13 +58,11 @@ class InvariantTable:
         return math.sqrt(max(self.values[t], 0.0))
 
 
-def invariant_table(rho: DensityMatrix) -> InvariantTable:
-    """All 2^N squared invariants from a single sweep of subset purities:
+def invariant_table(rho: DensityMatrix | PureState) -> InvariantTable:
+    """All 2^N squared invariants from the state's subset purities:
     C_T^2 = sum_S (-1)^{|S & T|} Tr(rho_S^2), one Walsh-Hadamard
     transform."""
-    purities = subset_purities(rho.matrix, rho.dims)
-    sums = signed_subset_sums([purities[s] for s in rho.dims.subset_masks()])
-    return InvariantTable(values=dict(enumerate(sums.tolist())))
+    return InvariantTable(values=dict(enumerate(signed_subset_sums(rho.purities).tolist())))
 
 
 def bipartite_concurrence_squared(psi: PureState, s: int) -> float:
@@ -73,5 +71,4 @@ def bipartite_concurrence_squared(psi: PureState, s: int) -> float:
     psi.dims.validate_mask(s)
     if s == 0 or s == psi.dims.full_mask:
         raise ValueError("the split must be a proper nonempty subset of parties")
-    rho_s = psi.density().reduce(s)
-    return 2.0 * (1.0 - trace_product(rho_s.matrix, rho_s.matrix).real)
+    return 2.0 * (1.0 - psi.purities[s].item())

@@ -3,26 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dims import SubsystemDims
-from .tensor import TOL_HERM, herm_defect, partial_trace, purity_value, subset_purities
+from .tensor import (
+    TOL_HERM, _require_finite, herm_defect, partial_trace, subset_purities, trace_product
+)
 
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-9
 TOL_NORM = 1e-12
-
-
-def _require_finite(a: np.ndarray, what: str) -> None:
-    # NaN slips through every tolerance test below (NaN > tol is False)
-    bad = ~np.isfinite(a)
-    if bad.any():
-        index = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(
-            f"{what} has non-finite entries (NaN or inf); "
-            f"the first is {a[index]} at index {index}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +59,11 @@ class DensityMatrix:
         sub = SubsystemDims(self.dims.dims_of(keep))
         return DensityMatrix(partial_trace(self.matrix, self.dims, keep), sub)
 
+    @cached_property
+    def purities(self) -> np.ndarray:
+        """Tr(rho_S^2) for every subset S, indexed by bitmask; one sweep, cached."""
+        return subset_purities(self.matrix, self.dims)
+
 
 @dataclass(frozen=True, eq=False)
 class PureState:
@@ -92,13 +89,17 @@ class PureState:
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims)
 
+    @cached_property
+    def purities(self) -> np.ndarray:
+        """As DensityMatrix.purities, swept over |psi><psi| with no DensityMatrix."""
+        return subset_purities(np.outer(self.vector, self.vector.conj()), self.dims)
+
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), in (0, 1]."""
-    return purity_value(rho.matrix)
+    return trace_product(rho.matrix, rho.matrix).real
 
 
-def linear_entropies(rho: DensityMatrix) -> dict[int, float]:
+def linear_entropies(rho: DensityMatrix | PureState) -> dict[int, float]:
     """tau_S = 2 [1 - Tr(rho_S^2)] for every nonempty subset S of parties."""
-    purities = subset_purities(rho.matrix, rho.dims)
-    return {s: 2.0 * (1.0 - p) for s, p in purities.items() if s != 0}
+    return {s: 2.0 * (1.0 - p) for s, p in enumerate(rho.purities.tolist()) if s != 0}

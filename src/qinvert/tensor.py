@@ -21,6 +21,17 @@ from .dims import SubsystemDims, parties_from_mask
 TOL_HERM = 1e-10
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    # NaN slips through every tolerance test (NaN > tol is False)
+    bad = ~np.isfinite(a)
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{what} has non-finite entries (NaN or inf); "
+            f"the first is {a[index]} at index {index}"
+        )
+
+
 def herm_defect(a: np.ndarray) -> float:
     """Largest absolute entry of a - a^dagger."""
     return float(np.max(np.abs(a - a.conj().T)))
@@ -109,11 +120,6 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", a, b))
 
 
-def purity_value(mat: np.ndarray) -> float:
-    """Tr(mat^2) as a real number (the input is assumed Hermitian)."""
-    return trace_product(mat, mat).real
-
-
 def signed_subset_sums(x) -> np.ndarray:
     """out[T] = sum_S (-1)^{|S & T|} x[S] over a length-2^N array indexed by
     bitmask, as a fast Walsh-Hadamard transform in O(N 2^N).  One
@@ -152,15 +158,19 @@ def reduction_sweep(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int,
     return visit(dims.full_mask, tensor, 0)
 
 
-def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> dict[int, float]:
-    """Tr(rho_S^2) for every subset S, keyed by bitmask, from one
-    reduction sweep.  The empty subset maps to (Tr rho)^2, the value the
-    scalar reduction contributes to sign-alternating purity sums."""
-    return dict(sorted((s, purity_value(m_s)) for s, m_s in reduction_sweep(mat, dims)))
+def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> np.ndarray:
+    """Tr(rho_S^2) for every subset S (entry 0: (Tr rho)^2, as signed purity
+    sums need it), as a read-only array indexed by bitmask, from one sweep."""
+    out = np.empty(1 << dims.n)
+    for s, m_s in reduction_sweep(mat, dims):
+        out[s] = trace_product(m_s, m_s).real
+    out.setflags(write=False)
+    return out
 
 
 def min_eigenvalue(h: np.ndarray, tol_herm: float = TOL_HERM) -> float:
     """Smallest eigenvalue of a Hermitian operator."""
+    _require_finite(h, "operator")
     defect = herm_defect(h)
     if defect > tol_herm:
         raise ValueError(f"operator is not Hermitian: max |h - h^dag| = {defect:.3e}")

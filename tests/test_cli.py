@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from qinvert import states
 from qinvert.cli import main
 from qinvert.dims import SubsystemDims
 from qinvert.io import write_state_file
-from qinvert.zoo import bell_pair_with_mixed_qubit, bell_state, ginibre_mixed
+from qinvert.states import PureState
+from qinvert.zoo import bell_pair_with_mixed_qubit, bell_state, ginibre_mixed, haar_pure
 
 
 def run(capsys, *argv):
@@ -424,3 +426,51 @@ def test_malformed_state_file_numbers_are_input_errors(capsys, tmp_path, text, f
     assert code == 2
     assert captured.out == ""
     assert field in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dims", "2,2", "--size", "2", "--seed", "-1"],
+    ["make-state", "--kind", "ginibre_mixed", "--dims", "2,2", "--seed", "-1"],
+    ["make-state", "--kind", "ghz", "--dims", "2,2", "--seed", "-3"],
+])
+def test_a_negative_seed_is_an_input_error(capsys, tmp_path, argv):
+    out = tmp_path / "out.json"
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not out.exists()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_mixed_check_sweeps_the_purity_profile_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "mixed.json"
+    write_state_file(path, ginibre_mixed(SubsystemDims((2, 3, 2)), 21))
+    sweeps = _count_calls(monkeypatch, states, "subset_purities")
+    code, lines = run(capsys, "check", "--state", str(path),
+                      "--families", "correlation,monogamy,entropy")
+    assert code == 0 and lines
+    assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("argv, densities", [
+    (["invariants"], 0),
+    (["check", "--families", "monogamy,entropy"], 0),
+    (["check"], 1),
+])
+def test_pure_input_forms_the_density_matrix_only_for_matrix_families(
+    capsys, monkeypatch, tmp_path, argv, densities
+):
+    path = tmp_path / "pure.json"
+    write_state_file(path, haar_pure(SubsystemDims((2, 2, 2)), 22))
+    calls = _count_calls(monkeypatch, PureState, "density")
+    code, lines = run(capsys, *argv, "--state", str(path))
+    assert code == 0 and lines
+    assert len(calls) == densities

@@ -15,11 +15,11 @@ from qinvert.constraints import (
     shadow_report,
     shadow_value,
 )
-from qinvert.dims import SubsystemDims
+from qinvert.dims import SubsystemDims, mask_bitstring
 from qinvert.invariants import c_t_squared
 from qinvert.inversion import invert_sum
 from qinvert.states import DensityMatrix, PureState
-from qinvert.tensor import embed, partial_trace
+from qinvert.tensor import embed, min_eigenvalue, partial_trace
 from qinvert.zoo import (
     bell_pair_with_mixed_qubit,
     bell_state,
@@ -375,3 +375,38 @@ def test_independence_rank_range_errors():
         independence_rank(6)
     with pytest.raises(ValueError):
         independence_rank_pure(1)
+
+
+# ---------------------------------------------------------------------------
+# non-finite operands never reach a verdict
+
+
+def test_min_eigenvalue_rejects_non_finite_entries():
+    h = np.eye(3, dtype=complex)
+    h[1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        min_eigenvalue(h)
+
+
+@pytest.mark.parametrize("which", ["M1", "M2"])
+def test_shadow_report_names_a_non_finite_operand(which):
+    dims = SubsystemDims((2, 2))
+    good = ginibre_mixed(dims, 12).matrix
+    bad = good.copy()
+    bad[1, 1] = np.nan
+    m1, m2 = (bad, good) if which == "M1" else (good, bad)
+    with pytest.raises(ValueError, match=f"{which} has non-finite"):
+        shadow_report(m1, m2, dims)
+    with pytest.raises(ValueError, match=f"{which} has non-finite"):
+        shadow_value(m1, m2, dims, 0b11)
+
+
+@pytest.mark.parametrize("s", [0b001, 0b110])
+def test_from_marginals_names_a_non_finite_marginal(s):
+    dims = SubsystemDims((2, 2, 2))
+    rho = ginibre_mixed(dims, 13)
+    marg = {t: partial_trace(rho.matrix, dims, t) for t in range(1, 7)}
+    marg[s] = marg[s].copy()
+    marg[s][0, 0] = np.nan
+    with pytest.raises(ValueError, match=f"marginal {mask_bitstring(s, 3)} has non-finite"):
+        marginal_witnesses_from_marginals(marg, dims)

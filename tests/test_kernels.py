@@ -5,7 +5,8 @@ marginal witnesses, its block form behind coarse_grain_invert and
 choi_matrix, the signed-embed sum shared by invert_sum and the
 witnesses from marginals, the broadcast embed and block product (with the
 Kraus operators built on it), and the all-masks pass of the reference
-routes.  The formulas the kernels replaced are kept here as
+routes, and the purity profile a pure state sweeps without forming a
+DensityMatrix.  The formulas the kernels replaced are kept here as
 oracles."""
 
 import functools
@@ -22,11 +23,14 @@ from qinvert import inversion
 from qinvert.constraints import (
     correlation_constraint,
     correlation_report,
+    entropy_inequalities,
     marginal_report,
     marginal_witnesses,
     marginal_witnesses_from_marginals,
+    monogamy_report,
 )
 from qinvert.dims import SubsystemDims, mask_size, parties_from_mask
+from qinvert.invariants import bipartite_concurrence_squared, invariant_table
 from qinvert.inversion import (
     DetectionParams,
     Grouping,
@@ -39,14 +43,17 @@ from qinvert.inversion import (
     kraus_operators,
     reference_inversions,
 )
+from qinvert.states import linear_entropies
 from qinvert.tensor import (
     block_product,
     embed,
     partial_trace,
     reduction_sweep,
     signed_subset_sums,
+    subset_purities,
+    trace_product,
 )
-from qinvert.zoo import ginibre_mixed
+from qinvert.zoo import ginibre_mixed, haar_pure
 
 EPS = np.finfo(np.float64).eps
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -174,6 +181,29 @@ def test_correlation_constraint_is_bit_identical_to_report(dims, seed):
     assert [correlation_constraint(rho, t) for t in range(1, 1 << dims.n)] == [
         e.value for e in entries
     ]
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), seed=seeds)
+def test_pure_purity_profile_is_bit_identical_to_the_density_route(dims, seed):
+    psi = haar_pure(dims, seed)
+    rho = psi.density()
+    want = subset_purities(rho.matrix, dims)
+    assert np.array_equal(psi.purities.view(np.uint64), want.view(np.uint64))
+    assert invariant_table(psi).values == invariant_table(rho).values
+    assert linear_entropies(psi) == linear_entropies(rho)
+    assert correlation_report(psi).entries == correlation_report(rho).entries
+    assert entropy_inequalities(psi).entries == entropy_inequalities(rho).entries
+    # the routes before the profile: the signed list over a tau dict, and
+    # each bipartite concurrence from a reduced density matrix
+    taus = linear_entropies(rho)
+    signed = [0.0 if s in (0, dims.full_mask) else -taus[s] for s in range(1 << dims.n)]
+    old = signed_subset_sums(signed)[1:].tolist()
+    assert [e.value for e in monogamy_report(psi).entries] == old
+    for s in range(1, dims.full_mask):
+        rho_s = rho.reduce(s).matrix
+        want_s = 2.0 * (1.0 - trace_product(rho_s, rho_s).real)
+        assert bipartite_concurrence_squared(psi, s) == want_s
 
 
 # ---------------------------------------------------------------------------

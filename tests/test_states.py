@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from qinvert import states
+from qinvert.constraints import correlation_report, entropy_inequalities, monogamy_report
 from qinvert.dims import SubsystemDims
+from qinvert.invariants import invariant_table
 from qinvert.states import DensityMatrix, PureState
-from qinvert.zoo import bell_state, ginibre_mixed
+from qinvert.zoo import bell_state, ginibre_mixed, haar_pure
 
 
 def test_density_matrix_accepts_valid_state():
@@ -73,3 +76,20 @@ def test_non_finite_entries_are_rejected(bad):
     vec[1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         PureState(vec, dims)
+
+
+def test_purity_profile_is_swept_once_per_state_and_read_only(monkeypatch):
+    calls = []
+    sweep = states.subset_purities
+    monkeypatch.setattr(states, "subset_purities", lambda *a: calls.append(a) or sweep(*a))
+    dims = SubsystemDims((2, 3, 2))
+    rho, psi = ginibre_mixed(dims, 4), haar_pure(dims, 4)
+    for state in (rho, psi):
+        correlation_report(state)
+        entropy_inequalities(state)
+        invariant_table(state)
+    monogamy_report(psi)
+    assert len(calls) == 2
+    for state in (rho, psi):
+        with pytest.raises(ValueError, match="read-only"):
+            state.purities[1] = 0.0
