@@ -1,7 +1,11 @@
 """Inequality families generated by the positivity of the inversion map:
 correlation constraints on linear entropies, monogamy relations for pure
 states, shadow inequalities for PSD operator pairs, named entropy
-inequalities, and operator witnesses for marginal compatibility."""
+inequalities, and operator witnesses for marginal compatibility.
+
+The scalar families read one table, C_T^2 = Tr[rho I_T(rho)] of
+:func:`~qinvert.invariants.invariant_table`: correlation is C_T^2, pure
+monogamy 2 C_T^2, the entropy fallback C^2 of the full set."""
 
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from .tensor import (
     partial_trace,
     reduction_sweep,
     signed_subset_sums,
+    subset_purities,
     trace_product,
 )
 
@@ -74,43 +79,35 @@ def _entry(
 # correlation constraints and monogamy relations
 
 
-def _entropy_sums(purities: np.ndarray, skip: int = 0) -> list[float]:
-    """sum over nonempty S other than ``skip`` of (-1)^{|S & T| + 1} tau_S,
-    tau_S = 2 (1 - purities[S]), for every mask T (index 0 included)."""
-    signed = -(2.0 * (1.0 - purities))
-    signed[[0, skip]] = 0.0
-    return signed_subset_sums(signed).tolist()
-
-
 def correlation_constraint(rho: DensityMatrix | PureState, t: int) -> float:
-    """(1/2) sum_{S nonempty} (-1)^{|S & T| + 1} tau_S, which is nonnegative
-    for every rho; equals Tr[rho I_T(rho)]."""
+    """C_T^2 = Tr[rho I_T(rho)] as in :func:`invariant_table`, nonnegative for
+    every rho; (1/2) sum_{S != 0} (-1)^{|S & T| + 1} tau_S up to 1 - (Tr rho)^2."""
     rho.dims.validate_mask(t)
     if t == 0:
         raise ValueError("t = empty set gives the trivial constraint; pick t != 0")
-    return 0.5 * _entropy_sums(rho.purities)[t]
+    return invariant_table(rho).values[t]
 
 
 def correlation_report(rho: DensityMatrix | PureState, tol: float = PASS_TOL) -> ConstraintReport:
     n = rho.dims.n
-    sums = _entropy_sums(rho.purities)
-    entries = [_entry(mask_bitstring(t, n), 0.5 * sums[t], tol) for t in range(1, 1 << n)]
+    values = invariant_table(rho).values
+    entries = [_entry(mask_bitstring(t, n), values[t], tol) for t in range(1, 1 << n)]
     return ConstraintReport(family="correlation", entries=entries, tolerance=tol)
 
 
 def monogamy_check(psi: PureState, t: int) -> float:
-    """sum over proper nonempty subsets S of (-1)^{|S & T| + 1} C^2_{S|S^c};
-    nonnegative for every pure state and every nonempty ``t``."""
+    """2 C_T^2; for pure states the sum over proper nonempty S of
+    (-1)^{|S & T| + 1} C^2_{S|S^c} up to 1 - |psi|^4, nonnegative for t != 0."""
     psi.dims.validate_mask(t)
     if t == 0:
         raise ValueError("t = empty set gives the trivial constraint; pick t != 0")
-    return _entropy_sums(psi.purities, psi.dims.full_mask)[t]
+    return 2.0 * invariant_table(psi).values[t]
 
 
 def monogamy_report(psi: PureState, tol: float = PASS_TOL) -> ConstraintReport:
     n = psi.dims.n
-    sums = _entropy_sums(psi.purities, psi.dims.full_mask)
-    entries = [_entry(mask_bitstring(t, n), sums[t], tol) for t in range(1, 1 << n)]
+    values = invariant_table(psi).values
+    entries = [_entry(mask_bitstring(t, n), 2.0 * values[t], tol) for t in range(1, 1 << n)]
     return ConstraintReport(family="monogamy", entries=entries, tolerance=tol)
 
 
@@ -119,13 +116,18 @@ def monogamy_report(psi: PureState, tol: float = PASS_TOL) -> ConstraintReport:
 
 
 def _shadow_sums(m1: np.ndarray, m2: np.ndarray, dims: SubsystemDims) -> list[float]:
-    """Shadow values for every mask: one reduction sweep per operand, then
-    one O(N 2^N) signed subset sum."""
-    for name, m in (("M1", np.asarray(m1)), ("M2", np.asarray(m2))):
+    """Shadow values for every mask: one reduction sweep per distinct
+    operand, then one O(N 2^N) signed subset sum.  With M2 = M1 the terms
+    are the subset purities and the values are the invariant table's."""
+    operands = {"M1": m1} if m2 is m1 else {"M1": m1, "M2": m2}
+    for name, m in operands.items():
+        m = np.asarray(m)
         _require_finite(m, name)
         defect = herm_defect(m)
         if defect > TOL_HERM:
             raise ValueError(f"{name} is not Hermitian: max defect {defect:.3e}")
+    if m2 is m1:
+        return signed_subset_sums(subset_purities(m1, dims)).tolist()
     terms = np.empty(1 << dims.n)
     for (s, a), (_, b) in zip(reduction_sweep(m1, dims), reduction_sweep(m2, dims)):
         terms[s] = trace_product(a, b).real
@@ -152,7 +154,7 @@ def shadow_report(
     entries are still reported but tagged non-theorem (no pass/fail
     judgement applies)."""
     sums = _shadow_sums(m1, m2, dims)
-    psd_ok = is_psd(m1) and is_psd(m2)
+    psd_ok = is_psd(m1) and (m2 is m1 or is_psd(m2))
     entries = [
         _entry(mask_bitstring(t, dims.n), value, tol, theorem=psd_ok)
         for t, value in enumerate(sums)
@@ -247,8 +249,7 @@ def entropy_inequalities(rho: DensityMatrix | PureState,
                 _entry(f"ssa-analogue-reversed:mid={b}", lhs - rhs, tol, theorem=False)
             )
     else:
-        total = 0.5 * _entropy_sums(rho.purities)[full]
-        entries.append(_entry("inclusion-exclusion:full", total, tol))
+        entries.append(_entry("inclusion-exclusion:full", invariant_table(rho).values[full], tol))
         notes.append(
             f"note: named 2- and 3-party inequality families are skipped for N = {n}; "
             "only the full-mask constraint is reported"

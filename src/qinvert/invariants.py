@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .inversion import invert_sum
+from .inversion import invert_product
 from .states import DensityMatrix, PureState
 from .tensor import signed_subset_sums, trace_product
 
@@ -16,12 +16,12 @@ CLAMP_TOL = 1e-9
 def c_t_squared(rho: DensityMatrix, t: int) -> float:
     """Tr[rho I_T(rho)], the squared invariant for the mask ``t``.
 
-    Evaluated through the inversion map itself; the batch route in
-    :func:`invariant_table` uses the purity expansion instead, so the two
-    act as independent cross-checks.
+    Evaluated through the inversion map itself (:func:`invert_product`);
+    :func:`invariant_table`, which every scalar family reads, uses the
+    purity expansion instead, so the two act as independent cross-checks.
     """
     rho.dims.validate_mask(t)
-    value = trace_product(rho.matrix, invert_sum(rho.matrix, rho.dims, t))
+    value = trace_product(rho.matrix, invert_product(rho.matrix, rho.dims, t))
     if abs(value.imag) > IMAG_TOL:
         raise ValueError(
             f"imaginary residue {value.imag:.3e} in Tr[rho I_T(rho)] "

@@ -90,6 +90,8 @@ def read_state_file(
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"state file {path} is not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

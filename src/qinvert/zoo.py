@@ -21,18 +21,20 @@ from .invariants import c_t
 from .states import DensityMatrix, PureState
 from .tensor import block_product, embed
 
-RECIPE_KINDS = (
-    "ghz",
-    "bell_phi_plus",
-    "w",
-    "product_basis",
-    "pinned_mix",
-    "pinned_ghz",
-    "bell_mixed_12",
-    "bell_mixed_13",
-    "haar_pure",
-    "ginibre_mixed",
-)
+# Recipe kind -> the options (StateRecipe fields) it reads, each mapped to
+# whether it is required; a kind rejects every option it does not read.
+RECIPE_KINDS = {
+    "ghz": {},
+    "bell_phi_plus": {},
+    "w": {},
+    "product_basis": {"s": False},
+    "pinned_mix": {"s": True},
+    "pinned_ghz": {"s": True},
+    "bell_mixed_12": {},
+    "bell_mixed_13": {},
+    "haar_pure": {"seed": True},
+    "ginibre_mixed": {"seed": True, "rank": False},
+}
 
 
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
@@ -231,10 +233,16 @@ class StateRecipe:
     def __post_init__(self) -> None:
         if self.kind not in RECIPE_KINDS:
             raise ValueError(f"unknown recipe kind {self.kind!r}")
-        if self.kind in ("haar_pure", "ginibre_mixed") and self.seed is None:
-            raise ValueError(f"recipe {self.kind!r} requires a seed")
-        if self.kind in ("pinned_mix", "pinned_ghz") and self.s is None:
-            raise ValueError(f"recipe {self.kind!r} requires a party mask s")
+        reads = RECIPE_KINDS[self.kind]
+        for option in ("s", "seed", "rank"):
+            given = getattr(self, option) is not None
+            if given and option not in reads:
+                raise ValueError(
+                    f"recipe {self.kind!r} does not read the option {option!r}; "
+                    f"it reads: {', '.join(reads) or 'none'}"
+                )
+            if reads.get(option) and not given:
+                raise ValueError(f"recipe {self.kind!r} requires the option {option!r}")
 
 
 def build(recipe: StateRecipe) -> DensityMatrix | PureState:

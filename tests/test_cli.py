@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qinvert import states
+from qinvert import constraints, states, tensor
 from qinvert.cli import main
 from qinvert.dims import SubsystemDims
 from qinvert.io import write_state_file
@@ -443,6 +443,31 @@ def test_a_negative_seed_is_an_input_error(capsys, tmp_path, argv):
     assert "--seed" in captured.err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--kind", "ghz", "--dims", "2,2", "--rank", "3"], "rank"),
+    (["--kind", "haar_pure", "--dims", "2,2", "--seed", "1", "--s", "1"], "s"),
+    (["--kind", "product_basis", "--dims", "2,2", "--seed", "1"], "seed"),
+    (["--kind", "ginibre_mixed", "--dims", "2,2", "--seed", "1", "--s", "2"], "s"),
+])
+def test_make_state_rejects_an_option_its_kind_does_not_read(capsys, tmp_path, argv, option):
+    out = tmp_path / "out.json"
+    code = main(["make-state", *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not out.exists()
+    assert f"'{option}'" in captured.err and "Traceback" not in captured.err
+
+
+def test_an_undecodable_state_file_is_a_state_file_error(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code = main(["check", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(path) in captured.err and "Traceback" not in captured.err
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
@@ -474,3 +499,15 @@ def test_pure_input_forms_the_density_matrix_only_for_matrix_families(
     code, lines = run(capsys, *argv, "--state", str(path))
     assert code == 0 and lines
     assert len(calls) == densities
+
+
+def test_mixed_check_shadow_sweeps_once_and_solves_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "mixed.json"
+    write_state_file(path, ginibre_mixed(SubsystemDims((2, 3, 2)), 23))
+    sweeps = _count_calls(monkeypatch, tensor, "reduction_sweep")
+    sweeps_here = _count_calls(monkeypatch, constraints, "reduction_sweep")
+    solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    code, lines = run(capsys, "check", "--state", str(path), "--families", "shadow")
+    assert code == 0 and len(lines) == 8
+    assert len(sweeps) + len(sweeps_here) == 1
+    assert len(solves) == 2  # validation on load, then one PSD test

@@ -4,10 +4,10 @@ kernel behind invert_product, apply_detection_map and the state-based
 marginal witnesses, its block form behind coarse_grain_invert and
 choi_matrix, the signed-embed sum shared by invert_sum and the
 witnesses from marginals, the broadcast embed and block product (with the
-Kraus operators built on it), and the all-masks pass of the reference
-routes, and the purity profile a pure state sweeps without forming a
-DensityMatrix.  The formulas the kernels replaced are kept here as
-oracles."""
+Kraus operators built on it), the all-masks pass of the reference
+routes, the purity profile a pure state sweeps without forming a
+DensityMatrix, and the invariant table every scalar family reads.  The
+formulas the kernels replaced are kept here as oracles."""
 
 import functools
 import itertools
@@ -27,7 +27,9 @@ from qinvert.constraints import (
     marginal_report,
     marginal_witnesses,
     marginal_witnesses_from_marginals,
+    monogamy_check,
     monogamy_report,
+    shadow_report,
 )
 from qinvert.dims import SubsystemDims, mask_size, parties_from_mask
 from qinvert.invariants import bipartite_concurrence_squared, invariant_table
@@ -194,16 +196,58 @@ def test_pure_purity_profile_is_bit_identical_to_the_density_route(dims, seed):
     assert linear_entropies(psi) == linear_entropies(rho)
     assert correlation_report(psi).entries == correlation_report(rho).entries
     assert entropy_inequalities(psi).entries == entropy_inequalities(rho).entries
-    # the routes before the profile: the signed list over a tau dict, and
-    # each bipartite concurrence from a reduced density matrix
+    # monogamy is twice the table; the routes before the profile (the signed
+    # list over a tau dict, which drops the norm residue at the empty and
+    # full sets, and each bipartite concurrence from a reduced density
+    # matrix) agree to rounding and bit for bit
+    monogamy = [e.value for e in monogamy_report(psi).entries]
+    assert monogamy == [2.0 * v for v in signed_subset_sums(want)[1:].tolist()]
     taus = linear_entropies(rho)
     signed = [0.0 if s in (0, dims.full_mask) else -taus[s] for s in range(1 << dims.n)]
-    old = signed_subset_sums(signed)[1:].tolist()
-    assert [e.value for e in monogamy_report(psi).entries] == old
+    old = signed_subset_sums(signed)[1:]
+    assert np.max(np.abs(np.array(monogamy) - old)) <= 1e-12
     for s in range(1, dims.full_mask):
         rho_s = rho.reduce(s).matrix
         want_s = 2.0 * (1.0 - trace_product(rho_s, rho_s).real)
         assert bipartite_concurrence_squared(psi, s) == want_s
+
+
+def old_entropy_sums(purities, skip=0):
+    """The signed tau list the scalar families read before the invariant
+    table: sum over nonempty S other than ``skip`` of
+    (-1)^{|S & T| + 1} tau_S, tau_S = 2 (1 - purities[S])."""
+    signed = -(2.0 * (1.0 - purities))
+    signed[[0, skip]] = 0.0
+    return signed_subset_sums(signed)
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), seed=seeds, pure=st.booleans())
+def test_scalar_families_are_views_of_the_invariant_table(dims, seed, pure):
+    state = haar_pure(dims, seed) if pure else ginibre_mixed(dims, seed)
+    n, full = dims.n, dims.full_mask
+    values = invariant_table(state).values
+    table = [values[t] for t in range(1 << n)]
+    correlation = [e.value for e in correlation_report(state).entries]
+    assert correlation == table[1:]
+    assert [correlation_constraint(state, t) for t in range(1, 1 << n)] == table[1:]
+    old = 0.5 * old_entropy_sums(state.purities)
+    assert np.max(np.abs(np.array(correlation) - old[1:])) <= 1e-12
+    if pure:
+        monogamy = [e.value for e in monogamy_report(state).entries]
+        assert monogamy == [2.0 * v for v in table[1:]]
+        assert [monogamy_check(state, t) for t in range(1, 1 << n)] == monogamy
+        old = old_entropy_sums(state.purities, full)
+        assert np.max(np.abs(np.array(monogamy) - old[1:])) <= 1e-12
+    if n not in (2, 3):
+        [line] = entropy_inequalities(state).entries
+        assert line.value == table[full]
+        assert abs(line.value - 0.5 * old_entropy_sums(state.purities)[full]) <= 1e-12
+    m = state.density().matrix if pure else state.matrix
+    same = np.array([e.value for e in shadow_report(m, m, dims).entries])
+    apart = np.array([e.value for e in shadow_report(m, m.copy(), dims).entries])
+    assert np.array_equal(same.view(np.uint64), apart.view(np.uint64))
+    assert np.array_equal(same.view(np.uint64), np.array(table).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,34 @@ def test_recipe_validation():
         build(StateRecipe(kind="ghz", dims=SubsystemDims((2, 3))))
 
 
+@pytest.mark.parametrize("kind, options, named", [
+    ("ghz", {"rank": 3}, "rank"),
+    ("ghz", {"seed": 1}, "seed"),
+    ("bell_phi_plus", {"s": 0b01}, "s"),
+    ("product_basis", {"seed": 1}, "seed"),
+    ("pinned_mix", {"s": 0b01, "rank": 2}, "rank"),
+    ("haar_pure", {"seed": 1, "s": 0b01}, "s"),
+    ("haar_pure", {"seed": 1, "rank": 2}, "rank"),
+    ("ginibre_mixed", {"seed": 1, "s": 0b01}, "s"),
+])
+def test_recipe_rejects_an_option_its_kind_does_not_read(kind, options, named):
+    with pytest.raises(ValueError, match=f"does not read the option '{named}'"):
+        StateRecipe(kind=kind, dims=SubsystemDims((2, 2)), **options)
+
+
+@pytest.mark.parametrize("kind, options", [
+    ("ghz", {}),
+    ("product_basis", {}),
+    ("product_basis", {"s": 0b10}),
+    ("pinned_ghz", {"s": 0b10}),
+    ("haar_pure", {"seed": 1}),
+    ("ginibre_mixed", {"seed": 1}),
+    ("ginibre_mixed", {"seed": 1, "rank": 2}),
+])
+def test_recipe_accepts_the_options_its_kind_reads(kind, options):
+    build(StateRecipe(kind=kind, dims=SubsystemDims((2, 2)), **options))
+
+
 def test_povm_completeness():
     for d in (2, 3, 4):
         a1, a2 = measurement_kraus_pair(d)
