@@ -17,12 +17,13 @@ cap (default 4096).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from typing import IO, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .constraints import (
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, relative_mask
 from .invariants import invariant_table
 from .inversion import (
-    DetectionParams, apply_detection_map, invert_product, reference_inversions
+    DetectionParams, apply_detection_map, inversion_stacks, reference_inversions
 )
 from .io import StateFileError, read_state_file, write_state_file
 from .states import DensityMatrix, PureState
@@ -61,6 +62,9 @@ from .zoo import (
 )
 
 CAP_ENV_VAR = "QINVERT_DIM_CAP"
+
+if TYPE_CHECKING:
+    Rows = list[tuple[str, float, float]]
 
 
 def _dim_cap() -> int:
@@ -258,8 +262,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     def reports() -> Iterator[ConstraintReport]:
         rows: list[ReportEntry] = []
+        shared = _ensemble_suites(dims, args.size, seed, suites)
         for suite in suites:
-            report = _run_suite(suite, dims, args.size, seed)
+            battery = shared[suite] if suite in shared else _BATTERIES[suite](dims, args.size, seed)
+            report = _suite_report(suite, battery)
             rows += report.entries
             yield report
         worst = min(e.margin for e in rows)
@@ -269,40 +275,52 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _write_reports(args.out, "verify", reports())
 
 
-def _cross_form(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
-    dev = 0.0
-    for k in range(size):
-        rho = ginibre_mixed(dims, seed, member=k)
-        for t, ref, kraus in reference_inversions(rho.matrix, dims):
-            dev = max(dev, float(np.max(np.abs(ref - invert_product(rho.matrix, dims, t)))))
-            dev = max(dev, float(np.max(np.abs(ref - kraus))))
-    return [("max deviation between forms", -dev, -1e-10)]
+ENSEMBLE_SUITES = ("cross_form", "positivity", "parity")
 
 
-def _positivity(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
+def _ensemble_suites(
+    dims: SubsystemDims, size: int, seed: int, suites: list[str]
+) -> dict[str, Rows]:
+    """Rows of the ensemble suites among ``suites``, from one pass over the
+    members k < size (Philox stream (k,)): each member is built once, and
+    each of its inversion stacks feeds every selected suite, so memory is
+    one member and one stack at a time."""
+    cross, positivity, parity = (s in suites for s in ENSEMBLE_SUITES)
+    if not (cross or positivity or parity):
+        return {}
+    form_dev = parity_dev = 0.0
     low = math.inf
-    for k in range(size):
-        rho = ginibre_mixed(dims, seed, member=k)
-        for t in dims.subset_masks():
-            low = min(low, min_eigenvalue(invert_product(rho.matrix, dims, t)))
-    return [("worst min eigenvalue of inverted states", low, 0.0)]
-
-
-def _parity(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
-    dev = 0.0
-    masks = list(dims.subset_masks())
     eye = np.eye(dims.total)
     scale = 2.0 ** (1 - dims.n)
     for k in range(size):
         rho = ginibre_mixed(dims, seed, member=k)
-        odd = sum(invert_product(rho.matrix, dims, t) for t in masks if t.bit_count() % 2)
-        even = sum(invert_product(rho.matrix, dims, t) for t in masks if not t.bit_count() % 2)
-        dev = max(dev, float(np.max(np.abs(scale * odd - (eye - rho.matrix)))))
-        dev = max(dev, float(np.max(np.abs(scale * even - (eye + rho.matrix)))))
-    return [("max parity-sum residual", -dev, -1e-11)]
+        refs = reference_inversions(rho.matrix, dims) if cross else None
+        sums = [0, 0]  # even and odd masks, each added in ascending order
+        first = 0
+        for stack in inversion_stacks(rho.matrix, dims):
+            if positivity:
+                low = min(low, min_eigenvalue(stack))
+            for t, inv in enumerate(stack, first):
+                if refs is not None:
+                    _, ref, kraus = next(refs)
+                    form_dev = max(form_dev, float(np.max(np.abs(ref - inv))),
+                                   float(np.max(np.abs(ref - kraus))))
+                if parity:
+                    sums[t.bit_count() % 2] = sums[t.bit_count() % 2] + inv
+            first += len(stack)
+        if parity:
+            even, odd = sums
+            parity_dev = max(parity_dev, float(np.max(np.abs(scale * odd - (eye - rho.matrix)))),
+                             float(np.max(np.abs(scale * even - (eye + rho.matrix)))))
+    rows = {
+        "cross_form": [("max deviation between forms", -form_dev, -1e-10)],
+        "positivity": [("worst min eigenvalue of inverted states", low, 0.0)],
+        "parity": [("max parity-sum residual", -parity_dev, -1e-11)],
+    }
+    return {s: rows[s] for s in ENSEMBLE_SUITES if s in suites}
 
 
-def _factorization(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
+def _factorization(dims: SubsystemDims, size: int, seed: int) -> Rows:
     if dims.n < 2:
         return [("skipped: needs at least 2 parties", 0.0, 0.0)]
     dev = 0.0
@@ -313,16 +331,18 @@ def _factorization(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str,
         rho_s = ginibre_mixed(SubsystemDims(dims.dims_of(s)), seed, member=2 * k)
         rho_c = ginibre_mixed(SubsystemDims(dims.dims_of(sc)), seed, member=2 * k + 1)
         prod = assemble_product(dims, {s: rho_s.matrix, sc: rho_c.matrix})
-        for t in dims.subset_masks():
-            lhs = invert_product(prod.matrix, dims, t)
-            rhs_s = invert_product(rho_s.matrix, rho_s.dims, relative_mask(t, s))
-            rhs_c = invert_product(rho_c.matrix, rho_c.dims, relative_mask(t, sc))
-            rhs = block_product({s: rhs_s, sc: rhs_c}, dims)
+        inv_s = np.concatenate(list(inversion_stacks(rho_s.matrix, rho_s.dims)))
+        inv_c = np.concatenate(list(inversion_stacks(rho_c.matrix, rho_c.dims)))
+        all_masks = dims.subset_masks()
+        for lhs in inversion_stacks(prod.matrix, dims):
+            masks = list(itertools.islice(all_masks, len(lhs)))
+            rhs = block_product({s: inv_s[[relative_mask(t, s) for t in masks]],
+                                 sc: inv_c[[relative_mask(t, sc) for t in masks]]}, dims)
             dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     return [("max product-state factorization residual", -dev, -1e-11)]
 
 
-def _independence(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
+def _independence(dims: SubsystemDims, size: int, seed: int) -> Rows:
     n_eff = min(dims.n, 4)
     rank = independence_rank(n_eff)
     rows = [(f"pin-or-mix family rank at n={n_eff}", float(rank - (1 << n_eff)), 0.0)]
@@ -333,7 +353,7 @@ def _independence(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, 
     return rows
 
 
-def _closed_form(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, float, float]]:
+def _closed_form(dims: SubsystemDims, size: int, seed: int) -> Rows:
     n_eff = min(dims.n, 4)
     dev = 0.0
     for pins in range(1 << n_eff):
@@ -349,24 +369,29 @@ def _closed_form(dims: SubsystemDims, size: int, seed: int) -> list[tuple[str, f
     return [(f"max closed-form residual at n={n_eff}", -dev, -1e-10)]
 
 
+_BATTERIES = {
+    "factorization": _factorization,
+    "independence": _independence,
+    "closed_form": _closed_form,
+}
+# every suite, in report order, with the tolerance its rows are judged at
 _SUITES = {
-    "cross_form": (_cross_form, 0.0),
-    "positivity": (_positivity, 1e-9),
-    "parity": (_parity, 0.0),
-    "factorization": (_factorization, 0.0),
-    "independence": (_independence, 0.0),
-    "closed_form": (_closed_form, 0.0),
+    "cross_form": 0.0,
+    "positivity": 1e-9,
+    "parity": 0.0,
+    "factorization": 0.0,
+    "independence": 0.0,
+    "closed_form": 0.0,
 }
 VERIFY_SUITES = tuple(_SUITES)
 
 
-def _run_suite(suite: str, dims: SubsystemDims, size: int, seed: int) -> ConstraintReport:
-    """One verification battery as a report.  A battery returns (label,
-    value, threshold) rows, judged at the suite's tolerance; deviation rows
-    are value = -deviation against threshold = -limit."""
-    battery, tol = _SUITES[suite]
-    rows = [_entry(label, value, tol, threshold=threshold)
-            for label, value, threshold in battery(dims, size, seed)]
+def _suite_report(suite: str, battery: Rows) -> ConstraintReport:
+    """One verification battery's (label, value, threshold) rows as a
+    report, judged at the suite's tolerance; deviation rows are value =
+    -deviation against threshold = -limit."""
+    tol = _SUITES[suite]
+    rows = [_entry(label, value, tol, threshold=threshold) for label, value, threshold in battery]
     return ConstraintReport(suite, rows, tol)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,13 +22,17 @@ class DensityMatrix:
     """A normalized state: Hermitian, unit trace, positive semidefinite.
 
     Validation happens at construction; the stored matrix is a read-only
-    copy, so instances can be shared freely across threads.
+    copy, so instances can be shared freely across threads.  ``_psd_known``
+    is internal to this module: :meth:`PureState.density` sets it to skip
+    only the eigen-solve of the PSD check; every other construction runs
+    the full validation.
     """
 
     matrix: np.ndarray
     dims: SubsystemDims
+    _psd_known: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _psd_known: bool) -> None:
         mat = np.array(self.matrix, dtype=np.complex128)
         d = self.dims.total
         if mat.shape != (d, d):
@@ -44,7 +48,7 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"density matrix trace {tr} is not 1 within {TOL_TRACE}")
-        lo = float(np.linalg.eigvalsh(mat)[0])
+        lo = 0.0 if _psd_known else float(np.linalg.eigvalsh(mat)[0])
         if lo < -TOL_PSD:
             raise ValueError(
                 f"density matrix has negative eigenvalue {lo:.3e} below -{TOL_PSD}"
@@ -87,7 +91,8 @@ class PureState:
         object.__setattr__(self, "vector", vec)
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims)
+        # the outer product of a unit vector is PSD by construction
+        return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims, _psd_known=True)
 
     @cached_property
     def purities(self) -> np.ndarray:

@@ -6,11 +6,13 @@ three primitives do all the work: :func:`_trace_out` contracts parties one
 at a time in ascending party order (a fixed, reproducible summation
 order), :func:`_diagonal` is the writable party-diagonal view that
 identity-padded terms are added onto, and :func:`block_product` forms
-tensor products as one broadcast product.
+tensor products as one broadcast product.  Each also takes leading batch
+axes, so one call serves a (K, ...) stack of operators.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -32,9 +34,11 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         )
 
 
-def herm_defect(a: np.ndarray) -> float:
-    """Largest absolute entry of a - a^dagger."""
-    return float(np.max(np.abs(a - a.conj().T)))
+def herm_defect(a: np.ndarray) -> float | np.ndarray:
+    """Largest absolute entry of a - a^dagger over the last two axes: a
+    float for one operator, one value per member for a stack of them."""
+    defect = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    return float(defect) if a.ndim == 2 else defect
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,23 +46,42 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _trace_out(tensor: np.ndarray, axes: list[int]) -> np.ndarray:
+def _trace_out(tensor: np.ndarray, axes: tuple[int, ...], batch: int = 0) -> np.ndarray:
     """Trace the parties at ``axes`` (ascending 0-based positions) out of a
-    (d.., d..) tensor, one party at a time in ascending order."""
-    n = tensor.ndim // 2
+    (b.., d.., d..) tensor with ``batch`` leading batch axes, one party at
+    a time in ascending order.  Each trace is ``np.trace``'s own reduction
+    (a sum over the last axis of the diagonal view), without its wrapper."""
+    n = (tensor.ndim - batch) // 2
     for q, i in enumerate(axes):
-        tensor = np.trace(tensor, axis1=i - q, axis2=i + n - 2 * q)
+        tensor = np.add.reduce(tensor.diagonal(0, batch + i - q, batch + i + n - 2 * q), -1)
     return tensor
 
 
-def _diagonal(tensor: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Writable view of the entries of a (d.., d..) tensor whose row and
-    column indices agree on the parties at ``axes``, with those axes first
-    so that an operator on the other parties broadcasts over it."""
-    n = tensor.ndim // 2
+@functools.lru_cache(maxsize=256)
+def _diagonal_layout(
+    shape: tuple[int, ...], strides: tuple[int, ...], axes: tuple[int, ...], batch: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shape and strides of the :func:`_diagonal` view: a diagonal axis
+    steps by its row and column strides at once."""
+    n = (len(shape) - batch) // 2
     rest = [i for i in range(n) if i not in axes]
-    labels = list(range(n)) + [i if i in axes else i + n for i in range(n)]
-    return np.einsum(tensor, labels, axes + rest + [i + n for i in rest])
+    half, step = shape[batch:], strides[batch:]
+    return (
+        tuple(half[i] for i in axes) + shape[:batch]
+        + tuple(half[i] for i in rest) + tuple(half[n + i] for i in rest),
+        tuple(step[i] + step[n + i] for i in axes) + strides[:batch]
+        + tuple(step[i] for i in rest) + tuple(step[n + i] for i in rest),
+    )
+
+
+def _diagonal(tensor: np.ndarray, axes: tuple[int, ...], batch: int = 0) -> np.ndarray:
+    """Writable view of the entries of a C-contiguous (b.., d.., d..)
+    tensor with ``batch`` leading batch axes whose row and column indices
+    agree on the parties at ``axes``, with those axes first and the batch
+    axes next, so that a (b.., operator on the other parties) tensor
+    broadcasts over it."""
+    shape, strides = _diagonal_layout(tensor.shape, tensor.strides, axes, batch)
+    return np.ndarray(shape, tensor.dtype, tensor, 0, strides)
 
 
 def partial_trace(mat: np.ndarray, dims: SubsystemDims, keep: int) -> np.ndarray:
@@ -101,18 +124,22 @@ def block_product(parts: dict[int, np.ndarray], dims: SubsystemDims) -> np.ndarr
     assembled in the global party order; uncovered parties get the
     identity.  One broadcast product of the blocks on their parties' axes
     (size-1 axes elsewhere), in ascending mask order from the first block
-    itself, times the uncovered parties' identity last."""
+    itself, times the uncovered parties' identity last.  Blocks may carry
+    leading batch axes, which broadcast: a (K, d_s, d_s) stack per block
+    gives the K products as one (K, D, D) stack."""
     seen = 0
     out = None
     for s in sorted(parts):
         if s & seen:
             raise ValueError("blocks must act on disjoint party sets")
         seen |= s
-        op_s = np.asarray(parts[s], dtype=np.complex128).reshape(_padded_shape(dims, s))
+        op_s = np.asarray(parts[s], dtype=np.complex128)
+        op_s = op_s.reshape(op_s.shape[:-2] + _padded_shape(dims, s))
         out = op_s if out is None else out * op_s
     comp = dims.complement(seen)
     eye = np.eye(dims.block_dim(comp), dtype=np.complex128).reshape(_padded_shape(dims, comp))
-    return (eye if out is None else out * eye).reshape(dims.total, dims.total)
+    out = eye if out is None else out * eye
+    return out.reshape(out.shape[:out.ndim - 2 * dims.n] + (dims.total, dims.total))
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
@@ -169,9 +196,15 @@ def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> np.ndarray:
 
 
 def min_eigenvalue(h: np.ndarray, tol_herm: float = TOL_HERM) -> float:
-    """Smallest eigenvalue of a Hermitian operator."""
-    _require_finite(h, "operator")
-    defect = herm_defect(h)
-    if defect > tol_herm:
-        raise ValueError(f"operator is not Hermitian: max |h - h^dag| = {defect:.3e}")
-    return float(np.linalg.eigvalsh(h)[0])
+    """Smallest eigenvalue of a Hermitian operator, or the smallest over a
+    (K, D, D) stack of them from one stacked ``eigvalsh``.  Every member is
+    checked finite and Hermitian first; the error for a stack gives the
+    member that is not."""
+    _require_finite(h, "operator" if h.ndim == 2 else "operator stack")
+    defects = np.atleast_1d(herm_defect(h))
+    bad = np.flatnonzero(defects > tol_herm)
+    if bad.size:
+        k = int(bad[0])
+        what = "operator" if h.ndim == 2 else f"operator {k} of the stack"
+        raise ValueError(f"{what} is not Hermitian: max |h - h^dag| = {defects[k]:.3e}")
+    return float(np.linalg.eigvalsh(h)[..., 0].min())

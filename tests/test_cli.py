@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qinvert import constraints, states, tensor
+from qinvert import cli, constraints, inversion, states, tensor
 from qinvert.cli import main
 from qinvert.dims import SubsystemDims
 from qinvert.io import write_state_file
@@ -511,3 +511,39 @@ def test_mixed_check_shadow_sweeps_once_and_solves_once(capsys, monkeypatch, tmp
     assert code == 0 and len(lines) == 8
     assert len(sweeps) + len(sweeps_here) == 1
     assert len(solves) == 2  # validation on load, then one PSD test
+
+
+def _strip_elapsed(lines):
+    return [{k: v for k, v in line.items() if k != "elapsed_ms"} for line in lines]
+
+
+VERIFY_ENSEMBLE_ARGV = ["verify", "--dims", "2,3", "--size", "3", "--seed", "4", "--suites"]
+ENSEMBLE_SUITES = ["cross_form", "positivity", "parity"]
+
+
+def test_verify_builds_each_member_and_its_stacks_once_for_the_three_suites(capsys, monkeypatch):
+    built, stacked = [], []
+    real_member, real_stacks = cli.ginibre_mixed, cli.inversion_stacks
+    monkeypatch.setattr(cli, "ginibre_mixed",
+                        lambda *a, **kw: built.append(kw) or real_member(*a, **kw))
+    monkeypatch.setattr(cli, "inversion_stacks", lambda *a: stacked.append(a) or real_stacks(*a))
+    code, shared = run(capsys, *VERIFY_ENSEMBLE_ARGV, ",".join(ENSEMBLE_SUITES))
+    assert code == 0 and [line["family"] for line in shared[:3]] == ENSEMBLE_SUITES
+    assert [kw["member"] for kw in built] == [0, 1, 2]
+    assert len(stacked) == 3
+    # each suite run on its own prints the line it has in the shared pass
+    for line in shared[:3]:
+        code, alone = run(capsys, *VERIFY_ENSEMBLE_ARGV, line["family"])
+        assert code == 0 and _strip_elapsed(alone[:1]) == _strip_elapsed([line])
+
+
+def test_verify_lines_do_not_depend_on_the_stack_bound(capsys, monkeypatch):
+    """One mask per stack (hold bound 0) prints the same lines, bit for bit,
+    as all masks in one stack: parity adds across stacks in mask order."""
+    argv = ["verify", "--dims", "2,3,2", "--size", "2", "--seed", "6",
+            "--suites", "cross_form,positivity,parity,factorization"]
+    code, whole = run(capsys, *argv)
+    monkeypatch.setattr(inversion, "STACK_HOLD_BYTES", 0)
+    code_split, split = run(capsys, *argv)
+    assert code == code_split == 0
+    assert _strip_elapsed(split) == _strip_elapsed(whole)

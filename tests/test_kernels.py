@@ -1,7 +1,9 @@
 """Property tests pinning the fast kernels to their reference routes: the
 Walsh-Hadamard subset sum, the depth-first reduction sweep, the factor
 kernel behind invert_product, apply_detection_map and the state-based
-marginal witnesses, its block form behind coarse_grain_invert and
+marginal witnesses, its stacked form (every member as its own single
+call) and the all-masks stacks built on it, the stacked smallest
+eigenvalue, its block form behind coarse_grain_invert and
 choi_matrix, the signed-embed sum shared by invert_sum and the
 witnesses from marginals, the broadcast embed and block product (with the
 Kraus operators built on it), the all-masks pass of the reference
@@ -13,6 +15,7 @@ import functools
 import itertools
 import math
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from qinvert.inversion import (
     invert_kraus,
     invert_product,
     invert_sum,
+    inversion_stacks,
     kraus_operators,
     reference_inversions,
 )
@@ -49,6 +53,7 @@ from qinvert.states import linear_entropies
 from qinvert.tensor import (
     block_product,
     embed,
+    min_eigenvalue,
     partial_trace,
     reduction_sweep,
     signed_subset_sums,
@@ -63,14 +68,21 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 @st.composite
-def subsystem_dims(draw, max_total=64):
-    dims = [draw(st.integers(2, 4))]
-    while draw(st.booleans()):
-        d = draw(st.integers(2, 4))
-        if math.prod(dims) * d > max_total:
-            break
-        dims.append(d)
+def subsystem_dims(draw, max_total=64, max_n=None):
+    """N first, uniform over every party count up to ``max_n`` that
+    ``max_total`` allows (2^N <= max_total), then each local dimension in
+    2..4 within the room the parties still to come leave, so large N is
+    drawn as often as small."""
+    n = draw(st.integers(1, min(max_total.bit_length() - 1, max_n or max_total)))
+    dims = []
+    for i in range(n):
+        room = max_total // (math.prod(dims) << (n - 1 - i))
+        dims.append(draw(st.integers(2, min(4, room))))
     return SubsystemDims(tuple(dims))
+
+
+def bit_identical(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def random_operator(dims, seed):
@@ -451,7 +463,8 @@ def test_block_product_and_kraus_operators_match_kron_constructions(dims, seed, 
 
 
 @PROPERTY
-@given(dims=subsystem_dims(max_total=48), seed=seeds)
+@given(dims=st.one_of(subsystem_dims(max_total=48, max_n=4), subsystem_dims(max_total=32)),
+       seed=seeds)
 def test_reference_inversions_equal_the_single_mask_routes(dims, seed):
     mat = random_operator(dims, seed)
     masks = []
@@ -479,3 +492,56 @@ def test_reference_inversions_stream_above_the_hold_budget(local_dims, monkeypat
     for (t, by_sum, by_kraus), (u, by_sum2, by_kraus2) in zip(held, streamed, strict=True):
         assert t == u
         assert np.array_equal(by_sum, by_sum2) and np.array_equal(by_kraus, by_kraus2)
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), k=st.integers(1, 4), seed=seeds, data=st.data())
+def test_stacked_factor_kernel_is_bit_identical_to_single_calls(dims, k, seed, data):
+    """One _apply_factors call on a (K, D, D) stack, each member with its
+    own weight per block in [-1, 1], gives every member bit for bit as its
+    own K = 1 call with scalar weights, with either diagonal add."""
+    labels = data.draw(st.lists(st.integers(0, dims.n), min_size=dims.n, max_size=dims.n))
+    blocks = {sum(1 << i for i, x in enumerate(labels) if x == label) for label in labels if label}
+    weights = {b: np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k,
+                                              unique=True))) for b in blocks}
+    stack = np.stack([random_operator(dims, seed + i) for i in range(k)])
+    with mock.patch.object(inversion, "SLICE_ADD_ENTRIES",
+                           data.draw(st.sampled_from([1, 1 << 30]))):
+        got = inversion._apply_factors(stack, dims, weights)
+    assert got.shape == stack.shape
+    for i in range(k):
+        own = {b: float(w[i]) for b, w in weights.items()}
+        assert bit_identical(got[i], inversion._apply_factors(stack[i], dims, own)[0])
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), seed=seeds, low=st.integers(0, 6))
+def test_inversion_stacks_are_bit_identical_to_invert_product(dims, seed, low):
+    """The stacks hold I_T(mat) for every T in ascending order, bit for bit
+    as invert_product, whether all 2^N masks fit in one stack or the hold
+    bound splits them into stacks of 2^m (m = 0: one mask per stack)."""
+    mat = random_operator(dims, seed)
+    m = min(low, dims.n)
+    with mock.patch.object(inversion, "STACK_HOLD_BYTES", (16 << m) * dims.total**2):
+        stacks = list(inversion_stacks(mat, dims))
+    assert [len(stack) for stack in stacks] == [1 << m] * (1 << (dims.n - m))
+    for t, got in enumerate(itertools.chain.from_iterable(stacks)):
+        assert bit_identical(got, invert_product(mat, dims, t))
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=24), k=st.integers(1, 5), seed=seeds, data=st.data())
+def test_stacked_min_eigenvalue_is_the_least_and_names_a_bad_member(dims, k, seed, data):
+    stack = np.stack([h + h.conj().T for h in (random_operator(dims, seed + i) for i in range(k))])
+    assert min_eigenvalue(stack) == min(min_eigenvalue(h) for h in stack)
+    bad = data.draw(st.integers(0, k - 1))
+    i, j = data.draw(st.lists(st.integers(0, dims.total - 1), min_size=2, max_size=2, unique=True))
+    skewed = stack.copy()
+    skewed[bad, i, j] += 1e-6
+    with pytest.raises(ValueError, match=f"operator {bad} of the stack is not Hermitian"):
+        min_eigenvalue(skewed)
+    broken = stack.copy()
+    broken[bad, i, i] = np.nan
+    broken[-1, j, j] = np.inf
+    with pytest.raises(ValueError, match=rf"operator stack has non-finite .* at index \({bad}, "):
+        min_eigenvalue(broken)

@@ -93,3 +93,18 @@ def test_purity_profile_is_swept_once_per_state_and_read_only(monkeypatch):
     for state in (rho, psi):
         with pytest.raises(ValueError, match="read-only"):
             state.purities[1] = 0.0
+
+
+def test_pure_density_skips_only_the_psd_eigen_solve(monkeypatch):
+    psi = haar_pure(SubsystemDims((2, 3)), 5)
+    solves = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a) or real(a))
+    rho = psi.density()
+    assert solves == []
+    assert np.array_equal(rho.matrix, np.outer(psi.vector, psi.vector.conj()))
+    assert not rho.matrix.flags.writeable
+    DensityMatrix(rho.matrix, rho.dims)
+    assert len(solves) == 1
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]]), SubsystemDims((2,)), _psd_known=True)
