@@ -44,7 +44,8 @@ from .constraints import (
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, relative_mask
 from .invariants import invariant_table
 from .inversion import (
-    DetectionParams, apply_detection_map, inversion_stacks, reference_inversions
+    DetectionParams, apply_detection_map, embedded_generators, inversion_stacks,
+    reference_inversions,
 )
 from .io import StateFileError, read_state_file, write_state_file
 from .states import DensityMatrix, PureState
@@ -284,7 +285,8 @@ def _ensemble_suites(
     """Rows of the ensemble suites among ``suites``, from one pass over the
     members k < size (Philox stream (k,)): each member is built once, and
     each of its inversion stacks feeds every selected suite, so memory is
-    one member and one stack at a time."""
+    one member and its stacks at a time.  The Kraus generators of
+    ``cross_form`` depend only on ``dims`` and are built once."""
     cross, positivity, parity = (s in suites for s in ENSEMBLE_SUITES)
     if not (cross or positivity or parity):
         return {}
@@ -292,9 +294,10 @@ def _ensemble_suites(
     low = math.inf
     eye = np.eye(dims.total)
     scale = 2.0 ** (1 - dims.n)
+    generators = embedded_generators(dims) if cross else None
     for k in range(size):
         rho = ginibre_mixed(dims, seed, member=k)
-        refs = reference_inversions(rho.matrix, dims) if cross else None
+        refs = reference_inversions(rho.matrix, dims, generators) if cross else None
         sums = [0, 0]  # even and odd masks, each added in ascending order
         first = 0
         for stack in inversion_stacks(rho.matrix, dims):

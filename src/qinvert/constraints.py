@@ -16,7 +16,7 @@ import numpy as np
 
 from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask, relative_mask
 from .invariants import invariant_table
-from .inversion import _signed_sum, invert_product
+from .inversion import _signed_sums, invert_product
 from .states import DensityMatrix, PureState
 from .tensor import (
     TOL_HERM,
@@ -285,7 +285,7 @@ def _build_witness(
     """Signed embed sum over the proper subsets in ascending mask order,
     the empty set contributing the identity."""
     terms = [(0, np.ones((1, 1)))] + [(s, marginals[s]) for s in range(1, dims.full_mask)]
-    out = _signed_sum(((s, embed(op_s, s, dims)) for s, op_s in terms), dims, t)
+    out = _signed_sums(((s, embed(op_s, s, dims)) for s, op_s in terms), dims, [t])[0]
     return MarginalWitness(t=t, operator=out, min_eig=min_eigenvalue(out))
 
 

@@ -17,9 +17,11 @@ for every T of one operand as a butterfly over the parties, 2^N members
 per call when they fit in a cache-sized stack.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
 input (:func:`invert_kraus`) are kept only as cross-check references.
-:func:`reference_inversions` evaluates both for every T of one operand,
-with the embedded reductions and generators built once and handed to
-each call instead of rebuilt per T.
+Both take one mask or a sequence of masks (a (K, D, D) stack, each
+member bit-identical to its own one-mask call), and
+:func:`reference_inversions` evaluates each of them once for all 2^N
+masks of one operand, fed one reduction sweep and Gell-Mann generators
+built once.
 """
 
 from __future__ import annotations
@@ -27,46 +29,65 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_size, parties_from_mask
+from .dims import DEFAULT_DIM_CAP, SubsystemDims, parties_from_mask
 from .gellmann import build_basis, minus_channel_indices, plus_channel_indices
 from .tensor import _diagonal, _trace_out, block_product, embed, partial_trace, reduction_sweep
 
 
-def _signed_sum(
-    terms: Iterable[tuple[int, np.ndarray]], dims: SubsystemDims, t: int
+def _mask_list(dims: SubsystemDims, t: int | Sequence[int]) -> tuple[list[int], bool]:
+    """``t``, one mask or a sequence of masks, as a list of validated
+    masks, and whether it was one mask."""
+    one = isinstance(t, (int, np.integer))
+    masks = [int(dims.validate_mask(m)) for m in ([t] if one else t)]
+    return masks, one
+
+
+def _signed_sums(
+    terms: Iterable[tuple[int, np.ndarray]], dims: SubsystemDims, masks: Sequence[int]
 ) -> np.ndarray:
-    """sum of (-1)^{|S & T|} term_S over the ``(S, term_S)`` pairs of D x D
-    terms, accumulated in the order given."""
-    out = np.zeros((dims.total, dims.total), dtype=np.complex128)
+    """The (K, D, D) stack of sum_S (-1)^{|S & T|} term_S, one member per
+    mask T of ``masks``, over the ``(S, term_S)`` pairs of D x D terms in
+    the order given.  Each member runs the ``out -= term`` / ``out += term``
+    of its own K = 1 call, so it is bit-identical to it; a term whose sign
+    differs between members is applied as two masked in-place ufuncs."""
+    out = np.zeros((len(masks), dims.total, dims.total), dtype=np.complex128)
     for s, term in terms:
-        if mask_size(s & t) % 2:
+        odd = np.array([(s & t).bit_count() % 2 for t in masks], dtype=bool)
+        if odd.all():
             out -= term
-        else:
+        elif not odd.any():
             out += term
+        else:
+            np.subtract(out, term, out=out, where=odd[:, None, None])
+            np.add(out, term, out=out, where=~odd[:, None, None])
     return out
 
 
 def invert_sum(
     mat: np.ndarray,
     dims: SubsystemDims,
-    t: int,
+    t: int | Sequence[int],
     embedded: Iterable[tuple[int, np.ndarray]] | None = None,
 ) -> np.ndarray:
     """Signed sum of identity-padded reductions; subsets are accumulated in
     ascending bitmask order so the summation order is reproducible.
-    2^N embedded D x D terms, streamed one at a time: a reference route,
-    not a production one.  ``embedded``, the ``(S, mat_S (x) 1_{S^c})``
-    pairs of ``mat`` in ascending S as :func:`reference_inversions` holds
-    them, replaces the 2^N partial traces and embeds."""
-    dims.validate_mask(t)
+    ``t`` is one mask (a D x D result) or a sequence of masks, in any
+    order and possibly repeated (a (K, D, D) stack, each member
+    bit-identical to its own one-mask call).  The 2^N embedded D x D terms
+    are streamed one at a time: a reference route, not a production one.
+    ``embedded``, the ``(S, mat_S (x) 1_{S^c})`` pairs of ``mat`` in
+    ascending S as :func:`reference_inversions` makes them, replaces the
+    2^N partial traces and embeds."""
+    masks, one = _mask_list(dims, t)
     if embedded is None:
         embedded = ((s, embed(partial_trace(mat, dims, s), s, dims))
                     for s in dims.subset_masks())
-    return _signed_sum(embedded, dims, t)
+    out = _signed_sums(embedded, dims, masks)
+    return out[0] if one else out
 
 
 # Entries of a stack (K D^2) from which _apply_factors adds the traced
@@ -168,66 +189,96 @@ def _channel_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, .
     return generators
 
 
-def _embedded_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, ...]]:
-    """The generators of :func:`_channel_generators`, each embedded on its
-    party as a D x D operator."""
-    return [tuple(embed(g, 1 << i, dims) for g in party_generators)
-            for i, party_generators in enumerate(_channel_generators(dims, t))]
+# Per party, the embedded generators of its Kraus channel for the plus
+# sign and for the minus sign.
+KrausGenerators = tuple[list[tuple[np.ndarray, ...]], list[tuple[np.ndarray, ...]]]
+
+
+def embedded_generators(dims: SubsystemDims) -> KrausGenerators:
+    """The generators of :func:`_channel_generators` for both signs, each
+    embedded on its party as a D x D operator: ``(plus, minus)``, indexed
+    by party.  They depend only on ``dims``, so a campaign builds them once
+    and hands them to every :func:`invert_kraus` call."""
+    plus, minus = ([tuple(embed(g, 1 << i, dims) for g in party_generators)
+                    for i, party_generators in enumerate(_channel_generators(dims, t))]
+                   for t in (0, dims.full_mask))
+    return plus, minus
 
 
 def invert_kraus(
     mat: np.ndarray,
     dims: SubsystemDims,
-    t: int,
-    generators: list[tuple[np.ndarray, ...]] | None = None,
+    t: int | Sequence[int],
+    generators: KrausGenerators | None = None,
 ) -> np.ndarray:
     """Evaluate the inversion as a Kraus channel acting on the entrywise
     conjugate of ``mat``.
 
     Per party the channel sums over the y-type generators when the party
     carries a minus sign, and over identity, x and z types otherwise.
-    Parties are iterated outermost and generator indices innermost; the
-    result is accumulated in a single buffer.  Agrees with
-    :func:`invert_sum` on Hermitian inputs.  ``generators``, the
-    embedded generators of each party for this ``t`` as
-    :func:`reference_inversions` selects them, skips rebuilding them.
+    Parties are iterated outermost and generator indices innermost; each
+    party's sum is accumulated in a single buffer.  Agrees with
+    :func:`invert_sum` on Hermitian inputs.  ``t`` is one mask (a D x D
+    result) or a sequence of masks in any order, possibly repeated (a
+    (K, D, D) stack).  Party by party, the channel runs once on the stack
+    of the distinct sign prefixes the masks need, party 1 first, so over
+    all 2^N masks it is a butterfly that doubles the stack once per party;
+    each member is bit-identical to its own one-mask call.
+    ``generators``, from :func:`embedded_generators`, skips rebuilding them.
     """
-    dims.validate_mask(t)
-    if generators is None:
-        generators = _embedded_generators(dims, t)
-    out = np.asarray(mat, dtype=np.complex128).conj()
-    for d, party_generators in zip(dims.dims, generators):
-        acc = np.zeros_like(out)
-        for h in party_generators:
-            acc += h @ out @ h
-        out = (2.0 / d) * acc
-    return out
+    masks, one = _mask_list(dims, t)
+    plus, minus = embedded_generators(dims) if generators is None else generators
+    out = np.asarray(mat, dtype=np.complex128).conj()[np.newaxis]
+    row = {0: 0}  # sign prefix over the parties done -> its member of out
+    for i, d in enumerate(dims.dims):
+        # ascending, so the prefixes without party i's minus sign come first
+        prefixes = sorted({m & ((2 << i) - 1) for m in masks})
+        parts = []
+        for bit, party_generators in ((0, plus[i]), (1 << i, minus[i])):
+            # distinct and ascending, so as many as out is all of out: no copy
+            parents = [row[p ^ bit] for p in prefixes if p & (1 << i) == bit]
+            if parents:
+                src = out if len(parents) == len(out) else out[parents]
+                acc = np.zeros_like(src)
+                for h in party_generators:
+                    acc += h @ src @ h
+                acc *= 2.0 / d
+                parts.append(acc)
+        out = np.concatenate(parts) if parts else out[:0]
+        row = {p: k for k, p in enumerate(prefixes)}
+    return out[row[masks[0]]] if one else out[[row[m] for m in masks]]
 
 
-# Bytes of embedded reductions (2^N D^2 complex entries) that
-# reference_inversions holds per operand, enough for 8 qubits; beyond
-# it every invert_sum streams its own terms.
+# Bytes of the two (2^N, D, D) stacks, sum and Kraus form, that
+# reference_inversions holds per operand, enough for 7 qubits; beyond it
+# every mask streams its own terms.
 REFERENCE_HOLD_BYTES = 256 << 20
 
 
 def reference_inversions(
-    mat: np.ndarray, dims: SubsystemDims
+    mat: np.ndarray, dims: SubsystemDims, generators: KrausGenerators | None = None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(T, invert_sum(mat, dims, T), invert_kraus(mat, dims, T))``
-    for every mask T in ascending order.  What does not depend on T is
-    done once and handed to those calls: the embedded generators of both
-    signs per party, and one reduction sweep with each reduction embedded
-    once in ascending S.  The embedded reductions are 2^N D^2 entries;
-    above :data:`REFERENCE_HOLD_BYTES` they are not held and every
-    :func:`invert_sum` streams its own."""
-    embedded = None
-    if (1 << dims.n) * dims.total**2 * 16 <= REFERENCE_HOLD_BYTES:
-        reductions = dict(reduction_sweep(mat, dims))
-        embedded = [(s, embed(reductions[s], s, dims)) for s in dims.subset_masks()]
-    plus, minus = (_embedded_generators(dims, t) for t in (0, dims.full_mask))
-    for t in dims.subset_masks():
-        generators = [minus[i] if t >> i & 1 else plus[i] for i in range(dims.n)]
-        yield t, invert_sum(mat, dims, t, embedded), invert_kraus(mat, dims, t, generators)
+    for every mask T in ascending order.  ``generators``, from
+    :func:`embedded_generators`, are built here when None.  Each form is
+    one call over all 2^N masks: the sum form is fed one reduction sweep,
+    each reduction embedded when the sum reaches it (ascending S), so no
+    list of embedded reductions is held.  The two result stacks are
+    2 * 2^N D^2 entries; above :data:`REFERENCE_HOLD_BYTES` nothing is
+    held and every mask is one call per form, with :func:`invert_sum`
+    streaming its own reductions."""
+    if generators is None:
+        generators = embedded_generators(dims)
+    masks = list(dims.subset_masks())
+    if 2 * len(masks) * dims.total**2 * 16 > REFERENCE_HOLD_BYTES:
+        for t in masks:
+            yield t, invert_sum(mat, dims, t), invert_kraus(mat, dims, t, generators)
+        return
+    # the Kraus butterfly's temporaries peak before the sum stack exists
+    by_kraus = invert_kraus(mat, dims, masks, generators)
+    reductions = dict(reduction_sweep(mat, dims))
+    embedded = ((s, embed(reductions[s], s, dims)) for s in masks)
+    yield from zip(masks, invert_sum(mat, dims, masks, embedded), by_kraus)
 
 
 def kraus_operators(dims: SubsystemDims, t: int) -> Iterator[np.ndarray]:

@@ -65,6 +65,8 @@ def state_from_dict(obj: dict, cap: int = DEFAULT_DIM_CAP) -> DensityMatrix | Pu
         dims = SubsystemDims(tuple(obj["dims"]), cap=cap)
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"invalid dims: {exc}") from exc
+    if "label" in obj and not isinstance(obj["label"], str):
+        raise StateFileError(f"invalid label: expected a JSON string, got {obj['label']!r}")
     kind = obj["kind"]
     if kind not in ("pure", "mixed"):
         raise StateFileError(f"unknown state kind {kind!r}")

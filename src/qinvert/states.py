@@ -23,9 +23,11 @@ class DensityMatrix:
 
     Validation happens at construction; the stored matrix is a read-only
     copy, so instances can be shared freely across threads.  ``_psd_known``
-    is internal to this module: :meth:`PureState.density` sets it to skip
-    only the eigen-solve of the PSD check; every other construction runs
-    the full validation.
+    is internal to this module: the two constructors whose result is PSD
+    by construction, :meth:`from_gram` and :meth:`PureState.density`, set
+    it to skip only the eigen-solve of the PSD check (shape, finiteness,
+    Hermiticity and trace are still checked); every other construction,
+    a state file included, runs the full validation.
     """
 
     matrix: np.ndarray
@@ -55,6 +57,16 @@ class DensityMatrix:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def from_gram(cls, g: np.ndarray, dims: SubsystemDims) -> "DensityMatrix":
+        """The state G G^dag / Tr(G G^dag) of a D x r matrix ``g``, averaged
+        with its adjoint so it is exactly Hermitian.  A Gram matrix is PSD,
+        and rounding moves its eigenvalues by about r eps of its trace, far
+        inside the PSD tolerance, so validation skips the eigen-solve."""
+        mat = g @ g.conj().T
+        mat = (mat + mat.conj().T) / 2.0
+        return cls(mat / np.trace(mat).real, dims, _psd_known=True)
 
     def reduce(self, keep: int) -> "DensityMatrix":
         """Reduced state on the parties in ``keep``."""

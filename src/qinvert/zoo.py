@@ -160,9 +160,7 @@ def ginibre_mixed(
         raise ValueError(f"rank must lie in 1..{d}, got {rank}")
     rng = stream_rng(seed, member)
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    mat = g @ g.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    return DensityMatrix(mat / np.trace(mat).real, dims)
+    return DensityMatrix.from_gram(g, dims)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

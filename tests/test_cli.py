@@ -417,7 +417,8 @@ def test_invariants_exit_1_when_a_printed_pass_is_false(capsys, monkeypatch, bel
     ('{"dims": ["2", "2"], "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "dims"),
     ('{"dims": [2], "kind": "pure", "data": [[true, false], [false, false]]}', "data"),
     ('{"dims": [2], "kind": "pure", "data": [[' + "9" * 400 + ', 0], [0, 0]]}', "data"),
-], ids=["float-dims", "string-dims", "boolean-data", "overflowing-data"])
+    ('{"dims": [2], "kind": "pure", "data": [[1, 0], [0, 0]], "label": 5}', "label"),
+], ids=["float-dims", "string-dims", "boolean-data", "overflowing-data", "number-label"])
 def test_malformed_state_file_numbers_are_input_errors(capsys, tmp_path, text, field):
     path = tmp_path / "state.json"
     path.write_text(text)
@@ -456,6 +457,18 @@ def test_make_state_rejects_an_option_its_kind_does_not_read(capsys, tmp_path, a
     assert code == 2
     assert not out.exists()
     assert f"'{option}'" in captured.err and "Traceback" not in captured.err
+
+
+def test_a_state_file_with_a_negative_eigenvalue_is_an_input_error(capsys, tmp_path):
+    """Files keep the full validation, eigen-solve included."""
+    path = tmp_path / "not_psd.json"
+    path.write_text('{"dims": [2], "kind": "mixed", '
+                    '"data": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}')
+    code = main(["check", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "negative eigenvalue" in captured.err and "Traceback" not in captured.err
 
 
 def test_an_undecodable_state_file_is_a_state_file_error(capsys, tmp_path):
@@ -547,3 +560,14 @@ def test_verify_lines_do_not_depend_on_the_stack_bound(capsys, monkeypatch):
     code_split, split = run(capsys, *argv)
     assert code == code_split == 0
     assert _strip_elapsed(split) == _strip_elapsed(whole)
+
+
+def test_consecutive_verify_runs_in_one_process_print_the_same_lines(capsys):
+    """Nothing built for one invocation (Kraus generators, stacks) outlives
+    it or changes the next one's lines."""
+    argv = ["verify", "--dims", "2,3,2", "--size", "3", "--seed", "8"]
+    code, first = run(capsys, *argv)
+    code_again, second = run(capsys, *argv)
+    assert code == code_again == 0
+    assert {line["family"] for line in first} == {*cli.VERIFY_SUITES, "summary"}
+    assert _strip_elapsed(second) == _strip_elapsed(first)

@@ -6,15 +6,17 @@ call) and the all-masks stacks built on it, the stacked smallest
 eigenvalue, its block form behind coarse_grain_invert and
 choi_matrix, the signed-embed sum shared by invert_sum and the
 witnesses from marginals, the broadcast embed and block product (with the
-Kraus operators built on it), the all-masks pass of the reference
-routes, the purity profile a pure state sweeps without forming a
-DensityMatrix, and the invariant table every scalar family reads.  The
-formulas the kernels replaced are kept here as oracles."""
+Kraus operators built on it), the mask-sequence form of the reference
+routes and their all-masks pass, the purity profile a pure state sweeps
+without forming a DensityMatrix, and the invariant table every scalar
+family reads.  The formulas the kernels replaced are kept here as
+oracles."""
 
 import functools
 import itertools
 import math
 import operator
+import re
 from unittest import mock
 
 import numpy as np
@@ -473,6 +475,38 @@ def test_reference_inversions_equal_the_single_mask_routes(dims, seed):
         assert np.array_equal(by_sum, invert_sum(mat, dims, t))
         assert np.array_equal(by_kraus, invert_kraus(mat, dims, t))
     assert masks == list(dims.subset_masks())
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), seed=seeds, data=st.data())
+def test_mask_sequences_are_bit_identical_to_one_mask_calls(dims, seed, data):
+    """invert_sum and invert_kraus on a sequence of masks, in any order and
+    possibly repeated, return the (K, D, D) stack of their one-mask calls
+    bit for bit: the sum form both streaming its reductions and fed the
+    embedded sweep as reference_inversions feeds it, the Kraus form with
+    and without prebuilt generators.  An invalid mask anywhere in the
+    sequence raises a ValueError naming it."""
+    mat = random_operator(dims, seed)
+    masks = data.draw(st.lists(st.integers(0, dims.full_mask), max_size=2 << dims.n))
+    reductions = dict(reduction_sweep(mat, dims))
+    fed = ((s, embed(reductions[s], s, dims)) for s in dims.subset_masks())
+    stacks = {
+        "streamed sum": invert_sum(mat, dims, masks),
+        "held sum": invert_sum(mat, dims, masks, fed),
+        "kraus": invert_kraus(mat, dims, masks),
+        "prebuilt kraus": invert_kraus(mat, dims, masks, inversion.embedded_generators(dims)),
+    }
+    for k, t in enumerate(masks):
+        by_sum, by_kraus = invert_sum(mat, dims, t), invert_kraus(mat, dims, t)
+        assert by_sum.shape == by_kraus.shape == (dims.total, dims.total)
+        for name, stack in stacks.items():
+            assert stack.shape == (len(masks), dims.total, dims.total)
+            assert bit_identical(stack[k], by_kraus if "kraus" in name else by_sum), (name, t)
+    bad = data.draw(st.sampled_from([-1, 1 << dims.n, dims.full_mask + 5]))
+    at = data.draw(st.integers(0, len(masks)))
+    for form in (invert_sum, invert_kraus):
+        with pytest.raises(ValueError, match=f"mask {re.escape(bin(bad))} "):
+            form(mat, dims, masks[:at] + [bad] + masks[at:])
 
 
 @pytest.mark.parametrize("local_dims", [(2, 3), (2, 2, 2), (3, 2, 2)])

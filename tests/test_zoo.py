@@ -127,6 +127,28 @@ def test_ginibre_rank_control():
         ginibre_mixed(dims, 12, rank=5)
 
 
+@pytest.mark.parametrize("local_dims, rank", [
+    ((2,), 1), ((2, 3), None), ((2, 3), 1), ((3, 2, 4), 5), ((4, 2), 8), ((2, 2, 2), 2),
+])
+def test_ginibre_is_the_validated_gram_state_without_an_eigen_solve(monkeypatch, local_dims, rank):
+    """The Gram constructor skips only the PSD eigen-solve: the matrix is
+    the one the fully validated construction stores, bit for bit."""
+    dims = SubsystemDims(local_dims)
+    rng = stream_rng(31, 2)
+    d = dims.total
+    g = rng.normal(size=(d, rank or d)) + 1j * rng.normal(size=(d, rank or d))
+    mat = g @ g.conj().T
+    mat = (mat + mat.conj().T) / 2.0
+    validated = DensityMatrix(mat / np.trace(mat).real, dims)
+    solves = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a) or real(a))
+    rho = ginibre_mixed(dims, 31, member=2, rank=rank)
+    assert solves == []
+    assert np.array_equal(rho.matrix, validated.matrix)
+    assert not rho.matrix.flags.writeable
+
+
 def test_haar_unitary_is_unitary():
     rng = stream_rng(13)
     for d in (2, 3):
