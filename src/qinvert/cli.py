@@ -47,7 +47,7 @@ from .inversion import (
     DetectionParams, apply_detection_map, embedded_generators, inversion_stacks,
     reference_inversions,
 )
-from .io import StateFileError, read_state_file, write_state_file
+from .io import StateFileError, read_state_file, state_text, write_state_file
 from .states import DensityMatrix, PureState
 from .tensor import block_product, min_eigenvalue
 from .zoo import (
@@ -333,7 +333,7 @@ def _factorization(dims: SubsystemDims, size: int, seed: int) -> Rows:
         sc = dims.full_mask ^ s
         rho_s = ginibre_mixed(SubsystemDims(dims.dims_of(s)), seed, member=2 * k)
         rho_c = ginibre_mixed(SubsystemDims(dims.dims_of(sc)), seed, member=2 * k + 1)
-        prod = assemble_product(dims, {s: rho_s.matrix, sc: rho_c.matrix})
+        prod = assemble_product(dims, {s: rho_s, sc: rho_c})
         inv_s = np.concatenate(list(inversion_stacks(rho_s.matrix, rho_s.dims)))
         inv_c = np.concatenate(list(inversion_stacks(rho_c.matrix, rho_c.dims)))
         all_masks = dims.subset_masks()
@@ -406,9 +406,8 @@ def cmd_make_state(args: argparse.Namespace) -> int:
     )
     state = build(recipe)
     if args.out is None or args.out == "-":
-        from .io import state_to_dict
-
-        sys.stdout.write(json.dumps(state_to_dict(state, label=args.label)) + "\n")
+        sys.stdout.write(state_text(state, label=args.label))
+        sys.stdout.write("\n")
     else:
         write_state_file(args.out, state, label=args.label)
     return 0

@@ -21,10 +21,12 @@ from .states import DensityMatrix, PureState
 from .tensor import (
     TOL_HERM,
     _require_finite,
+    _require_hermitian,
     embed,
     herm_defect,
     min_eigenvalue,
     partial_trace,
+    psd_violation,
     reduction_sweep,
     signed_subset_sums,
     subset_purities,
@@ -144,7 +146,11 @@ def shadow_value(
 
 
 def is_psd(mat: np.ndarray, tol: float = PSD_TOL) -> bool:
-    return min_eigenvalue(np.asarray(mat, dtype=np.complex128)) >= -tol
+    """lambda_min >= -tol for a finite Hermitian operator (or each member of
+    a stack), by the Cholesky certificate of :func:`~qinvert.tensor.psd_violation`."""
+    h = np.asarray(mat, dtype=np.complex128)
+    _require_hermitian(h)
+    return psd_violation(h, tol) is None
 
 
 def shadow_report(
@@ -279,6 +285,10 @@ class MarginalWitness:
             raise ValueError(f"witness operator is not Hermitian: defect {defect:.3e}")
 
 
+def _witness(t: int, out: np.ndarray) -> MarginalWitness:
+    return MarginalWitness(t=t, operator=out, min_eig=min_eigenvalue(out))
+
+
 def _build_witness(
     marginals: Mapping[int, np.ndarray], dims: SubsystemDims, t: int
 ) -> MarginalWitness:
@@ -286,24 +296,24 @@ def _build_witness(
     the empty set contributing the identity."""
     terms = [(0, np.ones((1, 1)))] + [(s, marginals[s]) for s in range(1, dims.full_mask)]
     out = _signed_sums(((s, embed(op_s, s, dims)) for s, op_s in terms), dims, [t])[0]
-    return MarginalWitness(t=t, operator=out, min_eig=min_eigenvalue(out))
+    return _witness(t, out)
 
 
 def _odd_masks(dims: SubsystemDims) -> list[int]:
     return [t for t in dims.subset_masks() if mask_size(t) % 2 == 1]
 
 
-def _state_witness(rho: DensityMatrix, t: int) -> MarginalWitness:
-    out = invert_product(rho.matrix, rho.dims, t) + rho.matrix
-    return MarginalWitness(t=t, operator=out, min_eig=min_eigenvalue(out))
+def _witness_operator(rho: DensityMatrix, t: int) -> np.ndarray:
+    """W_T = I_T(rho) + rho (the full-set term of I_T(rho) is -rho for odd
+    T), evaluated by the factor kernel of :func:`invert_product`."""
+    return invert_product(rho.matrix, rho.dims, t) + rho.matrix
 
 
 def marginal_witnesses(rho: DensityMatrix) -> list[MarginalWitness]:
     """Witnesses for every odd-size mask from the state's own marginals
-    (always PSD up to solver noise for a genuine state).  With the global
-    state known, W_T = I_T(rho) + rho (the full-set term of I_T(rho) is
-    -rho for odd T), evaluated by the factor kernel of :func:`invert_product`."""
-    return [_state_witness(rho, t) for t in _odd_masks(rho.dims)]
+    (always PSD up to solver noise for a genuine state), with the global
+    state known."""
+    return [_witness(t, _witness_operator(rho, t)) for t in _odd_masks(rho.dims)]
 
 
 def marginal_witnesses_from_marginals(
@@ -363,10 +373,10 @@ def marginal_witnesses_from_marginals(
 
 
 def marginal_report(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintReport:
-    """2^(N-1) D x D eigen-solves; witnesses are built, checked and
-    dropped one at a time."""
+    """2^(N-1) D x D eigen-solves; witnesses are built, checked finite and
+    Hermitian by :func:`min_eigenvalue`, and dropped one at a time."""
     entries = [
-        _entry(mask_bitstring(t, rho.dims.n), _state_witness(rho, t).min_eig, tol)
+        _entry(mask_bitstring(t, rho.dims.n), min_eigenvalue(_witness_operator(rho, t)), tol)
         for t in _odd_masks(rho.dims)
     ]
     return ConstraintReport(family="marginal", entries=entries, tolerance=tol)

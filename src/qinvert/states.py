@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
-from .dims import SubsystemDims
+from .dims import SubsystemDims, mask_bitstring
 from .tensor import (
-    TOL_HERM, _require_finite, herm_defect, partial_trace, subset_purities, trace_product
+    TOL_HERM, _require_finite, block_product, herm_defect, partial_trace, psd_violation,
+    subset_purities, trace_product,
 )
 
 TOL_TRACE = 1e-10
@@ -22,12 +24,14 @@ class DensityMatrix:
     """A normalized state: Hermitian, unit trace, positive semidefinite.
 
     Validation happens at construction; the stored matrix is a read-only
-    copy, so instances can be shared freely across threads.  ``_psd_known``
-    is internal to this module: the two constructors whose result is PSD
-    by construction, :meth:`from_gram` and :meth:`PureState.density`, set
-    it to skip only the eigen-solve of the PSD check (shape, finiteness,
-    Hermiticity and trace are still checked); every other construction,
-    a state file included, runs the full validation.
+    copy, so instances can be shared freely across threads.  The PSD check
+    is :func:`~qinvert.tensor.psd_violation`: a Cholesky certificate, with
+    an eigen-solve only to name a failure.  ``_psd_known`` is internal to
+    this module: the constructors whose result is PSD by construction,
+    :meth:`from_gram`, :meth:`from_product` and :meth:`PureState.density`,
+    set it to skip only the PSD check (shape, finiteness, Hermiticity and
+    trace are still checked); every other construction, a state file
+    included, runs the full validation.
     """
 
     matrix: np.ndarray
@@ -50,8 +54,8 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"density matrix trace {tr} is not 1 within {TOL_TRACE}")
-        lo = 0.0 if _psd_known else float(np.linalg.eigvalsh(mat)[0])
-        if lo < -TOL_PSD:
+        lo = None if _psd_known else psd_violation(mat, TOL_PSD)
+        if lo is not None:
             raise ValueError(
                 f"density matrix has negative eigenvalue {lo:.3e} below -{TOL_PSD}"
             )
@@ -67,6 +71,28 @@ class DensityMatrix:
         mat = g @ g.conj().T
         mat = (mat + mat.conj().T) / 2.0
         return cls(mat / np.trace(mat).real, dims, _psd_known=True)
+
+    @classmethod
+    def from_product(
+        cls, parts: Mapping[int, "DensityMatrix"], dims: SubsystemDims
+    ) -> "DensityMatrix":
+        """The tensor product of states keyed by party masks that partition
+        the parties of ``dims``, each on its parties in party order.  Its
+        eigenvalues are products of the blocks' eigenvalues, so it is as
+        PSD as its validated blocks, and each entry is one rounded product
+        of block entries; validation skips the PSD check."""
+        covered = 0
+        for s, rho in parts.items():
+            if rho.dims.dims != dims.dims_of(s):
+                raise ValueError(
+                    f"block {mask_bitstring(s, dims.n)} has dims {rho.dims.dims}, "
+                    f"expected {dims.dims_of(s)}"
+                )
+            covered |= s
+        if covered != dims.full_mask:
+            raise ValueError("product blocks must cover all parties")
+        return cls(block_product({s: rho.matrix for s, rho in parts.items()}, dims), dims,
+                   _psd_known=True)
 
     def reduce(self, keep: int) -> "DensityMatrix":
         """Reduced state on the parties in ``keep``."""

@@ -195,11 +195,10 @@ def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> np.ndarray:
     return out
 
 
-def min_eigenvalue(h: np.ndarray, tol_herm: float = TOL_HERM) -> float:
-    """Smallest eigenvalue of a Hermitian operator, or the smallest over a
-    (K, D, D) stack of them from one stacked ``eigvalsh``.  Every member is
-    checked finite and Hermitian first; the error for a stack gives the
-    member that is not."""
+def _require_hermitian(h: np.ndarray, tol_herm: float = TOL_HERM) -> None:
+    """Check an operator, or every member of a (K, D, D) stack, finite and
+    Hermitian within ``tol_herm``; the error for a stack gives the member
+    that is not."""
     _require_finite(h, "operator" if h.ndim == 2 else "operator stack")
     defects = np.atleast_1d(herm_defect(h))
     bad = np.flatnonzero(defects > tol_herm)
@@ -207,4 +206,50 @@ def min_eigenvalue(h: np.ndarray, tol_herm: float = TOL_HERM) -> float:
         k = int(bad[0])
         what = "operator" if h.ndim == 2 else f"operator {k} of the stack"
         raise ValueError(f"{what} is not Hermitian: max |h - h^dag| = {defects[k]:.3e}")
+
+
+def min_eigenvalue(h: np.ndarray, tol_herm: float = TOL_HERM) -> float:
+    """Smallest eigenvalue of a Hermitian operator, or the smallest over a
+    (K, D, D) stack of them from one stacked ``eigvalsh``.  Every member is
+    checked finite and Hermitian first."""
+    _require_hermitian(h, tol_herm)
     return float(np.linalg.eigvalsh(h)[..., 0].min())
+
+
+def psd_violation(h: np.ndarray, tol: float) -> float | None:
+    """None when the finite Hermitian operator ``h`` (or every member of a
+    (K, D, D) stack) has lambda_min >= -tol; otherwise the smallest
+    eigenvalue from ``eigvalsh``, which is then below -tol.  Like
+    ``eigvalsh``, it reads the lower triangle of ``h``.
+
+    The test is Rump's certificate (Verification of positive definiteness,
+    BIT Numer. Math. 46, 433 (2006)): ``np.linalg.cholesky`` of a copy of
+    A = h + (tol - r) 1, shifted on its diagonal in place.  If it runs to
+    completion, lambda_min(h) >= -tol.  The computed factor satisfies
+    R^H R = A + E with ||E||_2 <= gamma_{D+1} / (1 - gamma_{D+1}) tr A,
+    gamma_k = k u / (1 - k u), u = 2^-53 (Demmel's bound, Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 10.5), so the shift must
+    exceed that by r.  The code takes
+
+        r = g / (1 - g) * (sum_i |h_ii| + D tol),  g = 2 gamma_{D+2},
+
+    where doubling gamma covers complex inner products and the rounding
+    of the shifted diagonal.  For a density matrix r is about
+    2 (D + 2) u: 1e-12 at D = 4096, far below tol = 1e-9.  (Underflow
+    terms, below 1e-300, are left out.)
+
+    Only when the factorization fails does ``eigvalsh`` run, so a verdict
+    can differ from a raw ``eigvalsh`` one only where that solve's own
+    rounding straddles -tol, and a failure is named by its exact value."""
+    d = h.shape[-1]
+    u = np.finfo(np.float64).eps / 2.0
+    g = 2.0 * (d + 2) * u / (1.0 - (d + 2) * u)
+    r = g / (1.0 - g) * (np.abs(h.diagonal(0, -2, -1).real).sum(-1) + d * tol)
+    shifted = np.array(h, dtype=np.complex128, order="C")
+    shifted.reshape(shifted.shape[:-2] + (d * d,))[..., :: d + 1] += np.expand_dims(tol - r, -1)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        low = float(np.linalg.eigvalsh(h)[..., 0].min())
+        return low if low < -tol else None
+    return None

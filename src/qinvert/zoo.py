@@ -111,16 +111,11 @@ def pinned_ghz_state(n: int, pins: int) -> PureState:
 
 
 def assemble_product(
-    dims: SubsystemDims, parts: dict[int, np.ndarray]
+    dims: SubsystemDims, parts: dict[int, DensityMatrix]
 ) -> DensityMatrix:
-    """Product state from block density matrices keyed by party mask; the
-    masks must partition the parties."""
-    covered = 0
-    for s in parts:
-        covered |= s
-    if covered != dims.full_mask:
-        raise ValueError("product blocks must cover all parties")
-    return DensityMatrix(block_product(parts, dims), dims)
+    """Product state from block states keyed by party mask; the masks must
+    partition the parties (:meth:`DensityMatrix.from_product`)."""
+    return DensityMatrix.from_product(parts, dims)
 
 
 def bell_pair_with_mixed_qubit(pair: tuple[int, int] = (1, 2)) -> DensityMatrix:
@@ -132,10 +127,8 @@ def bell_pair_with_mixed_qubit(pair: tuple[int, int] = (1, 2)) -> DensityMatrix:
     dims = SubsystemDims((2, 2, 2))
     pair_mask = 1 << (a - 1) | 1 << (b - 1)
     bell = bell_state().density()
-    mixed = np.eye(2, dtype=np.complex128) / 2.0
-    return assemble_product(
-        dims, {pair_mask: bell.matrix, dims.full_mask ^ pair_mask: mixed}
-    )
+    mixed = DensityMatrix(np.eye(2, dtype=np.complex128) / 2.0, SubsystemDims((2,)))
+    return assemble_product(dims, {pair_mask: bell, dims.full_mask ^ pair_mask: mixed})
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,15 @@ def test_make_state_to_stdout(capsys):
     assert obj["dims"] == [2, 2]
 
 
+@pytest.mark.parametrize("recipe", [["bell_phi_plus", "--dims", "2,2"],
+                                    ["ginibre_mixed", "--dims", "2,3", "--seed", "4"]])
+def test_make_state_prints_the_bytes_it_writes(capsys, tmp_path, recipe):
+    path = tmp_path / "state.json"
+    assert main(["make-state", "--kind", *recipe, "--label", "x", "--out", str(path)]) == 0
+    assert main(["make-state", "--kind", *recipe, "--label", "x"]) == 0
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
 def test_report_file_output(tmp_path, bell_file, capsys):
     out = tmp_path / "report.jsonl"
     code = main(["check", "--state", bell_file, "--families", "correlation",
@@ -519,11 +528,15 @@ def test_mixed_check_shadow_sweeps_once_and_solves_once(capsys, monkeypatch, tmp
     write_state_file(path, ginibre_mixed(SubsystemDims((2, 3, 2)), 23))
     sweeps = _count_calls(monkeypatch, tensor, "reduction_sweep")
     sweeps_here = _count_calls(monkeypatch, constraints, "reduction_sweep")
-    solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    on_load = _count_calls(monkeypatch, states, "psd_violation")
+    in_shadow = _count_calls(monkeypatch, constraints, "psd_violation")
+    eigen_solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     code, lines = run(capsys, "check", "--state", str(path), "--families", "shadow")
     assert code == 0 and len(lines) == 8
     assert len(sweeps) + len(sweeps_here) == 1
-    assert len(solves) == 2  # validation on load, then one PSD test
+    # validation on load, then one PSD test, each certified by its Cholesky
+    assert len(on_load) == len(in_shadow) == 1
+    assert eigen_solves == []
 
 
 def _strip_elapsed(lines):

@@ -110,7 +110,7 @@ def test_factorization_on_product_states():
     s, sc = 0b011, 0b100
     rho_s = ginibre_mixed(SubsystemDims((2, 2)), 204, member=0)
     rho_c = ginibre_mixed(SubsystemDims((2,)), 204, member=1)
-    prod = assemble_product(dims, {s: rho_s.matrix, sc: rho_c.matrix})
+    prod = assemble_product(dims, {s: rho_s, sc: rho_c})
     for t in dims.subset_masks():
         t_s = t & 0b011
         t_c = (t & 0b100) >> 2

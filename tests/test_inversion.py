@@ -140,7 +140,7 @@ def test_factorization_on_product_states():
         sc = dims.full_mask ^ s
         rho_s = ginibre_mixed(SubsystemDims(dims.dims_of(s)), 104, member=2 * k)
         rho_c = ginibre_mixed(SubsystemDims(dims.dims_of(sc)), 104, member=2 * k + 1)
-        prod = assemble_product(dims, {s: rho_s.matrix, sc: rho_c.matrix})
+        prod = assemble_product(dims, {s: rho_s, sc: rho_c})
         for t in dims.subset_masks():
             t_s = _restrict(t, s)
             t_c = _restrict(t, sc)

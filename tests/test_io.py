@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from qinvert.dims import SubsystemDims
 from qinvert.io import (
     StateFileError,
+    _entries,
     read_state_file,
     state_from_dict,
+    state_text,
     write_state_file,
 )
 from qinvert.states import DensityMatrix, PureState
@@ -170,3 +172,93 @@ def test_integer_data_entries_are_accepted_exactly():
     state = state_from_dict({"dims": [2, 2], "kind": "pure", "data": KET_00})
     assert np.array_equal(state.vector.view(np.uint64),
                           np.array([1, 0, 0, 0], dtype=np.complex128).view(np.uint64))
+
+
+def per_entry_state_text(state, label=None):
+    """The writer as it was before it read the [re, im] pairs from one
+    float64 view: one pair per complex entry, then json.dumps and a
+    newline.  Kept as the byte-for-byte oracle."""
+    out = {"dims": list(state.dims.dims)}
+    if isinstance(state, PureState):
+        out["kind"] = "pure"
+        out["data"] = [[z.real, z.imag] for z in state.vector]
+    else:
+        out["kind"] = "mixed"
+        out["data"] = [[[z.real, z.imag] for z in row] for row in state.matrix]
+    if label is not None:
+        out["label"] = label
+    return json.dumps(out) + "\n"
+
+
+def unchecked(cls, values, dims):
+    """A state holding ``values`` without validation: the codec reads only
+    the dims and the stored array, so entries no valid state can hold
+    (3.0, 1e16) still reach the writer."""
+    state = object.__new__(cls)
+    object.__setattr__(state, "vector" if cls is PureState else "matrix", np.asarray(values))
+    object.__setattr__(state, "dims", dims)
+    return state
+
+
+ENCODED = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 3.0, 0.1, 1 / 3])
+
+
+@ROUNDTRIP
+@given(seed=st.integers(0, 2**32 - 1), local=st.sampled_from([(2,), (2, 3), (2, 2, 2)]),
+       label=st.sampled_from([None, "", "ghz é\n\"q\""]), data=st.data())
+def test_the_writer_writes_the_bytes_of_the_per_entry_encoder(tmp_path_factory, seed, local,
+                                                             label, data):
+    dims = SubsystemDims(local)
+    d = dims.total
+    n = data.draw(st.integers(1, 4))
+    picks = data.draw(st.lists(st.integers(0, d * d - 1), min_size=n, max_size=n, unique=True))
+    specials = [complex(data.draw(ENCODED), data.draw(ENCODED)) for _ in picks]
+    vec = np.array(haar_pure(dims, seed).vector)
+    vec[[k % d for k in picks]] = specials
+    mat = np.array(ginibre_mixed(dims, seed).matrix)
+    mat.reshape(-1)[picks] = specials
+    states = [haar_pure(dims, seed), ginibre_mixed(dims, seed),
+              unchecked(PureState, vec, dims), unchecked(DensityMatrix, mat, dims)]
+    path = tmp_path_factory.mktemp("writer") / "state.json"
+    for state in states:
+        write_state_file(path, state, label=label)
+        assert path.read_bytes() == per_entry_state_text(state, label).encode("utf-8")
+        assert state_text(state, label) + "\n" == per_entry_state_text(state, label)
+
+
+@pytest.mark.parametrize("state", [haar_pure(SubsystemDims((3, 2)), 7),
+                                   ginibre_mixed(SubsystemDims((2, 3)), 7, rank=2)])
+def test_read_then_write_gives_back_the_same_bytes(tmp_path, state):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_state_file(first, state, label="again")
+    write_state_file(second, read_state_file(first), label="again")
+    assert second.read_bytes() == first.read_bytes()
+
+
+numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**1100, 2**1100))
+
+
+@ROUNDTRIP
+@given(data=st.data(), d=st.integers(1, 4), mixed=st.booleans())
+def test_the_flat_decoder_reads_what_the_nested_conversion_reads(data, d, mixed):
+    shape = (d, d) if mixed else (d,)
+    values = data.draw(st.lists(numbers, min_size=2 * d**len(shape), max_size=2 * d**len(shape)))
+    nested = np.array(values, dtype=object).reshape(shape + (2,)).tolist()
+    try:
+        expected = np.array(nested, dtype=np.float64)
+    except OverflowError:
+        with pytest.raises(StateFileError, match="invalid data: int too large"):
+            _entries(nested, shape)
+        return
+    got = _entries(nested, shape)
+    assert got.shape == shape
+    assert got.view(np.float64).tobytes() == expected.tobytes()
+
+
+def test_a_state_file_with_a_negative_eigenvalue_names_it():
+    obj = {"dims": [2], "kind": "mixed", "data": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}
+    with pytest.raises(StateFileError) as exc:
+        state_from_dict(obj)
+    assert str(exc.value) == (
+        "invalid state data: density matrix has negative eigenvalue -5.000e-01 below -1e-09")

@@ -8,10 +8,11 @@ choi_matrix, the signed-embed sum shared by invert_sum and the
 witnesses from marginals, the broadcast embed and block product (with the
 Kraus operators built on it), the mask-sequence form of the reference
 routes and their all-masks pass, the purity profile a pure state sweeps
-without forming a DensityMatrix, and the invariant table every scalar
-family reads.  The formulas the kernels replaced are kept here as
-oracles."""
+without forming a DensityMatrix, the invariant table every scalar
+family reads, and the Cholesky PSD certificate, pinned to eigvalsh.  The
+formulas the kernels replaced are kept here as oracles."""
 
+import contextlib
 import functools
 import itertools
 import math
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from qinvert import inversion
 from qinvert.constraints import (
     correlation_constraint,
+    is_psd,
     correlation_report,
     entropy_inequalities,
     marginal_report,
@@ -53,10 +55,13 @@ from qinvert.inversion import (
 )
 from qinvert.states import linear_entropies
 from qinvert.tensor import (
+    TOL_HERM,
     block_product,
     embed,
+    herm_defect,
     min_eigenvalue,
     partial_trace,
+    psd_violation,
     reduction_sweep,
     signed_subset_sums,
     subset_purities,
@@ -579,3 +584,110 @@ def test_stacked_min_eigenvalue_is_the_least_and_names_a_bad_member(dims, k, see
     broken[-1, j, j] = np.inf
     with pytest.raises(ValueError, match=rf"operator stack has non-finite .* at index \({bad}, "):
         min_eigenvalue(broken)
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky PSD certificate against eigvalsh
+
+TOL_PSD = 1e-9
+
+
+def planted(d, low, seed):
+    """A Hermitian operator with smallest eigenvalue ``low`` (up to the
+    rounding of the product) and the others in [0, 2/d]: a near-boundary
+    density operator."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    lam = rng.uniform(0.0, 2.0 / d, size=d)
+    lam[0] = low
+    h = (q * lam) @ q.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+@contextlib.contextmanager
+def counted_eigen_solves():
+    calls = []
+    real = np.linalg.eigvalsh
+    with mock.patch.object(np.linalg, "eigvalsh", lambda a: calls.append(a) or real(a)):
+        yield calls
+
+
+PSD_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+planted_lows = st.floats(-2 * TOL_PSD, 2 * TOL_PSD)
+
+
+@PSD_PROPERTY
+@given(d=st.integers(1, 64), low=planted_lows, seed=seeds)
+def test_psd_certificate_is_never_false_and_a_failure_is_the_eigvalsh_value(d, low, seed):
+    h = planted(d, low, seed)
+    lo = float(np.linalg.eigvalsh(h)[0])
+    with counted_eigen_solves() as solves:
+        got = psd_violation(h, TOL_PSD)
+    if lo < -TOL_PSD - 1e-13:
+        assert got == lo
+    # a violation is only ever reported with eigvalsh's value below -tol
+    assert got is None or (got == lo and lo < -TOL_PSD)
+    if lo > -TOL_PSD + 1e-10:
+        assert solves == []  # certified by the Cholesky alone
+
+
+@pytest.mark.parametrize("d", [1, 7, 64])
+@pytest.mark.parametrize("offset", [-1e-11, -2e-12, -5e-13, -2e-13, 2e-13, 5e-13, 1e-11])
+def test_psd_verdict_next_to_the_tolerance_is_the_eigvalsh_verdict(d, offset):
+    h = planted(d, -TOL_PSD + offset, d)
+    lo = float(np.linalg.eigvalsh(h)[0])
+    got = psd_violation(h, TOL_PSD)
+    assert abs(lo - (-TOL_PSD + offset)) < 1e-13
+    assert got == (lo if lo < -TOL_PSD else None)
+
+
+@PSD_PROPERTY
+@given(d=st.integers(2, 64), low=planted_lows, seed=seeds)
+def test_an_upper_triangle_off_within_the_hermiticity_tolerance_gets_the_eigvalsh_verdict(
+    d, low, seed
+):
+    h = planted(d, low, seed)
+    rng = np.random.default_rng(seed + 1)
+    upper = np.triu_indices(d, 1)
+    k = upper[0].size
+    skewed = h.copy()
+    skewed[upper] += TOL_HERM / 2 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k))
+    assert herm_defect(skewed) <= TOL_HERM
+    lo = float(np.linalg.eigvalsh(skewed)[0])
+    got = psd_violation(skewed, TOL_PSD)
+    # both the Cholesky and eigvalsh read the lower triangle
+    assert lo == float(np.linalg.eigvalsh(h)[0])
+    assert got == psd_violation(h, TOL_PSD)
+    if abs(lo + TOL_PSD) > 1e-13:
+        assert (got is None) == (lo >= -TOL_PSD) == is_psd(skewed)
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=64), rank=st.integers(1, 3), seed=seeds)
+def test_low_rank_states_are_certified_without_an_eigen_solve(dims, rank, seed):
+    rank = min(rank, dims.total)
+    mixed = ginibre_mixed(dims, seed, rank=rank).matrix
+    pure = haar_pure(dims, seed).density().matrix
+    with counted_eigen_solves() as solves:
+        assert psd_violation(mixed, TOL_PSD) is None
+        assert psd_violation(pure, TOL_PSD) is None
+    assert solves == []
+
+
+@pytest.mark.parametrize("d, rank", [(128, 1), (256, 2), (512, 1)])
+def test_large_low_rank_states_are_certified(d, rank):
+    dims = SubsystemDims((2,) * (d.bit_length() - 1))
+    with counted_eigen_solves() as solves:
+        assert psd_violation(ginibre_mixed(dims, d, rank=rank).matrix, TOL_PSD) is None
+    assert solves == []
+
+
+@PROPERTY
+@given(d=st.integers(1, 16), lows=st.lists(planted_lows, min_size=1, max_size=4), seed=seeds)
+def test_psd_certificate_of_a_stack_judges_every_member(d, lows, seed):
+    stack = np.stack([planted(d, low, seed + i) for i, low in enumerate(lows)])
+    got = psd_violation(stack, TOL_PSD)
+    lo = np.linalg.eigvalsh(stack)[..., 0]
+    assert got is None or got == float(lo.min())
+    if np.all(np.abs(lo + TOL_PSD) > 1e-13):
+        assert (got is None) == all(psd_violation(h, TOL_PSD) is None for h in stack)

@@ -6,7 +6,8 @@ from qinvert.constraints import correlation_report, entropy_inequalities, monoga
 from qinvert.dims import SubsystemDims
 from qinvert.invariants import invariant_table
 from qinvert.states import DensityMatrix, PureState
-from qinvert.zoo import bell_state, ginibre_mixed, haar_pure
+from qinvert.tensor import block_product
+from qinvert.zoo import assemble_product, bell_state, ginibre_mixed, haar_pure
 
 
 def test_density_matrix_accepts_valid_state():
@@ -98,8 +99,8 @@ def test_purity_profile_is_swept_once_per_state_and_read_only(monkeypatch):
 def test_pure_density_skips_only_the_psd_eigen_solve(monkeypatch):
     psi = haar_pure(SubsystemDims((2, 3)), 5)
     solves = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a) or real(a))
+    real = states.psd_violation
+    monkeypatch.setattr(states, "psd_violation", lambda *a: solves.append(a) or real(*a))
     rho = psi.density()
     assert solves == []
     assert np.array_equal(rho.matrix, np.outer(psi.vector, psi.vector.conj()))
@@ -108,3 +109,35 @@ def test_pure_density_skips_only_the_psd_eigen_solve(monkeypatch):
     assert len(solves) == 1
     with pytest.raises(ValueError, match="Hermitian"):
         DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]]), SubsystemDims((2,)), _psd_known=True)
+
+
+@pytest.mark.parametrize("local_dims, s", [
+    ((2, 2), 0b01), ((2, 3, 2), 0b101), ((3, 2, 2), 0b011), ((2, 2, 2, 2), 0b0110),
+])
+def test_product_constructor_is_the_validated_product_without_a_psd_check(
+    monkeypatch, local_dims, s
+):
+    dims = SubsystemDims(local_dims)
+    sc = dims.full_mask ^ s
+    rho_s = ginibre_mixed(SubsystemDims(dims.dims_of(s)), 3, member=0, rank=1)
+    rho_c = ginibre_mixed(SubsystemDims(dims.dims_of(sc)), 3, member=1)
+    validated = DensityMatrix(block_product({s: rho_s.matrix, sc: rho_c.matrix}, dims), dims)
+    checks = []
+    real = states.psd_violation
+    monkeypatch.setattr(states, "psd_violation", lambda *a: checks.append(a) or real(*a))
+    for prod in (DensityMatrix.from_product({s: rho_s, sc: rho_c}, dims),
+                 assemble_product(dims, {sc: rho_c, s: rho_s})):
+        assert np.array_equal(prod.matrix, validated.matrix)
+        assert not prod.matrix.flags.writeable
+    assert checks == []
+
+
+def test_product_constructor_checks_its_blocks():
+    dims = SubsystemDims((2, 3))
+    qubit, qutrit = ginibre_mixed(SubsystemDims((2,)), 1), ginibre_mixed(SubsystemDims((3,)), 2)
+    with pytest.raises(ValueError, match="cover all parties"):
+        DensityMatrix.from_product({0b01: qubit}, dims)
+    with pytest.raises(ValueError, match=r"block 01 has dims \(2,\), expected \(3,\)"):
+        DensityMatrix.from_product({0b01: qubit, 0b10: qubit}, dims)
+    with pytest.raises(ValueError, match="disjoint"):
+        DensityMatrix.from_product({0b01: qubit, 0b10: qutrit, 0b11: ginibre_mixed(dims, 3)}, dims)
