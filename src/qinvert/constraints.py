@@ -154,13 +154,31 @@ def is_psd(mat: np.ndarray, tol: float = PSD_TOL) -> bool:
 
 
 def shadow_report(
-    m1: np.ndarray, m2: np.ndarray, dims: SubsystemDims, tol: float = PASS_TOL
+    m1: np.ndarray | None,
+    m2: np.ndarray | None,
+    dims: SubsystemDims,
+    tol: float = PASS_TOL,
+    purities: np.ndarray | None = None,
 ) -> ConstraintReport:
     """Evaluate every mask; if either operator fails the PSD check the
     entries are still reported but tagged non-theorem (no pass/fail
-    judgement applies)."""
-    sums = _shadow_sums(m1, m2, dims)
-    psd_ok = is_psd(m1) and (m2 is m1 or is_psd(m2))
+    judgement applies).
+
+    ``purities``, the subset-purity profile of a validated state rho (as
+    ``state.purities``), stands for M1 = M2 = rho, and ``m1`` and ``m2``
+    must then be None: the values are its signed subset sums, bit for bit
+    those of the operands' own sweep, and the state's validation is the
+    PSD certificate, so no matrix is swept or tested again."""
+    if purities is not None:
+        if m1 is not None or m2 is not None:
+            raise ValueError("pass either the operands M1, M2 or a purity profile, not both")
+        if np.shape(purities) != (1 << dims.n,):
+            raise ValueError(f"purity profile of shape {np.shape(purities)} does not "
+                             f"match {dims.n} parties")
+        sums, psd_ok = signed_subset_sums(purities).tolist(), True
+    else:
+        sums = _shadow_sums(m1, m2, dims)
+        psd_ok = is_psd(m1) and (m2 is m1 or is_psd(m2))
     entries = [
         _entry(mask_bitstring(t, dims.n), value, tol, theorem=psd_ok)
         for t, value in enumerate(sums)

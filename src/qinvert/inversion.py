@@ -13,15 +13,22 @@ applies such factors to a (K, D, D) stack of operators with one weight
 per member and block, and everything production runs goes through it:
 :func:`invert_product`, coarse graining, the detection map and Choi
 matrices call it with K = 1, and :func:`inversion_stacks` evaluates I_T
-for every T of one operand as a butterfly over the parties, 2^N members
-per call when they fit in a cache-sized stack.  The subset sum above
+for every T as a butterfly over the parties, 2^N masks per call when
+they fit in a cache-sized stack.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
 input (:func:`invert_kraus`) are kept only as cross-check references.
 Both take one mask or a sequence of masks (a (K, D, D) stack, each
 member bit-identical to its own one-mask call), and
 :func:`reference_inversions` evaluates each of them once for all 2^N
-masks of one operand, fed one reduction sweep and Gell-Mann generators
-built once.
+masks, fed one reduction sweep and Gell-Mann generators built once.
+
+Every one of these all-masks routes also takes a (M, D, D) stack of
+operands: the leading member axis rides through the same kernels (the
+reduction sweep, embeds, the signed sums, the broadcast matrix
+products, the factor kernel) with no second code path, each member
+bit-identical to its own call, so an ensemble of M small operands costs
+one call per kernel instead of M.  :func:`chunk_members` sizes such
+stacks against :data:`STACK_HOLD_BYTES`.
 """
 
 from __future__ import annotations
@@ -47,14 +54,19 @@ def _mask_list(dims: SubsystemDims, t: int | Sequence[int]) -> tuple[list[int], 
 
 
 def _signed_sums(
-    terms: Iterable[tuple[int, np.ndarray]], dims: SubsystemDims, masks: Sequence[int]
+    terms: Iterable[tuple[int, np.ndarray]],
+    dims: SubsystemDims,
+    masks: Sequence[int],
+    lead: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """The (K, D, D) stack of sum_S (-1)^{|S & T|} term_S, one member per
-    mask T of ``masks``, over the ``(S, term_S)`` pairs of D x D terms in
-    the order given.  Each member runs the ``out -= term`` / ``out += term``
-    of its own K = 1 call, so it is bit-identical to it; a term whose sign
-    differs between members is applied as two masked in-place ufuncs."""
-    out = np.zeros((len(masks), dims.total, dims.total), dtype=np.complex128)
+    """The (K, lead.., D, D) stack of sum_S (-1)^{|S & T|} term_S, one
+    member per mask T of ``masks``, over the ``(S, term_S)`` pairs of
+    (lead.., D, D) terms in the order given.  Each member runs the
+    ``out -= term`` / ``out += term`` of its own K = 1 call, so it is
+    bit-identical to it; a term whose sign differs between members is
+    applied as two masked in-place ufuncs."""
+    out = np.zeros((len(masks),) + lead + (dims.total, dims.total), dtype=np.complex128)
+    per_mask = (len(masks),) + (1,) * (out.ndim - 1)
     for s, term in terms:
         odd = np.array([(s & t).bit_count() % 2 for t in masks], dtype=bool)
         if odd.all():
@@ -62,8 +74,8 @@ def _signed_sums(
         elif not odd.any():
             out += term
         else:
-            np.subtract(out, term, out=out, where=odd[:, None, None])
-            np.add(out, term, out=out, where=~odd[:, None, None])
+            np.subtract(out, term, out=out, where=odd.reshape(per_mask))
+            np.add(out, term, out=out, where=~odd.reshape(per_mask))
     return out
 
 
@@ -77,16 +89,19 @@ def invert_sum(
     ascending bitmask order so the summation order is reproducible.
     ``t`` is one mask (a D x D result) or a sequence of masks, in any
     order and possibly repeated (a (K, D, D) stack, each member
-    bit-identical to its own one-mask call).  The 2^N embedded D x D terms
-    are streamed one at a time: a reference route, not a production one.
-    ``embedded``, the ``(S, mat_S (x) 1_{S^c})`` pairs of ``mat`` in
-    ascending S as :func:`reference_inversions` makes them, replaces the
-    2^N partial traces and embeds."""
+    bit-identical to its own one-mask call).  Leading axes of ``mat`` are
+    member axes: a (M, D, D) stack gives (M, D, D) for one mask and
+    (K, M, D, D) for a sequence, each member bit-identical to its own
+    call.  The 2^N embedded terms are streamed one at a time: a reference
+    route, not a production one.  ``embedded``, the
+    ``(S, mat_S (x) 1_{S^c})`` pairs of ``mat`` in ascending S as
+    :func:`reference_inversions` makes them, replaces the 2^N partial
+    traces and embeds."""
     masks, one = _mask_list(dims, t)
     if embedded is None:
         embedded = ((s, embed(partial_trace(mat, dims, s), s, dims))
                     for s in dims.subset_masks())
-    out = _signed_sums(embedded, dims, masks)
+    out = _signed_sums(embedded, dims, masks, np.shape(mat)[:-2])
     return out[0] if one else out
 
 
@@ -147,34 +162,59 @@ def invert_product(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
     return _apply_factors(mat, dims, _inversion_weights(dims.n, t))[0]
 
 
-# Bytes of inverted operators (2^m D^2 complex entries) in one stack of
+# Bytes of inverted operators (2^m M D^2 complex entries) in one stack of
 # inversion_stacks: all 2^N masks of (2,2,2,2,2), (2,3,4) or (3,3,3), 8
 # of (3,3,3,3), 4 at 7 qubits.  A stack beyond the cache costs more in
 # memory traffic than the calls it saves (at (3,3,3,3) all 16 masks in
-# one stack take twice as long as two stacks of 8).
+# one stack take twice as long as two stacks of 8).  verify sizes its
+# chunks of ensemble members against it too (see chunk_members).
 STACK_HOLD_BYTES = 1 << 20
+
+
+# (2^N, D, D) stacks per operand that a chunk of verify's ensemble holds
+# at its peak, temporaries included: the factor stack and, while the
+# Kraus butterfly runs its last party, its input, both party sums, their
+# concatenation and the matrix-product temporaries (about 4.9 at (2,2,2,2)
+# under tracemalloc; factorization's stacks, products and differences
+# peak below that).
+CHUNK_STACKS = 5
+
+
+def chunk_members(dims: SubsystemDims) -> int:
+    """How many operands of ``dims`` to stack on a member axis so that
+    their :data:`CHUNK_STACKS` stacks of all 2^N inversions fit in
+    :data:`STACK_HOLD_BYTES`; at least 1, so an operand larger than the
+    bound runs alone."""
+    per_member = CHUNK_STACKS * (16 << dims.n) * dims.total**2
+    return max(1, STACK_HOLD_BYTES // per_member)
 
 
 def inversion_stacks(mat: np.ndarray, dims: SubsystemDims) -> Iterator[np.ndarray]:
     """Yield I_T(mat) for every mask T in ascending order, as consecutive
     (2^m, D, D) stacks, each bit-identical member by member to
-    :func:`invert_product`.  2^m is the most masks within
-    :data:`STACK_HOLD_BYTES`, so one stack holds all 2^N unless D is large.
+    :func:`invert_product`.  Leading axes of ``mat`` are member axes: a
+    (M, D, D) stack of operands gives mask-major (2^m, M, D, D) stacks.
+    2^m is the most masks within :data:`STACK_HOLD_BYTES` for all
+    members, so one stack holds all 2^N unless the operands are large.
     The factors of parties 1..m are applied as a butterfly: the stack for
     the first j parties is doubled and its copies get the factor of party
     j+1 with weight +1 and -1, one kernel call per party; each stack then
     applies the factors of the remaining parties with one sign pattern
     for all its members, in ascending mask order."""
+    mat = np.asarray(mat)
+    lead = mat.shape[:-2]
+    d = dims.total
     m = dims.n
-    while m and (16 << m) * dims.total**2 > STACK_HOLD_BYTES:
+    while m and (16 << m) * math.prod(lead) * d**2 > STACK_HOLD_BYTES:
         m -= 1
-    low = np.asarray(mat)[np.newaxis]
+    low = mat.reshape(-1, d, d)  # mask-major: member k of mask t at t M + k
     for j in range(m):
         signs = np.repeat((1.0, -1.0), len(low))
         low = _apply_factors(np.broadcast_to(low, (2,) + low.shape), dims, {1 << j: signs})
     for high in range(1 << (dims.n - m)):
         weights = {1 << j: -1.0 if high >> (j - m) & 1 else 1.0 for j in range(m, dims.n)}
-        yield _apply_factors(low, dims, weights) if weights else low
+        stack = _apply_factors(low, dims, weights) if weights else low
+        yield stack.reshape((-1,) + lead + (d, d))
 
 
 def _channel_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, ...]]:
@@ -223,7 +263,10 @@ def invert_kraus(
     (K, D, D) stack).  Party by party, the channel runs once on the stack
     of the distinct sign prefixes the masks need, party 1 first, so over
     all 2^N masks it is a butterfly that doubles the stack once per party;
-    each member is bit-identical to its own one-mask call.
+    each member is bit-identical to its own one-mask call.  Leading axes
+    of ``mat`` are member axes, carried through by the broadcast matrix
+    products: (M, D, D) gives (M, D, D) for one mask and (K, M, D, D) for
+    a sequence, each member bit-identical to its own call.
     ``generators``, from :func:`embedded_generators`, skips rebuilding them.
     """
     masks, one = _mask_list(dims, t)
@@ -249,8 +292,8 @@ def invert_kraus(
     return out[row[masks[0]]] if one else out[[row[m] for m in masks]]
 
 
-# Bytes of the two (2^N, D, D) stacks, sum and Kraus form, that
-# reference_inversions holds per operand, enough for 7 qubits; beyond it
+# Bytes of the two (2^N, M, D, D) stacks, sum and Kraus form, that
+# reference_inversions holds per call, enough for 7 qubits; beyond it
 # every mask streams its own terms.
 REFERENCE_HOLD_BYTES = 256 << 20
 
@@ -259,18 +302,19 @@ def reference_inversions(
     mat: np.ndarray, dims: SubsystemDims, generators: KrausGenerators | None = None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(T, invert_sum(mat, dims, T), invert_kraus(mat, dims, T))``
-    for every mask T in ascending order.  ``generators``, from
+    for every mask T in ascending order; leading axes of ``mat`` are
+    member axes, as in both forms.  ``generators``, from
     :func:`embedded_generators`, are built here when None.  Each form is
     one call over all 2^N masks: the sum form is fed one reduction sweep,
     each reduction embedded when the sum reaches it (ascending S), so no
     list of embedded reductions is held.  The two result stacks are
-    2 * 2^N D^2 entries; above :data:`REFERENCE_HOLD_BYTES` nothing is
+    2 * 2^N M D^2 entries; above :data:`REFERENCE_HOLD_BYTES` nothing is
     held and every mask is one call per form, with :func:`invert_sum`
     streaming its own reductions."""
     if generators is None:
         generators = embedded_generators(dims)
     masks = list(dims.subset_masks())
-    if 2 * len(masks) * dims.total**2 * 16 > REFERENCE_HOLD_BYTES:
+    if 2 * len(masks) * np.size(mat) * 16 > REFERENCE_HOLD_BYTES:
         for t in masks:
             yield t, invert_sum(mat, dims, t), invert_kraus(mat, dims, t, generators)
         return

@@ -87,27 +87,32 @@ def _diagonal(tensor: np.ndarray, axes: tuple[int, ...], batch: int = 0) -> np.n
 def partial_trace(mat: np.ndarray, dims: SubsystemDims, keep: int) -> np.ndarray:
     """Trace out the complement of ``keep``; the result lives on the kept
     parties in their original order.  ``keep = 0`` yields the 1x1 matrix
-    holding the full trace."""
+    holding the full trace.  Leading axes of ``mat`` are batch axes: a
+    (M, D, D) stack gives the (M, d_keep, d_keep) stack of its members'
+    traces."""
     dims.validate_mask(keep)
     if keep == dims.full_mask:
         return np.array(mat, dtype=np.complex128)
-    tensor = np.asarray(mat, dtype=np.complex128).reshape(dims.dims + dims.dims)
+    mat = np.asarray(mat, dtype=np.complex128)
+    lead = mat.shape[:-2]
+    tensor = mat.reshape(lead + dims.dims + dims.dims)
     traced = [p - 1 for p in parties_from_mask(dims.complement(keep))]
     d_keep = dims.block_dim(keep)
-    return _trace_out(tensor, traced).reshape(d_keep, d_keep)
+    return _trace_out(tensor, traced, len(lead)).reshape(lead + (d_keep, d_keep))
 
 
 def embed(op_s: np.ndarray, s: int, dims: SubsystemDims) -> np.ndarray:
     """Pad ``op_s`` (acting on the parties in ``s``, in party order) with
     identities on the complement, in the global party order.  ``s = 0``
-    promotes a 1x1 operator to a multiple of the identity.
+    promotes a 1x1 operator to a multiple of the identity.  Leading axes
+    of ``op_s`` are batch axes: a (M, d_s, d_s) stack gives (M, D, D).
 
     The :func:`block_product` of one block: each entry is the single
     product op_s[a, b] * delta, bit-identical to kron-and-permute."""
     dims.validate_mask(s)
     op_s = np.asarray(op_s, dtype=np.complex128)
     d_s = dims.block_dim(s)
-    if op_s.shape != (d_s, d_s):
+    if op_s.shape[-2:] != (d_s, d_s):
         raise ValueError(f"operator shape {op_s.shape} does not match subsystem dimension {d_s}")
     return block_product({s: op_s}, dims)
 
@@ -169,20 +174,24 @@ def reduction_sweep(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int,
     leaving in ascending order as in :func:`partial_trace`, so results are
     bit-identical to it.  Only one chain of ancestors is alive at a time,
     at most about 4/3 D^2 entries; the full-set entry is a view of ``mat``.
+    Leading axes of ``mat`` are batch axes, as in :func:`partial_trace`:
+    each reduction of a (M, D, D) stack is a (M, d_S, d_S) stack.
     """
 
     def visit(mask: int, tensor: np.ndarray, first: int):
-        d = math.prod(tensor.shape[: tensor.ndim // 2])
-        yield mask, tensor.reshape(d, d)
+        d = math.prod(tensor.shape[batch:batch + (tensor.ndim - batch) // 2])
+        yield mask, tensor.reshape(lead + (d, d))
         axes = [j for j in range(dims.n) if mask >> j & 1]
         for pos, j in enumerate(axes):
             if j < first:
                 continue
-            child = _trace_out(tensor, [pos])
+            child = _trace_out(tensor, [pos], batch)
             yield from visit(mask ^ (1 << j), child, j + 1)
 
-    tensor = np.asarray(mat, dtype=np.complex128).reshape(dims.dims + dims.dims)
-    return visit(dims.full_mask, tensor, 0)
+    mat = np.asarray(mat, dtype=np.complex128)
+    lead = mat.shape[:-2]
+    batch = len(lead)
+    return visit(dims.full_mask, mat.reshape(lead + dims.dims + dims.dims), 0)
 
 
 def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> np.ndarray:

@@ -511,6 +511,7 @@ def test_mixed_check_sweeps_the_purity_profile_once(capsys, monkeypatch, tmp_pat
     (["invariants"], 0),
     (["check", "--families", "monogamy,entropy"], 0),
     (["check"], 1),
+    (["check", "--families", "shadow"], 0),
 ])
 def test_pure_input_forms_the_density_matrix_only_for_matrix_families(
     capsys, monkeypatch, tmp_path, argv, densities
@@ -534,8 +535,9 @@ def test_mixed_check_shadow_sweeps_once_and_solves_once(capsys, monkeypatch, tmp
     code, lines = run(capsys, "check", "--state", str(path), "--families", "shadow")
     assert code == 0 and len(lines) == 8
     assert len(sweeps) + len(sweeps_here) == 1
-    # validation on load, then one PSD test, each certified by its Cholesky
-    assert len(on_load) == len(in_shadow) == 1
+    # validation on load certifies the state by its Cholesky; shadow reads
+    # the state's purity profile and tests nothing again
+    assert len(on_load) == 1 and in_shadow == []
     assert eigen_solves == []
 
 
@@ -548,6 +550,8 @@ ENSEMBLE_SUITES = ["cross_form", "positivity", "parity"]
 
 
 def test_verify_builds_each_member_and_its_stacks_once_for_the_three_suites(capsys, monkeypatch):
+    """Each member is built once, in order; the inversion stacks are built
+    once per chunk of consecutive members and feed all three suites."""
     built, stacked = [], []
     real_member, real_stacks = cli.ginibre_mixed, cli.inversion_stacks
     monkeypatch.setattr(cli, "ginibre_mixed",
@@ -556,23 +560,67 @@ def test_verify_builds_each_member_and_its_stacks_once_for_the_three_suites(caps
     code, shared = run(capsys, *VERIFY_ENSEMBLE_ARGV, ",".join(ENSEMBLE_SUITES))
     assert code == 0 and [line["family"] for line in shared[:3]] == ENSEMBLE_SUITES
     assert [kw["member"] for kw in built] == [0, 1, 2]
-    assert len(stacked) == 3
+    # the three members fit in one chunk, stacked in member order
+    [(mats, dims)] = stacked
+    for k, mat in enumerate(mats):
+        assert np.array_equal(mat, real_member(dims, 4, member=k).matrix)
     # each suite run on its own prints the line it has in the shared pass
     for line in shared[:3]:
         code, alone = run(capsys, *VERIFY_ENSEMBLE_ARGV, line["family"])
         assert code == 0 and _strip_elapsed(alone[:1]) == _strip_elapsed([line])
+    # a bound that holds two members' stacks: chunks of two and one
+    monkeypatch.setattr(inversion, "STACK_HOLD_BYTES",
+                        2 * inversion.CHUNK_STACKS * (16 << dims.n) * dims.total**2)
+    built.clear()
+    stacked.clear()
+    code, chunked = run(capsys, *VERIFY_ENSEMBLE_ARGV, ",".join(ENSEMBLE_SUITES))
+    assert code == 0 and _strip_elapsed(chunked) == _strip_elapsed(shared)
+    assert [kw["member"] for kw in built] == [0, 1, 2]
+    assert [len(mats) for mats, _ in stacked] == [2, 1]
+
+
+def test_factorization_inverts_each_product_once_in_groups_of_at_most_a_chunk(
+    capsys, monkeypatch
+):
+    """With a bound that holds two (3,3) members, members sharing a split
+    are inverted in groups of at most two, and every product built is
+    inverted exactly once."""
+    built, stacked = [], []
+    real_product, real_stacks = cli.assemble_product, cli.inversion_stacks
+    monkeypatch.setattr(cli, "assemble_product",
+                        lambda *a: built.append(real_product(*a)) or built[-1])
+    monkeypatch.setattr(cli, "inversion_stacks", lambda *a: stacked.append(a) or real_stacks(*a))
+    two = 2 * inversion.CHUNK_STACKS * (16 << 2) * 9**2
+    monkeypatch.setattr(inversion, "STACK_HOLD_BYTES", two)
+    code, _ = run(capsys, "verify", "--dims", "3,3", "--size", "9", "--seed", "3",
+                  "--suites", "factorization")
+    assert code == 0 and len(built) == 9
+    groups = [mats for mats, dims in stacked if dims.dims == (3, 3)]
+    assert max(len(mats) for mats in groups) == 2
+    inverted = sorted(mat.tobytes() for mats in groups for mat in mats)
+    assert inverted == sorted(prod.matrix.tobytes() for prod in built)
 
 
 def test_verify_lines_do_not_depend_on_the_stack_bound(capsys, monkeypatch):
-    """One mask per stack (hold bound 0) prints the same lines, bit for bit,
-    as all masks in one stack: parity adds across stacks in mask order."""
-    argv = ["verify", "--dims", "2,3,2", "--size", "2", "--seed", "6",
-            "--suites", "cross_form,positivity,parity,factorization"]
-    code, whole = run(capsys, *argv)
-    monkeypatch.setattr(inversion, "STACK_HOLD_BYTES", 0)
-    code_split, split = run(capsys, *argv)
-    assert code == code_split == 0
-    assert _strip_elapsed(split) == _strip_elapsed(whole)
+    """One member per chunk and one mask per stack (hold bound 0), chunks
+    of two, the default chunks and all members in one chunk print the
+    same lines, bit for bit: deviations are maxima, and parity adds each
+    member's masks in ascending order across stacks.  Sizes exceed one
+    default chunk."""
+    for local_dims, seed in (((3, 3), 6), ((2, 3, 2), 7)):
+        dims = SubsystemDims(local_dims)
+        size = 1 + inversion.chunk_members(dims)
+        argv = ["verify", "--dims", ",".join(map(str, local_dims)), "--size", str(size),
+                "--seed", str(seed), "--suites", "cross_form,positivity,parity,factorization"]
+        two = 2 * inversion.CHUNK_STACKS * (16 << dims.n) * dims.total**2
+        lines = []
+        for bound in (inversion.STACK_HOLD_BYTES, 0, two, 1 << 30):
+            monkeypatch.setattr(inversion, "STACK_HOLD_BYTES", bound)
+            code, printed = run(capsys, *argv)
+            assert code == 0
+            lines.append(_strip_elapsed(printed))
+        monkeypatch.undo()
+        assert all(printed == lines[0] for printed in lines), local_dims
 
 
 def test_consecutive_verify_runs_in_one_process_print_the_same_lines(capsys):

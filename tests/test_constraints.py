@@ -173,6 +173,23 @@ def test_shadow_report_flags_non_psd_input():
     assert all(e.theorem for e in ok.entries)
 
 
+@pytest.mark.parametrize("pure", [False, True])
+def test_shadow_report_on_a_purity_profile_is_the_operands_report(pure):
+    """A validated state's purity profile gives the lines of M1 = M2 = rho
+    bit for bit, judged as theorems; a profile with operands, or of the
+    wrong length, is an error."""
+    dims = SubsystemDims((2, 3, 2))
+    state = haar_pure(dims, 5) if pure else ginibre_mixed(dims, 5)
+    rho = state.density().matrix if pure else state.matrix
+    want = shadow_report(rho, rho, dims)
+    got = shadow_report(None, None, dims, purities=state.purities)
+    assert got == want and all(e.theorem for e in got.entries)
+    with pytest.raises(ValueError, match="not both"):
+        shadow_report(rho, None, dims, purities=state.purities)
+    with pytest.raises(ValueError, match="does not match 2 parties"):
+        shadow_report(None, None, SubsystemDims((6, 2)), purities=state.purities)
+
+
 # ---------------------------------------------------------------------------
 # entropy inequalities
 

@@ -7,7 +7,8 @@ eigenvalue, its block form behind coarse_grain_invert and
 choi_matrix, the signed-embed sum shared by invert_sum and the
 witnesses from marginals, the broadcast embed and block product (with the
 Kraus operators built on it), the mask-sequence form of the reference
-routes and their all-masks pass, the purity profile a pure state sweeps
+routes and their all-masks pass, the member axis every all-masks layer
+takes (each member as its own call), the purity profile a pure state sweeps
 without forming a DensityMatrix, the invariant table every scalar
 family reads, and the Cholesky PSD certificate, pinned to eigvalsh.  The
 formulas the kernels replaced are kept here as oracles."""
@@ -566,6 +567,52 @@ def test_inversion_stacks_are_bit_identical_to_invert_product(dims, seed, low):
     assert [len(stack) for stack in stacks] == [1 << m] * (1 << (dims.n - m))
     for t, got in enumerate(itertools.chain.from_iterable(stacks)):
         assert bit_identical(got, invert_product(mat, dims, t))
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), m=st.integers(1, 5), seed=seeds, data=st.data())
+def test_member_stacks_are_bit_identical_to_per_member_calls(dims, m, seed, data):
+    """Every layer on a (M, D, D) stack of operands gives each member its
+    own call's result bit for bit: the reduction sweep and the embeds of
+    its reductions, both reference forms on one mask and on a mask
+    sequence in any order (the sum form streamed and fed the embedded
+    sweep, the Kraus form with prebuilt generators), the mask-major
+    all-masks stacks whatever the hold bound, and the smallest eigenvalue
+    of the flattened Hermitian stacks."""
+    d = dims.total
+    mats = np.stack([random_operator(dims, seed + k) for k in range(m)])
+    masks = data.draw(st.lists(st.integers(0, dims.full_mask), max_size=2 << dims.n))
+    sweep = dict(reduction_sweep(mats, dims))
+    assert sorted(sweep) == list(dims.subset_masks())
+    for k in range(m):
+        for s, mat_s in reduction_sweep(mats[k], dims):
+            assert bit_identical(sweep[s][k], mat_s)
+            assert bit_identical(embed(sweep[s], s, dims)[k], embed(mat_s, s, dims))
+    fed = ((s, embed(sweep[s], s, dims)) for s in dims.subset_masks())
+    generators = inversion.embedded_generators(dims)
+    stacks = {
+        "streamed sum": (invert_sum(mats, dims, masks), invert_sum),
+        "held sum": (invert_sum(mats, dims, masks, fed), invert_sum),
+        "kraus": (invert_kraus(mats, dims, masks, generators), invert_kraus),
+    }
+    t = data.draw(st.integers(0, dims.full_mask))
+    for name, (stack, form) in stacks.items():
+        assert stack.shape == (len(masks), m, d, d), name
+        one = form(mats, dims, t)
+        assert one.shape == (m, d, d), name
+        for k in range(m):
+            assert bit_identical(stack[:, k], form(mats[k], dims, masks)), name
+            assert bit_identical(one[k], form(mats[k], dims, t)), name
+    low = min(data.draw(st.integers(0, 6)), dims.n)
+    with mock.patch.object(inversion, "STACK_HOLD_BYTES", (16 << low) * m * d**2):
+        got = list(inversion_stacks(mats, dims))
+    assert [s.shape for s in got] == [(1 << low, m, d, d)] * (1 << (dims.n - low))
+    got = np.concatenate(got)
+    for k in range(m):
+        assert bit_identical(got[:, k], np.concatenate(list(inversion_stacks(mats[k], dims))))
+    herm = got + got.conj().swapaxes(-1, -2)
+    assert min_eigenvalue(herm.reshape(-1, d, d)) == min(min_eigenvalue(herm[:, k])
+                                                         for k in range(m))
 
 
 @PROPERTY
