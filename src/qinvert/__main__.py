@@ -1,0 +1,7 @@
+"""``python -m qinvert ...`` runs the command-line tool, as ``qinvert`` does."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,10 +35,9 @@ from .constraints import (
     _entry,
     correlation_report,
     entropy_inequalities,
-    independence_rank,
-    independence_rank_pure,
     marginal_report,
     monogamy_report,
+    numerical_rank,
     shadow_report,
 )
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, relative_mask
@@ -56,9 +55,9 @@ from .zoo import (
     build,
     ginibre_mixed,
     pinned_ghz_invariant,
-    pinned_ghz_state,
+    pinned_ghz_tables,
     pinned_mix_invariant,
-    pinned_mix_state,
+    pinned_mix_table,
     stream_rng,
 )
 
@@ -265,7 +264,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rows: list[ReportEntry] = []
         shared = _ensemble_suites(dims, args.size, seed, suites)
         for suite in suites:
-            battery = shared[suite] if suite in shared else _BATTERIES[suite](dims, args.size, seed)
+            if suite in PINNED_SUITES and suite not in shared:
+                shared.update(_pinned_suites(dims))
+            battery = shared[suite] if suite in shared else _factorization(dims, args.size, seed)
             report = _suite_report(suite, battery)
             rows += report.entries
             yield report
@@ -382,38 +383,30 @@ def _product_groups(
     yield from waiting.items()
 
 
-def _independence(dims: SubsystemDims, size: int, seed: int) -> Rows:
-    n_eff = min(dims.n, 4)
-    rank = independence_rank(n_eff)
-    rows = [(f"pin-or-mix family rank at n={n_eff}", float(rank - (1 << n_eff)), 0.0)]
-    if n_eff >= 2:
-        rank_pure = independence_rank_pure(n_eff)
-        rows.append((f"pinned-GHZ family rank at n={n_eff}",
-                     float(rank_pure - (1 << (n_eff - 1))), 0.0))
+PINNED_SUITES = ("independence", "closed_form")
+
+
+def _pinned_suites(dims: SubsystemDims) -> dict[str, Rows]:
+    """Rows of both pinned-family suites, which depend only on n = min(N, 4):
+    both read the tables of the two witness families, each family built and
+    swept as stacks; residuals are maxima over all members."""
+    n = min(dims.n, 4)
+    mix = pinned_mix_table(n)
+    closed = [[pinned_mix_invariant(n, pins, t) for t in range(1 << n)] for pins in range(1 << n)]
+    dev = float(np.max(np.abs(mix - closed)))
+    rows = {"independence": [(f"pin-or-mix family rank at n={n}",
+                              float(numerical_rank(mix) - (1 << n)), 0.0)]}
+    if n >= 2:
+        ghz, reduced = pinned_ghz_tables(n)
+        closed = [[pinned_ghz_invariant(n, i << 1, t) for t in range(1 << n)]
+                  for i in range(1 << (n - 1))]
+        dev = max(dev, float(np.max(np.abs(ghz - closed))))
+        rows["independence"].append((f"pinned-GHZ family rank at n={n}",
+                                     float(numerical_rank(reduced) - (1 << (n - 1))), 0.0))
+    rows["closed_form"] = [(f"max closed-form residual at n={n}", -dev, -1e-10)]
     return rows
 
 
-def _closed_form(dims: SubsystemDims, size: int, seed: int) -> Rows:
-    n_eff = min(dims.n, 4)
-    dev = 0.0
-    for pins in range(1 << n_eff):
-        table = invariant_table(pinned_mix_state(n_eff, pins))
-        for t in range(1 << n_eff):
-            dev = max(dev, abs(table.c_squared(t) - pinned_mix_invariant(n_eff, pins, t)))
-    if n_eff >= 2:
-        for idx in range(1 << (n_eff - 1)):
-            pins = idx << 1
-            table = invariant_table(pinned_ghz_state(n_eff, pins).density())
-            for t in range(1 << n_eff):
-                dev = max(dev, abs(table.c_squared(t) - pinned_ghz_invariant(n_eff, pins, t)))
-    return [(f"max closed-form residual at n={n_eff}", -dev, -1e-10)]
-
-
-_BATTERIES = {
-    "factorization": _factorization,
-    "independence": _independence,
-    "closed_form": _closed_form,
-}
 # every suite, in report order, with the tolerance its rows are judged at
 _SUITES = {
     "cross_form": 0.0,

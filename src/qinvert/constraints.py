@@ -32,6 +32,7 @@ from .tensor import (
     subset_purities,
     trace_product,
 )
+from .zoo import pinned_ghz_tables, pinned_mix_table
 
 PASS_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -405,42 +406,25 @@ def marginal_report(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintRepo
 
 
 def independence_rank(n: int, d: int = 2) -> int:
-    """Numerical rank of the matrix of squared invariants over the
-    pin-or-mix product family; full rank 2^n certifies that no nontrivial
-    linear combination of the constraints vanishes identically."""
-    from .zoo import pinned_mix_state
-
+    """Numerical rank of the squared invariants over the pin-or-mix family
+    (:func:`~qinvert.zoo.pinned_mix_table`); full rank 2^n certifies that
+    no nontrivial linear combination of the constraints vanishes identically."""
     if not 1 <= n <= 5:
         raise ValueError("dense independence evaluation supports 1 <= n <= 5")
-    size = 1 << n
-    matrix = np.zeros((size, size))
-    for s in range(size):
-        table = invariant_table(pinned_mix_state(n, s, d=d))
-        for t in range(size):
-            matrix[s, t] = table.c_squared(t)
-    return _numerical_rank(matrix)
+    return numerical_rank(pinned_mix_table(n, d))
 
 
 def independence_rank_pure(n: int) -> int:
-    """Companion rank test on the reduced states of the pinned GHZ family;
-    the expected value is 2^(n-1)."""
-    from .zoo import pinned_ghz_state
-
+    """Companion rank test on the reduced states of the pinned GHZ family
+    (:func:`~qinvert.zoo.pinned_ghz_tables`); the expected value is 2^(n-1)."""
     if not 2 <= n <= 5:
         raise ValueError("the pure-family rank test supports 2 <= n <= 5")
-    size = 1 << (n - 1)
-    matrix = np.zeros((size, size))
-    for idx in range(size):
-        pins = idx << 1
-        psi = pinned_ghz_state(n, pins)
-        reduced = psi.density().reduce(psi.dims.full_mask ^ 0b1)
-        table = invariant_table(reduced)
-        for tidx in range(size):
-            matrix[idx, tidx] = table.c_squared(tidx)
-    return _numerical_rank(matrix)
+    return numerical_rank(pinned_ghz_tables(n)[1])
 
 
-def _numerical_rank(matrix: np.ndarray) -> int:
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Number of singular values above 1e-8 of the largest: the rank
+    verdict of both independence tests."""
     sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0

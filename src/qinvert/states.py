@@ -45,20 +45,7 @@ class DensityMatrix:
             raise ValueError(
                 f"density matrix shape {mat.shape} does not match total dimension {d}"
             )
-        _require_finite(mat, "density matrix")
-        defect = herm_defect(mat)
-        if defect > TOL_HERM:
-            raise ValueError(
-                f"density matrix is not Hermitian: max |rho - rho^dag| = {defect:.3e}"
-            )
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise ValueError(f"density matrix trace {tr} is not 1 within {TOL_TRACE}")
-        lo = None if _psd_known else psd_violation(mat, TOL_PSD)
-        if lo is not None:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {lo:.3e} below -{TOL_PSD}"
-            )
+        _require_density(mat, psd=not _psd_known)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -136,6 +123,26 @@ class PureState:
     def purities(self) -> np.ndarray:
         """As DensityMatrix.purities, swept over |psi><psi| with no DensityMatrix."""
         return subset_purities(np.outer(self.vector, self.vector.conj()), self.dims)
+
+
+def _require_density(mat: np.ndarray, psd: bool = True) -> None:
+    """The checks of :class:`DensityMatrix` on one matrix or each member of a
+    (M, D, D) stack: finite, Hermitian, unit trace and, with ``psd``, one
+    PSD certificate; a stack's errors give its worst member."""
+    what = "density matrix" if mat.ndim == 2 else "density matrix stack"
+    _require_finite(mat, what)
+    defects = np.atleast_1d(herm_defect(mat))
+    k = int(np.argmax(defects))
+    if defects[k] > TOL_HERM:
+        name = "density matrix" if mat.ndim == 2 else f"density matrix {k} of the stack"
+        raise ValueError(f"{name} is not Hermitian: max |rho - rho^dag| = {defects[k]:.3e}")
+    traces = np.trace(mat, axis1=-2, axis2=-1).reshape(-1)
+    tr = complex(traces[np.argmax(np.abs(traces - 1.0))])
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise ValueError(f"{what} trace {tr} is not 1 within {TOL_TRACE}")
+    lo = psd_violation(mat, TOL_PSD) if psd else None
+    if lo is not None:
+        raise ValueError(f"{what} has negative eigenvalue {lo:.3e} below -{TOL_PSD}")
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -156,11 +156,14 @@ def signed_subset_sums(x) -> np.ndarray:
     """out[T] = sum_S (-1)^{|S & T|} x[S] over a length-2^N array indexed by
     bitmask, as a fast Walsh-Hadamard transform in O(N 2^N).  One
     butterfly stage per party, party 1 (bit 0) first: the summation order
-    is fixed, so results are bit-reproducible."""
+    is fixed, so results are bit-reproducible.  Leading axes are member
+    axes: each row of a (M, 2^N) array is bit for bit its one-row call."""
     out = np.array(x, dtype=np.float64)
-    if out.ndim != 1 or out.size == 0 or out.size & (out.size - 1):
-        raise ValueError(f"expected a 1-d array of length 2^N, got shape {out.shape}")
-    for j in range(out.size.bit_length() - 1):
+    size = out.shape[-1] if out.ndim else 0
+    if size == 0 or size & (size - 1):
+        raise ValueError(f"expected length 2^N on the last axis, got shape {out.shape}")
+    # a C-contiguous copy: no pair of any stage spans two rows
+    for j in range(size.bit_length() - 1):
         pairs = out.reshape(-1, 2, 1 << j)
         pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
     return out
@@ -196,10 +199,12 @@ def reduction_sweep(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int,
 
 def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> np.ndarray:
     """Tr(rho_S^2) for every subset S (entry 0: (Tr rho)^2, as signed purity
-    sums need it), as a read-only array indexed by bitmask, from one sweep."""
-    out = np.empty(1 << dims.n)
+    sums need it), as a read-only array indexed by bitmask, from one sweep.
+    Leading axes of ``mat`` are member axes: a (M, D, D) stack gives (M, 2^N)
+    profiles, each row bit for bit its member's own sweep."""
+    out = np.empty(np.shape(mat)[:-2] + (1 << dims.n,))
     for s, m_s in reduction_sweep(mat, dims):
-        out[s] = trace_product(m_s, m_s).real
+        out[..., s] = np.einsum("...ij,...ji->...", m_s, m_s).real
     out.setflags(write=False)
     return out
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .dims import SubsystemDims, mask_size
 from .invariants import c_t
-from .states import DensityMatrix, PureState
-from .tensor import block_product, embed
+from .states import DensityMatrix, PureState, _require_density
+from .tensor import block_product, embed, partial_trace, signed_subset_sums, subset_purities
 
 # Recipe kind -> the options (StateRecipe fields) it reads, each mapped to
 # whether it is required; a kind rejects every option it does not read.
@@ -86,16 +86,22 @@ def basis_product_state(dims: SubsystemDims, excited: int = 0) -> PureState:
     return PureState(vec, dims)
 
 
+def _pin_or_mix(dims: SubsystemDims, pins) -> np.ndarray:
+    """|0><0| on the pinned parties (x) 1/d elsewhere, for one mask or, as a
+    (M, D, D) stack, for each of an array of them."""
+    eye = np.eye(dims.dims[0], dtype=np.complex128)
+    pinned, mixed = np.outer(eye[0], eye[0]), eye / len(eye)
+    on = np.asarray(pins)[..., None, None]
+    return block_product({1 << j: np.where(on >> j & 1, pinned, mixed)
+                          for j in range(dims.n)}, dims)
+
+
 def pinned_mix_state(n: int, pins: int, d: int = 2) -> DensityMatrix:
     """Product state with |0><0| on the pinned parties and the maximally
     mixed state elsewhere."""
     dims = SubsystemDims((d,) * n)
     dims.validate_mask(pins)
-    pinned = np.zeros((d, d), dtype=np.complex128)
-    pinned[0, 0] = 1.0
-    mixed = np.eye(d, dtype=np.complex128) / d
-    parts = {1 << j: pinned if pins >> j & 1 else mixed for j in range(n)}
-    return DensityMatrix(block_product(parts, dims), dims)
+    return DensityMatrix(_pin_or_mix(dims, pins), dims)
 
 
 def pinned_ghz_state(n: int, pins: int) -> PureState:
@@ -190,6 +196,31 @@ def pinned_mix_invariant(n: int, pins: int, t: int) -> float:
     if pins & t:
         return 0.0
     return 4 ** mask_size(pins) * 3 ** (n - mask_size(pins) - mask_size(t)) / 2**n
+
+
+def pinned_mix_table(n: int, d: int = 2) -> np.ndarray:
+    """C_T^2 of every pin-or-mix member (row ``pins``, column T), bit for bit
+    its state's table: the 2^n :func:`pinned_mix_state` matrices as one
+    stack, checked as each state is, one stacked sweep and one butterfly."""
+    dims = SubsystemDims((d,) * n)
+    mats = _pin_or_mix(dims, np.arange(1 << n))
+    _require_density(mats)
+    return signed_subset_sums(subset_purities(mats, dims))
+
+
+def pinned_ghz_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """C_T^2 of every pinned-GHZ member (row i for the pins 2i, column T) and
+    of its reduced state on parties 2..n, bit for bit the states' tables.
+    Each member is its checked :func:`pinned_ghz_state` and projector; the
+    projectors form one stack, one stacked partial trace gives the reduced
+    states, checked as each state is, and each stack is swept once."""
+    members = [pinned_ghz_state(n, i << 1).density() for i in range(1 << (n - 1))]
+    dims = members[0].dims
+    projectors = np.stack([rho.matrix for rho in members])
+    reduced = partial_trace(projectors, dims, dims.full_mask ^ 0b1)
+    _require_density(reduced)
+    return (signed_subset_sums(subset_purities(projectors, dims)),
+            signed_subset_sums(subset_purities(reduced, SubsystemDims((2,) * (n - 1)))))
 
 
 def pinned_ghz_invariant(n: int, pins: int, t: int) -> float:

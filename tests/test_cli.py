@@ -1,9 +1,10 @@
 import json
+import runpy
 
 import numpy as np
 import pytest
 
-from qinvert import cli, constraints, inversion, states, tensor
+from qinvert import cli, constraints, invariants, inversion, states, tensor, zoo
 from qinvert.cli import main
 from qinvert.dims import SubsystemDims
 from qinvert.io import write_state_file
@@ -632,3 +633,82 @@ def test_consecutive_verify_runs_in_one_process_print_the_same_lines(capsys):
     assert code == code_again == 0
     assert {line["family"] for line in first} == {*cli.VERIFY_SUITES, "summary"}
     assert _strip_elapsed(second) == _strip_elapsed(first)
+
+
+PINNED_SUITES = ["independence", "closed_form"]
+
+
+@pytest.mark.parametrize("local_dims, ranks, sweeps", [
+    ("2", 1, 1), ("2,3", 2, 3), ("2,2,2,2,2", 2, 3)])
+def test_pinned_suites_read_one_table_per_family(capsys, monkeypatch, local_dims, ranks, sweeps):
+    """With both pinned-family suites selected, each family stack is swept
+    once: the pin-or-mix states, and from two parties on the pinned-GHZ
+    projectors and their reduced states.  No state's own purity profile or
+    invariant table is formed."""
+    stacked = _count_calls(monkeypatch, zoo, "subset_purities")
+    per_state = _count_calls(monkeypatch, states, "subset_purities")
+    tables = [_count_calls(monkeypatch, owner, "invariant_table")
+              for owner in (invariants, constraints, cli)]
+    code, lines = run(capsys, "verify", "--dims", local_dims, "--size", "1",
+                      "--suites", ",".join(PINNED_SUITES))
+    assert code == 0 and [line["family"] for line in lines[:-1]] == (
+        ["independence"] * ranks + ["closed_form"])
+    assert len(stacked) == sweeps
+    assert [len(mats.shape) for mats, _ in stacked] == [3] * sweeps
+    assert per_state == [] and tables == [[], [], []]
+
+
+@pytest.mark.parametrize("local_dims", ["3", "2,3", "2,3,4", "2,2,2,2,2"])
+def test_pinned_suite_lines_depend_only_on_the_party_count(capsys, local_dims):
+    """Each pinned-family suite run on its own prints the lines it has in a
+    full run, and neither --seed nor --size changes them."""
+    def pinned(*extra):
+        code, lines = run(capsys, "verify", "--dims", local_dims, *extra)
+        assert code == 0
+        return _strip_elapsed([line for line in lines if line["family"] in PINNED_SUITES])
+
+    full = pinned("--size", "2", "--seed", "3")
+    assert [line["family"] for line in full][-1] == "closed_form"
+    for suite in PINNED_SUITES:
+        alone = pinned("--size", "1", "--suites", suite)
+        assert alone == [line for line in full if line["family"] == suite]
+    both = ",".join(PINNED_SUITES)
+    assert pinned("--size", "1", "--seed", "0", "--suites", both) == full
+    assert pinned("--size", "5", "--seed", "99", "--suites", both) == full
+
+
+def old_closed_form_residual(n):
+    """The per-state loop of the closed_form suite before the family
+    tables: each member's own invariant table against its closed form."""
+    dev = 0.0
+    for pins in range(1 << n):
+        table = invariants.invariant_table(zoo.pinned_mix_state(n, pins))
+        for t in range(1 << n):
+            dev = max(dev, abs(table.c_squared(t) - zoo.pinned_mix_invariant(n, pins, t)))
+    if n >= 2:
+        for idx in range(1 << (n - 1)):
+            pins = idx << 1
+            table = invariants.invariant_table(zoo.pinned_ghz_state(n, pins).density())
+            for t in range(1 << n):
+                dev = max(dev, abs(table.c_squared(t) - zoo.pinned_ghz_invariant(n, pins, t)))
+    return dev
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_residual_is_the_per_state_loops_bit_for_bit(capsys, n):
+    code, lines = run(capsys, "verify", "--dims", ",".join(["2"] * n), "--size", "1",
+                      "--suites", "closed_form")
+    assert code == 0 and lines[0]["label"] == f"max closed-form residual at n={n}"
+    want = -old_closed_form_residual(n)
+    assert np.float64(lines[0]["value"]).tobytes() == np.float64(want).tobytes()
+
+
+def test_python_dash_m_runs_the_command_line_tool(capsys, monkeypatch):
+    argv = ["verify", "--dims", "2,2", "--size", "1", "--suites", "closed_form"]
+    monkeypatch.setattr("sys.argv", ["qinvert", *argv])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("qinvert", run_name="__main__")
+    by_module = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    code, by_main = run(capsys, *argv)
+    assert stop.value.code == code == 0
+    assert _strip_elapsed(by_module) == _strip_elapsed(by_main)

@@ -16,7 +16,7 @@ from qinvert.constraints import (
     shadow_value,
 )
 from qinvert.dims import SubsystemDims, mask_bitstring
-from qinvert.invariants import c_t_squared
+from qinvert.invariants import c_t_squared, invariant_table
 from qinvert.inversion import invert_sum
 from qinvert.states import DensityMatrix, PureState
 from qinvert.tensor import embed, min_eigenvalue, partial_trace
@@ -26,6 +26,10 @@ from qinvert.zoo import (
     ghz_state,
     ginibre_mixed,
     haar_pure,
+    pinned_ghz_state,
+    pinned_ghz_tables,
+    pinned_mix_state,
+    pinned_mix_table,
     random_psd,
     stream_rng,
 )
@@ -392,6 +396,60 @@ def test_independence_rank_range_errors():
         independence_rank(6)
     with pytest.raises(ValueError):
         independence_rank_pure(1)
+
+
+def old_numerical_rank(matrix):
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return 0
+    return int(np.sum(sigma > 1e-8 * sigma[0]))
+
+
+def old_mix_matrix(n, d):
+    """The per-state loop of the pin-or-mix rank before the family table."""
+    size = 1 << n
+    return np.array([[invariant_table(pinned_mix_state(n, s, d=d)).c_squared(t)
+                      for t in range(size)] for s in range(size)])
+
+
+def old_pure_matrix(n):
+    """The per-state loop of the pinned-GHZ rank: each member's reduced
+    DensityMatrix on parties 2..n and its own invariant table."""
+    size = 1 << (n - 1)
+    rows = []
+    for idx in range(size):
+        psi = pinned_ghz_state(n, idx << 1)
+        table = invariant_table(psi.density().reduce(psi.dims.full_mask ^ 0b1))
+        rows.append([table.c_squared(t) for t in range(size)])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_independence_rank_reads_the_per_state_tables_bit_for_bit(n, d):
+    old = old_mix_matrix(n, d)
+    assert pinned_mix_table(n, d).tobytes() == old.tobytes()
+    assert independence_rank(n, d) == old_numerical_rank(old) == 1 << n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_independence_rank_pure_reads_the_per_state_tables_bit_for_bit(n):
+    old = old_pure_matrix(n)
+    tables, reduced = pinned_ghz_tables(n)
+    for idx, row in enumerate(tables):
+        table = invariant_table(pinned_ghz_state(n, idx << 1))
+        assert row.tolist() == [table.c_squared(t) for t in range(1 << n)]
+    assert reduced.tobytes() == old.tobytes()
+    assert independence_rank_pure(n) == old_numerical_rank(old) == 1 << (n - 1)
+
+
+@pytest.mark.parametrize("n", [0, 6])
+def test_independence_ranks_keep_their_range(n):
+    for d in (2, 3):
+        with pytest.raises(ValueError, match="supports 1 <= n <= 5"):
+            independence_rank(n, d)
+    with pytest.raises(ValueError, match="supports 2 <= n <= 5"):
+        independence_rank_pure(n)
 
 
 # ---------------------------------------------------------------------------

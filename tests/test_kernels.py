@@ -8,7 +8,8 @@ choi_matrix, the signed-embed sum shared by invert_sum and the
 witnesses from marginals, the broadcast embed and block product (with the
 Kraus operators built on it), the mask-sequence form of the reference
 routes and their all-masks pass, the member axis every all-masks layer
-takes (each member as its own call), the purity profile a pure state sweeps
+takes (each member as its own call) and the one the purity sweep and the
+signed subset sum take, the purity profile a pure state sweeps
 without forming a DensityMatrix, the invariant table every scalar
 family reads, and the Cholesky PSD certificate, pinned to eigvalsh.  The
 formulas the kernels replaced are kept here as oracles."""
@@ -132,7 +133,8 @@ def test_signed_subset_sums_match_direct_double_loop(n, data):
 
 
 def test_signed_subset_sums_rejects_bad_lengths():
-    for bad in ([], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+    # leading axes are member axes, so only the last axis's length counts
+    for bad in ([], [1.0, 2.0, 3.0], 1.0, [[1.0, 2.0, 3.0]], np.empty((2, 0))):
         with pytest.raises(ValueError):
             signed_subset_sums(bad)
 
@@ -613,6 +615,22 @@ def test_member_stacks_are_bit_identical_to_per_member_calls(dims, m, seed, data
     herm = got + got.conj().swapaxes(-1, -2)
     assert min_eigenvalue(herm.reshape(-1, d, d)) == min(min_eigenvalue(herm[:, k])
                                                          for k in range(m))
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), m=st.integers(1, 5), seed=seeds)
+def test_purity_profiles_and_signed_sums_take_a_member_axis(dims, m, seed):
+    """The purity sweep of a (M, D, D) stack and the signed subset sums of
+    a (M, 2^N) array give each row its one-operand call bit for bit."""
+    mats = np.stack([random_operator(dims, seed + k) for k in range(m)])
+    profiles = subset_purities(mats, dims)
+    assert profiles.shape == (m, 1 << dims.n) and not profiles.flags.writeable
+    sums = signed_subset_sums(profiles)
+    assert sums.shape == (m, 1 << dims.n)
+    for k in range(m):
+        one = subset_purities(mats[k], dims)
+        assert profiles[k].tobytes() == one.tobytes()
+        assert sums[k].tobytes() == signed_subset_sums(one).tobytes()
 
 
 @PROPERTY

@@ -17,6 +17,21 @@ def test_density_matrix_accepts_valid_state():
     assert not rho.matrix.flags.writeable
 
 
+def test_a_stack_gets_the_checks_of_each_state_with_its_worst_value():
+    mats = np.stack([np.eye(2) / 2] * 3).astype(np.complex128)
+    states._require_density(mats)
+    mats[1] = [[0.5, 0.0], [0.0, 0.25]]
+    with pytest.raises(ValueError, match=r"density matrix stack trace \(0.75\+0j\) is not 1"):
+        states._require_density(mats)
+    mats[1] = [[1.5, 0.0], [0.0, -0.5]]
+    with pytest.raises(ValueError, match="stack has negative eigenvalue -5.000e-01"):
+        states._require_density(mats)
+    states._require_density(mats, psd=False)
+    mats[2, 0, 1] = 1e-3
+    with pytest.raises(ValueError, match="matrix 2 of the stack is not Hermitian: .* 1.000e-03"):
+        states._require_density(mats)
+
+
 def test_density_matrix_shape_mismatch():
     dims = SubsystemDims((2, 2))
     with pytest.raises(ValueError, match="shape"):

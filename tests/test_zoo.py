@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qinvert import states
+from qinvert import states, zoo
 from qinvert.dims import SubsystemDims
 from qinvert.invariants import invariant_table
 from qinvert.states import DensityMatrix, PureState
@@ -184,6 +184,52 @@ def test_closed_forms_match_numerics():
             table = invariant_table(pinned_ghz_state(n, pins).density())
             for t in range(1 << n):
                 assert abs(table.c_squared(t) - pinned_ghz_invariant(n, pins, t)) < 1e-10
+        # the family tables verify's closed_form suite reads
+        mix, (ghz, _) = zoo.pinned_mix_table(n), zoo.pinned_ghz_tables(n)
+        for t in range(1 << n):
+            for pins in range(1 << n):
+                assert abs(mix[pins, t] - pinned_mix_invariant(n, pins, t)) < 1e-10
+            for idx in range(1 << (n - 1)):
+                assert abs(ghz[idx, t] - pinned_ghz_invariant(n, idx << 1, t)) < 1e-10
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(2, 0, 0): np.nan}, "density matrix stack has non-finite"),
+    ({(3, 0, 1): 0.5}, "density matrix 3 of the stack is not Hermitian"),
+    ({(2, 1, 1): 0.75}, r"density matrix stack trace \(1.75\+0j\) is not 1"),
+    # member 1, diag(1/2, 1/2, 0, 0), becomes diag(1, 1/2, 0, -1/2)
+    ({(1, 0, 0): 1.0, (1, 3, 3): -0.5}, "negative eigenvalue -5.000e-01"),
+])
+def test_pin_or_mix_table_checks_every_member_as_its_state_does(monkeypatch, entries, message):
+    real = zoo._pin_or_mix
+
+    def corrupted(dims, pins):
+        mats = real(dims, pins)
+        for index, value in entries.items():
+            mats[index] = value
+        return mats
+
+    monkeypatch.setattr(zoo, "_pin_or_mix", corrupted)
+    with pytest.raises(ValueError, match=message):
+        zoo.pinned_mix_table(2)
+
+
+def test_pinned_ghz_tables_check_each_member_and_the_reduced_stack(monkeypatch):
+    built = []
+    real_state, real_trace = zoo.pinned_ghz_state, zoo.partial_trace
+    monkeypatch.setattr(zoo, "pinned_ghz_state", lambda n, pins: built.append(pins)
+                        or real_state(n, pins))
+    zoo.pinned_ghz_tables(3)
+    assert built == [0, 2, 4, 6]
+
+    def corrupted(mat, dims, keep):
+        reduced = real_trace(mat, dims, keep)
+        reduced[1, 0, 0] += 0.5
+        return reduced
+
+    monkeypatch.setattr(zoo, "partial_trace", corrupted)
+    with pytest.raises(ValueError, match=r"density matrix stack trace \(1.4999.*\+0j\) is not 1"):
+        zoo.pinned_ghz_tables(3)
 
 
 def test_recipe_build_dispatch():
