@@ -46,7 +46,7 @@ from .inversion import (
     DetectionParams, apply_detection_map, chunk_members, embedded_generators, inversion_stacks,
     reference_inversions,
 )
-from .io import StateFileError, read_state_file, state_text, write_state_file
+from .io import StateFileError, read_state_file, state_chunks, write_state_file
 from .states import DensityMatrix, PureState
 from .tensor import block_product, min_eigenvalue
 from .zoo import (
@@ -436,7 +436,7 @@ def cmd_make_state(args: argparse.Namespace) -> int:
     )
     state = build(recipe)
     if args.out is None or args.out == "-":
-        sys.stdout.write(state_text(state, label=args.label))
+        sys.stdout.writelines(state_chunks(state, label=args.label))
         sys.stdout.write("\n")
     else:
         write_state_file(args.out, state, label=args.label)

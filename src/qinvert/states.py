@@ -31,15 +31,19 @@ class DensityMatrix:
     :meth:`from_gram`, :meth:`from_product` and :meth:`PureState.density`,
     set it to skip only the PSD check (shape, finiteness, Hermiticity and
     trace are still checked); every other construction, a state file
-    included, runs the full validation.
+    included, runs the full validation.  ``_owned`` is internal to the
+    package: a caller that hands over a fresh complex128 array nothing
+    else references (:meth:`from_gram`, the state-file reader) sets it, and
+    the state keeps that array, made read-only, instead of a copy.
     """
 
     matrix: np.ndarray
     dims: SubsystemDims
     _psd_known: InitVar[bool] = False
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self, _psd_known: bool) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
+    def __post_init__(self, _psd_known: bool, _owned: bool) -> None:
+        mat = self.matrix if _owned else np.array(self.matrix, dtype=np.complex128)
         d = self.dims.total
         if mat.shape != (d, d):
             raise ValueError(
@@ -54,10 +58,15 @@ class DensityMatrix:
         """The state G G^dag / Tr(G G^dag) of a D x r matrix ``g``, averaged
         with its adjoint so it is exactly Hermitian.  A Gram matrix is PSD,
         and rounding moves its eigenvalues by about r eps of its trace, far
-        inside the PSD tolerance, so validation skips the eigen-solve."""
+        inside the PSD tolerance, so validation skips the eigen-solve.  The
+        matrix is symmetrized and normalized in place; each step is the
+        same complex ufunc as the out-of-place expression, so the result is
+        bit for bit ``(m + m^dag) / 2 / tr``."""
         mat = g @ g.conj().T
-        mat = (mat + mat.conj().T) / 2.0
-        return cls(mat / np.trace(mat).real, dims, _psd_known=True)
+        np.add(mat, mat.conj().T, out=mat)
+        mat /= 2.0
+        mat /= np.trace(mat).real
+        return cls(mat, dims, _psd_known=True, _owned=True)
 
     @classmethod
     def from_product(
@@ -96,13 +105,15 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized state vector."""
+    """A normalized state vector, stored as a read-only copy (``_owned`` as
+    for :class:`DensityMatrix`)."""
 
     vector: np.ndarray
     dims: SubsystemDims
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        vec = np.array(self.vector, dtype=np.complex128).reshape(-1)
+    def __post_init__(self, _owned: bool) -> None:
+        vec = (self.vector if _owned else np.array(self.vector, dtype=np.complex128)).reshape(-1)
         d = self.dims.total
         if vec.shape != (d,):
             raise ValueError(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,3 +263,179 @@ def test_a_state_file_with_a_negative_eigenvalue_names_it():
         state_from_dict(obj)
     assert str(exc.value) == (
         "invalid state data: density matrix has negative eigenvalue -5.000e-01 below -1e-09")
+
+
+def loads_route(path):
+    """The reader as it was before it streamed rows: json.loads of the
+    whole text, then the dict route.  Kept as the oracle of
+    read_state_file."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
+    return state_from_dict(obj)
+
+
+WHITESPACE = ["", "", "", " ", "  ", "\n", "\t", "\r\n  "]
+
+
+def dump(value, rnd) -> str:
+    """JSON text of ``value`` with random JSON whitespace around each
+    token; an object is a list of (key, value) members, duplicates allowed."""
+    ws = lambda: rnd.choice(WHITESPACE)  # noqa: E731
+    if isinstance(value, tuple):
+        return "{" + ",".join(ws() + json.dumps(k) + ws() + ":" + ws() + dump(v, rnd) + ws()
+                              for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + (",".join(ws() + dump(v, rnd) + ws() for v in value) or ws()) + "]"
+    return json.dumps(value)
+
+
+CASES = [((2,), "mixed"), ((3,), "mixed"), ((2, 2), "mixed"), ((2, 3), "mixed"),
+         ((2, 2), "pure"), ((3,), "pure")]
+DECOYS = {"dims": [[2], [4], [3, 3], "x"], "kind": ["pure", "mixed", "other"],
+          "data": [[], [[1, 0]], "x"], "label": [5, "decoy"]}
+ENTRY_MUTATIONS = {"bool": True, "false": False, "string": "1.0", "word": "abc", "null": None,
+                   "nan": float("nan"), "inf": float("-inf"), "overflow": 10**400,
+                   "big_int": 2**53 + 1, "huge_int": 2**64 + 3}
+MUTATIONS = [None] * 6 + sorted(ENTRY_MUTATIONS) + [
+    "short_row", "long_row", "extra_row", "missing_row", "bad_pair", "late_dims", "late_kind",
+] + ["truncate", "trailing", "drop_comma", "bom", "top_array"] * 2
+
+
+def valid_data(draw, dims: SubsystemDims, kind: str) -> list:
+    """The nested [re, im] lists of a valid state with signed zeros,
+    subnormals and integer entries among its entries."""
+    d = dims.total
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "pure":
+        vec = np.array(haar_pure(dims, seed).vector)
+        zeros = draw(st.lists(st.integers(0, d - 1), max_size=d - 1, unique=True))
+        vec[zeros] = 0.0
+        vec /= np.linalg.norm(vec)
+        data = vec.view(np.float64).reshape(d, 2).tolist()
+        for k in zeros:
+            data[k] = draw(st.sampled_from([[0, 0], [-0.0, 0], [0, -0.0]]))
+        return data
+    if draw(st.booleans()):  # a basis projector written in integers
+        k = draw(st.integers(0, d - 1))
+        return [[[int(i == j == k), 0] for j in range(d)] for i in range(d)]
+    mat = 0.1 * ginibre_mixed(dims, seed).matrix + 0.9 * np.eye(d) / d
+    data = mat.view(np.float64).reshape(d, d, 2).tolist()
+    for i, j in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+                              .filter(lambda p: p[0] < p[1]), max_size=3, unique=True)):
+        re, im = draw(SPECIAL), draw(SPECIAL)
+        data[i][j], data[j][i] = [re, im], [re, -im]
+        if draw(st.booleans()):
+            data[i][j], data[j][i] = [0, 0], [0, 0]
+    for k in draw(st.lists(st.integers(0, d - 1), max_size=d, unique=True)):
+        data[k][k][1] = -0.0
+    return data
+
+
+@st.composite
+def state_files(draw):
+    """A state file's text, valid when its mutation is None: any member
+    order, optional label and decoy duplicate member, random whitespace."""
+    local, kind = draw(st.sampled_from(CASES))
+    dims = SubsystemDims(local)
+    data = valid_data(draw, dims, kind)
+    mutation = draw(st.sampled_from(MUTATIONS))
+    k = draw(st.integers(0, len(data) - 1))
+    row = data[k] if kind == "mixed" else data
+    if mutation in ENTRY_MUTATIONS:
+        pair = row[draw(st.integers(0, len(row) - 1))]
+        pair[draw(st.integers(0, 1))] = ENTRY_MUTATIONS[mutation]
+    elif mutation == "short_row":
+        del row[-1]
+    elif mutation == "long_row":
+        row.append([0.0, 0.0])
+    elif mutation == "extra_row":
+        data.append(list(data[k]))
+    elif mutation == "missing_row":
+        del data[k]
+    elif mutation == "bad_pair":
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([[0.0], [0.0, 0.0, 0.0]]))
+    members = [("dims", list(local)), ("kind", kind), ("data", data)]
+    members = draw(st.permutations(members))
+    if draw(st.booleans()):
+        members.insert(draw(st.integers(0, len(members))), ("label", "a \u00e9 \"label\""))
+    if draw(st.booleans()):  # an earlier member of the same key, which the later one replaces
+        key, _ = member = draw(st.sampled_from(members))
+        decoy = (key, draw(st.sampled_from(DECOYS[key])))
+        members.insert(draw(st.integers(0, members.index(member))), decoy)
+    if mutation == "late_dims":
+        members.append(("dims", [dims.total + 1]))
+    elif mutation == "late_kind":
+        members.append(("kind", "pure" if kind == "mixed" else "mixed"))
+    if draw(st.booleans()):
+        text = json.dumps(dict(members))  # the writer's layout
+    else:
+        text = dump(tuple(members), draw(st.randoms(use_true_random=False)))
+    if mutation == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif mutation == "trailing":
+        text += draw(st.sampled_from([" x", "{}", "]", ",", " 1", "\n\n}"]))
+    elif mutation == "drop_comma":
+        commas = [i for i, c in enumerate(text) if c == ","]
+        i = draw(st.sampled_from(commas))
+        text = text[:i] + text[i + 1:]
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "top_array":
+        text = "[" + text + "]"
+    return text, mutation
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=state_files())
+def test_the_streaming_reader_reads_what_json_loads_reads(tmp_path_factory, case):
+    text, mutation = case
+    path = tmp_path_factory.getbasetemp() / "oracle.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        expected = loads_route(path)
+    except StateFileError as exc:
+        assert mutation is not None, f"a valid file was rejected: {exc}"
+        with pytest.raises(StateFileError) as got:
+            read_state_file(path)
+        assert str(got.value) == str(exc)
+        return
+    got = read_state_file(path)
+    assert type(got) is type(expected) and got.dims.dims == expected.dims.dims
+    values = got.vector if isinstance(got, PureState) else got.matrix
+    before = expected.vector if isinstance(expected, PureState) else expected.matrix
+    assert values.tobytes() == before.tobytes()
+
+
+def test_no_state_file_read_calls_json_loads(tmp_path, monkeypatch):
+    path = tmp_path / "rho.json"
+    write_state_file(path, ginibre_mixed(SubsystemDims((2, 2)), 3))
+    monkeypatch.setattr(json, "loads", None)
+    monkeypatch.setattr(json.JSONDecoder, "decode", None)
+    read_state_file(path)
+    path.write_text('{"dims": [2], "kind": "mixed", "data": [[[1, 0], [0, 0]], [[0, 0]]]}')
+    with pytest.raises(StateFileError, match="invalid data"):
+        read_state_file(path)
+
+
+def test_the_codec_holds_no_tree_of_the_matrix(tmp_path):
+    """An 8-qubit mixed file is written in under two D x D complex arrays
+    of traced memory, and read back and validated in under its own length
+    plus four."""
+    rho = ginibre_mixed(SubsystemDims((2,) * 8), 8)
+    matrix_bytes = rho.matrix.nbytes
+    path = tmp_path / "rho.json"
+    tracemalloc.start()
+    try:
+        write_state_file(path, rho)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = read_state_file(path)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written < 2 * matrix_bytes
+    assert read < path.stat().st_size + 4 * matrix_bytes
+    assert np.array_equal(loaded.matrix, rho.matrix)

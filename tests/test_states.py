@@ -156,3 +156,37 @@ def test_product_constructor_checks_its_blocks():
         DensityMatrix.from_product({0b01: qubit, 0b10: qubit}, dims)
     with pytest.raises(ValueError, match="disjoint"):
         DensityMatrix.from_product({0b01: qubit, 0b10: qutrit, 0b11: ginibre_mixed(dims, 3)}, dims)
+
+
+def gram_out_of_place(g):
+    """DensityMatrix.from_gram's matrix as a chain of out-of-place
+    operations; kept as the oracle of the in-place constructor."""
+    mat = g @ g.conj().T
+    mat = (mat + mat.conj().T) / 2.0
+    return mat / np.trace(mat).real
+
+
+@pytest.mark.parametrize("local_dims, rank", [
+    ((2,), 1), ((2,), 2), ((3,), 2), ((2, 2), 1), ((2, 2), 4), ((2, 3), 5), ((2, 2, 2), 3),
+    ((3, 3), 9), ((2, 2, 2, 2), 16),
+])
+def test_from_gram_is_the_out_of_place_expression_bit_for_bit(local_dims, rank):
+    dims = SubsystemDims(local_dims)
+    rng = np.random.default_rng(rank * 100 + dims.total)
+    g = rng.normal(size=(dims.total, rank)) + 1j * rng.normal(size=(dims.total, rank))
+    g[0, 0] = -0.0  # a signed zero in the product
+    rho = DensityMatrix.from_gram(g, dims)
+    assert rho.matrix.tobytes() == gram_out_of_place(g).tobytes()
+    assert not rho.matrix.flags.writeable
+
+
+def test_an_owned_array_is_kept_and_any_other_is_copied():
+    dims = SubsystemDims((2, 3))
+    values = np.array(ginibre_mixed(dims, 6).matrix)
+    copied = DensityMatrix(values, dims)
+    assert not np.shares_memory(copied.matrix, values) and values.flags.writeable
+    kept = DensityMatrix(values, dims, _owned=True)
+    assert kept.matrix is values and not values.flags.writeable
+    vec = np.array(haar_pure(dims, 6).vector)
+    assert not np.shares_memory(PureState(vec, dims).vector, vec)
+    assert np.shares_memory(PureState(vec, dims, _owned=True).vector, vec)
