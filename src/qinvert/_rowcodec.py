@@ -1,0 +1,138 @@
+"""The row codec of state files, shared by the CLI process and its helper.
+
+A mixed state's ``data`` is a list of D rows, each a list of D [re, im]
+pairs of JSON numbers; a pure state's is one such row.  Rows are coded
+here one at a time: :func:`encode` turns the float64 bytes of whole rows
+into their JSON text, and :func:`decode` reads rows of JSON text back
+into a flat float64 buffer, checking each row's nesting and number types
+with :func:`flat_numbers`.  The text is the json module's own, so the
+bytes are those of ``json.dumps`` and the values those of ``json.loads``.
+
+Run as a script, the module is the helper process that codes the last
+rows of a large mixed state while the CLI process codes the first ones
+(see :mod:`qinvert.io`).  It imports only json, array and sys, so it
+starts without numpy or the rest of the package::
+
+    python -I -S _rowcodec.py encode D  # float64 bytes of rows in, their text out
+    python -I -S _rowcodec.py decode D  # the text of rows in, their float64 bytes out
+
+``encode`` writes the byte length of the text on a line of its own, then
+the text of the rows joined by ``", "``.  ``decode`` reads rows joined by
+``", "``, as the writer joins them, and writes D*16 bytes per row.  Either
+exits with :data:`NOT_ROWS`, writing nothing, when its input is not whole
+rows of D pairs.
+"""
+
+import array
+import json
+import sys
+
+# rows of floats hold no cycles; the check would record every pair list in a dict
+_encode = json.JSONEncoder(check_circular=False).encode
+_scan_once = json.JSONDecoder().scan_once
+_skip_ws = json.decoder.WHITESPACE.match
+# a row starts with "[[" after the ", " that ends the row before it, and
+# nowhere else in the writer's layout: pairs are lists of numbers
+ROW_START = b", [["
+# the helper's exit status when its input is not whole rows (EX_DATAERR)
+NOT_ROWS = 65
+# about this many bytes of rows are decoded to one text at a time
+PIECE = 1 << 18
+
+
+def flat_numbers(data, shape: tuple) -> list | None:
+    """The numbers of ``data`` in row-major order when it is nested lists
+    of ``shape`` holding [re, im] pairs of ints and floats, else None."""
+    rows = [data]
+    for n in shape + (2,):
+        if set(map(type, rows)) != {list} or set(map(len, rows)) != {n}:
+            return None
+        flat: list = []
+        for row in rows:
+            flat.extend(row)
+        rows = flat
+    return rows if set(map(type, rows)) <= {int, float} else None
+
+
+def encode(raw: memoryview, d: int):
+    """The JSON text of each row held in ``raw``, the float64 bytes of
+    whole rows of d [re, im] pairs."""
+    step = 16 * d
+    for start in range(0, len(raw), step):
+        yield _encode(raw[start:start + step].cast("d", (d, 2)).tolist())
+
+
+def decode(s: str, idx: int, d: int, out: memoryview, first: int) -> tuple[int, int] | None:
+    """Read rows of d [re, im] pairs, joined by commas with JSON whitespace
+    around each, from the text ``s`` at ``idx`` into the flat float64
+    buffer ``out`` from row ``first`` on, until a row is not followed by a
+    comma or ``out`` is full.  Returns the index just after the last row
+    read and the row after it, or None when a row is not d pairs of JSON
+    numbers that fit a double."""
+    width = 2 * d
+    rows = len(out) // width
+    i = first
+    while i < rows:
+        try:
+            row, idx = _scan_once(s, _skip_ws(s, idx).end())
+        except (StopIteration, json.JSONDecodeError):
+            return None
+        numbers = flat_numbers(row, (d,))
+        if numbers is None:
+            return None
+        try:
+            out[i * width:(i + 1) * width] = array.array("d", numbers)
+        except OverflowError:
+            return None
+        i += 1
+        after = _skip_ws(s, idx).end()
+        if i == rows or s[after:after + 1] != ",":
+            return idx, i
+        idx = after + 1
+    return None
+
+
+def decode_text(raw, start: int, stop: int, d: int, out: memoryview, first: int) -> int | None:
+    """Read the rows in the UTF-8 bytes ``raw[start:stop]``, joined by
+    ``", "``, into ``out`` from row ``first`` on, decoding about
+    :data:`PIECE` bytes of text at a time (each cut before a row start).
+    Returns the row after the last one read, or None when the bytes are
+    not whole rows of d pairs that fit in ``out``, or are not UTF-8."""
+    view = memoryview(raw)
+    row = first
+    while True:
+        cut = raw.find(ROW_START, start + PIECE, stop)
+        end = stop if cut < 0 else cut
+        try:
+            s = str(view[start:end], "utf-8")
+        except UnicodeDecodeError:
+            return None
+        read = decode(s, 0, d, out, row)
+        if read is None or _skip_ws(s, read[0]).end() != len(s):
+            return None
+        row = read[1]
+        if cut < 0:
+            return row
+        start = cut + 2
+
+
+def _main(argv: list) -> int:
+    mode, d = argv[0], int(argv[1])
+    data = sys.stdin.buffer.read()
+    if mode == "encode":
+        if not data or len(data) % (16 * d):
+            return NOT_ROWS
+        text = ", ".join(encode(memoryview(data), d)).encode("ascii")
+        sys.stdout.buffer.write(b"%d\n" % len(text))
+        sys.stdout.buffer.write(text)
+        return 0
+    n = data.count(ROW_START) + 1
+    out = array.array("d", [0.0]) * (2 * d * n)
+    if decode_text(data, 0, len(data), d, memoryview(out), 0) != n:
+        return NOT_ROWS
+    sys.stdout.buffer.write(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main(sys.argv[1:]))

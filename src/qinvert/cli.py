@@ -17,6 +17,7 @@ cap (default 4096).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -46,7 +47,7 @@ from .inversion import (
     DetectionParams, apply_detection_map, chunk_members, embedded_generators, inversion_stacks,
     reference_inversions,
 )
-from .io import StateFileError, read_state_file, state_chunks, write_state_file
+from .io import StateFileError, read_state_file, write_state, write_state_file
 from .states import DensityMatrix, PureState
 from .tensor import block_product, min_eigenvalue
 from .zoo import (
@@ -436,8 +437,7 @@ def cmd_make_state(args: argparse.Namespace) -> int:
     )
     state = build(recipe)
     if args.out is None or args.out == "-":
-        sys.stdout.writelines(state_chunks(state, label=args.label))
-        sys.stdout.write("\n")
+        write_state(sys.stdout, state, label=args.label)
     else:
         write_state_file(args.out, state, label=args.label)
     return 0
@@ -447,7 +447,11 @@ def cmd_make_state(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change it.
+    Each subcommand names its ``cmd_*`` function, which :func:`main` looks
+    up when it runs."""
     parser = argparse.ArgumentParser(
         prog="qinvert",
         description=(
@@ -463,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma list from: {', '.join(FAMILIES)} (default: all)")
     p.add_argument("--tol", type=float, default=PASS_TOL)
     p.add_argument("--out", default=None, help="report file (default: stdout)")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn="cmd_check")
 
     p = sub.add_parser("invariants", help="squared invariants for subset masks")
     p.add_argument("--state", required=True)
@@ -472,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                         '("0" is the empty mask)')
     p.add_argument("--tol", type=float, default=PASS_TOL)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_invariants)
+    p.set_defaults(fn="cmd_invariants")
 
     p = sub.add_parser("detect", help="apply the tunable detection map")
     p.add_argument("--state", required=True)
@@ -484,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default=None, help="same format as --alpha")
     p.add_argument("--tol", type=float, default=PASS_TOL)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_detect)
+    p.set_defaults(fn="cmd_detect")
 
     p = sub.add_parser("verify", help="seeded self-verification campaigns")
     p.add_argument("--dims", required=True, help='local dimensions, e.g. "2,2,2"')
@@ -493,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suites", default=None,
                    help=f"comma list from: {', '.join(VERIFY_SUITES)} (default: all)")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn="cmd_verify")
 
     p = sub.add_parser("make-state", help="emit a state file for a recipe")
     p.add_argument("--kind", required=True)
@@ -503,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--label", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_make_state)
+    p.set_defaults(fn="cmd_make_state")
 
     return parser
 
@@ -512,7 +516,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # by name, so the cached parser calls what the module holds now
+        return globals()[args.fn](args)
     except (StateFileError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

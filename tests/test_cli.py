@@ -1,5 +1,8 @@
 import json
+import os
 import runpy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -712,3 +715,50 @@ def test_python_dash_m_runs_the_command_line_tool(capsys, monkeypatch):
     code, by_main = run(capsys, *argv)
     assert stop.value.code == code == 0
     assert _strip_elapsed(by_module) == _strip_elapsed(by_main)
+
+
+def test_main_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    """The parser is built once per process (parsing leaves it unchanged),
+    so a later call prints the lines a first call in a new process does."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+    def fresh(argv):
+        done = subprocess.run([sys.executable, "-m", "qinvert", *argv], capture_output=True,
+                              text=True, env=env)
+        return done.returncode, done.stdout, done.stderr
+
+    def here(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def timeless(out):
+        return [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+                for line in out.splitlines()]
+
+    make = ["make-state", "--kind", "ginibre_mixed", "--dims", "2,3", "--seed", "4"]
+    refused = ["verify", "--dims", "2,2", "--size", "two"]
+    campaign = ["verify", "--dims", "2,2", "--size", "2", "--suites", "positivity"]
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (make, refused):
+        expected = fresh(argv)
+        assert here(argv) == here(argv) == expected
+    code, out, err = fresh(campaign)
+    for _ in range(2):
+        got = here(campaign)
+        assert (got[0], timeless(got[1]), got[2]) == (code, timeless(out), err)
+
+
+def test_the_cached_parser_calls_the_command_the_module_holds_now(capsys, monkeypatch):
+    """A tracer that wraps ``cmd_*`` after a first call still sees the
+    later ones."""
+    assert main(["make-state", "--kind", "bell_phi_plus", "--dims", "2,2"]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_make_state", lambda args: calls.append(args.kind) or 0)
+    assert main(["make-state", "--kind", "ghz", "--dims", "2,2"]) == 0
+    assert calls == ["ghz"]
+    capsys.readouterr()

@@ -1,16 +1,27 @@
+import gc
 import json
+import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qinvert import _rowcodec
+from qinvert import io as qio
+from qinvert.cli import main
 from qinvert.dims import SubsystemDims
 from qinvert.io import (
     StateFileError,
     _entries,
     read_state_file,
+    state_chunks,
     state_from_dict,
     state_text,
     write_state_file,
@@ -391,6 +402,21 @@ def state_files(draw):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(case=state_files())
 def test_the_streaming_reader_reads_what_json_loads_reads(tmp_path_factory, case):
+    reads_as_json_loads(tmp_path_factory, case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=state_files())
+def test_the_cut_rows_read_what_json_loads_reads(tmp_path_factory, case):
+    """The same property with the rows of every mixed state cut out of the
+    bytes, the route of states at the helper threshold (in one process)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qio, "HELPER_PAIRS", 1)
+        patch.setattr(qio, "_spare_cpu", lambda: False)
+        reads_as_json_loads(tmp_path_factory, case)
+
+
+def reads_as_json_loads(tmp_path_factory, case):
     text, mutation = case
     path = tmp_path_factory.getbasetemp() / "oracle.json"
     path.write_text(text, encoding="utf-8")
@@ -439,3 +465,276 @@ def test_the_codec_holds_no_tree_of_the_matrix(tmp_path):
     assert written < 2 * matrix_bytes
     assert read < path.stat().st_size + 4 * matrix_bytes
     assert np.array_equal(loaded.matrix, rho.matrix)
+
+
+# ---------------------------------------------------------------------------
+# the helper process: a mixed state at or above io.HELPER_PAIRS entries is
+# coded by two processes; these tests lower the threshold so small states
+# take that route, and check it against the one-process codec
+
+
+@pytest.fixture()
+def no_child_left():
+    """Fail unless every process the test started was reaped, and every
+    file it opened was closed (an unclosed pipe warns when collected); a
+    test still running after a minute, waiting for a helper, fails too."""
+    def hung(signum, frame):
+        raise TimeoutError("still waiting after a minute, for a helper blocked on its output")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            yield
+            gc.collect()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def spawned(monkeypatch, no_child_left):
+    """Route every state with at least 64 entries through a helper, on any
+    machine, and record the helpers started."""
+    started = []
+    spawn = qio._spawn
+
+    def record(mode, d):
+        started.append(mode)
+        return spawn(mode, d)
+
+    monkeypatch.setattr(qio, "HELPER_PAIRS", 64)
+    monkeypatch.setattr(qio, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(qio, "_spawn", record)
+    return started
+
+
+def mixed_file(tmp_path, local, seed=11, label=None):
+    rho = ginibre_mixed(SubsystemDims(local), seed)
+    path = tmp_path / "rho.json"
+    path.write_text(per_entry_state_text(rho, label), encoding="utf-8")
+    return rho, path
+
+
+@pytest.mark.parametrize("local", [(2, 3), (2, 2, 2), (3, 3), (2, 2, 2, 2)])
+def test_the_helper_writes_and_reads_the_bytes_and_bits_of_one_process(tmp_path, spawned,
+                                                                      monkeypatch, local):
+    """D = 6 stays in one process (36 < 64 entries); D = 8, 9 and 16 start
+    one helper to write and one to read."""
+    rho, oracle = mixed_file(tmp_path, local, label="two")
+    answered = []
+
+    answer = qio._answered
+
+    def used(proc, out):  # each helper's answer is used
+        answered.append(answer(proc, out))
+        return answered[-1]
+
+    monkeypatch.setattr(qio, "_answered", used)
+    d = rho.dims.total
+    if d * d >= 64:  # and the whole text is never decoded
+        monkeypatch.setattr(qio, "_text", None)
+    path = tmp_path / "written.json"
+    write_state_file(path, rho, label="two")
+    assert path.read_bytes() == oracle.read_bytes()
+    assert state_text(rho, "two") + "\n" == oracle.read_text(encoding="utf-8")
+    loaded = read_state_file(path)
+    assert loaded.matrix.tobytes() == loads_route(oracle).matrix.tobytes()
+    assert spawned == ([] if d * d < 64 else ["encode", "encode", "decode"])
+    assert answered == [True] * len(spawned)
+
+
+@pytest.mark.parametrize("dims", ["2,3", "2,2,2", "3,3", "2,2,2,2"])
+def test_make_state_writes_the_bytes_of_one_process(tmp_path, spawned, monkeypatch, capsys,
+                                                    dims):
+    """``--out FILE`` and ``--out -`` give the bytes one process gives, on
+    both sides of the (lowered) threshold."""
+    argv = ["make-state", "--kind", "ginibre_mixed", "--dims", dims, "--seed", "7"]
+    assert main(argv + ["--out", str(tmp_path / "two.json")]) == 0
+    assert main(argv + ["--out", "-"]) == 0
+    printed = capsys.readouterr().out
+    monkeypatch.setattr(qio, "_spare_cpu", lambda: False)
+    assert main(argv + ["--out", str(tmp_path / "one.json")]) == 0
+    one = (tmp_path / "one.json").read_text(encoding="utf-8")
+    assert (tmp_path / "two.json").read_text(encoding="utf-8") == printed == one
+    d = math.prod(map(int, dims.split(",")))
+    assert spawned == ([] if d * d < 64 else ["encode", "encode"])
+
+
+def exits(code: int):
+    return [sys.executable, "-c", f"import sys; sys.exit({code})"]
+
+
+def answers(text: str):
+    """A helper that reads its input and answers ``text`` on stdout."""
+    return [sys.executable, "-c",
+            f"import sys; sys.stdin.buffer.read(); sys.stdout.write({text!r})"]
+
+
+def killed(mode, d):
+    proc = subprocess.Popen([sys.executable, "-I", "-S", _rowcodec.__file__, mode, str(d)],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    proc.kill()
+    return proc
+
+
+def launcher(kind):
+    if kind == "oserror":
+        def spawn(mode, d):
+            raise OSError("no helper")
+    elif kind == "killed":
+        spawn = killed
+    else:
+        argv = {"exit3": exits(3), "exit0": exits(0), "not_rows": exits(_rowcodec.NOT_ROWS),
+                "short": answers("9\n[[0.0, 0.0]]\n" + "x" * 24),
+                # more than a pipe holds: it blocks on its write
+                "long": [sys.executable, "-c", "import sys; sys.stdin.buffer.read(); "
+                         "sys.stdout.write('9\\n' + 'x' * (1 << 18))"]}[kind]
+
+        def spawn(mode, d):
+            return subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    return spawn
+
+
+@pytest.mark.parametrize("kind", ["oserror", "exit3", "exit0", "not_rows", "killed", "short",
+                                  "long"])
+def test_a_failed_helper_changes_no_byte_and_no_bit(tmp_path, spawned, monkeypatch, kind):
+    rho, oracle = mixed_file(tmp_path, (2, 2, 3))
+    monkeypatch.setattr(qio, "_spawn", launcher(kind))
+    path = tmp_path / "written.json"
+    write_state_file(path, rho)
+    assert path.read_bytes() == oracle.read_bytes()
+    assert read_state_file(path).matrix.tobytes() == loads_route(oracle).matrix.tobytes()
+
+
+LAST_ROW_MUTATIONS = sorted(ENTRY_MUTATIONS) + ["short_row", "long_row", "bad_pair",
+                                                "extra_row", "missing_row"]
+
+
+@pytest.mark.parametrize("mutation", LAST_ROW_MUTATIONS)
+def test_a_malformed_last_row_keeps_the_one_process_diagnostic(tmp_path, spawned, mutation):
+    """The last row is in the helper's share; its diagnostic is still the
+    one the whole text gives, and the CLI exits 2 with it."""
+    dims = SubsystemDims((3, 3))
+    d = dims.total
+    data = (0.1 * ginibre_mixed(dims, 5).matrix + 0.9 * np.eye(d) / d).view(np.float64)
+    data = data.reshape(d, d, 2).tolist()
+    row = data[-1]
+    if mutation in ENTRY_MUTATIONS:
+        row[3][1] = ENTRY_MUTATIONS[mutation]
+    elif mutation == "short_row":
+        del row[-1]
+    elif mutation == "long_row":
+        row.append([0.0, 0.0])
+    elif mutation == "bad_pair":
+        row[2] = [0.0]
+    elif mutation == "extra_row":
+        data.append(list(row))
+    else:
+        del data[-1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dims": [3, 3], "kind": "mixed", "data": data}),
+                    encoding="utf-8")
+    with pytest.raises(StateFileError) as expected:
+        loads_route(path)
+    with pytest.raises(StateFileError) as got:
+        read_state_file(path)
+    assert str(got.value) == str(expected.value)
+    assert "decode" in spawned
+    assert main(["invariants", "--state", str(path)]) == 2
+
+
+def test_a_helper_answering_more_rows_than_a_pipe_holds_is_killed(tmp_path, spawned,
+                                                                  monkeypatch):
+    """A D = 16 file with 1000 extra rows, of which this process keeps the
+    first: the helper's share decodes to 260 kB, more than a pipe holds,
+    so it blocks on its write.  The reader stops reading at D rows and
+    kills it rather than waiting for its exit; the whole text then gives
+    the shape diagnostic and the CLI exits 2."""
+    monkeypatch.setattr(qio, "SHARE", 0.01)
+    d = 16
+    data = ginibre_mixed(SubsystemDims((2,) * 4), 2).matrix.view(np.float64)
+    data = data.reshape(d, d, 2).tolist()
+    data += [data[-1]] * 1000
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2, 2], "kind": "mixed", "data": data}),
+                    encoding="utf-8")
+    with pytest.raises(StateFileError) as expected:
+        loads_route(path)
+    with pytest.raises(StateFileError) as got:
+        read_state_file(path)
+    assert str(got.value) == str(expected.value)
+    assert main(["invariants", "--state", str(path)]) == 2
+    assert spawned == ["decode", "decode"]
+
+
+def test_no_helper_starts_for_a_seven_qubit_state(tmp_path, monkeypatch, no_child_left):
+    """At the shipped threshold, a D = 128 file is written and read in one
+    process, however many CPUs there are."""
+    def spawn(mode, d):
+        raise AssertionError(f"a {mode} helper started for D = {d}")
+
+    monkeypatch.setattr(qio, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(qio, "_spawn", spawn)
+    rho = ginibre_mixed(SubsystemDims((2,) * 7), 3)
+    path = tmp_path / "rho.json"
+    write_state_file(path, rho)
+    assert np.array_equal(read_state_file(path).matrix, rho.matrix)
+
+
+def test_no_helper_starts_on_one_cpu(tmp_path, monkeypatch, no_child_left):
+    monkeypatch.setattr(qio, "HELPER_PAIRS", 64)
+    monkeypatch.setattr(qio, "_spare_cpu", lambda: False)
+    monkeypatch.setattr(qio, "_spawn", None)
+    rho, oracle = mixed_file(tmp_path, (2, 2, 2))
+    write_state_file(tmp_path / "written.json", rho)
+    assert (tmp_path / "written.json").read_bytes() == oracle.read_bytes()
+    assert read_state_file(oracle).matrix.tobytes() == rho.matrix.tobytes()
+
+
+def test_closing_the_chunks_early_reaps_the_helper(spawned):
+    chunks = state_chunks(ginibre_mixed(SubsystemDims((2, 2, 2)), 1))
+    assert next(chunks).startswith('{"dims"')
+    assert next(chunks) == "["
+    assert spawned == ["encode"]
+    chunks.close()
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_the_reader_holds_the_file_once(tmp_path, monkeypatch, no_child_left, helper):
+    """An 8-qubit mixed file is read and validated in under its own length
+    plus two D x D complex arrays of traced memory, helper or not (holding
+    its bytes and its text at once took the length plus 3.1 arrays)."""
+    monkeypatch.setattr(qio, "_spare_cpu", lambda: helper)
+    rho = ginibre_mixed(SubsystemDims((2,) * 8), 8)
+    path = tmp_path / "rho.json"
+    write_state_file(path, rho)
+    tracemalloc.start()
+    try:
+        loaded = read_state_file(path)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read < path.stat().st_size + 2 * rho.matrix.nbytes
+    assert loaded.matrix.tobytes() == rho.matrix.tobytes()
+
+
+def test_the_helper_runs_as_a_script_without_numpy():
+    """The row codec imports only json, array and sys, so the helper starts
+    with no package import; its answers are those of the functions."""
+    rows = np.arange(24, dtype=np.float64).reshape(3, 4, 2) / 7
+    text = ", ".join(_rowcodec.encode(memoryview(rows).cast("B"), 4))
+    run = lambda *argv, data: subprocess.run(  # noqa: E731
+        [sys.executable, "-I", "-S", _rowcodec.__file__, *argv], input=data,
+        capture_output=True, check=True).stdout
+    encoded = text.encode("ascii")
+    assert run("encode", "4", data=rows.tobytes()) == b"%d\n" % len(encoded) + encoded
+    assert run("decode", "4", data=encoded) == rows.tobytes()
+    probe = (f"import runpy, sys; runpy.run_path({_rowcodec.__file__!r}); "
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'qinvert'}))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
