@@ -62,17 +62,15 @@ def encode(raw: memoryview, d: int):
         yield _encode(raw[start:start + step].cast("d", (d, 2)).tolist())
 
 
-def decode(s: str, idx: int, d: int, out: memoryview, first: int) -> tuple[int, int] | None:
-    """Read rows of d [re, im] pairs, joined by commas with JSON whitespace
-    around each, from the text ``s`` at ``idx`` into the flat float64
-    buffer ``out`` from row ``first`` on, until a row is not followed by a
-    comma or ``out`` is full.  Returns the index just after the last row
-    read and the row after it, or None when a row is not d pairs of JSON
-    numbers that fit a double."""
+def decode(s: str, d: int, out: memoryview, first: int) -> int | None:
+    """Read the text ``s``, rows of d [re, im] pairs joined by commas with
+    JSON whitespace around each, into the flat float64 buffer ``out`` from
+    row ``first`` on.  Returns the row after the last one read, or None
+    when ``s`` is not such rows of JSON numbers that fit a double, or they
+    do not fit in ``out``."""
     width = 2 * d
-    rows = len(out) // width
-    i = first
-    while i < rows:
+    idx = 0
+    for i in range(first, len(out) // width):
         try:
             row, idx = _scan_once(s, _skip_ws(s, idx).end())
         except (StopIteration, json.JSONDecodeError):
@@ -84,11 +82,12 @@ def decode(s: str, idx: int, d: int, out: memoryview, first: int) -> tuple[int, 
             out[i * width:(i + 1) * width] = array.array("d", numbers)
         except OverflowError:
             return None
-        i += 1
-        after = _skip_ws(s, idx).end()
-        if i == rows or s[after:after + 1] != ",":
-            return idx, i
-        idx = after + 1
+        idx = _skip_ws(s, idx).end()
+        if idx == len(s):
+            return i + 1
+        if s[idx] != ",":
+            return None
+        idx += 1
     return None
 
 
@@ -107,11 +106,8 @@ def decode_text(raw, start: int, stop: int, d: int, out: memoryview, first: int)
             s = str(view[start:end], "utf-8")
         except UnicodeDecodeError:
             return None
-        read = decode(s, 0, d, out, row)
-        if read is None or _skip_ws(s, read[0]).end() != len(s):
-            return None
-        row = read[1]
-        if cut < 0:
+        row = decode(s, d, out, row)
+        if row is None or cut < 0:
             return row
         start = cut + 2
 

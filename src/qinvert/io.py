@@ -3,19 +3,19 @@
 The decimal encoding uses Python's shortest round-trip float repr, so a
 write/read cycle reproduces every entry exactly.
 
-Both directions code one matrix row at a time with the row codec of
-:mod:`qinvert._rowcodec`, so no D^2-sized tree of Python objects exists.
-The writer emits the header, then the text of each row of the float64
-pair view, then the label.  The reader reads the file's bytes once and
-decodes them to text, whose top-level object the json module's scanner
-reads; a mixed ``data`` met after ``dims`` and ``kind`` is decoded one
-row at a time into one preallocated (D, 2D) float64 array, which the
-state then owns without a copy.  A mixed state with at least
-:data:`HELPER_PAIRS` entries (D >= 256) laid out as the writer lays it
-out (rows joined by ``", "``) has its rows cut out of the bytes instead:
-only the rest of the object becomes one text, and the rows are decoded
-a piece of text at a time.  Any other layout, and any irregular row, is
-scanned whole, so its diagnostic is that of the nested lists.
+The writer codes one matrix row at a time with the row codec of
+:mod:`qinvert._rowcodec`, so no D^2-sized tree of Python objects exists:
+it emits the header, then the text of each row of the float64 pair view,
+then the label.  The reader reads the file's bytes once and takes one of
+two routes.  A mixed state with at least :data:`HELPER_PAIRS` entries
+(D >= 256) laid out as the writer lays it out (rows joined by ``", "``)
+has its rows cut out of the bytes and decoded a piece of text at a time
+into one preallocated (D, 2D) float64 array, which the state then owns
+without a copy; only the rest of the object becomes text, which
+``json.loads`` reads to check the header and that the cut is the
+top-level ``data``.  Every other file, and any whose cut rows are not D
+rows of D pairs, is decoded to text whole and read by ``json.loads``, so
+its diagnostics are those of the nested lists.
 
 A mixed state with at least :data:`HELPER_PAIRS` entries, in a process
 that may run on more than one CPU, is coded by two processes.
@@ -28,28 +28,27 @@ float64 rows it answers straight into the array.  A helper that cannot
 start has its rows coded here.  A writer's helper that answers anything
 but the text of its rows has them encoded here too; a reader's helper
 that answers anything but exactly its rows' float64 bytes sends the file
-to the whole-text route, as an irregular row does.  So the bytes written
-and the values read never depend on the helper.  It is waited for only
-once its output has ended, and killed and reaped before the call
-returns whatever happened.  The helper costs
-about 35 ms to start; on a 2-core x86-64 VM it loses below the threshold
-(D = 192: write 0.13 s against 0.11 s in one process, read 0.09 s
-against 0.06 s) and wins from it on (D = 256: write 0.16 s against
-0.22 s, read 0.09 s against 0.11 s; D = 512: write 0.55 s against
-0.98 s, read 0.26 s against 0.48 s).
+to ``json.loads``, as an irregular row does.  So the bytes written and
+the values read never depend on the helper.  It is waited for only once
+its output has ended, and killed and reaped before the call returns
+whatever happened.  The helper costs about 35 ms to start; on a 2-core
+x86-64 VM it loses below the threshold (D = 192: write 0.13 s against
+0.11 s in one process, read 0.09 s against 0.06 s) and wins from it on
+(D = 256: write 0.16 s against 0.22 s, read 0.09 s against 0.11 s;
+D = 512: write 0.55 s against 0.98 s, read 0.26 s against 0.48 s).
 
-Measured with tracemalloc on an 8-qubit mixed file, writing peaks at 0.1
+Measured with tracemalloc, writing an 8-qubit mixed file peaks at 0.1
 D x D complex arrays in one process and 1.5 with a helper (its text,
-held until it has exited cleanly), and reading at the file's length plus
-1.5 arrays: the bytes, the row array and a piece of text, all dropped
-before validation.  The rows are cut out from the threshold on in one
-process too: there the cut reads in the time of the whole text (D = 192,
-256 and 512: medians of ten fresh processes each, 0.065 against 0.064 s,
-0.110 against 0.103 s and 0.335 against 0.346 s, within each other's
-quartiles) and holds the text of one piece instead of the whole file.
-At D = 128 the cut read 30-50% slower inside the benchmark's passes, for
-a reason not found.  Smaller files, and any file the cut does not take,
-hold their bytes and their text at once while the text is decoded.
+held until it has exited cleanly), and reading it at the file's length
+plus 1.5 arrays: the bytes, the row array and a piece of text, all
+dropped before validation.  In one process on a shared 2-CPU x86-64
+container the cut parses in less time than ``json.loads`` of the whole
+text (medians of seven fresh processes: 0.074 against 0.098 s at
+D = 256, 0.37 against 0.42 s at D = 512).  At D = 128 the cut read
+30-50% slower inside the benchmark's passes, for a reason not found, so
+smaller files take ``json.loads``, which holds the file's text and then
+the tree of its ``data`` until it is converted: a 7-qubit mixed file
+peaks at its length plus 9.0 arrays (3.9 times its length).
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ import itertools
 import json
 import os
 import sys
-from json.decoder import WHITESPACE, JSONDecodeError, scanstring
+from json.decoder import JSONDecodeError
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator
 
@@ -72,9 +71,6 @@ from .states import DensityMatrix, PureState
 
 if TYPE_CHECKING:
     import subprocess
-
-_scan_once = json.JSONDecoder().scan_once
-_skip_ws = WHITESPACE.match
 
 # a helper process codes part of a mixed state with at least this many
 # entries (measured crossover between D = 192 and D = 256), and the
@@ -256,12 +252,6 @@ def _chunks(head: str, data: Iterator[str], tail: str) -> Iterator[str]:
     yield tail
 
 
-def state_text(state: DensityMatrix | PureState, label: str | None = None) -> str:
-    """The JSON object of a state file, without its final newline."""
-    with contextlib.closing(state_chunks(state, label=label)) as chunks:
-        return "".join(chunks)
-
-
 def write_state(fh: IO[str], state: DensityMatrix | PureState, label: str | None = None) -> None:
     """Write a state file's text and final newline to the text handle ``fh``."""
     with contextlib.closing(state_chunks(state, label=label)) as chunks:
@@ -350,169 +340,52 @@ def state_from_dict(obj: dict, cap: int = DEFAULT_DIM_CAP) -> DensityMatrix | Pu
 # the reader
 
 
-class _WholeText(Exception):
-    """The rows cut out of a state file's bytes are not read apart: the
-    file is read again as one text."""
+def _cut_rows(raw: bytes, cap: int) -> tuple[SubsystemDims, np.ndarray] | None:
+    """The dims and (D, 2D) float64 rows of a mixed state file with at
+    least :data:`HELPER_PAIRS` entries whose rows, joined by ``", "`` as
+    the writer joins them, run from just after its first ``[[[`` to just
+    before its last ``]]]``'s final bracket; the last rows are decoded by
+    a helper process when one may run.  None for any other file.
 
-
-class _Cut:
-    """The rows of a mixed ``data`` value, cut out of the text the object
-    scanner reads: ``raw[start:stop]`` holds them, and the scanner's text
-    holds ``[]`` in their place, its ``]`` at index ``at``."""
-
-    def __init__(self, raw: bytes, start: int, stop: int, at: int) -> None:
-        self.raw, self.start, self.stop, self.at = raw, start, stop, at
-        self.rows: np.ndarray | None = None
-
-    def read(self, d: int) -> np.ndarray:
-        """The rows as a (d, 2d) float64 array, the last ones decoded by a
-        helper process when the state is large."""
-        if d * d < HELPER_PAIRS:
-            # the whole text: in the benchmark's passes, cut rows of D <= 128
-            # decoded 30-50% slower (the same decode on the same text)
-            raise _WholeText
-        raw, start, stop = self.raw, self.start, self.stop
-        buf = np.empty((d, 2 * d))
-        out = memoryview(buf).cast("B").cast("d")
-        split = stop
-        if _helper_rows(d):
-            cut = raw.find(ROW_START, start + int(SHARE * (stop - start)), stop)
-            split = stop if cut < 0 else cut
-        with _helper("decode", d, split < stop) as proc:
-            if proc is None:  # no helper, or it could not start: every row is decoded here
-                split = stop
-            fed = _feed(proc, memoryview(raw)[split + 2:stop])
-            h = _decode_text(raw, start, split, d, out, 0)
-            if proc is not None:
-                # any answer but the exact rows: the whole text, whose diagnostic
-                # names an irregular row, decodes the rows again
-                if not (fed and _answered(proc, out[2 * d * h:].cast("B"))):
-                    raise _WholeText
-                h = d
-        if h != d:
-            raise _WholeText
-        self.rows = buf
-        return buf
-
-
-def _decode_text(raw: bytes, start: int, stop: int, d: int, out: memoryview, first: int) -> int:
-    """:func:`qinvert._rowcodec.decode_text`, raising :class:`_WholeText`
-    where it finds no rows."""
-    row = _rowcodec.decode_text(raw, start, stop, d, out, first)
-    if row is None:
-        raise _WholeText
-    return row
-
-
-def _value(s: str, idx: int):
-    """The JSON value at ``idx`` and the index after it, as json.loads
-    scans it."""
-    try:
-        return _scan_once(s, idx)
-    except StopIteration as err:
-        raise JSONDecodeError("Expecting value", s, err.value) from None
-
-
-def _mixed_dim(obj: dict, cap: int) -> int | None:
-    """D when the members read so far name valid dims and kind "mixed"."""
-    if obj.get("kind") == "mixed" and "dims" in obj:
-        try:
-            return _dims(obj["dims"], cap).total
-        except StateFileError:
-            pass
-    return None
-
-
-def _rows(s: str, start: int, d: int, cut: _Cut | None):
-    """The value at ``start`` and the index after it.  The cut-out rows,
-    when they stand there, and a list of d rows, each d [re, im] pairs of
-    JSON numbers that fit a double, are read into a (d, 2d) float64 array;
-    any other value is scanned again whole and returned as its JSON
-    value."""
-    if cut is not None and start + 1 == cut.at:
-        return cut.read(d), start + 2
-    buf = np.empty((d, 2 * d))
-    if s[start:start + 1] == "[":
-        read = _rowcodec.decode(s, start + 1, d, memoryview(buf).cast("B").cast("d"), 0)
-        if read is not None and read[1] == d:
-            idx = _skip_ws(s, read[0]).end()
-            if s[idx:idx + 1] == "]":
-                return buf, idx + 1
-    return _value(s, start)
-
-
-def _object(s: str, idx: int, cap: int, cut: _Cut | None) -> tuple[dict, int]:
-    """The members of the JSON object that opens just before ``idx`` and
-    the index after it, with json.loads' errors at json.loads' positions
-    (later duplicate keys win).  A ``data`` value met after mixed dims and
-    kind is read by :func:`_rows`; if the members that follow change D or
-    the kind, it is scanned again whole."""
-    obj: dict = {}
-    data_at = None
-    idx = _skip_ws(s, idx).end()
-    if s[idx:idx + 1] != "}":
-        while True:
-            if s[idx:idx + 1] != '"':
-                raise JSONDecodeError("Expecting property name enclosed in double quotes", s, idx)
-            key, idx = scanstring(s, idx + 1)
-            idx = _skip_ws(s, idx).end()
-            if s[idx:idx + 1] != ":":
-                raise JSONDecodeError("Expecting ':' delimiter", s, idx)
-            idx = _skip_ws(s, idx + 1).end()
-            d = _mixed_dim(obj, cap) if key == "data" else None
-            if d is not None:
-                data_at = idx
-                obj[key], idx = _rows(s, idx, d, cut)
-            else:
-                obj[key], idx = _value(s, idx)
-            idx = _skip_ws(s, idx).end()
-            if s[idx:idx + 1] == "}":
-                break
-            if s[idx:idx + 1] != ",":
-                raise JSONDecodeError("Expecting ',' delimiter", s, idx)
-            idx = _skip_ws(s, idx + 1).end()
-    data = obj.get("data")
-    if isinstance(data, np.ndarray) and _mixed_dim(obj, cap) != data.shape[0]:
-        if cut is not None and data is cut.rows:
-            raise _WholeText
-        obj["data"] = _value(s, data_at)[0]
-    return obj, idx + 1
-
-
-def _decode(s: str, cap: int, cut: _Cut | None = None):
-    """The JSON value of the text ``s``, read as json.loads reads it, except
-    that a state file's mixed ``data`` may be a (D, 2D) float64 array."""
-    if s.startswith("\ufeff"):
-        raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
-    idx = _skip_ws(s, 0).end()
-    if s[idx:idx + 1] == "{":
-        obj, idx = _object(s, idx + 1, cap, cut)
-    else:
-        obj, idx = _value(s, idx)
-    idx = _skip_ws(s, idx).end()
-    if idx != len(s):
-        raise JSONDecodeError("Extra data", s, idx)
-    return obj
-
-
-def _decode_cut(raw: bytes, cap: int):
-    """The decoded JSON of a state file's bytes with the rows of a large
-    mixed ``data`` cut out of the text and decoded apart, or None when the
-    file is not laid out so (the rows run from just after the first
-    ``[[[`` to just before the last ``]]]``'s final bracket), the state is
-    below the threshold, or the file reads otherwise."""
+    Only the rest of the object becomes text.  It is read with a ``0`` and
+    then a ``1`` in the rows' place, and must read as a valid header with
+    ``data`` ``[0]`` and then ``[1]``: so the cut is the top-level
+    ``data``, not a string holding rows text or a member a later
+    duplicate replaces."""
     first, end = raw.find(b"[[["), raw.rfind(b"]]]")
     if first < 0 or end <= first:
         return None
     start, stop = first + 1, end + 2
     view = memoryview(raw)
     try:
-        head = str(view[:start], "utf-8")
-        cut = _Cut(raw, start, stop, len(head))
-        obj = _decode(head + str(view[stop:], "utf-8"), cap, cut)
-    except (UnicodeDecodeError, JSONDecodeError, _WholeText):
+        head, tail = str(view[:start], "utf-8"), str(view[stop:], "utf-8")
+        objs = [json.loads(head + token + tail) for token in "01"]
+        if not all(isinstance(obj, dict) and obj.get("data") == [k]
+                   for k, obj in enumerate(objs)):
+            return None
+        kind, dims, _ = _header(objs[0], cap)
+    except (UnicodeDecodeError, JSONDecodeError, StateFileError):
         return None
-    return obj if cut.rows is not None else None
+    d = dims.total
+    if kind != "mixed" or d * d < HELPER_PAIRS:
+        # in the benchmark's passes, cut rows of D <= 128 decoded 30-50%
+        # slower than the same rows decoded from the whole text
+        return None
+    buf = np.empty((d, 2 * d))
+    out = memoryview(buf).cast("B").cast("d")
+    split = stop
+    if _helper_rows(d):
+        cut = raw.find(ROW_START, start + int(SHARE * (stop - start)), stop)
+        split = stop if cut < 0 else cut
+    with _helper("decode", d, split < stop) as proc:
+        if proc is None:  # no helper, or it could not start: every row is decoded here
+            split = stop
+        fed = _feed(proc, view[split + 2:stop])
+        rows = _rowcodec.decode_text(raw, start, split, d, out, 0)
+        if proc is not None and rows is not None:
+            # any answer but exactly its rows sends the file to json.loads
+            rows = d if fed and _answered(proc, out[2 * d * rows:].cast("B")) else None
+    return (dims, buf) if rows == d else None
 
 
 def _text(raw: bytes, path: str | Path) -> str:
@@ -527,32 +400,26 @@ def _text(raw: bytes, path: str | Path) -> str:
     return text
 
 
-def _parse(path: str | Path, cap: int):
-    """The decoded JSON of a state file; its bytes are dropped on return."""
+def _fields(path: str | Path, cap: int) -> tuple[str, SubsystemDims, np.ndarray]:
+    """The checked kind, dims and entries of a state file; its bytes, text
+    and parsed lists are dropped on return, before validation."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
-    obj = _decode_cut(raw, cap)
-    if obj is not None:
-        return obj
+    cut = _cut_rows(raw, cap)
+    if cut is not None:
+        # the state owns the decoder's row buffer, already checked against D
+        return "mixed", cut[0], cut[1].view(np.complex128)
     text = _text(raw, path)
     del raw
     try:
-        return _decode(text, cap)
+        obj = json.loads(text)
     except JSONDecodeError as exc:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
-
-
-def _fields(path: str | Path, cap: int) -> tuple[str, SubsystemDims, np.ndarray]:
-    """The checked kind, dims and entries of a state file; any parsed lists
-    are dropped on return, before validation."""
-    obj = _parse(path, cap)
+    del text
     kind, dims, shape = _header(obj, cap)
-    data = obj["data"]
-    # an array is the decoder's own row buffer, already checked against shape
-    values = data.view(np.complex128) if isinstance(data, np.ndarray) else _entries(data, shape)
-    return kind, dims, values
+    return kind, dims, _entries(obj["data"], shape)
 
 
 def read_state_file(

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qinvert import _rowcodec
@@ -23,7 +23,6 @@ from qinvert.io import (
     read_state_file,
     state_chunks,
     state_from_dict,
-    state_text,
     write_state_file,
 )
 from qinvert.states import DensityMatrix, PureState
@@ -235,7 +234,7 @@ def test_the_writer_writes_the_bytes_of_the_per_entry_encoder(tmp_path_factory, 
     for state in states:
         write_state_file(path, state, label=label)
         assert path.read_bytes() == per_entry_state_text(state, label).encode("utf-8")
-        assert state_text(state, label) + "\n" == per_entry_state_text(state, label)
+        assert "".join(state_chunks(state, label)) + "\n" == per_entry_state_text(state, label)
 
 
 @pytest.mark.parametrize("state", [haar_pure(SubsystemDims((3, 2)), 7),
@@ -312,6 +311,7 @@ ENTRY_MUTATIONS = {"bool": True, "false": False, "string": "1.0", "word": "abc",
                    "big_int": 2**53 + 1, "huge_int": 2**64 + 3}
 MUTATIONS = [None] * 6 + sorted(ENTRY_MUTATIONS) + [
     "short_row", "long_row", "extra_row", "missing_row", "bad_pair", "late_dims", "late_kind",
+    "late_data",
 ] + ["truncate", "trailing", "drop_comma", "bom", "top_array"] * 2
 
 
@@ -371,7 +371,11 @@ def state_files(draw):
     members = [("dims", list(local)), ("kind", kind), ("data", data)]
     members = draw(st.permutations(members))
     if draw(st.booleans()):
-        members.insert(draw(st.integers(0, len(members))), ("label", "a \u00e9 \"label\""))
+        # a plain label, or one holding the text of the rows of a D x D
+        # projector, which the row cut must not read as data
+        projector = [[[int(i == j == 0), 0] for j in range(dims.total)] for i in range(dims.total)]
+        label = draw(st.sampled_from(["a \u00e9 \"label\"", json.dumps(projector)]))
+        members.insert(draw(st.integers(0, len(members))), ("label", label))
     if draw(st.booleans()):  # an earlier member of the same key, which the later one replaces
         key, _ = member = draw(st.sampled_from(members))
         decoy = (key, draw(st.sampled_from(DECOYS[key])))
@@ -380,8 +384,10 @@ def state_files(draw):
         members.append(("dims", [dims.total + 1]))
     elif mutation == "late_kind":
         members.append(("kind", "pure" if kind == "mixed" else "mixed"))
-    if draw(st.booleans()):
-        text = json.dumps(dict(members))  # the writer's layout
+    elif mutation == "late_data":  # the token the row cut reads in the rows' place
+        members.append(("data", draw(st.sampled_from([[0], [1]]))))
+    if draw(st.booleans()):  # the writer's layout, duplicate members kept
+        text = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in members) + "}"
     else:
         text = dump(tuple(members), draw(st.randoms(use_true_random=False)))
     if mutation == "truncate":
@@ -399,14 +405,29 @@ def state_files(draw):
     return text, mutation
 
 
+def cut_decoys(test):
+    """Try first the files the row cut must leave to json.loads, which the
+    draws rarely reach: a later duplicate of each token it reads in the
+    rows' place, and a pure state whose label holds rows text of its D and
+    whose later kind makes it mixed."""
+    rows = "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"
+    for late in ("[0]", "[1]"):
+        test = example(case=(f'{{"dims": [2], "kind": "mixed", "data": {rows}, "data": {late}}}',
+                             "late_data"))(test)
+    text = f'{{"dims": [2], "kind": "pure", "data": [[1, 0], [0, 0]], "label": "{rows}", '
+    return example(case=(text + '"kind": "mixed"}', "late_kind"))(test)
+
+
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(case=state_files())
+@cut_decoys
 def test_the_streaming_reader_reads_what_json_loads_reads(tmp_path_factory, case):
     reads_as_json_loads(tmp_path_factory, case)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=state_files())
+@cut_decoys
 def test_the_cut_rows_read_what_json_loads_reads(tmp_path_factory, case):
     """The same property with the rows of every mixed state cut out of the
     bytes, the route of states at the helper threshold (in one process)."""
@@ -433,17 +454,6 @@ def reads_as_json_loads(tmp_path_factory, case):
     values = got.vector if isinstance(got, PureState) else got.matrix
     before = expected.vector if isinstance(expected, PureState) else expected.matrix
     assert values.tobytes() == before.tobytes()
-
-
-def test_no_state_file_read_calls_json_loads(tmp_path, monkeypatch):
-    path = tmp_path / "rho.json"
-    write_state_file(path, ginibre_mixed(SubsystemDims((2, 2)), 3))
-    monkeypatch.setattr(json, "loads", None)
-    monkeypatch.setattr(json.JSONDecoder, "decode", None)
-    read_state_file(path)
-    path.write_text('{"dims": [2], "kind": "mixed", "data": [[[1, 0], [0, 0]], [[0, 0]]]}')
-    with pytest.raises(StateFileError, match="invalid data"):
-        read_state_file(path)
 
 
 def test_the_codec_holds_no_tree_of_the_matrix(tmp_path):
@@ -540,7 +550,7 @@ def test_the_helper_writes_and_reads_the_bytes_and_bits_of_one_process(tmp_path,
     path = tmp_path / "written.json"
     write_state_file(path, rho, label="two")
     assert path.read_bytes() == oracle.read_bytes()
-    assert state_text(rho, "two") + "\n" == oracle.read_text(encoding="utf-8")
+    assert "".join(state_chunks(rho, "two")) + "\n" == oracle.read_text(encoding="utf-8")
     loaded = read_state_file(path)
     assert loaded.matrix.tobytes() == loads_route(oracle).matrix.tobytes()
     assert spawned == ([] if d * d < 64 else ["encode", "encode", "decode"])
@@ -720,6 +730,33 @@ def test_the_reader_holds_the_file_once(tmp_path, monkeypatch, no_child_left, he
         tracemalloc.stop()
     assert read < path.stat().st_size + 2 * rho.matrix.nbytes
     assert loaded.matrix.tobytes() == rho.matrix.tobytes()
+
+
+def test_another_layout_at_the_threshold_is_read_whole(tmp_path, monkeypatch, no_child_left):
+    """A D = 256 file in a layout other than the writer's reads the bits of
+    the writer's file, through json.loads of its whole text, with no
+    helper."""
+    rho = ginibre_mixed(SubsystemDims((2,) * 8), 4)
+    written, indented = tmp_path / "written.json", tmp_path / "indented.json"
+    write_state_file(written, rho)
+    indented.write_text(json.dumps(json.loads(written.read_text(encoding="utf-8")), indent=1),
+                        encoding="utf-8")
+    expected = read_state_file(written).matrix.tobytes()
+    whole = []
+    text = qio._text
+
+    def spawn(mode, d):
+        raise AssertionError(f"a {mode} helper started for D = {d}")
+
+    def read_whole(raw, path):
+        whole.append(path)
+        return text(raw, path)
+
+    monkeypatch.setattr(qio, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(qio, "_spawn", spawn)
+    monkeypatch.setattr(qio, "_text", read_whole)
+    assert read_state_file(indented).matrix.tobytes() == expected
+    assert whole == [indented]
 
 
 def test_the_helper_runs_as_a_script_without_numpy():
