@@ -38,6 +38,10 @@ INVOCATIONS = [
     ["detect", "--state", "{dir}/ginibre3.json", "--act-on", "1,2", "--t", "1"],
     ["verify", "--dims", "2,2", "--size", "3", "--seed", "1"],
     ["verify", "--dims", "3", "--size", "3", "--seed", "1"],
+    # the three invocations of the verify-ensemble benchmark workload
+    ["verify", "--dims", "2,2,2,2", "--size", "20", "--seed", "1"],
+    ["verify", "--dims", "2,3,4", "--size", "10", "--seed", "1"],
+    ["verify", "--dims", "3,3", "--size", "50", "--seed", "1"],
 ]
 
 
