@@ -52,13 +52,13 @@ from .states import DensityMatrix, PureState
 from .tensor import block_product, min_eigenvalue
 from .zoo import (
     StateRecipe,
-    assemble_product,
     build,
-    ginibre_mixed,
+    ginibre_stack,
     pinned_ghz_invariant,
     pinned_ghz_tables,
     pinned_mix_invariant,
     pinned_mix_table,
+    product_stack,
     stream_rng,
 )
 
@@ -260,11 +260,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--size must be at least 1, got {args.size}")
     seed = _seed(args.seed)
     suites = _select(args.suites, VERIFY_SUITES, "suite", "--suites")
+    # a product needs two parties: a campaign of nothing else would pass vacuously
+    skip_products = dims.n < 2
+    if skip_products and suites == ["factorization"]:
+        raise ValueError("suite factorization needs at least 2 parties; --dims names 1")
 
     def reports() -> Iterator[ConstraintReport]:
         rows: list[ReportEntry] = []
         shared = _ensemble_suites(dims, args.size, seed, suites)
         for suite in suites:
+            if suite == "factorization" and skip_products:
+                yield ConstraintReport(suite, [], _SUITES[suite],
+                                       ["note: factorization skipped: needs at least 2 parties"])
+                continue
             if suite in PINNED_SUITES and suite not in shared:
                 shared.update(_pinned_suites(dims))
             battery = shared[suite] if suite in shared else _factorization(dims, args.size, seed)
@@ -310,8 +318,7 @@ def _ensemble_suites(
     generators = embedded_generators(dims) if cross else None
     chunk = chunk_members(dims)
     for start in range(0, size, chunk):
-        mats = np.array([ginibre_mixed(dims, seed, member=k).matrix
-                         for k in range(start, min(start + chunk, size))])
+        mats = ginibre_stack(dims, seed, range(start, min(start + chunk, size)))
         refs = reference_inversions(mats, dims, generators) if cross else None
         sums = [0, 0]  # even and odd masks, each added in ascending order
         first = 0
@@ -338,20 +345,18 @@ def _ensemble_suites(
 
 
 def _factorization(dims: SubsystemDims, size: int, seed: int) -> Rows:
-    if dims.n < 2:
-        return [("skipped: needs at least 2 parties", 0.0, 0.0)]
     dev = 0.0
     # inline, not a helper per group: a group's arrays live until the next
     # group's replace them, so the allocator does not hand the memory back
     # and fault it in again for every group (at 5 qubits, 2085 against 549
     # minor page faults per call)
-    for s, group in _product_groups(dims, size, seed):
+    for parts, prods in _product_groups(dims, size, seed):
         inv = {}  # each part's inversions for all its masks, members second
-        for part, states in zip((s, dims.full_mask ^ s), zip(*group)):
-            mats = np.array([rho.matrix for rho in states])
-            inv[part] = np.concatenate(list(inversion_stacks(mats, states[0].dims)))
+        for part, mats in parts.items():
+            stacks = inversion_stacks(mats, SubsystemDims(dims.dims_of(part)))
+            inv[part] = np.concatenate(list(stacks))
         all_masks = dims.subset_masks()
-        for lhs in inversion_stacks(np.array([prod.matrix for _, _, prod in group]), dims):
+        for lhs in inversion_stacks(prods, dims):
             masks = list(itertools.islice(all_masks, len(lhs)))
             rhs = block_product({part: stack[[relative_mask(t, part) for t in masks]]
                                  for part, stack in inv.items()}, dims)
@@ -361,27 +366,34 @@ def _factorization(dims: SubsystemDims, size: int, seed: int) -> Rows:
 
 def _product_groups(
     dims: SubsystemDims, size: int, seed: int
-) -> Iterator[tuple[int, list[tuple[DensityMatrix, ...]]]]:
-    """Yield ``(s, [(rho_s, rho_c, rho_s (x) rho_c), ...])``: members k < size
-    with a random split s drawn in member order and Ginibre members 2k and
-    2k+1 on s and its complement, built in order and grouped by split, a
-    group as soon as it holds :func:`~qinvert.inversion.chunk_members`
-    members, the rest at the end.  What waits is fewer than that many
-    members per split, their states only, so memory does not grow with
-    ``size``."""
+) -> Iterator[tuple[dict[int, np.ndarray], np.ndarray]]:
+    """Yield ``({s: rho_s, c: rho_c}, rho_s (x) rho_c)`` as (M, ., .) member
+    stacks: members k < size with a random split s drawn in member order
+    and Ginibre members 2k and 2k+1 on s and its complement c, grouped by
+    split, a group as soon as it holds
+    :func:`~qinvert.inversion.chunk_members` members, the rest at the end.
+    A group's factors are two :func:`~qinvert.zoo.ginibre_stack` calls, in
+    member order, and its products one :func:`~qinvert.zoo.product_stack`.
+    What waits is fewer than a chunk of member numbers per split, no
+    states, so memory does not grow with ``size``."""
     rng = stream_rng(seed, 10_001)
     chunk = chunk_members(dims)
-    waiting: dict[int, list[tuple[DensityMatrix, ...]]] = {}
+    waiting: dict[int, list[int]] = {}
+
+    def group(s: int, members: list[int]) -> tuple[dict[int, np.ndarray], np.ndarray]:
+        parts = {part: ginibre_stack(SubsystemDims(dims.dims_of(part)), seed,
+                                     [2 * k + j for k in members])
+                 for j, part in enumerate((s, dims.full_mask ^ s))}
+        return parts, product_stack(parts, dims)
+
     for k in range(size):
         s = int(rng.integers(1, dims.full_mask))
-        sc = dims.full_mask ^ s
-        rho_s = ginibre_mixed(SubsystemDims(dims.dims_of(s)), seed, member=2 * k)
-        rho_c = ginibre_mixed(SubsystemDims(dims.dims_of(sc)), seed, member=2 * k + 1)
-        group = waiting.setdefault(s, [])
-        group.append((rho_s, rho_c, assemble_product(dims, {s: rho_s, sc: rho_c})))
-        if len(group) == chunk:
-            yield s, waiting.pop(s)
-    yield from waiting.items()
+        members = waiting.setdefault(s, [])
+        members.append(k)
+        if len(members) == chunk:
+            yield group(s, waiting.pop(s))
+    for s, members in waiting.items():
+        yield group(s, members)
 
 
 PINNED_SUITES = ("independence", "closed_form")

@@ -55,18 +55,11 @@ class DensityMatrix:
 
     @classmethod
     def from_gram(cls, g: np.ndarray, dims: SubsystemDims) -> "DensityMatrix":
-        """The state G G^dag / Tr(G G^dag) of a D x r matrix ``g``, averaged
-        with its adjoint so it is exactly Hermitian.  A Gram matrix is PSD,
-        and rounding moves its eigenvalues by about r eps of its trace, far
-        inside the PSD tolerance, so validation skips the eigen-solve.  The
-        matrix is symmetrized and normalized in place; each step is the
-        same complex ufunc as the out-of-place expression, so the result is
-        bit for bit ``(m + m^dag) / 2 / tr``."""
-        mat = g @ g.conj().T
-        np.add(mat, mat.conj().T, out=mat)
-        mat /= 2.0
-        mat /= np.trace(mat).real
-        return cls(mat, dims, _psd_known=True, _owned=True)
+        """The state :func:`gram_density` of a D x r matrix ``g``.  A Gram
+        matrix is PSD, and rounding moves its eigenvalues by about r eps of
+        its trace, far inside the PSD tolerance, so validation skips the
+        eigen-solve."""
+        return cls(gram_density(g), dims, _psd_known=True, _owned=True)
 
     @classmethod
     def from_product(
@@ -134,6 +127,22 @@ class PureState:
     def purities(self) -> np.ndarray:
         """As DensityMatrix.purities, swept over |psi><psi| with no DensityMatrix."""
         return subset_purities(np.outer(self.vector, self.vector.conj()), self.dims)
+
+
+def gram_density(g: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr(G G^dag), averaged with its adjoint so it is exactly
+    Hermitian, for one D x r matrix or each member of an (M, D, r) stack;
+    a stack's member i is bit for bit the matrix of its own ``g[i]`` (one
+    product, one diagonal sum and one ufunc per step, member by member).
+    The matrix is symmetrized and normalized in place; each step is the
+    same complex ufunc as the out-of-place expression, so the result is
+    bit for bit ``(m + m^dag) / 2 / tr``.  Unchecked: :meth:`DensityMatrix
+    .from_gram` validates one state, a stack's caller checks the stack."""
+    mat = g @ g.conj().swapaxes(-1, -2)
+    np.add(mat, mat.conj().swapaxes(-1, -2), out=mat)
+    mat /= 2.0
+    mat /= np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+    return mat
 
 
 def _require_density(mat: np.ndarray, psd: bool = True) -> None:

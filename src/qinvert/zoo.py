@@ -6,19 +6,24 @@ Randomness uses the counter-based Philox generator.  ``stream_rng(seed,
 *key)`` derives independent streams through ``SeedSequence(seed,
 spawn_key=key)``; ensemble member k always draws from stream ``(k,)``, so
 ensembles are reproducible and may be generated in any order or in
-parallel.
+parallel.  :func:`ginibre_stack` builds a list of Ginibre members as one
+(M, D, D) stack, and :func:`product_stack` the member-wise products of
+such stacks: one Gram product or broadcast product and one stacked
+density check per stack, where the single states run one validation
+each; each member is bit for bit its single state's matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .dims import SubsystemDims, mask_size
 from .invariants import c_t
-from .states import DensityMatrix, PureState, _require_density
+from .states import DensityMatrix, PureState, _require_density, gram_density
 from .tensor import block_product, embed, partial_trace, signed_subset_sums, subset_purities
 
 # Recipe kind -> the options (StateRecipe fields) it reads, each mapped to
@@ -124,6 +129,17 @@ def assemble_product(
     return DensityMatrix.from_product(parts, dims)
 
 
+def product_stack(parts: dict[int, np.ndarray], dims: SubsystemDims) -> np.ndarray:
+    """Member by member, the products of (M, d_s, d_s) stacks of states
+    keyed by party masks that partition the parties: one broadcast
+    :func:`~qinvert.tensor.block_product`, bit for bit
+    :func:`assemble_product` of each member's blocks, checked as one stack
+    as each product is (PSD as its blocks)."""
+    mats = block_product(parts, dims)
+    _require_density(mats, psd=False)
+    return mats
+
+
 def bell_pair_with_mixed_qubit(pair: tuple[int, int] = (1, 2)) -> DensityMatrix:
     """Three qubits: |Phi+><Phi+| on ``pair`` and the maximally mixed
     state on the remaining party."""
@@ -148,18 +164,38 @@ def haar_pure(dims: SubsystemDims, seed: int, member: int = 0) -> PureState:
     return PureState(z / np.linalg.norm(z), dims)
 
 
-def ginibre_mixed(
-    dims: SubsystemDims, seed: int, member: int = 0, rank: int | None = None
-) -> DensityMatrix:
-    """Random density matrix G G^dag / Tr(G G^dag) with a D x rank complex
-    Gaussian G (full rank by default)."""
+def _ginibre_factor(
+    dims: SubsystemDims, seed: int, member: int, rank: int | None
+) -> np.ndarray:
+    """The D x rank complex Gaussian G of ``member``, drawn from its own
+    stream (full rank by default)."""
     d = dims.total
     rank = d if rank is None else int(rank)
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in 1..{d}, got {rank}")
     rng = stream_rng(seed, member)
-    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    return DensityMatrix.from_gram(g, dims)
+    return rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+
+
+def ginibre_mixed(
+    dims: SubsystemDims, seed: int, member: int = 0, rank: int | None = None
+) -> DensityMatrix:
+    """Random density matrix G G^dag / Tr(G G^dag) with a D x rank complex
+    Gaussian G (full rank by default)."""
+    return DensityMatrix.from_gram(_ginibre_factor(dims, seed, member, rank), dims)
+
+
+def ginibre_stack(
+    dims: SubsystemDims, seed: int, members: Iterable[int], rank: int | None = None
+) -> np.ndarray:
+    """The matrices of :func:`ginibre_mixed` for ``members`` (at least
+    one), in their order, as one (M, D, D) stack, bit for bit: one stacked Gram product
+    (:func:`~qinvert.states.gram_density`) and one stacked check, as
+    each state is checked (finite, Hermitian, unit trace; PSD by
+    construction)."""
+    mats = gram_density(np.array([_ginibre_factor(dims, seed, k, rank) for k in members]))
+    _require_density(mats, psd=False)
+    return mats
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -553,21 +553,29 @@ VERIFY_ENSEMBLE_ARGV = ["verify", "--dims", "2,3", "--size", "3", "--seed", "4",
 ENSEMBLE_SUITES = ["cross_form", "positivity", "parity"]
 
 
-def test_verify_builds_each_member_and_its_stacks_once_for_the_three_suites(capsys, monkeypatch):
-    """Each member is built once, in order; the inversion stacks are built
-    once per chunk of consecutive members and feed all three suites."""
+def _record_member_stacks(monkeypatch):
+    """Record the member list of every stacked Ginibre build and the
+    (members, dims) operand of every inversion stack call in ``cli``."""
     built, stacked = [], []
-    real_member, real_stacks = cli.ginibre_mixed, cli.inversion_stacks
-    monkeypatch.setattr(cli, "ginibre_mixed",
-                        lambda *a, **kw: built.append(kw) or real_member(*a, **kw))
+    real_members, real_stacks = cli.ginibre_stack, cli.inversion_stacks
+    monkeypatch.setattr(cli, "ginibre_stack", lambda dims, seed, members: built.append(
+        list(members)) or real_members(dims, seed, members))
     monkeypatch.setattr(cli, "inversion_stacks", lambda *a: stacked.append(a) or real_stacks(*a))
+    return built, stacked
+
+
+def test_verify_builds_each_member_and_its_stacks_once_for_the_three_suites(capsys, monkeypatch):
+    """Each member is built once, in order, in one stack per chunk of
+    consecutive members; the inversion stacks are built once per chunk and
+    feed all three suites."""
+    built, stacked = _record_member_stacks(monkeypatch)
     code, shared = run(capsys, *VERIFY_ENSEMBLE_ARGV, ",".join(ENSEMBLE_SUITES))
     assert code == 0 and [line["family"] for line in shared[:3]] == ENSEMBLE_SUITES
-    assert [kw["member"] for kw in built] == [0, 1, 2]
-    # the three members fit in one chunk, stacked in member order
+    assert built == [[0, 1, 2]]
+    # the three members fit in one chunk, each bit for bit its own state
     [(mats, dims)] = stacked
     for k, mat in enumerate(mats):
-        assert np.array_equal(mat, real_member(dims, 4, member=k).matrix)
+        assert mat.tobytes() == ginibre_mixed(dims, 4, member=k).matrix.tobytes()
     # each suite run on its own prints the line it has in the shared pass
     for line in shared[:3]:
         code, alone = run(capsys, *VERIFY_ENSEMBLE_ARGV, line["family"])
@@ -579,7 +587,7 @@ def test_verify_builds_each_member_and_its_stacks_once_for_the_three_suites(caps
     stacked.clear()
     code, chunked = run(capsys, *VERIFY_ENSEMBLE_ARGV, ",".join(ENSEMBLE_SUITES))
     assert code == 0 and _strip_elapsed(chunked) == _strip_elapsed(shared)
-    assert [kw["member"] for kw in built] == [0, 1, 2]
+    assert built == [[0, 1], [2]]
     assert [len(mats) for mats, _ in stacked] == [2, 1]
 
 
@@ -587,22 +595,55 @@ def test_factorization_inverts_each_product_once_in_groups_of_at_most_a_chunk(
     capsys, monkeypatch
 ):
     """With a bound that holds two (3,3) members, members sharing a split
-    are inverted in groups of at most two, and every product built is
-    inverted exactly once."""
-    built, stacked = [], []
-    real_product, real_stacks = cli.assemble_product, cli.inversion_stacks
-    monkeypatch.setattr(cli, "assemble_product",
-                        lambda *a: built.append(real_product(*a)) or built[-1])
-    monkeypatch.setattr(cli, "inversion_stacks", lambda *a: stacked.append(a) or real_stacks(*a))
+    are built and inverted in groups of at most two: both factors of every
+    member are built once, a group's in member order, and every product,
+    bit for bit its ``DensityMatrix.from_product``, is inverted exactly
+    once."""
+    built, stacked = _record_member_stacks(monkeypatch)
     two = 2 * inversion.CHUNK_STACKS * (16 << 2) * 9**2
     monkeypatch.setattr(inversion, "STACK_HOLD_BYTES", two)
     code, _ = run(capsys, "verify", "--dims", "3,3", "--size", "9", "--seed", "3",
                   "--suites", "factorization")
-    assert code == 0 and len(built) == 9
+    assert code == 0
+    # member k's factors are Ginibre members 2k (on s) and 2k + 1 (on the rest)
+    assert sorted(m for members in built for m in members) == list(range(18))
+    assert all(members == sorted(members) and len(members) <= 2 for members in built)
     groups = [mats for mats, dims in stacked if dims.dims == (3, 3)]
     assert max(len(mats) for mats in groups) == 2
+    dims, splits = SubsystemDims((3, 3)), zoo.stream_rng(3, 10_001)
+    products = []
+    for k in range(9):
+        s = int(splits.integers(1, dims.full_mask))
+        parts = {part: ginibre_mixed(SubsystemDims(dims.dims_of(part)), 3, member=2 * k + j)
+                 for j, part in enumerate((s, dims.full_mask ^ s))}
+        products.append(states.DensityMatrix.from_product(parts, dims).matrix.tobytes())
     inverted = sorted(mat.tobytes() for mats in groups for mat in mats)
-    assert inverted == sorted(prod.matrix.tobytes() for prod in built)
+    assert inverted == sorted(products)
+
+
+def test_verify_on_one_party_notes_the_skipped_factorization_outside_the_summary(capsys):
+    """With one party the factorization suite prints a note line (pass
+    null), which the summary does not count."""
+    code, lines = run(capsys, "verify", "--dims", "3", "--size", "2", "--seed", "1",
+                      "--suites", "positivity,factorization")
+    positivity, note, summary = lines
+    assert code == 0 and positivity["family"] == "positivity"
+    assert note["family"] == "factorization" and note["label"].startswith("note: ")
+    assert note["pass"] is None
+    # the note's margin 0 would have been the worst
+    assert summary["value"] == positivity["margin"] > 0 and summary["pass"] is True
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_verify_of_only_factorization_on_one_party_is_an_input_error(capsys, tmp_path, out):
+    """A campaign with nothing to check cannot pass: exit 2, no line, no
+    report file."""
+    report = tmp_path / "report.jsonl"
+    argv = ["verify", "--dims", "2", "--suites", "factorization"]
+    code = main(argv + (["--out", str(report)] if out else []))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not report.exists()
+    assert "factorization needs at least 2 parties" in captured.err
 
 
 def test_verify_lines_do_not_depend_on_the_stack_bound(capsys, monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qinvert import states, zoo
 from qinvert.dims import SubsystemDims
@@ -230,6 +232,75 @@ def test_pinned_ghz_tables_check_each_member_and_the_reduced_stack(monkeypatch):
     monkeypatch.setattr(zoo, "partial_trace", corrupted)
     with pytest.raises(ValueError, match=r"density matrix stack trace \(1.4999.*\+0j\) is not 1"):
         zoo.pinned_ghz_tables(3)
+
+
+STACKS = settings(max_examples=30, deadline=None, derandomize=True)
+# local dimensions 2, 3 and 4, up to D = 24
+local_dims = st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3).filter(
+    lambda dims: math.prod(dims) <= 24)
+# unordered, with repeats
+member_lists = st.lists(st.integers(0, 9), min_size=1, max_size=5)
+
+
+@STACKS
+@given(local=local_dims, seed=st.integers(0, 2**32 - 1), members=member_lists,
+       rank=st.none() | st.integers(1, 24))
+@example(local=[3], seed=1, members=[4, 0, 4], rank=2)
+def test_ginibre_stack_members_are_their_single_states_bit_for_bit(local, seed, members, rank):
+    dims = SubsystemDims(tuple(local))
+    rank = None if rank is None else min(rank, dims.total)
+    mats = zoo.ginibre_stack(dims, seed, members, rank=rank)
+    assert mats.shape == (len(members), dims.total, dims.total)
+    for mat, k in zip(mats, members):
+        assert mat.tobytes() == ginibre_mixed(dims, seed, member=k, rank=rank).matrix.tobytes()
+
+
+def _factor_stacks(dims, seed, members, s):
+    """Ginibre members 2k on ``s`` and 2k + 1 on the other parties."""
+    return {part: zoo.ginibre_stack(SubsystemDims(dims.dims_of(part)), seed,
+                                    [2 * k + j for k in members])
+            for j, part in enumerate((s, dims.full_mask ^ s))}
+
+
+@STACKS
+@given(local=local_dims.filter(lambda dims: len(dims) > 1), seed=st.integers(0, 2**32 - 1),
+       members=member_lists, data=st.data())
+def test_product_stack_members_are_from_product_bit_for_bit(local, seed, members, data):
+    dims = SubsystemDims(tuple(local))
+    s = data.draw(st.integers(1, dims.full_mask - 1))
+    products = zoo.product_stack(_factor_stacks(dims, seed, members, s), dims)
+    for mat, k in zip(products, members):
+        parts = {part: ginibre_mixed(SubsystemDims(dims.dims_of(part)), seed, member=2 * k + j)
+                 for j, part in enumerate((s, dims.full_mask ^ s))}
+        assert mat.tobytes() == DensityMatrix.from_product(parts, dims).matrix.tobytes()
+
+
+@STACKS
+@given(local=local_dims.filter(lambda dims: len(dims) > 1), seed=st.integers(0, 2**32 - 1),
+       size=st.integers(1, 5), fault=st.sampled_from(["hermitian", "finite"]), data=st.data())
+def test_stacks_with_one_bad_member_are_rejected_by_its_name(local, seed, size, fault, data):
+    dims = SubsystemDims(tuple(local))
+    bad = data.draw(st.integers(0, size - 1))
+    message = {"hermitian": f"density matrix {bad} of the stack is not Hermitian",
+               "finite": rf"density matrix stack has non-finite .* at index \({bad}, "}[fault]
+
+    def corrupt(mats):
+        if fault == "hermitian":
+            mats[bad, 0, 1] += 0.5
+        else:
+            mats[bad, 1, 0] = np.nan
+        return mats
+
+    with pytest.MonkeyPatch.context() as patch:
+        real = zoo.gram_density
+        patch.setattr(zoo, "gram_density", lambda g: corrupt(real(g)))
+        with pytest.raises(ValueError, match=message):
+            zoo.ginibre_stack(dims, seed, range(size))
+    s = data.draw(st.integers(1, dims.full_mask - 1))
+    parts = _factor_stacks(dims, seed, range(size), s)
+    corrupt(parts[s])
+    with pytest.raises(ValueError, match=message):
+        zoo.product_stack(parts, dims)
 
 
 def test_recipe_build_dispatch():
