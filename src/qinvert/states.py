@@ -132,12 +132,12 @@ class PureState:
 def gram_density(g: np.ndarray) -> np.ndarray:
     """G G^dag / Tr(G G^dag), averaged with its adjoint so it is exactly
     Hermitian, for one D x r matrix or each member of an (M, D, r) stack;
-    a stack's member i is bit for bit the matrix of its own ``g[i]`` (one
-    product, one diagonal sum and one ufunc per step, member by member).
-    The matrix is symmetrized and normalized in place; each step is the
-    same complex ufunc as the out-of-place expression, so the result is
-    bit for bit ``(m + m^dag) / 2 / tr``.  Unchecked: :meth:`DensityMatrix
-    .from_gram` validates one state, a stack's caller checks the stack."""
+    every step works member by member, so a stack's member i is bit for
+    bit the matrix of its own ``g[i]``.  The matrix is symmetrized and
+    normalized in place; each step is the same complex ufunc as the
+    out-of-place expression, so the result is bit for bit ``(m + m^dag)
+    / 2 / tr``.  Unchecked: :meth:`DensityMatrix.from_gram` validates one
+    state, and a stack's caller checks the stack."""
     mat = g @ g.conj().swapaxes(-1, -2)
     np.add(mat, mat.conj().swapaxes(-1, -2), out=mat)
     mat /= 2.0

@@ -6,11 +6,9 @@ Randomness uses the counter-based Philox generator.  ``stream_rng(seed,
 *key)`` derives independent streams through ``SeedSequence(seed,
 spawn_key=key)``; ensemble member k always draws from stream ``(k,)``, so
 ensembles are reproducible and may be generated in any order or in
-parallel.  :func:`ginibre_stack` builds a list of Ginibre members as one
-(M, D, D) stack, and :func:`product_stack` the member-wise products of
-such stacks: one Gram product or broadcast product and one stacked
-density check per stack, where the single states run one validation
-each; each member is bit for bit its single state's matrix.
+parallel.  :func:`ginibre_stack` and :func:`product_stack` build many
+members as one (M, D, D) stack with one density check, each member bit
+for bit its single state's matrix.
 """
 
 from __future__ import annotations
@@ -189,10 +187,10 @@ def ginibre_stack(
     dims: SubsystemDims, seed: int, members: Iterable[int], rank: int | None = None
 ) -> np.ndarray:
     """The matrices of :func:`ginibre_mixed` for ``members`` (at least
-    one), in their order, as one (M, D, D) stack, bit for bit: one stacked Gram product
-    (:func:`~qinvert.states.gram_density`) and one stacked check, as
-    each state is checked (finite, Hermitian, unit trace; PSD by
-    construction)."""
+    one), in their order, as one (M, D, D) stack, bit for bit: one stacked
+    Gram product (:func:`~qinvert.states.gram_density`) and one stacked
+    check, as each state is checked (finite, Hermitian, unit trace; PSD
+    by construction)."""
     mats = gram_density(np.array([_ginibre_factor(dims, seed, k, rank) for k in members]))
     _require_density(mats, psd=False)
     return mats
