@@ -19,11 +19,8 @@ from .invariants import invariant_table
 from .inversion import _signed_sums, invert_product
 from .states import DensityMatrix, PureState
 from .tensor import (
-    TOL_HERM,
-    _require_finite,
     _require_hermitian,
     embed,
-    herm_defect,
     min_eigenvalue,
     partial_trace,
     psd_violation,
@@ -124,11 +121,7 @@ def _shadow_sums(m1: np.ndarray, m2: np.ndarray, dims: SubsystemDims) -> list[fl
     are the subset purities and the values are the invariant table's."""
     operands = {"M1": m1} if m2 is m1 else {"M1": m1, "M2": m2}
     for name, m in operands.items():
-        m = np.asarray(m)
-        _require_finite(m, name)
-        defect = herm_defect(m)
-        if defect > TOL_HERM:
-            raise ValueError(f"{name} is not Hermitian: max defect {defect:.3e}")
+        _require_hermitian(np.asarray(m), name)
     if m2 is m1:
         return signed_subset_sums(subset_purities(m1, dims)).tolist()
     terms = np.empty(1 << dims.n)
@@ -150,7 +143,7 @@ def is_psd(mat: np.ndarray, tol: float = PSD_TOL) -> bool:
     """lambda_min >= -tol for a finite Hermitian operator (or each member of
     a stack), by the Cholesky certificate of :func:`~qinvert.tensor.psd_violation`."""
     h = np.asarray(mat, dtype=np.complex128)
-    _require_hermitian(h)
+    _require_hermitian(h, "operator")
     return psd_violation(h, tol) is None
 
 
@@ -299,9 +292,7 @@ class MarginalWitness:
     def __post_init__(self) -> None:
         if mask_size(self.t) % 2 == 0:
             raise ValueError("marginal witnesses exist only for odd-size masks")
-        defect = herm_defect(self.operator)
-        if defect > 1e-9:
-            raise ValueError(f"witness operator is not Hermitian: defect {defect:.3e}")
+        _require_hermitian(self.operator, "witness operator", 1e-9)
 
 
 def _witness(t: int, out: np.ndarray) -> MarginalWitness:
@@ -342,8 +333,9 @@ def marginal_witnesses_from_marginals(
 ) -> list[MarginalWitness]:
     """Witnesses from user-supplied marginals.
 
-    Every proper nonempty subset must be present; traces must be 1 and
-    overlapping marginals must agree on their common reduction within
+    Every proper nonempty subset must be present, finite and Hermitian
+    (an error names the marginal); traces must be 1 and overlapping
+    marginals must agree on their common reduction within
     ``overlap_tol`` (consistency is checked, not assumed).
     """
     full = dims.full_mask
@@ -362,7 +354,7 @@ def marginal_witnesses_from_marginals(
                 f"marginal {mask_bitstring(s, dims.n)} has shape {m.shape}, "
                 f"expected {(d_s, d_s)}"
             )
-        _require_finite(m, f"marginal {mask_bitstring(s, dims.n)}")
+        _require_hermitian(m, f"marginal {mask_bitstring(s, dims.n)}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > overlap_tol:
             raise ValueError(

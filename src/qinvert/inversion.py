@@ -17,10 +17,10 @@ for every T as a butterfly over the parties, 2^N masks per call when
 they fit in a cache-sized stack.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
 input (:func:`invert_kraus`) are kept only as cross-check references.
-Both take one mask or a sequence of masks (a (K, D, D) stack, each
-member bit-identical to its own one-mask call), and
-:func:`reference_inversions` evaluates each of them once for all 2^N
-masks, fed one reduction sweep and Gell-Mann generators built once.
+Both take one mask or ``None`` for all 2^N masks in ascending order (a
+(2^N, D, D) stack, each member bit-identical to its own one-mask call),
+and :func:`reference_inversions` makes one all-masks call of each, the
+Gell-Mann generators built once.
 
 Every one of these all-masks routes also takes a (M, D, D) stack of
 operands: the leading member axis rides through the same kernels (the
@@ -43,14 +43,6 @@ import numpy as np
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, parties_from_mask
 from .gellmann import build_basis, minus_channel_indices, plus_channel_indices
 from .tensor import _diagonal, _trace_out, block_product, embed, partial_trace, reduction_sweep
-
-
-def _mask_list(dims: SubsystemDims, t: int | Sequence[int]) -> tuple[list[int], bool]:
-    """``t``, one mask or a sequence of masks, as a list of validated
-    masks, and whether it was one mask."""
-    one = isinstance(t, (int, np.integer))
-    masks = [int(dims.validate_mask(m)) for m in ([t] if one else t)]
-    return masks, one
 
 
 def _signed_sums(
@@ -79,30 +71,25 @@ def _signed_sums(
     return out
 
 
-def invert_sum(
-    mat: np.ndarray,
-    dims: SubsystemDims,
-    t: int | Sequence[int],
-    embedded: Iterable[tuple[int, np.ndarray]] | None = None,
-) -> np.ndarray:
+def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int | None) -> np.ndarray:
     """Signed sum of identity-padded reductions; subsets are accumulated in
     ascending bitmask order so the summation order is reproducible.
-    ``t`` is one mask (a D x D result) or a sequence of masks, in any
-    order and possibly repeated (a (K, D, D) stack, each member
-    bit-identical to its own one-mask call).  Leading axes of ``mat`` are
-    member axes: a (M, D, D) stack gives (M, D, D) for one mask and
-    (K, M, D, D) for a sequence, each member bit-identical to its own
-    call.  The 2^N embedded terms are streamed one at a time: a reference
-    route, not a production one.  ``embedded``, the
-    ``(S, mat_S (x) 1_{S^c})`` pairs of ``mat`` in ascending S as
-    :func:`reference_inversions` makes them, replaces the 2^N partial
-    traces and embeds."""
-    masks, one = _mask_list(dims, t)
-    if embedded is None:
-        embedded = ((s, embed(partial_trace(mat, dims, s), s, dims))
-                    for s in dims.subset_masks())
-    out = _signed_sums(embedded, dims, masks, np.shape(mat)[:-2])
-    return out[0] if one else out
+    ``t`` is one mask (a D x D result) or ``None`` for all 2^N masks in
+    ascending order (a (2^N, D, D) stack, each member bit-identical to its
+    own one-mask call).  Leading axes of ``mat`` are member axes: a
+    (M, D, D) stack gives (M, D, D) for one mask and (2^N, M, D, D) for
+    all, each member bit-identical to its own call.  The 2^N embedded
+    terms are formed one at a time: one mask traces each reduction out of
+    ``mat`` (O(D^2) memory), all masks read one reduction sweep.  A
+    reference route, not a production one."""
+    lead = np.shape(mat)[:-2]
+    if t is None:
+        reductions = dict(reduction_sweep(mat, dims))
+        terms = ((s, embed(reductions[s], s, dims)) for s in dims.subset_masks())
+        return _signed_sums(terms, dims, list(dims.subset_masks()), lead)
+    t = int(dims.validate_mask(t))
+    terms = ((s, embed(partial_trace(mat, dims, s), s, dims)) for s in dims.subset_masks())
+    return _signed_sums(terms, dims, [t], lead)[0]
 
 
 # Entries of a stack (K D^2) from which _apply_factors adds the traced
@@ -245,10 +232,20 @@ def embedded_generators(dims: SubsystemDims) -> KrausGenerators:
     return plus, minus
 
 
+def _party_channel(src: np.ndarray, generators: tuple[np.ndarray, ...], d: int) -> np.ndarray:
+    """One party's Kraus channel, with its embedded ``generators``, on
+    every member of ``src``, accumulated in a single buffer."""
+    acc = np.zeros_like(src)
+    for h in generators:
+        acc += h @ src @ h
+    acc *= 2.0 / d
+    return acc
+
+
 def invert_kraus(
     mat: np.ndarray,
     dims: SubsystemDims,
-    t: int | Sequence[int],
+    t: int | None,
     generators: KrausGenerators | None = None,
 ) -> np.ndarray:
     """Evaluate the inversion as a Kraus channel acting on the entrywise
@@ -259,37 +256,28 @@ def invert_kraus(
     Parties are iterated outermost and generator indices innermost; each
     party's sum is accumulated in a single buffer.  Agrees with
     :func:`invert_sum` on Hermitian inputs.  ``t`` is one mask (a D x D
-    result) or a sequence of masks in any order, possibly repeated (a
-    (K, D, D) stack).  Party by party, the channel runs once on the stack
-    of the distinct sign prefixes the masks need, party 1 first, so over
-    all 2^N masks it is a butterfly that doubles the stack once per party;
-    each member is bit-identical to its own one-mask call.  Leading axes
-    of ``mat`` are member axes, carried through by the broadcast matrix
-    products: (M, D, D) gives (M, D, D) for one mask and (K, M, D, D) for
-    a sequence, each member bit-identical to its own call.
+    result) or ``None`` for all 2^N masks in ascending order (a
+    (2^N, D, D) stack): a butterfly that doubles the stack once per party,
+    party 1 first, as the plus channel's results followed by the minus
+    channel's, each member bit-identical to its own one-mask call.
+    Leading axes of ``mat`` are member axes, carried through by the
+    broadcast matrix products: (M, D, D) gives (M, D, D) for one mask and
+    (2^N, M, D, D) for all, each member bit-identical to its own call.
     ``generators``, from :func:`embedded_generators`, skips rebuilding them.
     """
-    masks, one = _mask_list(dims, t)
+    if t is not None:
+        t = int(dims.validate_mask(t))
     plus, minus = embedded_generators(dims) if generators is None else generators
-    out = np.asarray(mat, dtype=np.complex128).conj()[np.newaxis]
-    row = {0: 0}  # sign prefix over the parties done -> its member of out
+    out = np.asarray(mat, dtype=np.complex128).conj()
+    if t is None:
+        out = out[np.newaxis]
+        for i, d in enumerate(dims.dims):
+            out = np.concatenate([_party_channel(out, plus[i], d),
+                                  _party_channel(out, minus[i], d)])
+        return out
     for i, d in enumerate(dims.dims):
-        # ascending, so the prefixes without party i's minus sign come first
-        prefixes = sorted({m & ((2 << i) - 1) for m in masks})
-        parts = []
-        for bit, party_generators in ((0, plus[i]), (1 << i, minus[i])):
-            # distinct and ascending, so as many as out is all of out: no copy
-            parents = [row[p ^ bit] for p in prefixes if p & (1 << i) == bit]
-            if parents:
-                src = out if len(parents) == len(out) else out[parents]
-                acc = np.zeros_like(src)
-                for h in party_generators:
-                    acc += h @ src @ h
-                acc *= 2.0 / d
-                parts.append(acc)
-        out = np.concatenate(parts) if parts else out[:0]
-        row = {p: k for k, p in enumerate(prefixes)}
-    return out[row[masks[0]]] if one else out[[row[m] for m in masks]]
+        out = _party_channel(out, (minus if t >> i & 1 else plus)[i], d)
+    return out
 
 
 # Bytes of the two (2^N, M, D, D) stacks, sum and Kraus form, that
@@ -305,24 +293,19 @@ def reference_inversions(
     for every mask T in ascending order; leading axes of ``mat`` are
     member axes, as in both forms.  ``generators``, from
     :func:`embedded_generators`, are built here when None.  Each form is
-    one call over all 2^N masks: the sum form is fed one reduction sweep,
-    each reduction embedded when the sum reaches it (ascending S), so no
-    list of embedded reductions is held.  The two result stacks are
-    2 * 2^N M D^2 entries; above :data:`REFERENCE_HOLD_BYTES` nothing is
-    held and every mask is one call per form, with :func:`invert_sum`
-    streaming its own reductions."""
+    one all-masks call.  The two result stacks are 2 * 2^N M D^2 entries;
+    above :data:`REFERENCE_HOLD_BYTES` nothing is held and every mask is
+    one call per form, with :func:`invert_sum` streaming its own
+    reductions."""
     if generators is None:
         generators = embedded_generators(dims)
-    masks = list(dims.subset_masks())
-    if 2 * len(masks) * np.size(mat) * 16 > REFERENCE_HOLD_BYTES:
-        for t in masks:
+    if 2 * (1 << dims.n) * np.size(mat) * 16 > REFERENCE_HOLD_BYTES:
+        for t in dims.subset_masks():
             yield t, invert_sum(mat, dims, t), invert_kraus(mat, dims, t, generators)
         return
     # the Kraus butterfly's temporaries peak before the sum stack exists
-    by_kraus = invert_kraus(mat, dims, masks, generators)
-    reductions = dict(reduction_sweep(mat, dims))
-    embedded = ((s, embed(reductions[s], s, dims)) for s in masks)
-    yield from zip(masks, invert_sum(mat, dims, masks, embedded), by_kraus)
+    by_kraus = invert_kraus(mat, dims, None, generators)
+    yield from zip(dims.subset_masks(), invert_sum(mat, dims, None), by_kraus)
 
 
 def kraus_operators(dims: SubsystemDims, t: int) -> Iterator[np.ndarray]:

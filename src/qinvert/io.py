@@ -33,9 +33,15 @@ the values read never depend on the helper.  It is waited for only once
 its output has ended, and killed and reaped before the call returns
 whatever happened.  The helper costs about 35 ms to start; on a 2-core
 x86-64 VM it loses below the threshold (D = 192: write 0.13 s against
-0.11 s in one process, read 0.09 s against 0.06 s) and wins from it on
-(D = 256: write 0.16 s against 0.22 s, read 0.09 s against 0.11 s;
-D = 512: write 0.55 s against 0.98 s, read 0.26 s against 0.48 s).
+0.11 s in one process, read 0.09 s against 0.06 s), and the writer's
+helper wins from it on (D = 256: 0.16 s against 0.22 s; D = 512: 0.55 s
+against 0.98 s).  The reader's helper still loses at D = 256 and wins
+at D = 512: on a shared 2-CPU x86-64 container, medians of seven
+interleaved fresh processes of :func:`_fields` were 0.085 s with the
+helper against 0.068 s in one process at D = 256, and 0.24 against
+0.27 s at D = 512 (ranges 0.18-0.32 against 0.25-0.35 s).  Writer and
+reader share the threshold, so the reader's own crossover, between
+those sizes, is not measured.
 
 Measured with tracemalloc, writing an 8-qubit mixed file peaks at 0.1
 D x D complex arrays in one process and 1.5 with a helper (its text,
@@ -43,8 +49,8 @@ held until it has exited cleanly), and reading it at the file's length
 plus 1.5 arrays: the bytes, the row array and a piece of text, all
 dropped before validation.  In one process on a shared 2-CPU x86-64
 container the cut parses in less time than ``json.loads`` of the whole
-text (medians of seven fresh processes: 0.074 against 0.098 s at
-D = 256, 0.37 against 0.42 s at D = 512).  At D = 128 the cut read
+text (medians of seven fresh processes: 0.068 against 0.086 s at
+D = 256, 0.27 against 0.42 s at D = 512).  At D = 128 the cut read
 30-50% slower inside the benchmark's passes, for a reason not found, so
 smaller files take ``json.loads``, which holds the file's text and then
 the tree of its ``data`` until it is converted: a 7-qubit mixed file

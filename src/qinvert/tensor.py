@@ -41,11 +41,6 @@ def herm_defect(a: np.ndarray) -> float | np.ndarray:
     return float(defect) if a.ndim == 2 else defect
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with ``a`` as the left (most significant) factor."""
-    return np.kron(a, b)
-
-
 def _trace_out(tensor: np.ndarray, axes: tuple[int, ...], batch: int = 0) -> np.ndarray:
     """Trace the parties at ``axes`` (ascending 0-based positions) out of a
     (b.., d.., d..) tensor with ``batch`` leading batch axes, one party at
@@ -209,24 +204,23 @@ def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> np.ndarray:
     return out
 
 
-def _require_hermitian(h: np.ndarray, tol_herm: float = TOL_HERM) -> None:
+def _require_hermitian(h: np.ndarray, what: str, tol_herm: float = TOL_HERM) -> None:
     """Check an operator, or every member of a (K, D, D) stack, finite and
-    Hermitian within ``tol_herm``; the error for a stack gives the member
-    that is not."""
-    _require_finite(h, "operator" if h.ndim == 2 else "operator stack")
+    Hermitian within ``tol_herm``; the errors name it ``what``, and for a
+    stack the Hermiticity error gives its worst member."""
+    _require_finite(h, what if h.ndim == 2 else f"{what} stack")
     defects = np.atleast_1d(herm_defect(h))
-    bad = np.flatnonzero(defects > tol_herm)
-    if bad.size:
-        k = int(bad[0])
-        what = "operator" if h.ndim == 2 else f"operator {k} of the stack"
-        raise ValueError(f"{what} is not Hermitian: max |h - h^dag| = {defects[k]:.3e}")
+    k = int(np.argmax(defects))
+    if defects[k] > tol_herm:
+        name = what if h.ndim == 2 else f"{what} {k} of the stack"
+        raise ValueError(f"{name} is not Hermitian: max |h - h^dag| = {defects[k]:.3e}")
 
 
 def min_eigenvalue(h: np.ndarray, tol_herm: float = TOL_HERM) -> float:
     """Smallest eigenvalue of a Hermitian operator, or the smallest over a
     (K, D, D) stack of them from one stacked ``eigvalsh``.  Every member is
     checked finite and Hermitian first."""
-    _require_hermitian(h, tol_herm)
+    _require_hermitian(h, "operator", tol_herm)
     return float(np.linalg.eigvalsh(h)[..., 0].min())
 
 

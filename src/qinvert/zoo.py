@@ -119,20 +119,12 @@ def pinned_ghz_state(n: int, pins: int) -> PureState:
     return PureState(vec, dims)
 
 
-def assemble_product(
-    dims: SubsystemDims, parts: dict[int, DensityMatrix]
-) -> DensityMatrix:
-    """Product state from block states keyed by party mask; the masks must
-    partition the parties (:meth:`DensityMatrix.from_product`)."""
-    return DensityMatrix.from_product(parts, dims)
-
-
 def product_stack(parts: dict[int, np.ndarray], dims: SubsystemDims) -> np.ndarray:
     """Member by member, the products of (M, d_s, d_s) stacks of states
     keyed by party masks that partition the parties: one broadcast
     :func:`~qinvert.tensor.block_product`, bit for bit
-    :func:`assemble_product` of each member's blocks, checked as one stack
-    as each product is (PSD as its blocks)."""
+    :meth:`DensityMatrix.from_product` of each member's blocks, checked
+    as one stack as each product is (PSD as its blocks)."""
     mats = block_product(parts, dims)
     _require_density(mats, psd=False)
     return mats
@@ -148,7 +140,7 @@ def bell_pair_with_mixed_qubit(pair: tuple[int, int] = (1, 2)) -> DensityMatrix:
     pair_mask = 1 << (a - 1) | 1 << (b - 1)
     bell = bell_state().density()
     mixed = DensityMatrix(np.eye(2, dtype=np.complex128) / 2.0, SubsystemDims((2,)))
-    return assemble_product(dims, {pair_mask: bell, dims.full_mask ^ pair_mask: mixed})
+    return DensityMatrix.from_product({pair_mask: bell, dims.full_mask ^ pair_mask: mixed}, dims)
 
 
 # ---------------------------------------------------------------------------

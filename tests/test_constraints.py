@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qinvert.constraints import (
+    MarginalWitness,
     correlation_constraint,
     correlation_report,
     entropy_inequalities,
@@ -314,6 +315,23 @@ def test_from_marginals_inconsistent_overlap():
     marg[0b011] = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
     with pytest.raises(ValueError, match="disagree"):
         marginal_witnesses_from_marginals(marg, dims)
+
+
+def test_from_marginals_names_a_non_hermitian_marginal():
+    """A skewed entry that leaves every overlap and trace intact is named
+    up front, not found later inside a witness's eigen-solve."""
+    dims = SubsystemDims((2, 2, 2))
+    marg = {s: np.eye(dims.block_dim(s), dtype=complex) / dims.block_dim(s) for s in range(1, 7)}
+    marg[0b011][0, 3] = 0.1
+    with pytest.raises(ValueError, match=r"marginal 110 is not Hermitian: .* 1\.000e-01"):
+        marginal_witnesses_from_marginals(marg, dims)
+
+
+def test_witness_rejects_a_non_finite_operator():
+    operator = np.eye(2, dtype=complex)
+    operator[0, 1] = np.nan
+    with pytest.raises(ValueError, match="witness operator has non-finite"):
+        MarginalWitness(t=0b1, operator=operator, min_eig=0.0)
 
 
 def test_from_marginals_bad_trace():

@@ -14,7 +14,6 @@ from qinvert.invariants import (
 )
 from qinvert.states import DensityMatrix, PureState
 from qinvert.zoo import (
-    assemble_product,
     bell_state,
     ghz_state,
     ginibre_mixed,
@@ -110,7 +109,7 @@ def test_factorization_on_product_states():
     s, sc = 0b011, 0b100
     rho_s = ginibre_mixed(SubsystemDims((2, 2)), 204, member=0)
     rho_c = ginibre_mixed(SubsystemDims((2,)), 204, member=1)
-    prod = assemble_product(dims, {s: rho_s, sc: rho_c})
+    prod = DensityMatrix.from_product({s: rho_s, sc: rho_c}, dims)
     for t in dims.subset_masks():
         t_s = t & 0b011
         t_c = (t & 0b100) >> 2

@@ -13,9 +13,9 @@ from qinvert.inversion import (
     invert_sum,
     kraus_operators,
 )
+from qinvert.states import DensityMatrix
 from qinvert.tensor import block_product, min_eigenvalue
 from qinvert.zoo import (
-    assemble_product,
     bell_state,
     ginibre_mixed,
     random_local_unitary,
@@ -140,7 +140,7 @@ def test_factorization_on_product_states():
         sc = dims.full_mask ^ s
         rho_s = ginibre_mixed(SubsystemDims(dims.dims_of(s)), 104, member=2 * k)
         rho_c = ginibre_mixed(SubsystemDims(dims.dims_of(sc)), 104, member=2 * k + 1)
-        prod = assemble_product(dims, {s: rho_s, sc: rho_c})
+        prod = DensityMatrix.from_product({s: rho_s, sc: rho_c}, dims)
         for t in dims.subset_masks():
             t_s = _restrict(t, s)
             t_c = _restrict(t, sc)

@@ -6,8 +6,8 @@ call) and the all-masks stacks built on it, the stacked smallest
 eigenvalue, its block form behind coarse_grain_invert and
 choi_matrix, the signed-embed sum shared by invert_sum and the
 witnesses from marginals, the broadcast embed and block product (with the
-Kraus operators built on it), the mask-sequence form of the reference
-routes and their all-masks pass, the member axis every all-masks layer
+Kraus operators built on it), the all-masks form of the reference
+routes and their pass over every mask, the member axis every all-masks layer
 takes (each member as its own call) and the one the purity sweep and the
 signed subset sum take, the purity profile a pure state sweeps
 without forming a DensityMatrix, the invariant table every scalar
@@ -486,35 +486,26 @@ def test_reference_inversions_equal_the_single_mask_routes(dims, seed):
 
 
 @PROPERTY
-@given(dims=subsystem_dims(max_total=48), seed=seeds, data=st.data())
-def test_mask_sequences_are_bit_identical_to_one_mask_calls(dims, seed, data):
-    """invert_sum and invert_kraus on a sequence of masks, in any order and
-    possibly repeated, return the (K, D, D) stack of their one-mask calls
-    bit for bit: the sum form both streaming its reductions and fed the
-    embedded sweep as reference_inversions feeds it, the Kraus form with
-    and without prebuilt generators.  An invalid mask anywhere in the
-    sequence raises a ValueError naming it."""
+@given(dims=subsystem_dims(max_total=48), seed=seeds)
+def test_all_masks_calls_are_bit_identical_to_one_mask_calls(dims, seed):
+    """invert_sum and invert_kraus with t=None return the (2^N, D, D)
+    stack of their one-mask calls in ascending mask order, bit for bit:
+    the sum form reading one reduction sweep against one-mask calls that
+    stream their partial traces, the Kraus form with and without prebuilt
+    generators.  A mask beyond the parties raises a ValueError naming it."""
     mat = random_operator(dims, seed)
-    masks = data.draw(st.lists(st.integers(0, dims.full_mask), max_size=2 << dims.n))
-    reductions = dict(reduction_sweep(mat, dims))
-    fed = ((s, embed(reductions[s], s, dims)) for s in dims.subset_masks())
-    stacks = {
-        "streamed sum": invert_sum(mat, dims, masks),
-        "held sum": invert_sum(mat, dims, masks, fed),
-        "kraus": invert_kraus(mat, dims, masks),
-        "prebuilt kraus": invert_kraus(mat, dims, masks, inversion.embedded_generators(dims)),
-    }
-    for k, t in enumerate(masks):
-        by_sum, by_kraus = invert_sum(mat, dims, t), invert_kraus(mat, dims, t)
-        assert by_sum.shape == by_kraus.shape == (dims.total, dims.total)
-        for name, stack in stacks.items():
-            assert stack.shape == (len(masks), dims.total, dims.total)
-            assert bit_identical(stack[k], by_kraus if "kraus" in name else by_sum), (name, t)
-    bad = data.draw(st.sampled_from([-1, 1 << dims.n, dims.full_mask + 5]))
-    at = data.draw(st.integers(0, len(masks)))
-    for form in (invert_sum, invert_kraus):
-        with pytest.raises(ValueError, match=f"mask {re.escape(bin(bad))} "):
-            form(mat, dims, masks[:at] + [bad] + masks[at:])
+    d = dims.total
+    generators = inversion.embedded_generators(dims)
+    for form, prebuilt in ((invert_sum, ()), (invert_kraus, ()), (invert_kraus, (generators,))):
+        stack = form(mat, dims, None, *prebuilt)
+        assert stack.shape == (1 << dims.n, d, d), form
+        for t in dims.subset_masks():
+            one = form(mat, dims, t, *prebuilt)
+            assert one.shape == (d, d)
+            assert bit_identical(stack[t], one), (form, prebuilt != (), t)
+        for bad in (-1, 1 << dims.n):
+            with pytest.raises(ValueError, match=f"mask {re.escape(bin(bad))} "):
+                form(mat, dims, bad, *prebuilt)
 
 
 @pytest.mark.parametrize("local_dims", [(2, 3), (2, 2, 2), (3, 2, 2)])
@@ -576,35 +567,28 @@ def test_inversion_stacks_are_bit_identical_to_invert_product(dims, seed, low):
 def test_member_stacks_are_bit_identical_to_per_member_calls(dims, m, seed, data):
     """Every layer on a (M, D, D) stack of operands gives each member its
     own call's result bit for bit: the reduction sweep and the embeds of
-    its reductions, both reference forms on one mask and on a mask
-    sequence in any order (the sum form streamed and fed the embedded
-    sweep, the Kraus form with prebuilt generators), the mask-major
+    its reductions, both reference forms on one mask and on all masks
+    (the Kraus form with and without prebuilt generators), the mask-major
     all-masks stacks whatever the hold bound, and the smallest eigenvalue
     of the flattened Hermitian stacks."""
     d = dims.total
     mats = np.stack([random_operator(dims, seed + k) for k in range(m)])
-    masks = data.draw(st.lists(st.integers(0, dims.full_mask), max_size=2 << dims.n))
     sweep = dict(reduction_sweep(mats, dims))
     assert sorted(sweep) == list(dims.subset_masks())
     for k in range(m):
         for s, mat_s in reduction_sweep(mats[k], dims):
             assert bit_identical(sweep[s][k], mat_s)
             assert bit_identical(embed(sweep[s], s, dims)[k], embed(mat_s, s, dims))
-    fed = ((s, embed(sweep[s], s, dims)) for s in dims.subset_masks())
     generators = inversion.embedded_generators(dims)
-    stacks = {
-        "streamed sum": (invert_sum(mats, dims, masks), invert_sum),
-        "held sum": (invert_sum(mats, dims, masks, fed), invert_sum),
-        "kraus": (invert_kraus(mats, dims, masks, generators), invert_kraus),
-    }
     t = data.draw(st.integers(0, dims.full_mask))
-    for name, (stack, form) in stacks.items():
-        assert stack.shape == (len(masks), m, d, d), name
-        one = form(mats, dims, t)
-        assert one.shape == (m, d, d), name
+    for form, prebuilt in ((invert_sum, ()), (invert_kraus, ()), (invert_kraus, (generators,))):
+        stack = form(mats, dims, None, *prebuilt)
+        assert stack.shape == (1 << dims.n, m, d, d), form
+        one = form(mats, dims, t, *prebuilt)
+        assert one.shape == (m, d, d), form
         for k in range(m):
-            assert bit_identical(stack[:, k], form(mats[k], dims, masks)), name
-            assert bit_identical(one[k], form(mats[k], dims, t)), name
+            assert bit_identical(stack[:, k], form(mats[k], dims, None, *prebuilt)), form
+            assert bit_identical(one[k], form(mats[k], dims, t, *prebuilt)), form
     low = min(data.draw(st.integers(0, 6)), dims.n)
     with mock.patch.object(inversion, "STACK_HOLD_BYTES", (16 << low) * m * d**2):
         got = list(inversion_stacks(mats, dims))

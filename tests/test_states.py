@@ -7,7 +7,7 @@ from qinvert.dims import SubsystemDims
 from qinvert.invariants import invariant_table
 from qinvert.states import DensityMatrix, PureState
 from qinvert.tensor import block_product
-from qinvert.zoo import assemble_product, bell_state, ginibre_mixed, haar_pure
+from qinvert.zoo import bell_state, ginibre_mixed, haar_pure
 
 
 def test_density_matrix_accepts_valid_state():
@@ -141,7 +141,7 @@ def test_product_constructor_is_the_validated_product_without_a_psd_check(
     real = states.psd_violation
     monkeypatch.setattr(states, "psd_violation", lambda *a: checks.append(a) or real(*a))
     for prod in (DensityMatrix.from_product({s: rho_s, sc: rho_c}, dims),
-                 assemble_product(dims, {sc: rho_c, s: rho_s})):
+                 DensityMatrix.from_product({sc: rho_c, s: rho_s}, dims)):
         assert np.array_equal(prod.matrix, validated.matrix)
         assert not prod.matrix.flags.writeable
     assert checks == []

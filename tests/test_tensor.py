@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from qinvert import states
 from qinvert.dims import SubsystemDims
 from qinvert.states import DensityMatrix, linear_entropies, purity
 from qinvert.tensor import (
     block_product,
     embed,
-    kron,
     min_eigenvalue,
     partial_trace,
     subset_purities,
@@ -20,22 +20,15 @@ def random_hermitian(d, rng):
     return (g + g.conj().T) / 2.0
 
 
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_basis_projectors():
+def test_block_product_basis_projectors():
+    """Party 1 is the most significant factor: |0><0| on party 1 and
+    |1><1| on party 2 is |01><01|, at global index 0*2 + 1."""
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    out = kron(p0, p1)
+    out = block_product({0b01: p0, 0b10: p1}, SubsystemDims((2, 2)))
     expected = np.zeros((4, 4), dtype=complex)
-    expected[1, 1] = 1.0  # |01><01| at global index 0*2 + 1
+    expected[1, 1] = 1.0
     assert np.array_equal(out, expected)
-
-
-def test_kron_diagonal_hand_expansion():
-    out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert np.array_equal(out, np.diag([3.0, 4.0, 6.0, 8.0]))
 
 
 def test_partial_trace_full_mask_is_identity_operation():
@@ -212,3 +205,16 @@ def test_min_eigenvalue_examples():
 def test_min_eigenvalue_rejects_non_hermitian():
     with pytest.raises(ValueError):
         min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermiticity_errors_name_the_worst_member_of_a_stack():
+    """One Hermiticity check serves operators and density matrices: of two
+    non-Hermitian members of a stack, both name the worse one."""
+    mats = np.stack([np.eye(2) / 2] * 4).astype(np.complex128)
+    mats[1, 0, 1] = 1e-6
+    mats[2, 1, 0] = 1e-3
+    with pytest.raises(ValueError, match=r"operator 2 of the stack is not Hermitian: .* 1\.000e-03"):
+        min_eigenvalue(mats)
+    with pytest.raises(ValueError,
+                       match=r"density matrix 2 of the stack is not Hermitian: .* 1\.000e-03"):
+        states._require_density(mats)
