@@ -49,7 +49,7 @@ from .inversion import (
 )
 from .io import StateFileError, read_state_file, write_state, write_state_file
 from .states import DensityMatrix, PureState
-from .tensor import block_product, min_eigenvalue
+from .tensor import block_product, certified_min_eigenvalue, min_eigenvalue
 from .zoo import (
     StateRecipe,
     build,
@@ -289,8 +289,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 ENSEMBLE_SUITES = ("cross_form", "positivity", "parity")
 
 
-def _deviation(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
+def _deviation(a: np.ndarray, b: np.ndarray, suite: str) -> float:
+    dev = float(np.max(np.abs(a - b)))
+    if not math.isfinite(dev):  # max(0.0, nan) is 0.0: NaN would pass a row
+        raise ValueError(f"suite {suite}: non-finite deviation {dev}")
+    return dev
 
 
 def _ensemble_suites(
@@ -318,24 +321,26 @@ def _ensemble_suites(
     generators = embedded_generators(dims) if cross else None
     chunk = chunk_members(dims)
     for start in range(0, size, chunk):
+        refs = by_sum = by_kraus = None  # drop the last chunk's reference stacks first
         mats = ginibre_stack(dims, seed, range(start, min(start + chunk, size)))
-        refs = reference_inversions(mats, dims, generators) if cross else None
         sums = [0, 0]  # even and odd masks, each added in ascending order
         first = 0
         for stack in inversion_stacks(mats, dims):
             if positivity:
-                low = min(low, min_eigenvalue(stack.reshape(-1, d, d)))
-            for t, inv in enumerate(stack, first):
-                if refs is not None:
-                    _, ref, kraus = next(refs)
-                    form_dev = max(form_dev, _deviation(ref, inv), _deviation(ref, kraus))
-                if parity:
+                low = certified_min_eigenvalue(stack.reshape(-1, d, d), len(mats), low)
+            if cross:  # made once the first stack's temporaries are gone
+                refs = refs or reference_inversions(mats, dims, generators)
+                by_sum, by_kraus = refs(first, first + len(stack))
+                form_dev = max(form_dev, _deviation(by_sum, stack, "cross_form"),
+                               _deviation(by_sum, by_kraus, "cross_form"))
+            if parity:
+                for t, inv in enumerate(stack, first):
                     sums[t.bit_count() % 2] = sums[t.bit_count() % 2] + inv
             first += len(stack)
         if parity:
             even, odd = sums
-            parity_dev = max(parity_dev, _deviation(scale * odd, eye - mats),
-                             _deviation(scale * even, eye + mats))
+            parity_dev = max(parity_dev, _deviation(scale * odd, eye - mats, "parity"),
+                             _deviation(scale * even, eye + mats, "parity"))
     rows = {
         "cross_form": [("max deviation between forms", -form_dev, -1e-10)],
         "positivity": [("worst min eigenvalue of inverted states", low, 0.0)],
@@ -360,7 +365,7 @@ def _factorization(dims: SubsystemDims, size: int, seed: int) -> Rows:
             masks = list(itertools.islice(all_masks, len(lhs)))
             rhs = block_product({part: stack[[relative_mask(t, part) for t in masks]]
                                  for part, stack in inv.items()}, dims)
-            dev = max(dev, _deviation(lhs, rhs))
+            dev = max(dev, _deviation(lhs, rhs, "factorization"))
     return [("max product-state factorization residual", -dev, -1e-11)]
 
 
@@ -406,14 +411,14 @@ def _pinned_suites(dims: SubsystemDims) -> dict[str, Rows]:
     n = min(dims.n, 4)
     mix = pinned_mix_table(n)
     closed = [[pinned_mix_invariant(n, pins, t) for t in range(1 << n)] for pins in range(1 << n)]
-    dev = float(np.max(np.abs(mix - closed)))
+    dev = _deviation(mix, closed, "closed_form")
     rows = {"independence": [(f"pin-or-mix family rank at n={n}",
                               float(numerical_rank(mix) - (1 << n)), 0.0)]}
     if n >= 2:
         ghz, reduced = pinned_ghz_tables(n)
         closed = [[pinned_ghz_invariant(n, i << 1, t) for t in range(1 << n)]
                   for i in range(1 << (n - 1))]
-        dev = max(dev, float(np.max(np.abs(ghz - closed))))
+        dev = max(dev, _deviation(ghz, closed, "closed_form"))
         rows["independence"].append((f"pinned-GHZ family rank at n={n}",
                                      float(numerical_rank(reduced) - (1 << (n - 1))), 0.0))
     rows["closed_form"] = [(f"max closed-form residual at n={n}", -dev, -1e-10)]

@@ -20,7 +20,7 @@ input (:func:`invert_kraus`) are kept only as cross-check references.
 Both take one mask or ``None`` for all 2^N masks in ascending order (a
 (2^N, D, D) stack, each member bit-identical to its own one-mask call),
 and :func:`reference_inversions` makes one all-masks call of each, the
-Gell-Mann generators built once.
+Gell-Mann generators built once, and hands out mask ranges of both.
 
 Every one of these all-masks routes also takes a (M, D, D) stack of
 operands: the leading member axis rides through the same kernels (the
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -232,11 +232,15 @@ def embedded_generators(dims: SubsystemDims) -> KrausGenerators:
     return plus, minus
 
 
-def _party_channel(src: np.ndarray, generators: tuple[np.ndarray, ...], d: int) -> np.ndarray:
+def _party_channel(
+    src: np.ndarray, generators: tuple[np.ndarray, ...], d: int, plus: bool
+) -> np.ndarray:
     """One party's Kraus channel, with its embedded ``generators``, on
-    every member of ``src``, accumulated in a single buffer."""
-    acc = np.zeros_like(src)
-    for h in generators:
+    every member of ``src``, accumulated in a single buffer.  The plus
+    channel's first generator is the identity, so its sum starts from a
+    copy of ``src`` (equal to 1 src 1 up to the sign of zeros)."""
+    acc = src.copy() if plus else np.zeros_like(src)
+    for h in generators[1:] if plus else generators:
         acc += h @ src @ h
     acc *= 2.0 / d
     return acc
@@ -272,11 +276,12 @@ def invert_kraus(
     if t is None:
         out = out[np.newaxis]
         for i, d in enumerate(dims.dims):
-            out = np.concatenate([_party_channel(out, plus[i], d),
-                                  _party_channel(out, minus[i], d)])
+            out = np.concatenate([_party_channel(out, plus[i], d, True),
+                                  _party_channel(out, minus[i], d, False)])
         return out
     for i, d in enumerate(dims.dims):
-        out = _party_channel(out, (minus if t >> i & 1 else plus)[i], d)
+        sign = t >> i & 1
+        out = _party_channel(out, (minus if sign else plus)[i], d, not sign)
     return out
 
 
@@ -288,24 +293,28 @@ REFERENCE_HOLD_BYTES = 256 << 20
 
 def reference_inversions(
     mat: np.ndarray, dims: SubsystemDims, generators: KrausGenerators | None = None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(T, invert_sum(mat, dims, T), invert_kraus(mat, dims, T))``
-    for every mask T in ascending order; leading axes of ``mat`` are
-    member axes, as in both forms.  ``generators``, from
+) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """The lookup ``(start, stop) -> (sums, kraus)`` of both reference
+    forms for the consecutive masks start <= T < stop: the mask-major
+    stacks of ``invert_sum(mat, dims, T)`` and ``invert_kraus(mat, dims,
+    T)``, each member bit-identical to its one-mask call; leading axes of
+    ``mat`` are member axes, as in both forms.  ``generators``, from
     :func:`embedded_generators`, are built here when None.  Each form is
-    one all-masks call.  The two result stacks are 2 * 2^N M D^2 entries;
-    above :data:`REFERENCE_HOLD_BYTES` nothing is held and every mask is
-    one call per form, with :func:`invert_sum` streaming its own
-    reductions."""
+    one all-masks call made here, and a lookup is a slice of it.  The two
+    stacks are 2 * 2^N M D^2 entries; above :data:`REFERENCE_HOLD_BYTES`
+    nothing is held and a lookup makes one call per form and mask, with
+    :func:`invert_sum` streaming its own reductions, so it holds only the
+    masks it returns."""
     if generators is None:
         generators = embedded_generators(dims)
     if 2 * (1 << dims.n) * np.size(mat) * 16 > REFERENCE_HOLD_BYTES:
-        for t in dims.subset_masks():
-            yield t, invert_sum(mat, dims, t), invert_kraus(mat, dims, t, generators)
-        return
+        return lambda start, stop: (
+            np.stack([invert_sum(mat, dims, t) for t in range(start, stop)]),
+            np.stack([invert_kraus(mat, dims, t, generators) for t in range(start, stop)]))
     # the Kraus butterfly's temporaries peak before the sum stack exists
     by_kraus = invert_kraus(mat, dims, None, generators)
-    yield from zip(dims.subset_masks(), invert_sum(mat, dims, None), by_kraus)
+    by_sum = invert_sum(mat, dims, None)
+    return lambda start, stop: (by_sum[start:stop], by_kraus[start:stop])
 
 
 def kraus_operators(dims: SubsystemDims, t: int) -> Iterator[np.ndarray]:

@@ -224,6 +224,32 @@ def min_eigenvalue(h: np.ndarray, tol_herm: float = TOL_HERM) -> float:
     return float(np.linalg.eigvalsh(h)[..., 0].min())
 
 
+def _rounding_bound(h: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
+    """r of :func:`psd_violation`, one value per member: how far the
+    Cholesky factorization of h + (tol - r) 1 can round."""
+    d = h.shape[-1]
+    u = np.finfo(np.float64).eps / 2.0
+    g = 2.0 * (d + 2) * u / (1.0 - (d + 2) * u)
+    diagonal = np.abs(h.diagonal(0, -2, -1).real).sum(-1)
+    return g / (1.0 - g) * (diagonal + d * np.maximum(tol, 0.0))
+
+
+def _cholesky_certifies(h: np.ndarray, tol: float | np.ndarray) -> bool:
+    """True when ``np.linalg.cholesky`` of a copy of h + (tol - r) 1,
+    shifted on its diagonal in place, runs to completion for every member
+    of ``h``, which proves lambda_min >= -tol for each; ``tol`` is a
+    scalar or one value per member."""
+    d = h.shape[-1]
+    shifted = np.array(h, dtype=np.complex128, order="C")
+    shift = tol - _rounding_bound(h, tol)
+    shifted.reshape(shifted.shape[:-2] + (d * d,))[..., :: d + 1] += np.expand_dims(shift, -1)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def psd_violation(h: np.ndarray, tol: float) -> float | None:
     """None when the finite Hermitian operator ``h`` (or every member of a
     (K, D, D) stack) has lambda_min >= -tol; otherwise the smallest
@@ -239,25 +265,44 @@ def psd_violation(h: np.ndarray, tol: float) -> float | None:
     and Stability of Numerical Algorithms, Thm 10.5), so the shift must
     exceed that by r.  The code takes
 
-        r = g / (1 - g) * (sum_i |h_ii| + D tol),  g = 2 gamma_{D+2},
+        r = g / (1 - g) * (sum_i |h_ii| + D max(tol, 0)),  g = 2 gamma_{D+2},
 
     where doubling gamma covers complex inner products and the rounding
     of the shifted diagonal.  For a density matrix r is about
     2 (D + 2) u: 1e-12 at D = 4096, far below tol = 1e-9.  (Underflow
-    terms, below 1e-300, are left out.)
+    terms, below 1e-300, are left out.)  A negative tol tests
+    lambda_min >= |tol|; tr A stays below the bracket for either sign.
 
     Only when the factorization fails does ``eigvalsh`` run, so a verdict
     can differ from a raw ``eigvalsh`` one only where that solve's own
     rounding straddles -tol, and a failure is named by its exact value."""
-    d = h.shape[-1]
-    u = np.finfo(np.float64).eps / 2.0
-    g = 2.0 * (d + 2) * u / (1.0 - (d + 2) * u)
-    r = g / (1.0 - g) * (np.abs(h.diagonal(0, -2, -1).real).sum(-1) + d * tol)
-    shifted = np.array(h, dtype=np.complex128, order="C")
-    shifted.reshape(shifted.shape[:-2] + (d * d,))[..., :: d + 1] += np.expand_dims(tol - r, -1)
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        low = float(np.linalg.eigvalsh(h)[..., 0].min())
-        return low if low < -tol else None
-    return None
+    if _cholesky_certifies(h, tol):
+        return None
+    low = float(np.linalg.eigvalsh(h)[..., 0].min())
+    return low if low < -tol else None
+
+
+def certified_min_eigenvalue(h: np.ndarray, solved: int, low: float = math.inf) -> float:
+    """The running minimum ``low`` lowered to the smallest eigenvalue of a
+    (K, D, D) stack of Hermitian operators, to within s, from one stacked
+    ``eigvalsh`` of its last ``solved`` members (1 <= solved <= K) and one
+    stacked certificate of the others.  Every member is checked finite and
+    Hermitian first.
+
+    The solved members' smallest ``eigvalsh`` value lowers ``low``.  Then
+    one :func:`psd_violation` certificate of every other member tests
+    lambda_min >= low - s, with s = 2 r and r the rounding bound of the
+    test lambda_min >= low (per member, about 2 (D + 2) 2^-53 Tr h for
+    low >= 0, so a member tied with ``low`` passes).  If the factorization
+    completes, ``low`` stands; if not, those members are solved with
+    ``eigvalsh`` too.  So the result is a minimum of ``eigvalsh`` values,
+    exact (bit for bit the stacked ``eigvalsh`` minimum) whenever the
+    minimizing member is solved, and otherwise at most s above the
+    smallest eigenvalue.  Put the member most likely to be least last."""
+    _require_hermitian(h, "operator")
+    split = len(h) - solved
+    low = min(low, float(np.linalg.eigvalsh(h[split:])[..., 0].min()))
+    rest = h[:split]
+    if len(rest) and not _cholesky_certifies(rest, 2.0 * _rounding_bound(rest, -low) - low):
+        low = min(low, float(np.linalg.eigvalsh(rest)[..., 0].min()))
+    return low

@@ -10,8 +10,10 @@ import pytest
 from qinvert import cli, constraints, invariants, inversion, states, tensor, zoo
 from qinvert.cli import main
 from qinvert.dims import SubsystemDims
+from qinvert.inversion import invert_kraus, invert_product, invert_sum
 from qinvert.io import write_state_file
 from qinvert.states import PureState
+from qinvert.tensor import min_eigenvalue
 from qinvert.zoo import bell_pair_with_mixed_qubit, bell_state, ginibre_mixed, haar_pure
 
 
@@ -388,7 +390,7 @@ def test_report_lines_end_in_the_documented_extras(capsys, bell_file, argv, extr
 def test_verify_summary_is_the_worst_margin_and_the_and_of_passes(
     capsys, monkeypatch, low, passed, expected_code
 ):
-    monkeypatch.setattr("qinvert.cli.min_eigenvalue", lambda h: low)
+    monkeypatch.setattr("qinvert.cli.certified_min_eigenvalue", lambda h, solved, running: low)
     code, lines = run(capsys, "verify", "--dims", "2,2", "--size", "2", "--seed", "3",
                       "--suites", "positivity,parity")
     *rows, summary = lines
@@ -666,6 +668,70 @@ def test_verify_lines_do_not_depend_on_the_stack_bound(capsys, monkeypatch):
             lines.append(_strip_elapsed(printed))
         monkeypatch.undo()
         assert all(printed == lines[0] for printed in lines), local_dims
+
+
+@pytest.mark.parametrize("local_dims, size, seed, stack_masks, streamed", [
+    ((2, 2, 2), 4, 1, None, False),
+    ((2, 3), 5, 7, 1, False),
+    ((2, 2, 2), 3, 12345, 2, True),
+    ((3, 2), 2, 3, None, True),
+])
+def test_verify_rows_are_the_per_member_per_mask_routes(
+    capsys, monkeypatch, local_dims, size, seed, stack_masks, streamed
+):
+    """positivity is the least min_eigenvalue of invert_product over every
+    member and mask, and cross_form the largest per-mask deviation of the
+    product and Kraus forms from the sum form, bit for bit, whether a
+    stack holds all masks or ``stack_masks`` (a chunk of one member then),
+    and whether the reference forms are held or streamed mask by mask."""
+    dims = SubsystemDims(local_dims)
+    if stack_masks is not None:
+        monkeypatch.setattr(inversion, "STACK_HOLD_BYTES", (16 * stack_masks) * dims.total**2)
+    if streamed:
+        monkeypatch.setattr(inversion, "REFERENCE_HOLD_BYTES", 0)
+    code, (cross, positivity, summary) = run(
+        capsys, "verify", "--dims", ",".join(map(str, local_dims)), "--size", str(size),
+        "--seed", str(seed), "--suites", "cross_form,positivity")
+    assert code == 0 and summary["pass"] is True
+    low, dev = float("inf"), 0.0
+    for k in range(size):
+        mat = ginibre_mixed(dims, seed, member=k).matrix
+        for t in dims.subset_masks():
+            by_product, by_sum = invert_product(mat, dims, t), invert_sum(mat, dims, t)
+            low = min(low, min_eigenvalue(by_product))
+            dev = max(dev, float(np.max(np.abs(by_sum - by_product))),
+                      float(np.max(np.abs(by_sum - invert_kraus(mat, dims, t)))))
+    assert positivity["value"] == low
+    assert cross["value"] == -dev
+
+
+def _nan_at_first_entry(stack):
+    stack = np.array(stack)
+    stack.reshape(-1)[0] = np.nan
+    return stack
+
+
+@pytest.mark.parametrize("suite, owner, name", [
+    ("cross_form", inversion, "invert_kraus"),
+    ("parity", cli, "inversion_stacks"),
+    ("factorization", cli, "block_product"),
+    ("closed_form", cli, "pinned_mix_table"),
+])
+def test_a_non_finite_deviation_is_an_error_naming_its_suite(
+    capsys, monkeypatch, suite, owner, name
+):
+    """NaN would slip past the maxima that make a deviation row (Python's
+    max(0.0, nan) is 0.0): one NaN entry in what a suite compares exits 2
+    with no line, and the error names the suite."""
+    real = getattr(owner, name)
+    if name == "inversion_stacks":
+        monkeypatch.setattr(owner, name, lambda *a: map(_nan_at_first_entry, real(*a)))
+    else:
+        monkeypatch.setattr(owner, name, lambda *a: _nan_at_first_entry(real(*a)))
+    code = main(["verify", "--dims", "2,2", "--size", "3", "--seed", "1", "--suites", suite])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"suite {suite}: non-finite deviation nan" in captured.err
 
 
 def test_consecutive_verify_runs_in_one_process_print_the_same_lines(capsys):

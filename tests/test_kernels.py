@@ -11,8 +11,9 @@ routes and their pass over every mask, the member axis every all-masks layer
 takes (each member as its own call) and the one the purity sweep and the
 signed subset sum take, the purity profile a pure state sweeps
 without forming a DensityMatrix, the invariant table every scalar
-family reads, and the Cholesky PSD certificate, pinned to eigvalsh.  The
-formulas the kernels replaced are kept here as oracles."""
+family reads, and the Cholesky PSD certificate and the certified stack
+minimum, pinned to eigvalsh.  The formulas the kernels replaced are kept
+here as oracles."""
 
 import contextlib
 import functools
@@ -59,6 +60,7 @@ from qinvert.states import linear_entropies
 from qinvert.tensor import (
     TOL_HERM,
     block_product,
+    certified_min_eigenvalue,
     embed,
     herm_defect,
     min_eigenvalue,
@@ -476,13 +478,17 @@ def test_block_product_and_kraus_operators_match_kron_constructions(dims, seed, 
 @given(dims=st.one_of(subsystem_dims(max_total=48, max_n=4), subsystem_dims(max_total=32)),
        seed=seeds)
 def test_reference_inversions_equal_the_single_mask_routes(dims, seed):
+    """A lookup of any mask range gives both forms' one-mask calls, stacked
+    in ascending mask order, bit for bit."""
     mat = random_operator(dims, seed)
-    masks = []
-    for t, by_sum, by_kraus in reference_inversions(mat, dims):
-        masks.append(t)
-        assert np.array_equal(by_sum, invert_sum(mat, dims, t))
-        assert np.array_equal(by_kraus, invert_kraus(mat, dims, t))
-    assert masks == list(dims.subset_masks())
+    refs = reference_inversions(mat, dims)
+    ranges = [(0, 1 << dims.n)] + [(t, t + 1) for t in dims.subset_masks()]
+    for start, stop in ranges + [(1 << dims.n >> 1, 1 << dims.n)]:
+        by_sum, by_kraus = refs(start, stop)
+        assert len(by_sum) == len(by_kraus) == stop - start
+        for t, one_sum, one_kraus in zip(range(start, stop), by_sum, by_kraus, strict=True):
+            assert np.array_equal(one_sum, invert_sum(mat, dims, t))
+            assert np.array_equal(one_kraus, invert_kraus(mat, dims, t))
 
 
 @PROPERTY
@@ -510,21 +516,24 @@ def test_all_masks_calls_are_bit_identical_to_one_mask_calls(dims, seed):
 
 @pytest.mark.parametrize("local_dims", [(2, 3), (2, 2, 2), (3, 2, 2)])
 def test_reference_inversions_stream_above_the_hold_budget(local_dims, monkeypatch):
-    """Within REFERENCE_HOLD_BYTES the pass takes no partial trace; above
-    it every invert_sum streams its 2^N reductions, with the same results."""
+    """Within REFERENCE_HOLD_BYTES the held stacks take no partial trace;
+    above it nothing is made before a lookup, and every invert_sum streams
+    its 2^N reductions, with the same results."""
     dims = SubsystemDims(local_dims)
     mat = random_operator(dims, 7)
     traced = []
     monkeypatch.setattr(inversion, "partial_trace",
                         lambda m, d, s: traced.append(s) or partial_trace(m, d, s))
-    held = list(reference_inversions(mat, dims))
+    everything = (0, 1 << dims.n)
+    held = reference_inversions(mat, dims)(*everything)
     assert traced == []
     monkeypatch.setattr(inversion, "REFERENCE_HOLD_BYTES", 0)
-    streamed = list(reference_inversions(mat, dims))
+    refs = reference_inversions(mat, dims)
+    assert traced == []  # nothing is made before a lookup
+    streamed = refs(*everything)
     assert traced == list(dims.subset_masks()) * (1 << dims.n)
-    for (t, by_sum, by_kraus), (u, by_sum2, by_kraus2) in zip(held, streamed, strict=True):
-        assert t == u
-        assert np.array_equal(by_sum, by_sum2) and np.array_equal(by_kraus, by_kraus2)
+    for got, want in zip(streamed, held, strict=True):
+        assert np.array_equal(got, want)
 
 
 @PROPERTY
@@ -740,3 +749,53 @@ def test_psd_certificate_of_a_stack_judges_every_member(d, lows, seed):
     assert got is None or got == float(lo.min())
     if np.all(np.abs(lo + TOL_PSD) > 1e-13):
         assert (got is None) == all(psd_violation(h, TOL_PSD) is None for h in stack)
+
+
+@PSD_PROPERTY
+@given(d=st.integers(1, 16), k=st.integers(1, 6), seed=seeds, data=st.data(),
+       case=st.sampled_from(["psd", "indefinite", "tied", "below"]))
+def test_certified_min_eigenvalue_is_the_eigvalsh_minimum(d, k, seed, data, case):
+    """On a stack whose last ``solved`` members are solved, the result is
+    the stacked eigvalsh minimum bit for bit: a psd or indefinite stack,
+    a solved minimizer tied with an unsolved copy of it (certified with no
+    second solve), and a minimizer outside the solved members (which the
+    certificate must reject, so the rest is solved too).  Only where an
+    unsolved member lies within rounding below the solved minimum may the
+    result be that little above it.  A running minimum below the stack
+    stands."""
+    solved = data.draw(st.integers(1, k))
+    split = k - solved
+    rng = np.random.default_rng(seed)
+    lows = rng.uniform(0.0, 1.0 / d, k) if case == "psd" else rng.uniform(-1.0, 1.0, k)
+    if case == "below" and split:
+        lows[data.draw(st.integers(0, split - 1))] = lows.min() - 0.1
+    stack = np.stack([planted(d, low, seed + i) for i, low in enumerate(lows)])
+    if case == "tied":
+        stack[-1] = planted(d, lows.min() - 0.1, seed)
+        if split:
+            stack[data.draw(st.integers(0, split - 1))] = stack[-1]
+    lo = np.linalg.eigvalsh(stack)[..., 0]
+    with counted_eigen_solves() as solves:
+        got = certified_min_eigenvalue(stack, solved)
+    want = float(lo.min())
+    gap = float(lo[split:].min()) - float(lo[:split].min()) if split else 0.0
+    if not 0.0 < gap < 1e-12:
+        assert got == want
+    assert want <= got <= want + 1e-12
+    if case == "tied":
+        assert len(solves) == 1
+    if case == "below" and split:
+        assert len(solves) == 2
+    assert certified_min_eigenvalue(stack, solved, want - 1.0) == want - 1.0
+
+
+def test_certified_min_eigenvalue_checks_every_member():
+    stack = np.stack([planted(4, 0.1, i) for i in range(3)])
+    skewed = stack.copy()
+    skewed[0, 1, 2] += 1e-6
+    with pytest.raises(ValueError, match="operator 0 of the stack is not Hermitian"):
+        certified_min_eigenvalue(skewed, 1)
+    broken = stack.copy()
+    broken[0, 2, 2] = np.nan
+    with pytest.raises(ValueError, match=r"operator stack has non-finite .* at index \(0, "):
+        certified_min_eigenvalue(broken, 1)
