@@ -44,8 +44,8 @@ from .constraints import (
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, relative_mask
 from .invariants import invariant_table
 from .inversion import (
-    DetectionParams, apply_detection_map, chunk_members, embedded_generators, inversion_stacks,
-    reference_inversions,
+    DetectionParams, KrausGenerators, apply_detection_map, chunk_members, embedded_generators,
+    invert_kraus, invert_sum, inversion_stacks,
 )
 from .io import StateFileError, read_state_file, write_state, write_state_file
 from .states import DensityMatrix, PureState
@@ -96,26 +96,27 @@ def _emit(stream: IO[str], command: str, report: ConstraintReport,
 
 
 def _write_reports(out: str | None, command: str, reports: Iterable[ConstraintReport]) -> int:
-    """Write the note and entry lines of every report to ``out`` (stdout
-    for None or "-"); each entry's ``elapsed_ms`` is its share of the time
-    taken to produce its report.  Returns the exit code: 1 when some
-    theorem-backed entry fails, else 0."""
-    stream = sys.stdout if out in (None, "-") else open(out, "w", encoding="utf-8")
-    failed = False
-    try:
+    """Build every report, then write their note and entry lines to ``out``
+    (stdout for None or "-"), so an error while building leaves no line and
+    no file; each entry's ``elapsed_ms`` is its share of the time taken to
+    produce its report.  Returns the exit code: 1 when some theorem-backed
+    entry fails, else 0."""
+    timed = []
+    t0 = time.perf_counter()
+    for report in reports:
+        timed.append((report, (time.perf_counter() - t0) * 1e3 / max(len(report.entries), 1)))
         t0 = time.perf_counter()
-        for report in reports:
-            share = (time.perf_counter() - t0) * 1e3 / max(len(report.entries), 1)
+    stream = sys.stdout if out in (None, "-") else open(out, "w", encoding="utf-8")
+    try:
+        for report, share in timed:
             for note in report.notes:
                 _emit(stream, command, report, ReportEntry(note, 0.0, 0.0, 0.0, True, False), 0.0)
             for e in report.entries:
                 _emit(stream, command, report, e, share)
-            failed = failed or not report.all_pass
-            t0 = time.perf_counter()
     finally:
         if stream is not sys.stdout:
             stream.close()
-    return 1 if failed else 0
+    return 0 if all(report.all_pass for report, _ in timed) else 1
 
 
 def _tolerance(tol: float) -> float:
@@ -303,8 +304,8 @@ def _ensemble_suites(
     members k < size (Philox stream (k,)), each built once and in order.
     Consecutive members are stacked on a member axis in chunks sized by
     :func:`~qinvert.inversion.chunk_members`, and each inversion stack of
-    a chunk feeds every selected suite with one kernel call, so memory is
-    one chunk and its stacks at a time: within ``STACK_HOLD_BYTES``
+    a chunk feeds every selected suite with one kernel call per form, so
+    memory is one chunk and its stacks at a time: within ``STACK_HOLD_BYTES``
     whatever ``size`` is, unless one member alone exceeds it and runs as
     a chunk of one.  Rows do not depend on the chunking: deviations are
     maxima, and parity adds each member's masks in ascending order.  The
@@ -321,18 +322,15 @@ def _ensemble_suites(
     generators = embedded_generators(dims) if cross else None
     chunk = chunk_members(dims)
     for start in range(0, size, chunk):
-        refs = by_sum = by_kraus = None  # drop the last chunk's reference stacks first
         mats = ginibre_stack(dims, seed, range(start, min(start + chunk, size)))
         sums = [0, 0]  # even and odd masks, each added in ascending order
         first = 0
         for stack in inversion_stacks(mats, dims):
             if positivity:
                 low = certified_min_eigenvalue(stack.reshape(-1, d, d), len(mats), low)
-            if cross:  # made once the first stack's temporaries are gone
-                refs = refs or reference_inversions(mats, dims, generators)
-                by_sum, by_kraus = refs(first, first + len(stack))
-                form_dev = max(form_dev, _deviation(by_sum, stack, "cross_form"),
-                               _deviation(by_sum, by_kraus, "cross_form"))
+            if cross:
+                block = range(first, first + len(stack))
+                form_dev = max(form_dev, _form_deviation(mats, dims, stack, block, generators))
             if parity:
                 for t, inv in enumerate(stack, first):
                     sums[t.bit_count() % 2] = sums[t.bit_count() % 2] + inv
@@ -347,6 +345,16 @@ def _ensemble_suites(
         "parity": [("max parity-sum residual", -parity_dev, -1e-11)],
     }
     return {s: rows[s] for s in ENSEMBLE_SUITES if s in suites}
+
+
+def _form_deviation(mats: np.ndarray, dims: SubsystemDims, stack: np.ndarray, block: range,
+                    generators: KrausGenerators) -> float:
+    """Max |sum - stack| and |sum - Kraus| over the masks of ``block``, which
+    ``stack`` holds; no reference form outlives the call, and the Kraus
+    temporaries peak before the sum stack exists."""
+    by_kraus = invert_kraus(mats, dims, block, generators)
+    by_sum = invert_sum(mats, dims, block)
+    return max(_deviation(by_sum, stack, "cross_form"), _deviation(by_sum, by_kraus, "cross_form"))
 
 
 def _factorization(dims: SubsystemDims, size: int, seed: int) -> Rows:

@@ -17,7 +17,7 @@ import numpy as np
 from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask, relative_mask
 from .invariants import invariant_table
 from .inversion import _signed_sums, invert_product
-from .states import DensityMatrix, PureState
+from .states import TOL_PSD, DensityMatrix, PureState
 from .tensor import (
     _require_hermitian,
     embed,
@@ -32,7 +32,6 @@ from .tensor import (
 from .zoo import pinned_ghz_tables, pinned_mix_table
 
 PASS_TOL = 1e-9
-PSD_TOL = 1e-9
 OVERLAP_TOL = 1e-8
 
 FAMILIES = ("correlation", "monogamy", "shadow", "entropy", "marginal")
@@ -139,7 +138,7 @@ def shadow_value(
     return _shadow_sums(m1, m2, dims)[t]
 
 
-def is_psd(mat: np.ndarray, tol: float = PSD_TOL) -> bool:
+def is_psd(mat: np.ndarray, tol: float = TOL_PSD) -> bool:
     """lambda_min >= -tol for a finite Hermitian operator (or each member of
     a stack), by the Cholesky certificate of :func:`~qinvert.tensor.psd_violation`."""
     h = np.asarray(mat, dtype=np.complex128)

@@ -17,18 +17,17 @@ for every T as a butterfly over the parties, 2^N masks per call when
 they fit in a cache-sized stack.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
 input (:func:`invert_kraus`) are kept only as cross-check references.
-Both take one mask or ``None`` for all 2^N masks in ascending order (a
-(2^N, D, D) stack, each member bit-identical to its own one-mask call),
-and :func:`reference_inversions` makes one all-masks call of each, the
-Gell-Mann generators built once, and hands out mask ranges of both.
+Both take one mask or the aligned block of masks of one such stack,
+range(k 2^m, (k+1) 2^m), and return a (2^m, D, D) stack for a block,
+each member bit-identical to its own one-mask call.
 
-Every one of these all-masks routes also takes a (M, D, D) stack of
-operands: the leading member axis rides through the same kernels (the
-reduction sweep, embeds, the signed sums, the broadcast matrix
-products, the factor kernel) with no second code path, each member
-bit-identical to its own call, so an ensemble of M small operands costs
-one call per kernel instead of M.  :func:`chunk_members` sizes such
-stacks against :data:`STACK_HOLD_BYTES`.
+Every one of these routes also takes a (M, D, D) stack of operands:
+the leading member axis rides through the same kernels (the reduction
+sweep, embeds, the signed sums, the broadcast matrix products, the
+factor kernel) with no second code path, each member bit-identical to
+its own call, so an ensemble of M small operands costs one call per
+kernel instead of M.  :func:`chunk_members` sizes such stacks against
+:data:`STACK_HOLD_BYTES`.
 """
 
 from __future__ import annotations
@@ -36,13 +35,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, parties_from_mask
 from .gellmann import build_basis, minus_channel_indices, plus_channel_indices
-from .tensor import _diagonal, _trace_out, block_product, embed, partial_trace, reduction_sweep
+from .tensor import _diagonal, _trace_out, block_product, embed, reduction_sweep
 
 
 def _signed_sums(
@@ -71,25 +70,35 @@ def _signed_sums(
     return out
 
 
-def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int | None) -> np.ndarray:
-    """Signed sum of identity-padded reductions; subsets are accumulated in
-    ascending bitmask order so the summation order is reproducible.
-    ``t`` is one mask (a D x D result) or ``None`` for all 2^N masks in
-    ascending order (a (2^N, D, D) stack, each member bit-identical to its
-    own one-mask call).  Leading axes of ``mat`` are member axes: a
-    (M, D, D) stack gives (M, D, D) for one mask and (2^N, M, D, D) for
-    all, each member bit-identical to its own call.  The 2^N embedded
-    terms are formed one at a time: one mask traces each reduction out of
-    ``mat`` (O(D^2) memory), all masks read one reduction sweep.  A
-    reference route, not a production one."""
-    lead = np.shape(mat)[:-2]
-    if t is None:
-        reductions = dict(reduction_sweep(mat, dims))
-        terms = ((s, embed(reductions[s], s, dims)) for s in dims.subset_masks())
-        return _signed_sums(terms, dims, list(dims.subset_masks()), lead)
-    t = int(dims.validate_mask(t))
-    terms = ((s, embed(partial_trace(mat, dims, s), s, dims)) for s in dims.subset_masks())
-    return _signed_sums(terms, dims, [t], lead)[0]
+def _mask_block(dims: SubsystemDims, t: int | range) -> range:
+    """The masks that ``t`` names: ``range(t, t + 1)`` for one mask, else
+    ``t`` itself, which must be an aligned block range(k 2^m, (k+1) 2^m)
+    of the 2^N masks."""
+    if not isinstance(t, range):
+        t = int(dims.validate_mask(t))
+        return range(t, t + 1)
+    size = len(t)
+    if t.step != 1 or t.start < 0 or not size or size & (size - 1) or t.start % size:
+        raise ValueError(f"mask block {t} is not an aligned block range(k 2^m, (k+1) 2^m)")
+    if t.stop > 1 << dims.n:
+        raise ValueError(f"mask block {t} addresses parties beyond the {dims.n} available")
+    return t
+
+
+def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int | range) -> np.ndarray:
+    """Signed sum of identity-padded reductions, added in the fixed order of
+    one :func:`~qinvert.tensor.reduction_sweep`, so the summation order is
+    reproducible.  ``t`` is one mask (a D x D result) or an aligned block
+    range(k 2^m, (k+1) 2^m) (a (2^m, D, D) stack in ascending mask order,
+    each member bit-identical to its own one-mask call).  Leading axes of
+    ``mat`` are member axes: a (M, D, D) stack gives (M, D, D) for one
+    mask and (2^m, M, D, D) for a block, each member bit-identical to its
+    own call.  The 2^N embedded terms are formed one at a time, so one
+    mask takes O(D^2) memory.  A reference route, not a production one."""
+    block = _mask_block(dims, t)
+    terms = ((s, embed(m_s, s, dims)) for s, m_s in reduction_sweep(mat, dims))
+    out = _signed_sums(terms, dims, block, np.shape(mat)[:-2])
+    return out if isinstance(t, range) else out[0]
 
 
 # Entries of a stack (K D^2) from which _apply_factors adds the traced
@@ -249,7 +258,7 @@ def _party_channel(
 def invert_kraus(
     mat: np.ndarray,
     dims: SubsystemDims,
-    t: int | None,
+    t: int | range,
     generators: KrausGenerators | None = None,
 ) -> np.ndarray:
     """Evaluate the inversion as a Kraus channel acting on the entrywise
@@ -257,64 +266,33 @@ def invert_kraus(
 
     Per party the channel sums over the y-type generators when the party
     carries a minus sign, and over identity, x and z types otherwise.
-    Parties are iterated outermost and generator indices innermost; each
-    party's sum is accumulated in a single buffer.  Agrees with
+    Parties are iterated outermost, 1..N, and generator indices innermost;
+    each party's sum is accumulated in a single buffer.  Agrees with
     :func:`invert_sum` on Hermitian inputs.  ``t`` is one mask (a D x D
-    result) or ``None`` for all 2^N masks in ascending order (a
-    (2^N, D, D) stack): a butterfly that doubles the stack once per party,
-    party 1 first, as the plus channel's results followed by the minus
-    channel's, each member bit-identical to its own one-mask call.
-    Leading axes of ``mat`` are member axes, carried through by the
-    broadcast matrix products: (M, D, D) gives (M, D, D) for one mask and
-    (2^N, M, D, D) for all, each member bit-identical to its own call.
-    ``generators``, from :func:`embedded_generators`, skips rebuilding them.
+    result) or an aligned block range(k 2^m, (k+1) 2^m) (a (2^m, D, D)
+    stack in ascending mask order): parties 1..m run as a butterfly that
+    doubles the stack once per party, as the plus channel's results
+    followed by the minus channel's, and parties m+1..N apply the one
+    channel that k's bits give them, so each member is bit-identical to
+    its own one-mask call.  Leading axes of ``mat`` are member axes,
+    carried through by the broadcast matrix products: (M, D, D) gives
+    (M, D, D) for one mask and (2^m, M, D, D) for a block, each member
+    bit-identical to its own call.  ``generators``, from
+    :func:`embedded_generators`, skips rebuilding them.
     """
-    if t is not None:
-        t = int(dims.validate_mask(t))
+    block = _mask_block(dims, t)
+    m = len(block).bit_length() - 1
     plus, minus = embedded_generators(dims) if generators is None else generators
-    out = np.asarray(mat, dtype=np.complex128).conj()
-    if t is None:
-        out = out[np.newaxis]
-        for i, d in enumerate(dims.dims):
+    out = np.asarray(mat, dtype=np.complex128).conj()[np.newaxis]
+    for i, d in enumerate(dims.dims):
+        if i < m:
             out = np.concatenate([_party_channel(out, plus[i], d, True),
                                   _party_channel(out, minus[i], d, False)])
-        return out
-    for i, d in enumerate(dims.dims):
-        sign = t >> i & 1
-        out = _party_channel(out, (minus if sign else plus)[i], d, not sign)
-    return out
-
-
-# Bytes of the two (2^N, M, D, D) stacks, sum and Kraus form, that
-# reference_inversions holds per call, enough for 7 qubits; beyond it
-# every mask streams its own terms.
-REFERENCE_HOLD_BYTES = 256 << 20
-
-
-def reference_inversions(
-    mat: np.ndarray, dims: SubsystemDims, generators: KrausGenerators | None = None
-) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
-    """The lookup ``(start, stop) -> (sums, kraus)`` of both reference
-    forms for the consecutive masks start <= T < stop: the mask-major
-    stacks of ``invert_sum(mat, dims, T)`` and ``invert_kraus(mat, dims,
-    T)``, each member bit-identical to its one-mask call; leading axes of
-    ``mat`` are member axes, as in both forms.  ``generators``, from
-    :func:`embedded_generators`, are built here when None.  Each form is
-    one all-masks call made here, and a lookup is a slice of it.  The two
-    stacks are 2 * 2^N M D^2 entries; above :data:`REFERENCE_HOLD_BYTES`
-    nothing is held and a lookup makes one call per form and mask, with
-    :func:`invert_sum` streaming its own reductions, so it holds only the
-    masks it returns."""
-    if generators is None:
-        generators = embedded_generators(dims)
-    if 2 * (1 << dims.n) * np.size(mat) * 16 > REFERENCE_HOLD_BYTES:
-        return lambda start, stop: (
-            np.stack([invert_sum(mat, dims, t) for t in range(start, stop)]),
-            np.stack([invert_kraus(mat, dims, t, generators) for t in range(start, stop)]))
-    # the Kraus butterfly's temporaries peak before the sum stack exists
-    by_kraus = invert_kraus(mat, dims, None, generators)
-    by_sum = invert_sum(mat, dims, None)
-    return lambda start, stop: (by_sum[start:stop], by_kraus[start:stop])
+        elif block.start >> i & 1:
+            out = _party_channel(out, minus[i], d, False)
+        else:
+            out = _party_channel(out, plus[i], d, True)
+    return out if isinstance(t, range) else out[0]
 
 
 def kraus_operators(dims: SubsystemDims, t: int) -> Iterator[np.ndarray]:

@@ -39,9 +39,12 @@ against 0.98 s).  The reader's helper still loses at D = 256 and wins
 at D = 512: on a shared 2-CPU x86-64 container, medians of seven
 interleaved fresh processes of :func:`_fields` were 0.085 s with the
 helper against 0.068 s in one process at D = 256, and 0.24 against
-0.27 s at D = 512 (ranges 0.18-0.32 against 0.25-0.35 s).  Writer and
-reader share the threshold, so the reader's own crossover, between
-those sizes, is not measured.
+0.27 s at D = 512 (ranges 0.18-0.32 against 0.25-0.35 s).  These
+understate the D = 512 gain: with the reader's helper disabled, the
+``large-state-9q`` benchmark's ``wall_s`` rose from 1.09-1.20 s to
+1.46-1.49 s (five alternating 10 s pairs).  Writer and reader share the
+threshold, so the reader's own crossover, between those sizes, is not
+measured.
 
 Measured with tracemalloc, writing an 8-qubit mixed file peaks at 0.1
 D x D complex arrays in one process and 1.5 with a helper (its text,

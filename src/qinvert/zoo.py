@@ -204,12 +204,10 @@ def random_local_unitary(dims: SubsystemDims, rng: np.random.Generator) -> np.nd
 def random_psd(
     dims: SubsystemDims, rng: np.random.Generator, trace_scale: float = 1.0
 ) -> np.ndarray:
-    """Random PSD operator G G^dag rescaled to the requested trace."""
+    """Random PSD operator G G^dag (:func:`~qinvert.states.gram_density`)
+    rescaled to the requested trace."""
     d = dims.total
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    mat = g @ g.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    return mat * (trace_scale / np.trace(mat).real)
+    return trace_scale * gram_density(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
 
 
 # ---------------------------------------------------------------------------

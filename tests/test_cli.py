@@ -670,25 +670,23 @@ def test_verify_lines_do_not_depend_on_the_stack_bound(capsys, monkeypatch):
         assert all(printed == lines[0] for printed in lines), local_dims
 
 
-@pytest.mark.parametrize("local_dims, size, seed, stack_masks, streamed", [
-    ((2, 2, 2), 4, 1, None, False),
-    ((2, 3), 5, 7, 1, False),
-    ((2, 2, 2), 3, 12345, 2, True),
-    ((3, 2), 2, 3, None, True),
+@pytest.mark.parametrize("local_dims, size, seed, stack_masks", [
+    ((2, 2, 2), 4, 1, None),
+    ((2, 3), 5, 7, 1),
+    ((2, 2, 2), 3, 12345, 2),
+    ((3, 2), 2, 3, None),
 ])
 def test_verify_rows_are_the_per_member_per_mask_routes(
-    capsys, monkeypatch, local_dims, size, seed, stack_masks, streamed
+    capsys, monkeypatch, local_dims, size, seed, stack_masks
 ):
     """positivity is the least min_eigenvalue of invert_product over every
     member and mask, and cross_form the largest per-mask deviation of the
     product and Kraus forms from the sum form, bit for bit, whether a
-    stack holds all masks or ``stack_masks`` (a chunk of one member then),
-    and whether the reference forms are held or streamed mask by mask."""
+    stack, and so the block both reference forms evaluate, holds all masks
+    or ``stack_masks`` (a chunk of one member then)."""
     dims = SubsystemDims(local_dims)
     if stack_masks is not None:
         monkeypatch.setattr(inversion, "STACK_HOLD_BYTES", (16 * stack_masks) * dims.total**2)
-    if streamed:
-        monkeypatch.setattr(inversion, "REFERENCE_HOLD_BYTES", 0)
     code, (cross, positivity, summary) = run(
         capsys, "verify", "--dims", ",".join(map(str, local_dims)), "--size", str(size),
         "--seed", str(seed), "--suites", "cross_form,positivity")
@@ -711,27 +709,32 @@ def _nan_at_first_entry(stack):
     return stack
 
 
-@pytest.mark.parametrize("suite, owner, name", [
-    ("cross_form", inversion, "invert_kraus"),
+@pytest.mark.parametrize("suites, owner, name", [
+    ("cross_form", cli, "invert_kraus"),
     ("parity", cli, "inversion_stacks"),
     ("factorization", cli, "block_product"),
     ("closed_form", cli, "pinned_mix_table"),
+    ("cross_form,factorization", cli, "block_product"),
 ])
 def test_a_non_finite_deviation_is_an_error_naming_its_suite(
-    capsys, monkeypatch, suite, owner, name
+    capsys, monkeypatch, tmp_path, suites, owner, name
 ):
     """NaN would slip past the maxima that make a deviation row (Python's
     max(0.0, nan) is 0.0): one NaN entry in what a suite compares exits 2
-    with no line, and the error names the suite."""
+    with no line and no ``--out`` file, even after an earlier suite's rows
+    are made, and the error names the suite."""
     real = getattr(owner, name)
     if name == "inversion_stacks":
         monkeypatch.setattr(owner, name, lambda *a: map(_nan_at_first_entry, real(*a)))
     else:
         monkeypatch.setattr(owner, name, lambda *a: _nan_at_first_entry(real(*a)))
-    code = main(["verify", "--dims", "2,2", "--size", "3", "--seed", "1", "--suites", suite])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert f"suite {suite}: non-finite deviation nan" in captured.err
+    report = tmp_path / "report.jsonl"
+    argv = ["verify", "--dims", "2,2", "--size", "3", "--seed", "1", "--suites", suites]
+    for out in ([], ["--out", str(report)]):
+        code = main(argv + out)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not report.exists()
+        assert f"suite {suites.split(',')[-1]}: non-finite deviation nan" in captured.err
 
 
 def test_consecutive_verify_runs_in_one_process_print_the_same_lines(capsys):

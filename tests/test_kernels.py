@@ -6,10 +6,10 @@ call) and the all-masks stacks built on it, the stacked smallest
 eigenvalue, its block form behind coarse_grain_invert and
 choi_matrix, the signed-embed sum shared by invert_sum and the
 witnesses from marginals, the broadcast embed and block product (with the
-Kraus operators built on it), the all-masks form of the reference
-routes and their pass over every mask, the member axis every all-masks layer
-takes (each member as its own call) and the one the purity sweep and the
-signed subset sum take, the purity profile a pure state sweeps
+Kraus operators built on it), the aligned mask blocks the reference
+routes take (each member as its own one-mask call), the member axis
+every stacked layer takes (each member as its own call) and the one the
+purity sweep and the signed subset sum take, the purity profile a pure state sweeps
 without forming a DensityMatrix, the invariant table every scalar
 family reads, and the Cholesky PSD certificate and the certified stack
 minimum, pinned to eigvalsh.  The formulas the kernels replaced are kept
@@ -54,7 +54,6 @@ from qinvert.inversion import (
     invert_sum,
     inversion_stacks,
     kraus_operators,
-    reference_inversions,
 )
 from qinvert.states import linear_entropies
 from qinvert.tensor import (
@@ -401,7 +400,7 @@ def test_witnesses_from_marginals_are_bit_identical_to_embed_loop(dims, seed):
 
 
 # ---------------------------------------------------------------------------
-# the broadcast embed and the all-masks pass of the reference routes
+# the broadcast embed and the mask blocks of the reference routes
 
 
 def kron_permute_embed(op_s, s, dims):
@@ -475,35 +474,41 @@ def test_block_product_and_kraus_operators_match_kron_constructions(dims, seed, 
 
 
 @PROPERTY
-@given(dims=st.one_of(subsystem_dims(max_total=48, max_n=4), subsystem_dims(max_total=32)),
-       seed=seeds)
-def test_reference_inversions_equal_the_single_mask_routes(dims, seed):
-    """A lookup of any mask range gives both forms' one-mask calls, stacked
-    in ascending mask order, bit for bit."""
-    mat = random_operator(dims, seed)
-    refs = reference_inversions(mat, dims)
-    ranges = [(0, 1 << dims.n)] + [(t, t + 1) for t in dims.subset_masks()]
-    for start, stop in ranges + [(1 << dims.n >> 1, 1 << dims.n)]:
-        by_sum, by_kraus = refs(start, stop)
-        assert len(by_sum) == len(by_kraus) == stop - start
-        for t, one_sum, one_kraus in zip(range(start, stop), by_sum, by_kraus, strict=True):
-            assert np.array_equal(one_sum, invert_sum(mat, dims, t))
-            assert np.array_equal(one_kraus, invert_kraus(mat, dims, t))
+@given(dims=subsystem_dims(max_total=32), lead=st.lists(st.integers(1, 2), max_size=3),
+       prebuilt=st.booleans(), seed=seeds)
+def test_mask_blocks_are_bit_identical_to_one_mask_calls(dims, lead, prebuilt, seed):
+    """Every aligned block range(k 2^m, (k+1) 2^m) of both reference forms
+    is the (2^m, lead.., D, D) stack of their one-mask calls in ascending
+    mask order, bit for bit, with 0 to 3 member axes and the Kraus form
+    with or without prebuilt generators."""
+    d = dims.total
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(*lead, d, d)) + 1j * rng.normal(size=(*lead, d, d))
+    kraus_args = (inversion.embedded_generators(dims),) if prebuilt else ()
+    for form, args in ((invert_sum, ()), (invert_kraus, kraus_args)):
+        one = [form(mat, dims, t, *args) for t in dims.subset_masks()]
+        assert all(x.shape == (*lead, d, d) for x in one), form
+        for m in range(dims.n + 1):
+            for k in range(1 << (dims.n - m)):
+                block = range(k << m, (k + 1) << m)
+                stack = form(mat, dims, block, *args)
+                assert stack.shape == (1 << m, *lead, d, d), (form, block)
+                for t, got in zip(block, stack, strict=True):
+                    assert bit_identical(got, one[t]), (form, block, t)
 
 
 @PROPERTY
 @given(dims=subsystem_dims(max_total=48), seed=seeds)
 def test_all_masks_calls_are_bit_identical_to_one_mask_calls(dims, seed):
-    """invert_sum and invert_kraus with t=None return the (2^N, D, D)
-    stack of their one-mask calls in ascending mask order, bit for bit:
-    the sum form reading one reduction sweep against one-mask calls that
-    stream their partial traces, the Kraus form with and without prebuilt
-    generators.  A mask beyond the parties raises a ValueError naming it."""
+    """invert_sum and invert_kraus on the block of all masks return the
+    (2^N, D, D) stack of their one-mask calls in ascending mask order, bit
+    for bit, the Kraus form with and without prebuilt generators.  A mask
+    beyond the parties raises a ValueError naming it."""
     mat = random_operator(dims, seed)
     d = dims.total
     generators = inversion.embedded_generators(dims)
     for form, prebuilt in ((invert_sum, ()), (invert_kraus, ()), (invert_kraus, (generators,))):
-        stack = form(mat, dims, None, *prebuilt)
+        stack = form(mat, dims, range(1 << dims.n), *prebuilt)
         assert stack.shape == (1 << dims.n, d, d), form
         for t in dims.subset_masks():
             one = form(mat, dims, t, *prebuilt)
@@ -514,26 +519,19 @@ def test_all_masks_calls_are_bit_identical_to_one_mask_calls(dims, seed):
                 form(mat, dims, bad, *prebuilt)
 
 
-@pytest.mark.parametrize("local_dims", [(2, 3), (2, 2, 2), (3, 2, 2)])
-def test_reference_inversions_stream_above_the_hold_budget(local_dims, monkeypatch):
-    """Within REFERENCE_HOLD_BYTES the held stacks take no partial trace;
-    above it nothing is made before a lookup, and every invert_sum streams
-    its 2^N reductions, with the same results."""
-    dims = SubsystemDims(local_dims)
-    mat = random_operator(dims, 7)
-    traced = []
-    monkeypatch.setattr(inversion, "partial_trace",
-                        lambda m, d, s: traced.append(s) or partial_trace(m, d, s))
-    everything = (0, 1 << dims.n)
-    held = reference_inversions(mat, dims)(*everything)
-    assert traced == []
-    monkeypatch.setattr(inversion, "REFERENCE_HOLD_BYTES", 0)
-    refs = reference_inversions(mat, dims)
-    assert traced == []  # nothing is made before a lookup
-    streamed = refs(*everything)
-    assert traced == list(dims.subset_masks()) * (1 << dims.n)
-    for got, want in zip(streamed, held, strict=True):
-        assert np.array_equal(got, want)
+@pytest.mark.parametrize("form", [invert_sum, invert_kraus])
+def test_misaligned_blocks_and_blocks_beyond_the_parties_are_rejected(form):
+    """A block that is not range(k 2^m, (k+1) 2^m), or one beyond the
+    parties, raises a ValueError naming it."""
+    dims = SubsystemDims((2, 3, 2))
+    mat = random_operator(dims, 1)
+    misaligned = (range(1, 3), range(2, 5), range(0, 3), range(0, 0), range(0, 4, 2),
+                  range(-2, 0), range(4, 3))
+    beyond = (range(8, 9), range(0, 16), range(8, 16))
+    for blocks, reason in ((misaligned, "is not an aligned block"), (beyond, "addresses parties")):
+        for bad in blocks:
+            with pytest.raises(ValueError, match=f"mask block {re.escape(str(bad))} {reason}"):
+                form(mat, dims, bad)
 
 
 @PROPERTY
@@ -576,10 +574,10 @@ def test_inversion_stacks_are_bit_identical_to_invert_product(dims, seed, low):
 def test_member_stacks_are_bit_identical_to_per_member_calls(dims, m, seed, data):
     """Every layer on a (M, D, D) stack of operands gives each member its
     own call's result bit for bit: the reduction sweep and the embeds of
-    its reductions, both reference forms on one mask and on all masks
-    (the Kraus form with and without prebuilt generators), the mask-major
-    all-masks stacks whatever the hold bound, and the smallest eigenvalue
-    of the flattened Hermitian stacks."""
+    its reductions, both reference forms on one mask and on the block of
+    all masks (the Kraus form with and without prebuilt generators), the
+    mask-major all-masks stacks whatever the hold bound, and the smallest
+    eigenvalue of the flattened Hermitian stacks."""
     d = dims.total
     mats = np.stack([random_operator(dims, seed + k) for k in range(m)])
     sweep = dict(reduction_sweep(mats, dims))
@@ -590,13 +588,14 @@ def test_member_stacks_are_bit_identical_to_per_member_calls(dims, m, seed, data
             assert bit_identical(embed(sweep[s], s, dims)[k], embed(mat_s, s, dims))
     generators = inversion.embedded_generators(dims)
     t = data.draw(st.integers(0, dims.full_mask))
+    every = range(1 << dims.n)
     for form, prebuilt in ((invert_sum, ()), (invert_kraus, ()), (invert_kraus, (generators,))):
-        stack = form(mats, dims, None, *prebuilt)
+        stack = form(mats, dims, every, *prebuilt)
         assert stack.shape == (1 << dims.n, m, d, d), form
         one = form(mats, dims, t, *prebuilt)
         assert one.shape == (m, d, d), form
         for k in range(m):
-            assert bit_identical(stack[:, k], form(mats[k], dims, None, *prebuilt)), form
+            assert bit_identical(stack[:, k], form(mats[k], dims, every, *prebuilt)), form
             assert bit_identical(one[k], form(mats[k], dims, t, *prebuilt)), form
     low = min(data.draw(st.integers(0, 6)), dims.n)
     with mock.patch.object(inversion, "STACK_HOLD_BYTES", (16 << low) * m * d**2):
