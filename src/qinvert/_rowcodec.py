@@ -16,11 +16,11 @@ starts without numpy or the rest of the package::
     python -I -S _rowcodec.py encode D  # float64 bytes of rows in, their text out
     python -I -S _rowcodec.py decode D  # the text of rows in, their float64 bytes out
 
-``encode`` writes the byte length of the text on a line of its own, then
-the text of the rows joined by ``", "``.  ``decode`` reads rows joined by
-``", "``, as the writer joins them, and writes D*16 bytes per row.  Either
-exits with :data:`NOT_ROWS`, writing nothing, when its input is not whole
-rows of D pairs.
+``encode`` writes the text of the rows joined by ``", "``, and nothing
+else.  ``decode`` reads rows joined by ``", "``, as the writer joins
+them, and writes D*16 bytes per row.  Either exits with
+:data:`NOT_ROWS`, writing nothing, when its input is not whole rows of D
+pairs.
 """
 
 import array
@@ -118,9 +118,7 @@ def _main(argv: list) -> int:
     if mode == "encode":
         if not data or len(data) % (16 * d):
             return NOT_ROWS
-        text = ", ".join(encode(memoryview(data), d)).encode("ascii")
-        sys.stdout.buffer.write(b"%d\n" % len(text))
-        sys.stdout.buffer.write(text)
+        sys.stdout.buffer.write(", ".join(encode(memoryview(data), d)).encode("ascii"))
         return 0
     n = data.count(ROW_START) + 1
     out = array.array("d", [0.0]) * (2 * d * n)

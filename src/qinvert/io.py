@@ -21,30 +21,32 @@ A mixed state with at least :data:`HELPER_PAIRS` entries, in a process
 that may run on more than one CPU, is coded by two processes.
 The rows after the first :data:`SHARE` of them go to one helper process,
 which runs the row codec as a script (``python -I -S``, no numpy) while
-this process codes the rest.  The writer sends the helper the float64
-bytes of its rows, streams its own rows, then copies the helper's text;
-the reader sends the helper the bytes of its rows' text and reads the
-float64 rows it answers straight into the array.  A helper that cannot
-start has its rows coded here.  A writer's helper that answers anything
-but the text of its rows has them encoded here too; a reader's helper
-that answers anything but exactly its rows' float64 bytes sends the file
+this process codes the rest.  The helper reads its input from one
+temporary file and writes its answer to another.  Both are made by
+``tempfile.TemporaryFile`` in ``tempfile``'s default directory and are
+unlinked at creation, so nothing is left on disk.  This process writes
+the input file, starts the helper, codes its own rows and then waits
+for the helper's exit.  The writer gives the helper the float64 bytes
+of its rows and copies the text it answers.  The reader gives it the
+bytes of its rows' text and reads the float64 rows it answers straight
+into the array.  Exit status 0 with an answer of the expected size is
+the only success: 16*D bytes a row for the reader, the ASCII text of its
+rows for the writer.  A helper that cannot start, or whose files cannot
+be made, has its rows coded here.  A writer's helper that answers
+anything else has its rows encoded here too; a reader's sends the file
 to ``json.loads``, as an irregular row does.  So the bytes written and
-the values read never depend on the helper.  It is waited for only once
-its output has ended, and killed and reaped before the call returns
-whatever happened.  The helper costs about 35 ms to start; on a 2-core
-x86-64 VM it loses below the threshold (D = 192: write 0.13 s against
-0.11 s in one process, read 0.09 s against 0.06 s), and the writer's
-helper wins from it on (D = 256: 0.16 s against 0.22 s; D = 512: 0.55 s
-against 0.98 s).  The reader's helper still loses at D = 256 and wins
-at D = 512: on a shared 2-CPU x86-64 container, medians of seven
-interleaved fresh processes of :func:`_fields` were 0.085 s with the
-helper against 0.068 s in one process at D = 256, and 0.24 against
-0.27 s at D = 512 (ranges 0.18-0.32 against 0.25-0.35 s).  These
-understate the D = 512 gain: with the reader's helper disabled, the
-``large-state-9q`` benchmark's ``wall_s`` rose from 1.09-1.20 s to
-1.46-1.49 s (five alternating 10 s pairs).  Writer and reader share the
-threshold, so the reader's own crossover, between those sizes, is not
-measured.
+the values read never depend on the helper.  It is killed and reaped,
+and both files are closed, before the call returns whatever happened.
+On a shared 2-core x86-64 container, medians of seven interleaved fresh
+processes with the helper against one process were: at D = 256, write
+0.18 against 0.20 s and read (:func:`_fields`) 0.092 against 0.110 s,
+with overlapping ranges (write 0.14-0.25 against 0.13-0.24 s); at
+D = 512, write 0.52 against 0.88 s and read 0.25 against 0.41 s.  The
+threshold was set when the helper talked over pipes and lost at D = 192
+(write 0.13 s against 0.11 s, read 0.09 against 0.06 s) and, reading,
+at D = 256; the crossover with files is not measured.  Then, with the
+reader's helper disabled, the ``large-state-9q`` benchmark's ``wall_s``
+rose from 1.09-1.20 s to 1.46-1.49 s (five alternating 10 s pairs).
 
 Measured with tracemalloc, writing an 8-qubit mixed file peaks at 0.1
 D x D complex arrays in one process and 1.5 with a helper (its text,
@@ -80,6 +82,9 @@ from .states import DensityMatrix, PureState
 
 if TYPE_CHECKING:
     import subprocess
+
+    # a started helper process and the file it answers in
+    _Helper = tuple[subprocess.Popen, IO[bytes]]
 
 # a helper process codes part of a mixed state with at least this many
 # entries (measured crossover between D = 192 and D = 256), and the
@@ -135,77 +140,61 @@ def _helper_rows(d: int) -> int:
     return d - max(1, round(SHARE * d))
 
 
-def _spawn(mode: str, d: int) -> subprocess.Popen:
-    """Start the row codec as a helper process that codes rows of d pairs."""
+def _spawn(mode: str, d: int, source: IO[bytes], answer: IO[bytes]) -> subprocess.Popen:
+    """Start the row codec as a helper process that codes the rows of d
+    pairs in the file ``source`` and writes its answer to ``answer``."""
     import subprocess  # here, so a command that starts no helper does not import it
 
     return subprocess.Popen(
         [sys.executable, "-I", "-S", _rowcodec.__file__, mode, str(d)],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        stdin=source, stdout=answer, stderr=subprocess.DEVNULL)
 
 
 @contextlib.contextmanager
-def _helper(mode: str, d: int, wanted: bool) -> Iterator[subprocess.Popen | None]:
-    """A helper process coding rows of d pairs, or None when it is not
-    wanted or cannot start; killed and reaped on exit, whatever happened."""
+def _helper(mode: str, d: int, data: memoryview) -> Iterator[_Helper | None]:
+    """A helper process coding the rows of d pairs in ``data``, read from
+    an unlinked temporary file, with the one it answers in; None when
+    ``data`` is empty or the helper cannot start.  On exit it is killed
+    and reaped and both files are closed, whatever happened."""
     proc = None
-    if wanted:
-        with contextlib.suppress(OSError):
-            proc = _spawn(mode, d)
-    try:
-        yield proc
-    finally:
-        if proc is not None:
-            proc.kill()
-            with contextlib.suppress(OSError):  # input left unflushed to a dead helper
-                proc.stdin.close()
-            proc.stdout.close()
-            proc.wait()
+    with contextlib.ExitStack() as files:
+        if data:
+            import tempfile  # here, so a command that starts no helper does not import it
+
+            with contextlib.suppress(OSError):
+                source = files.enter_context(tempfile.TemporaryFile())
+                answer = files.enter_context(tempfile.TemporaryFile())
+                source.write(data)
+                source.seek(0)
+                proc = _spawn(mode, d, source, answer)
+        try:
+            yield None if proc is None else (proc, answer)
+        finally:
+            if proc is not None:
+                proc.kill()
+                proc.wait()
 
 
-def _feed(proc: subprocess.Popen | None, data: memoryview) -> bool:
-    """Send the helper its whole input; False when there is no helper or
-    it is gone."""
-    if proc is None:
-        return False
+def _answer(helper: _Helper | None,
+            out: memoryview | None = None) -> memoryview | bytearray | None:
+    """The helper's answer once it has exited: read into ``out``, or into
+    a new buffer of its length when ``out`` is None.  None when there is
+    no helper, it exited with a status other than 0, or its answer is not
+    exactly as long as ``out``."""
+    if helper is None or helper[0].wait() != 0:
+        return None
+    answer = helper[1]
     try:
-        proc.stdin.write(data)
-        proc.stdin.close()
+        size = answer.seek(0, os.SEEK_END)
+        out = bytearray(size) if out is None else out
+        answer.seek(0)
+        return out if len(out) == size and answer.readinto(out) == size else None
     except OSError:
-        return False
-    return True
-
-
-def _answered(proc: subprocess.Popen, out: memoryview) -> bool:
-    """Whether the helper's output, read into ``out``, is exactly that long
-    and it exited cleanly.  It is waited for only once its output has
-    ended: a helper that writes more may be blocked on the pipe, and is
-    left to the kill that reaps it."""
-    try:
-        if proc.stdout.readinto(out) != len(out) or proc.stdout.read(1):
-            return False
-    except OSError:
-        return False
-    return proc.wait() == 0
+        return None
 
 
 # ---------------------------------------------------------------------------
 # the writer
-
-
-def _helper_text(proc: subprocess.Popen, rows: int) -> bytearray | None:
-    """The text of the helper's rows, or None unless it sent a length, that
-    many bytes of ASCII holding ``rows`` rows and nothing more, and exited
-    cleanly."""
-    try:
-        text = bytearray(int(proc.stdout.readline(32)))
-    except (OSError, ValueError):
-        return None
-    if not _answered(proc, memoryview(text)) or not (
-            text.isascii() and text.startswith(b"[[") and text.endswith(b"]]")
-            and text.count(b"]], [[") == rows - 1):
-        return None
-    return text
 
 
 def _joined(texts: Iterator[str]) -> Iterator[str]:
@@ -219,18 +208,19 @@ def _mixed_data(pairs: np.ndarray) -> Iterator[str]:
     brackets, the last rows coded by a helper process when it is large."""
     d = len(pairs)
     raw = memoryview(pairs).cast("B")
-    row = 16 * d
     n = _helper_rows(d)
-    h = d - n
-    with _helper("encode", d, n > 0) as proc:
-        fed = _feed(proc, raw[h * row:])
-        texts = _rowcodec.encode(raw[:h * row], d)
+    split = 16 * d * (d - n)
+    with _helper("encode", d, raw[split:]) as helper:
+        texts = _rowcodec.encode(raw[:split], d)
         yield "["
         yield next(texts)
         yield from _joined(texts)
-        text = _helper_text(proc, n) if fed else None
-        if text is None:
-            yield from _joined(_rowcodec.encode(raw[h * row:], d))
+        # any answer but the ASCII text of its rows has them encoded here
+        text = _answer(helper)
+        if text is None or not (
+                text.isascii() and text.startswith(b"[[") and text.endswith(b"]]")
+                and text.count(b"]], [[") == n - 1):
+            yield from _joined(_rowcodec.encode(raw[split:], d))
         else:
             yield ", "
             view = memoryview(text)
@@ -386,14 +376,13 @@ def _cut_rows(raw: bytes, cap: int) -> tuple[SubsystemDims, np.ndarray] | None:
     if _helper_rows(d):
         cut = raw.find(ROW_START, start + int(SHARE * (stop - start)), stop)
         split = stop if cut < 0 else cut
-    with _helper("decode", d, split < stop) as proc:
-        if proc is None:  # no helper, or it could not start: every row is decoded here
+    with _helper("decode", d, view[split + 2:stop]) as helper:
+        if helper is None:  # no helper, or it could not start: every row is decoded here
             split = stop
-        fed = _feed(proc, view[split + 2:stop])
         rows = _rowcodec.decode_text(raw, start, split, d, out, 0)
-        if proc is not None and rows is not None:
+        if helper is not None and rows is not None:
             # any answer but exactly its rows sends the file to json.loads
-            rows = d if fed and _answered(proc, out[2 * d * rows:].cast("B")) else None
+            rows = d if _answer(helper, out[2 * d * rows:].cast("B")) is not None else None
     return (dims, buf) if rows == d else None
 
 

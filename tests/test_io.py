@@ -1,10 +1,12 @@
 import gc
+import itertools
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
@@ -486,10 +488,10 @@ def test_the_codec_holds_no_tree_of_the_matrix(tmp_path):
 @pytest.fixture()
 def no_child_left():
     """Fail unless every process the test started was reaped, and every
-    file it opened was closed (an unclosed pipe warns when collected); a
+    file it opened was closed (an unclosed file warns when collected); a
     test still running after a minute, waiting for a helper, fails too."""
     def hung(signum, frame):
-        raise TimeoutError("still waiting after a minute, for a helper blocked on its output")
+        raise TimeoutError("still waiting after a minute, for a helper")
 
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
@@ -512,9 +514,9 @@ def spawned(monkeypatch, no_child_left):
     started = []
     spawn = qio._spawn
 
-    def record(mode, d):
+    def record(mode, d, source, answer):
         started.append(mode)
-        return spawn(mode, d)
+        return spawn(mode, d, source, answer)
 
     monkeypatch.setattr(qio, "HELPER_PAIRS", 64)
     monkeypatch.setattr(qio, "_spare_cpu", lambda: True)
@@ -533,27 +535,33 @@ def mixed_file(tmp_path, local, seed=11, label=None):
 def test_the_helper_writes_and_reads_the_bytes_and_bits_of_one_process(tmp_path, spawned,
                                                                       monkeypatch, local):
     """D = 6 stays in one process (36 < 64 entries); D = 8, 9 and 16 start
-    one helper to write and one to read."""
+    one helper for each mixed state written and one to read.  The chunks
+    are the documented bytes, ``json.dumps(state_to_dict(state, label))``,
+    for pure and mixed states, with and without a label."""
     rho, oracle = mixed_file(tmp_path, local, label="two")
     answered = []
 
-    answer = qio._answered
+    answer = qio._answer
 
-    def used(proc, out):  # each helper's answer is used
-        answered.append(answer(proc, out))
-        return answered[-1]
+    def used(helper, out=None):  # each helper's answer is used
+        got = answer(helper, out)
+        if helper is not None:
+            answered.append(got is not None)
+        return got
 
-    monkeypatch.setattr(qio, "_answered", used)
+    monkeypatch.setattr(qio, "_answer", used)
     d = rho.dims.total
     if d * d >= 64:  # and the whole text is never decoded
         monkeypatch.setattr(qio, "_text", None)
     path = tmp_path / "written.json"
     write_state_file(path, rho, label="two")
     assert path.read_bytes() == oracle.read_bytes()
-    assert "".join(state_chunks(rho, "two")) + "\n" == oracle.read_text(encoding="utf-8")
     loaded = read_state_file(path)
     assert loaded.matrix.tobytes() == loads_route(oracle).matrix.tobytes()
-    assert spawned == ([] if d * d < 64 else ["encode", "encode", "decode"])
+    assert json.dumps(qio.state_to_dict(rho, "two")) + "\n" == oracle.read_text(encoding="utf-8")
+    for state, label in itertools.product([rho, haar_pure(rho.dims, 3)], [None, "two"]):
+        assert "".join(state_chunks(state, label)) == json.dumps(qio.state_to_dict(state, label))
+    assert spawned == ([] if d * d < 64 else ["encode", "decode", "encode", "encode"])
     assert answered == [True] * len(spawned)
 
 
@@ -578,46 +586,77 @@ def exits(code: int):
     return [sys.executable, "-c", f"import sys; sys.exit({code})"]
 
 
-def answers(text: str):
-    """A helper that reads its input and answers ``text`` on stdout."""
-    return [sys.executable, "-c",
-            f"import sys; sys.stdin.buffer.read(); sys.stdout.write({text!r})"]
+def codec(mode, d):
+    return [sys.executable, "-I", "-S", _rowcodec.__file__, mode, str(d)]
 
 
-def killed(mode, d):
-    proc = subprocess.Popen([sys.executable, "-I", "-S", _rowcodec.__file__, mode, str(d)],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+def killed(mode, d, source, answer):
+    proc = subprocess.Popen(codec(mode, d), stdin=source, stdout=answer)
     proc.kill()
     return proc
 
 
-def launcher(kind):
-    if kind == "oserror":
-        def spawn(mode, d):
-            raise OSError("no helper")
-    elif kind == "killed":
-        spawn = killed
-    else:
-        argv = {"exit3": exits(3), "exit0": exits(0), "not_rows": exits(_rowcodec.NOT_ROWS),
-                "short": answers("9\n[[0.0, 0.0]]\n" + "x" * 24),
-                # more than a pipe holds: it blocks on its write
-                "long": [sys.executable, "-c", "import sys; sys.stdin.buffer.read(); "
-                         "sys.stdout.write('9\\n' + 'x' * (1 << 18))"]}[kind]
-
-        def spawn(mode, d):
-            return subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+def answering(change, status=0):
+    """A launcher whose helper exits with ``status`` having answered
+    ``change`` of the row codec's answer."""
+    def spawn(mode, d, source, answer):
+        answer.write(change(subprocess.run(codec(mode, d), stdin=source,
+                                           stdout=subprocess.PIPE).stdout))
+        answer.flush()
+        return subprocess.Popen(exits(status))
     return spawn
 
 
-@pytest.mark.parametrize("kind", ["oserror", "exit3", "exit0", "not_rows", "killed", "short",
-                                  "long"])
+def launcher(kind):
+    if kind == "oserror":
+        def spawn(mode, d, source, answer):
+            raise OSError("no helper")
+    elif kind == "killed":
+        spawn = killed
+    elif kind == "short":  # the answer less its last 8 bytes
+        spawn = answering(lambda out: out[:-8])
+    elif kind == "long":  # the answer twice over: twice the rows asked for
+        spawn = answering(lambda out: out + out)
+    elif kind == "wrong_exit3":  # other values of the answer's size, then exit 3
+        spawn = answering(lambda out: out.translate(bytes.maketrans(b"12", b"21")), 3)
+    else:
+        argv = {"exit3": exits(3), "exit0": exits(0), "not_rows": exits(_rowcodec.NOT_ROWS)}[kind]
+
+        def spawn(mode, d, source, answer):
+            return subprocess.Popen(argv, stdin=source, stdout=answer)
+    return spawn
+
+
+@pytest.mark.parametrize("kind", ["no_tempfile", "oserror", "exit3", "exit0", "not_rows",
+                                  "killed", "short", "long", "wrong_exit3"])
 def test_a_failed_helper_changes_no_byte_and_no_bit(tmp_path, spawned, monkeypatch, kind):
+    """Whatever happens to the helper, or to its temporary files, the file
+    written, the values read and the diagnostic of a malformed last row
+    are those of one process."""
     rho, oracle = mixed_file(tmp_path, (2, 2, 3))
-    monkeypatch.setattr(qio, "_spawn", launcher(kind))
+    bad = tmp_path / "bad.json"
+    data = rho.matrix.view(np.float64).reshape(12, 12, 2).tolist()
+    del data[-1][-1]
+    bad.write_text(json.dumps({"dims": [2, 2, 3], "kind": "mixed", "data": data}),
+                   encoding="utf-8")
+    with pytest.raises(StateFileError) as expected:
+        loads_route(bad)
+    if kind == "no_tempfile":
+        def no_file(*args, **kwargs):
+            raise OSError("no temporary file")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        monkeypatch.setattr(qio, "_spawn", None)  # no helper starts
+    else:
+        monkeypatch.setattr(qio, "_spawn", launcher(kind))
     path = tmp_path / "written.json"
     write_state_file(path, rho)
     assert path.read_bytes() == oracle.read_bytes()
     assert read_state_file(path).matrix.tobytes() == loads_route(oracle).matrix.tobytes()
+    with pytest.raises(StateFileError) as got:
+        read_state_file(bad)
+    assert str(got.value) == str(expected.value)
+    assert main(["invariants", "--state", str(bad)]) == 2
 
 
 LAST_ROW_MUTATIONS = sorted(ENTRY_MUTATIONS) + ["short_row", "long_row", "bad_pair",
@@ -657,13 +696,11 @@ def test_a_malformed_last_row_keeps_the_one_process_diagnostic(tmp_path, spawned
     assert main(["invariants", "--state", str(path)]) == 2
 
 
-def test_a_helper_answering_more_rows_than_a_pipe_holds_is_killed(tmp_path, spawned,
-                                                                  monkeypatch):
+def test_an_answer_with_more_rows_than_asked_is_refused(tmp_path, spawned, monkeypatch):
     """A D = 16 file with 1000 extra rows, of which this process keeps the
-    first: the helper's share decodes to 260 kB, more than a pipe holds,
-    so it blocks on its write.  The reader stops reading at D rows and
-    kills it rather than waiting for its exit; the whole text then gives
-    the shape diagnostic and the CLI exits 2."""
+    first: the helper decodes its share, 260 kB of rows where D rows fit,
+    and exits 0.  The reader refuses an answer of that size; the whole
+    text then gives the shape diagnostic and the CLI exits 2."""
     monkeypatch.setattr(qio, "SHARE", 0.01)
     d = 16
     data = ginibre_mixed(SubsystemDims((2,) * 4), 2).matrix.view(np.float64)
@@ -684,7 +721,7 @@ def test_a_helper_answering_more_rows_than_a_pipe_holds_is_killed(tmp_path, spaw
 def test_no_helper_starts_for_a_seven_qubit_state(tmp_path, monkeypatch, no_child_left):
     """At the shipped threshold, a D = 128 file is written and read in one
     process, however many CPUs there are."""
-    def spawn(mode, d):
+    def spawn(mode, d, source, answer):
         raise AssertionError(f"a {mode} helper started for D = {d}")
 
     monkeypatch.setattr(qio, "_spare_cpu", lambda: True)
@@ -745,7 +782,7 @@ def test_another_layout_at_the_threshold_is_read_whole(tmp_path, monkeypatch, no
     whole = []
     text = qio._text
 
-    def spawn(mode, d):
+    def spawn(mode, d, source, answer):
         raise AssertionError(f"a {mode} helper started for D = {d}")
 
     def read_whole(raw, path):
@@ -761,15 +798,18 @@ def test_another_layout_at_the_threshold_is_read_whole(tmp_path, monkeypatch, no
 
 def test_the_helper_runs_as_a_script_without_numpy():
     """The row codec imports only json, array and sys, so the helper starts
-    with no package import; its answers are those of the functions."""
+    with no package import.  Its answer is the functions' text or float64
+    rows and nothing else; it writes nothing when its input is not whole
+    rows."""
     rows = np.arange(24, dtype=np.float64).reshape(3, 4, 2) / 7
-    text = ", ".join(_rowcodec.encode(memoryview(rows).cast("B"), 4))
-    run = lambda *argv, data: subprocess.run(  # noqa: E731
-        [sys.executable, "-I", "-S", _rowcodec.__file__, *argv], input=data,
-        capture_output=True, check=True).stdout
-    encoded = text.encode("ascii")
-    assert run("encode", "4", data=rows.tobytes()) == b"%d\n" % len(encoded) + encoded
-    assert run("decode", "4", data=encoded) == rows.tobytes()
+    encoded = ", ".join(_rowcodec.encode(memoryview(rows).cast("B"), 4)).encode("ascii")
+    not_rows = _rowcodec.NOT_ROWS
+    for mode, data, status, answer in [("encode", rows.tobytes(), 0, encoded),
+                                       ("decode", encoded, 0, rows.tobytes()),
+                                       ("encode", rows.tobytes()[:-8], not_rows, b""),
+                                       ("decode", encoded[:-1], not_rows, b"")]:
+        got = subprocess.run(codec(mode, 4), input=data, capture_output=True)
+        assert (got.returncode, got.stdout, got.stderr) == (status, answer, b"")
     probe = (f"import runpy, sys; runpy.run_path({_rowcodec.__file__!r}); "
              "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'qinvert'}))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True,
