@@ -10,13 +10,13 @@ monogamy 2 C_T^2, the entropy fallback C^2 of the full set."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask, relative_mask
 from .invariants import invariant_table
-from .inversion import _signed_sums, invert_product
+from .inversion import _signed_sums, odd_inversions
 from .states import TOL_PSD, DensityMatrix, PureState
 from .tensor import (
     _require_hermitian,
@@ -312,17 +312,21 @@ def _odd_masks(dims: SubsystemDims) -> list[int]:
     return [t for t in dims.subset_masks() if mask_size(t) % 2 == 1]
 
 
-def _witness_operator(rho: DensityMatrix, t: int) -> np.ndarray:
-    """W_T = I_T(rho) + rho (the full-set term of I_T(rho) is -rho for odd
-    T), evaluated by the factor kernel of :func:`invert_product`."""
-    return invert_product(rho.matrix, rho.dims, t) + rho.matrix
+def _witness_operators(rho: DensityMatrix) -> Iterator[tuple[int, np.ndarray]]:
+    """``(T, W_T)`` for every odd-size mask T, in the order of
+    :func:`~qinvert.inversion.odd_inversions`: W_T = I_T(rho) + rho (the
+    full-set term of I_T(rho) is -rho for odd T), formed in place in the
+    fresh inversion."""
+    for t, w in odd_inversions(rho.matrix, rho.dims):
+        w += rho.matrix
+        yield t, w
 
 
 def marginal_witnesses(rho: DensityMatrix) -> list[MarginalWitness]:
-    """Witnesses for every odd-size mask from the state's own marginals
-    (always PSD up to solver noise for a genuine state), with the global
-    state known."""
-    return [_witness(t, _witness_operator(rho, t)) for t in _odd_masks(rho.dims)]
+    """Witnesses for every odd-size mask, in ascending mask order, from the
+    state's own marginals (always PSD up to solver noise for a genuine
+    state), with the global state known."""
+    return sorted((_witness(t, w) for t, w in _witness_operators(rho)), key=lambda w: w.t)
 
 
 def marginal_witnesses_from_marginals(
@@ -383,12 +387,12 @@ def marginal_witnesses_from_marginals(
 
 
 def marginal_report(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintReport:
-    """2^(N-1) D x D eigen-solves; witnesses are built, checked finite and
-    Hermitian by :func:`min_eigenvalue`, and dropped one at a time."""
-    entries = [
-        _entry(mask_bitstring(t, rho.dims.n), min_eigenvalue(_witness_operator(rho, t)), tol)
-        for t in _odd_masks(rho.dims)
-    ]
+    """2^(N-1) D x D eigen-solves, reported in ascending mask order;
+    witnesses are built by :func:`~qinvert.inversion.odd_inversions`,
+    checked finite and Hermitian by :func:`min_eigenvalue`, and dropped
+    one at a time."""
+    values = {t: min_eigenvalue(w) for t, w in _witness_operators(rho)}
+    entries = [_entry(mask_bitstring(t, rho.dims.n), values[t], tol) for t in sorted(values)]
     return ConstraintReport(family="marginal", entries=entries, tolerance=tol)
 
 

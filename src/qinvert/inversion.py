@@ -11,10 +11,14 @@ Equivalently I_T is the product of the commuting single-party factors
 Tr_j(.) (x) 1_j -/+ id.  One factor kernel, :func:`_apply_factors`,
 applies such factors to a (K, D, D) stack of operators with one weight
 per member and block, and everything production runs goes through it:
-:func:`invert_product`, coarse graining, the detection map and Choi
-matrices call it with K = 1, and :func:`inversion_stacks` evaluates I_T
-for every T as a butterfly over the parties, 2^N masks per call when
-they fit in a cache-sized stack.  The subset sum above
+:func:`invert_product` (the one-mask route), coarse graining, the
+detection map and Choi matrices call it with K = 1,
+:func:`odd_inversions` (the production route for all odd masks, which
+``marginal`` reads) shares the factors of the first parties depth first
+across masks and shares the kernel's traced add (:func:`_add_padded`),
+and :func:`inversion_stacks` evaluates I_T for every T as a butterfly
+over the parties, 2^N masks per call when they fit in a cache-sized
+stack.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
 input (:func:`invert_kraus`) are kept only as cross-check references.
 Both take one mask or the aligned block of masks of one such stack,
@@ -130,19 +134,27 @@ def _apply_factors(
     flat = np.array(stack, dtype=np.complex128, order="C").reshape(-1, dims.total**2)
     k = len(flat)
     tensor = flat.reshape((k,) + dims.dims + dims.dims)
-    per_slice = flat.size >= SLICE_ADD_ENTRIES
     for block in sorted(weights):
         axes = tuple(p - 1 for p in parties_from_mask(block))
         traced = _trace_out(tensor, axes, batch=1)
         w = weights[block]
         flat *= w[:, np.newaxis] if isinstance(w, np.ndarray) else w
-        diagonal = _diagonal(tensor, axes, batch=1)
-        if per_slice:
-            for index in np.ndindex(diagonal.shape[:len(axes)]):
-                diagonal[index] += traced
-        else:
-            diagonal += traced
+        _add_padded(tensor, axes, traced)
     return flat.reshape(k, dims.total, dims.total)
+
+
+def _add_padded(tensor: np.ndarray, axes: tuple[int, ...], traced: np.ndarray) -> None:
+    """Add ``traced``, the operand with the parties at ``axes`` traced
+    out, in place onto the ``axes``-diagonal view of the C-contiguous
+    (K, d_1..d_N, d_1..d_N) ``tensor``: the identity-padded term of a
+    factor.  From :data:`SLICE_ADD_ENTRIES` entries of ``tensor`` on, one
+    block-index slice at a time, below it as one broadcast add."""
+    diagonal = _diagonal(tensor, axes, batch=1)
+    if tensor.size >= SLICE_ADD_ENTRIES:
+        for index in np.ndindex(diagonal.shape[:len(axes)]):
+            diagonal[index] += traced
+    else:
+        diagonal += traced
 
 
 def _inversion_weights(n: int, t: int) -> dict[int, float]:
@@ -163,7 +175,8 @@ def invert_product(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
 # of (3,3,3,3), 4 at 7 qubits.  A stack beyond the cache costs more in
 # memory traffic than the calls it saves (at (3,3,3,3) all 16 masks in
 # one stack take twice as long as two stacks of 8).  verify sizes its
-# chunks of ensemble members against it too (see chunk_members).
+# chunks of ensemble members against it too (see chunk_members), and
+# odd_inversions the chain of operators its depth-first tree holds.
 STACK_HOLD_BYTES = 1 << 20
 
 
@@ -211,6 +224,64 @@ def inversion_stacks(mat: np.ndarray, dims: SubsystemDims) -> Iterator[np.ndarra
         weights = {1 << j: -1.0 if high >> (j - m) & 1 else 1.0 for j in range(m, dims.n)}
         stack = _apply_factors(low, dims, weights) if weights else low
         yield stack.reshape((-1,) + lead + (d, d))
+
+
+def odd_inversions(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(T, I_T(mat))`` once for every mask T of odd size, in a
+    fixed depth-first (not ascending) order; each D x D operator is a
+    fresh array that the caller owns, bit for bit
+    :func:`invert_product` ``(mat, dims, T)``.
+
+    The factors of parties 1..k run as a depth-first tree over their
+    signs, k = min(N, STACK_HOLD_BYTES // (16 D^2)), so each is applied
+    once per node and shared by every mask below it.  A node below the
+    root is traced once for both children, which are formed before
+    either subtree runs: the + child as a copy, the - child negated in
+    place in the node's buffer (the last party forms only the child of
+    odd size, in place).  The root, ``mat`` itself, is never written:
+    each of its children is one :func:`_apply_factors` call.  Each leaf
+    applies the factors of parties k+1..N per mask through
+    :func:`_apply_factors`.  So the tree holds at most k operators of
+    D^2 entries, within :data:`STACK_HOLD_BYTES` (4 at 7 qubits, 1 at
+    8), and from k = 0 (D >= 512) every mask takes the per-mask route of
+    :func:`invert_product`."""
+    d = dims.total
+    k = min(dims.n, STACK_HOLD_BYTES // (16 * d * d))
+    root = np.asarray(mat).reshape((1,) + dims.dims + dims.dims)
+    return _odd_subtree(root, dims, k, 0, 0, owned=False)
+
+
+def _odd_subtree(
+    node: np.ndarray, dims: SubsystemDims, k: int, j: int, mask: int, owned: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The odd masks of :func:`odd_inversions` whose bits 0..j-1 are those
+    of ``mask``, from ``node``, a (1, d.., d..) tensor with the factors of
+    parties 1..j applied; ``owned`` when this call may write it."""
+    n = dims.n
+    if j == k:
+        if k == n:
+            yield mask, node.reshape(dims.total, dims.total)
+            return
+        for t in range(mask, 1 << n, 1 << k):
+            if t.bit_count() % 2:
+                weights = {b: w for b, w in _inversion_weights(n, t).items() if b >> k}
+                yield t, _apply_factors(node, dims, weights)[0]
+        return
+    bits = (0, 1) if j < n - 1 else (1 - mask.bit_count() % 2,)
+    if not owned:
+        for bit in bits:
+            child = _apply_factors(node, dims, {1 << j: -1.0 if bit else 1.0}).reshape(node.shape)
+            yield from _odd_subtree(child, dims, k, j + 1, mask | bit << j, True)
+        return
+    traced = _trace_out(node, (j,), batch=1)
+    children = [node if bit == bits[-1] else node.copy() for bit in bits]
+    for bit, child in zip(bits, children):
+        if bit:
+            child *= -1.0
+        _add_padded(child, (j,), traced)
+    del node, traced
+    for bit in bits:
+        yield from _odd_subtree(children.pop(0), dims, k, j + 1, mask | bit << j, True)
 
 
 def _channel_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, ...]]:
@@ -358,7 +429,8 @@ class DetectionParams:
     parties of ``act_on`` get Tr_k(.)1_k + beta_k id, and parties outside
     ``act_on`` are left untouched.  ``alpha``/``beta`` accept a scalar
     (broadcast) or a mapping keyed by 1-based party index that names
-    exactly the parties it weights; all weights must lie in [0, 1].
+    exactly the parties it weights; all weights must lie in [0, 1], a
+    scalar even when it weights no party (NaN lies in no interval).
     """
 
     t: int
@@ -383,7 +455,10 @@ def _weights(value, parties: tuple[int, ...], name: str) -> dict[int, float]:
                 raise ValueError(f"{name} names party {p}, which it does not weight")
             raise ValueError(f"{name} has no weight for party {p}")
     else:
-        table = {p: float(value) for p in parties}
+        w = float(value)
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"{name} = {w} is outside [0, 1]")
+        return {p: w for p in parties}
     for p, w in table.items():
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"{name}_{p} = {w} is outside [0, 1]")

@@ -293,6 +293,20 @@ def _entries(data, shape: tuple[int, ...]) -> np.ndarray:
     return pairs.view(np.complex128).reshape(shape)
 
 
+def _members(pairs: list[tuple[str, object]]) -> dict:
+    """The ``object_pairs_hook`` of both reader routes: a JSON object as a
+    dict, refusing a repeated key, which ``json.loads`` would otherwise
+    resolve by keeping the last member."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise StateFileError(f"state file repeats the key {key!r} in one object")
+            seen.add(key)
+    return obj
+
+
 def _dims(value, cap: int) -> SubsystemDims:
     try:
         if not isinstance(value, list) or any(type(d) is not int for d in value):
@@ -349,8 +363,9 @@ def _cut_rows(raw: bytes, cap: int) -> tuple[SubsystemDims, np.ndarray] | None:
     Only the rest of the object becomes text.  It is read with a ``0`` and
     then a ``1`` in the rows' place, and must read as a valid header with
     ``data`` ``[0]`` and then ``[1]``: so the cut is the top-level
-    ``data``, not a string holding rows text or a member a later
-    duplicate replaces."""
+    ``data``, not a string holding rows text.  A key repeated in the rest
+    sends the file to ``json.loads`` too, which refuses it naming the
+    key, so every diagnostic is that of the whole text."""
     first, end = raw.find(b"[[["), raw.rfind(b"]]]")
     if first < 0 or end <= first:
         return None
@@ -358,7 +373,7 @@ def _cut_rows(raw: bytes, cap: int) -> tuple[SubsystemDims, np.ndarray] | None:
     view = memoryview(raw)
     try:
         head, tail = str(view[:start], "utf-8"), str(view[stop:], "utf-8")
-        objs = [json.loads(head + token + tail) for token in "01"]
+        objs = [json.loads(head + token + tail, object_pairs_hook=_members) for token in "01"]
         if not all(isinstance(obj, dict) and obj.get("data") == [k]
                    for k, obj in enumerate(objs)):
             return None
@@ -412,7 +427,7 @@ def _fields(path: str | Path, cap: int) -> tuple[str, SubsystemDims, np.ndarray]
     text = _text(raw, path)
     del raw
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_members)
     except JSONDecodeError as exc:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
     del text

@@ -323,6 +323,33 @@ def test_detect_rejects_malformed_weight_lists(capsys, bell_file, text, named):
     assert "--alpha" in captured.err and named in captured.err
 
 
+@pytest.mark.parametrize("option, t, text", [
+    ("--alpha", [], "nan"),       # with no --t, alpha weights no party
+    ("--alpha", [], "inf"),
+    ("--beta", ["--t", "1"], "nan"),  # t = act_on leaves beta no party
+])
+def test_detect_rejects_a_weight_no_party_takes_outside_the_unit_interval(
+    capsys, bell_file, option, t, text
+):
+    code = main(["detect", "--state", bell_file, "--act-on", "1", *t, option, text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{option[2:]} = {text} is outside [0, 1]" in captured.err
+
+
+def test_a_state_file_repeating_a_key_is_an_input_error(capsys, tmp_path):
+    """json.loads would keep the last "data", |1>, and report on it."""
+    path = tmp_path / "twice.json"
+    path.write_text('{"dims": [2], "kind": "pure", "data": [[1, 0], [0, 0]], '
+                    '"data": [[0, 0], [1, 0]]}', encoding="utf-8")
+    code = main(["invariants", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "repeats the key 'data'" in captured.err
+
+
 def test_detect_accepts_weights_for_exactly_the_governed_parties(capsys, bell_file):
     code, lines = run(capsys, "detect", "--state", bell_file, "--act-on", "1,2",
                       "--t", "1", "--alpha", "1:0.5", "--beta", "2:0.25")

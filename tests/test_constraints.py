@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from qinvert.constraints import (
 )
 from qinvert.dims import SubsystemDims, mask_bitstring
 from qinvert.invariants import c_t_squared, invariant_table
-from qinvert.inversion import invert_sum
+from qinvert.inversion import STACK_HOLD_BYTES, invert_product, invert_sum
 from qinvert.states import DensityMatrix, PureState
 from qinvert.tensor import embed, min_eigenvalue, partial_trace
 from qinvert.zoo import (
@@ -363,6 +365,32 @@ def test_marginal_report_labels():
     report = marginal_report(rho)
     assert [e.label for e in report.entries] == ["100", "010", "001", "111"]
     assert report.all_pass
+
+
+# Traced peak of marginal_report on the 7-qubit state below through the
+# per-mask route that odd_inversions replaced (min_eigenvalue of
+# invert_product(rho, T) + rho, one mask at a time), numpy 2.4.6 on
+# Python 3.11.7: about 3.7 D x D complex operators.
+PER_MASK_PEAK_7Q = 963_672
+
+
+def test_the_depth_first_witnesses_hold_at_most_the_stack_budget_more():
+    """At 7 qubits the tree is four parties deep, so its held chain is four
+    D^2 operators, STACK_HOLD_BYTES; the values are the per-mask route's."""
+    rho = ginibre_mixed(SubsystemDims((2,) * 7), 1)
+    marginal_report(rho)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = marginal_report(rho)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_MASK_PEAK_7Q + STACK_HOLD_BYTES
+    odd = [t for t in rho.dims.subset_masks() if bin(t).count("1") % 2]
+    assert [e.value for e in report.entries] == [
+        min_eigenvalue(invert_product(rho.matrix, rho.dims, t) + rho.matrix) for t in odd
+    ]
 
 
 def test_witness_sign_vectors_are_linearly_independent():

@@ -367,6 +367,15 @@ def test_detection_weight_mapping_names_exactly_its_parties(name, own):
         DetectionParams(t=0b01, act_on=0b11, **{name: {1: 0.5, 2: 0.5}})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, 1.5])
+@pytest.mark.parametrize("name, t", [("alpha", 0b00), ("beta", 0b01)])
+def test_a_scalar_weight_of_no_party_is_still_checked(name, t, value):
+    # act_on = {1}: t = {} leaves alpha no party, t = {1} leaves beta none
+    with pytest.raises(ValueError, match=rf"{name} = {value} is outside \[0, 1\]"):
+        DetectionParams(t=t, act_on=0b01, **{name: value})
+    assert getattr(DetectionParams(t=t, act_on=0b01, **{name: 0.5}), name) == {}
+
+
 def test_choi_matrix_honours_the_cap():
     dims = SubsystemDims((2, 2))
     with pytest.raises(ValueError, match="exceeds the dimension cap 15"):

@@ -277,13 +277,21 @@ def test_a_state_file_with_a_negative_eigenvalue_names_it():
         "invalid state data: density matrix has negative eigenvalue -5.000e-01 below -1e-09")
 
 
+def no_repeated_key(pairs):
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise StateFileError(f"state file repeats the key {key!r} in one object")
+    return dict(pairs)
+
+
 def loads_route(path):
     """The reader as it was before it streamed rows: json.loads of the
-    whole text, then the dict route.  Kept as the oracle of
-    read_state_file."""
+    whole text, refusing a key repeated in one object, then the dict
+    route.  Kept as the oracle of read_state_file."""
     text = path.read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=no_repeated_key)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
     return state_from_dict(obj)
@@ -350,7 +358,8 @@ def valid_data(draw, dims: SubsystemDims, kind: str) -> list:
 @st.composite
 def state_files(draw):
     """A state file's text, valid when its mutation is None: any member
-    order, optional label and decoy duplicate member, random whitespace."""
+    order, optional label, random whitespace.  A decoy earlier member of
+    a key makes it invalid, as the "repeated_key" mutation."""
     local, kind = draw(st.sampled_from(CASES))
     dims = SubsystemDims(local)
     data = valid_data(draw, dims, kind)
@@ -378,10 +387,11 @@ def state_files(draw):
         projector = [[[int(i == j == 0), 0] for j in range(dims.total)] for i in range(dims.total)]
         label = draw(st.sampled_from(["a \u00e9 \"label\"", json.dumps(projector)]))
         members.insert(draw(st.integers(0, len(members))), ("label", label))
-    if draw(st.booleans()):  # an earlier member of the same key, which the later one replaces
+    if draw(st.booleans()):  # an earlier member of the same key, which the reader refuses
         key, _ = member = draw(st.sampled_from(members))
         decoy = (key, draw(st.sampled_from(DECOYS[key])))
         members.insert(draw(st.integers(0, members.index(member))), decoy)
+        mutation = mutation or "repeated_key"
     if mutation == "late_dims":
         members.append(("dims", [dims.total + 1]))
     elif mutation == "late_kind":
@@ -411,7 +421,8 @@ def cut_decoys(test):
     """Try first the files the row cut must leave to json.loads, which the
     draws rarely reach: a later duplicate of each token it reads in the
     rows' place, and a pure state whose label holds rows text of its D and
-    whose later kind makes it mixed."""
+    whose later kind would make it mixed.  Each repeats a key, so both
+    routes refuse it naming that key."""
     rows = "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"
     for late in ("[0]", "[1]"):
         test = example(case=(f'{{"dims": [2], "kind": "mixed", "data": {rows}, "data": {late}}}',
@@ -794,6 +805,37 @@ def test_another_layout_at_the_threshold_is_read_whole(tmp_path, monkeypatch, no
     monkeypatch.setattr(qio, "_text", read_whole)
     assert read_state_file(indented).matrix.tobytes() == expected
     assert whole == [indented]
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_the_cut_refuses_a_repeated_header_key(tmp_path, monkeypatch, no_child_left, helper):
+    """A D = 256 file in the writer's layout with "kind" twice, the same
+    value both times, would read as the matrix if the row cut's header
+    parse kept the last member; it is refused naming the key, before any
+    helper starts."""
+    rho = ginibre_mixed(SubsystemDims((2,) * 8), 5)
+    path = tmp_path / "twice.json"
+    write_state_file(path, rho)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"kind": "mixed", ', b'"kind": "mixed", "kind": "mixed", ', 1))
+
+    def spawn(mode, d, source, answer):
+        raise AssertionError(f"a {mode} helper started for D = {d}")
+
+    monkeypatch.setattr(qio, "_spare_cpu", lambda: helper)
+    monkeypatch.setattr(qio, "_spawn", spawn)
+    with pytest.raises(StateFileError, match="repeats the key 'kind'"):
+        read_state_file(path)
+
+
+def test_the_whole_text_refuses_a_repeated_key_in_any_object(tmp_path):
+    rho = ginibre_mixed(SubsystemDims((2, 2)), 5)
+    path = tmp_path / "twice.json"
+    write_state_file(path, rho, label="x")
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.rstrip()[:-1] + ', "label": "y"}', encoding="utf-8")
+    with pytest.raises(StateFileError, match="repeats the key 'label'"):
+        read_state_file(path)
 
 
 def test_the_helper_runs_as_a_script_without_numpy():

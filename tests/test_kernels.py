@@ -54,6 +54,7 @@ from qinvert.inversion import (
     invert_sum,
     inversion_stacks,
     kraus_operators,
+    odd_inversions,
 )
 from qinvert.states import linear_entropies
 from qinvert.tensor import (
@@ -552,6 +553,25 @@ def test_stacked_factor_kernel_is_bit_identical_to_single_calls(dims, k, seed, d
     for i in range(k):
         own = {b: float(w[i]) for b, w in weights.items()}
         assert bit_identical(got[i], inversion._apply_factors(stack[i], dims, own)[0])
+
+
+@pytest.mark.parametrize("depth", ["per_mask", "one_level", "full"])
+@PROPERTY
+@given(dims=subsystem_dims(), seed=seeds)
+def test_odd_inversions_yield_each_odd_mask_once_as_invert_product(depth, dims, seed):
+    """Every odd-size mask comes once, as a fresh operator bit for bit its
+    invert_product, whether the held chain allows no party (the per-mask
+    route), one operator (a one-level tree) or every party."""
+    hold = {"per_mask": 0, "one_level": 16 * dims.total**2, "full": 1 << 30}[depth]
+    mat = random_operator(dims, seed)
+    before = mat.copy()
+    with mock.patch.object(inversion, "STACK_HOLD_BYTES", hold):
+        got = list(odd_inversions(mat, dims))
+    assert sorted(t for t, _ in got) == [t for t in dims.subset_masks() if mask_size(t) % 2]
+    assert bit_identical(mat, before)
+    for t, w in got:
+        assert w.flags.writeable and not np.shares_memory(w, mat)
+        assert bit_identical(w, invert_product(mat, dims, t))
 
 
 @PROPERTY
