@@ -14,8 +14,8 @@ per member and block, and everything production runs goes through it:
 :func:`invert_product` (the one-mask route), coarse graining, the
 detection map and Choi matrices call it with K = 1,
 :func:`odd_inversions` (the production route for all odd masks, which
-``marginal`` reads) shares the factors of the first parties depth first
-across masks and shares the kernel's traced add (:func:`_add_padded`),
+``marginal`` reads) calls :func:`invert_product` on blocks of parties
+to share the factors of the first parties depth first across masks,
 and :func:`inversion_stacks` evaluates I_T for every T as a butterfly
 over the parties, 2^N masks per call when they fit in a cache-sized
 stack.  The subset sum above
@@ -134,27 +134,19 @@ def _apply_factors(
     flat = np.array(stack, dtype=np.complex128, order="C").reshape(-1, dims.total**2)
     k = len(flat)
     tensor = flat.reshape((k,) + dims.dims + dims.dims)
+    per_slice = flat.size >= SLICE_ADD_ENTRIES
     for block in sorted(weights):
         axes = tuple(p - 1 for p in parties_from_mask(block))
         traced = _trace_out(tensor, axes, batch=1)
         w = weights[block]
         flat *= w[:, np.newaxis] if isinstance(w, np.ndarray) else w
-        _add_padded(tensor, axes, traced)
+        diagonal = _diagonal(tensor, axes, batch=1)
+        if per_slice:
+            for index in np.ndindex(diagonal.shape[:len(axes)]):
+                diagonal[index] += traced
+        else:
+            diagonal += traced
     return flat.reshape(k, dims.total, dims.total)
-
-
-def _add_padded(tensor: np.ndarray, axes: tuple[int, ...], traced: np.ndarray) -> None:
-    """Add ``traced``, the operand with the parties at ``axes`` traced
-    out, in place onto the ``axes``-diagonal view of the C-contiguous
-    (K, d_1..d_N, d_1..d_N) ``tensor``: the identity-padded term of a
-    factor.  From :data:`SLICE_ADD_ENTRIES` entries of ``tensor`` on, one
-    block-index slice at a time, below it as one broadcast add."""
-    diagonal = _diagonal(tensor, axes, batch=1)
-    if tensor.size >= SLICE_ADD_ENTRIES:
-        for index in np.ndindex(diagonal.shape[:len(axes)]):
-            diagonal[index] += traced
-    else:
-        diagonal += traced
 
 
 def _inversion_weights(n: int, t: int) -> dict[int, float]:
@@ -162,12 +154,21 @@ def _inversion_weights(n: int, t: int) -> dict[int, float]:
     return {1 << i: -1.0 if t >> i & 1 else 1.0 for i in range(n)}
 
 
-def invert_product(mat: np.ndarray, dims: SubsystemDims, t: int) -> np.ndarray:
-    """Apply the N commuting factors Tr_j(.) (x) 1_j +/- id through
+def invert_product(
+    mat: np.ndarray, dims: SubsystemDims, t: int, parties: int | None = None
+) -> np.ndarray:
+    """Apply the commuting factors Tr_j(.) (x) 1_j +/- id of the parties
+    in the mask ``parties`` (all N by default, giving I_T) through
     :func:`_apply_factors`, with a minus sign exactly for the parties in
-    ``t``.  O(N D^2); agrees with :func:`invert_sum` to rounding."""
-    dims.validate_mask(t)
-    return _apply_factors(mat, dims, _inversion_weights(dims.n, t))[0]
+    ``t``.  The kernel applies them in ascending party order, so calls on
+    consecutive blocks of parties, in ascending order, give the one call
+    on all of them bit for bit.  O(N D^2); agrees with :func:`invert_sum`
+    to rounding."""
+    weights = _inversion_weights(dims.n, dims.validate_mask(t))
+    if parties is not None:
+        dims.validate_mask(parties)
+        weights = {b: w for b, w in weights.items() if b & parties}
+    return _apply_factors(mat, dims, weights)[0]
 
 
 # Bytes of inverted operators (2^m M D^2 complex entries) in one stack of
@@ -233,55 +234,34 @@ def odd_inversions(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int, 
     :func:`invert_product` ``(mat, dims, T)``.
 
     The factors of parties 1..k run as a depth-first tree over their
-    signs, k = min(N, STACK_HOLD_BYTES // (16 D^2)), so each is applied
-    once per node and shared by every mask below it.  A node below the
-    root is traced once for both children, which are formed before
-    either subtree runs: the + child as a copy, the - child negated in
-    place in the node's buffer (the last party forms only the child of
-    odd size, in place).  The root, ``mat`` itself, is never written:
-    each of its children is one :func:`_apply_factors` call.  Each leaf
-    applies the factors of parties k+1..N per mask through
-    :func:`_apply_factors`.  So the tree holds at most k operators of
-    D^2 entries, within :data:`STACK_HOLD_BYTES` (4 at 7 qubits, 1 at
-    8), and from k = 0 (D >= 512) every mask takes the per-mask route of
-    :func:`invert_product`."""
-    d = dims.total
-    k = min(dims.n, STACK_HOLD_BYTES // (16 * d * d))
-    root = np.asarray(mat).reshape((1,) + dims.dims + dims.dims)
-    return _odd_subtree(root, dims, k, 0, 0, owned=False)
+    signs, k = min(N, STACK_HOLD_BYTES // (16 D^2)): each child of a node
+    is one :func:`invert_product` call on it for one party, made when its
+    subtree starts, so each factor is applied once per node and shared by
+    every mask below it, and the tree holds at most k operators of D^2
+    entries, within :data:`STACK_HOLD_BYTES` (4 at 7 qubits, 1 at 8).
+    ``mat`` is never written.  Each leaf applies the factors of parties
+    k+1..N with one more call per mask; from k = 0 (D >= 512) that is the
+    one-mask route, one call on ``mat`` per mask."""
+    k = min(dims.n, STACK_HOLD_BYTES // (16 * dims.total**2))
+    return _odd_subtree(mat, dims, k, 0, 0)
 
 
 def _odd_subtree(
-    node: np.ndarray, dims: SubsystemDims, k: int, j: int, mask: int, owned: bool
+    node: np.ndarray, dims: SubsystemDims, k: int, j: int, mask: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The odd masks of :func:`odd_inversions` whose bits 0..j-1 are those
-    of ``mask``, from ``node``, a (1, d.., d..) tensor with the factors of
-    parties 1..j applied; ``owned`` when this call may write it."""
+    of ``mask``, from ``node``, the operand with the factors of parties
+    1..j applied (the last party forms only the child of odd size)."""
     n = dims.n
     if j == k:
-        if k == n:
-            yield mask, node.reshape(dims.total, dims.total)
-            return
+        rest = dims.full_mask >> k << k
         for t in range(mask, 1 << n, 1 << k):
             if t.bit_count() % 2:
-                weights = {b: w for b, w in _inversion_weights(n, t).items() if b >> k}
-                yield t, _apply_factors(node, dims, weights)[0]
+                yield t, invert_product(node, dims, t, rest) if rest else node
         return
-    bits = (0, 1) if j < n - 1 else (1 - mask.bit_count() % 2,)
-    if not owned:
-        for bit in bits:
-            child = _apply_factors(node, dims, {1 << j: -1.0 if bit else 1.0}).reshape(node.shape)
-            yield from _odd_subtree(child, dims, k, j + 1, mask | bit << j, True)
-        return
-    traced = _trace_out(node, (j,), batch=1)
-    children = [node if bit == bits[-1] else node.copy() for bit in bits]
-    for bit, child in zip(bits, children):
-        if bit:
-            child *= -1.0
-        _add_padded(child, (j,), traced)
-    del node, traced
-    for bit in bits:
-        yield from _odd_subtree(children.pop(0), dims, k, j + 1, mask | bit << j, True)
+    for bit in (0, 1) if j < n - 1 else (1 - mask.bit_count() % 2,):
+        t = mask | bit << j
+        yield from _odd_subtree(invert_product(node, dims, t, 1 << j), dims, k, j + 1, t)
 
 
 def _channel_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, ...]]:

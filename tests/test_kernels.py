@@ -575,6 +575,20 @@ def test_odd_inversions_yield_each_odd_mask_once_as_invert_product(depth, dims, 
 
 
 @PROPERTY
+@given(dims=subsystem_dims(), seed=seeds, t=st.integers(0, 63), cut=st.integers(0, 6))
+def test_invert_product_on_consecutive_party_blocks_is_the_one_call(dims, seed, t, cut):
+    """The factors of parties 1..cut, then those of the rest, on the first
+    call's result give I_T bit for bit, as odd_inversions' tree relies on."""
+    mat = random_operator(dims, seed)
+    t &= dims.full_mask
+    low = dims.full_mask & ((1 << cut) - 1)
+    whole = invert_product(mat, dims, t)
+    split = invert_product(invert_product(mat, dims, t, low), dims, t, dims.full_mask ^ low)
+    assert bit_identical(split, whole)
+    assert bit_identical(invert_product(mat, dims, t, dims.full_mask), whole)
+
+
+@PROPERTY
 @given(dims=subsystem_dims(max_total=48), seed=seeds, low=st.integers(0, 6))
 def test_inversion_stacks_are_bit_identical_to_invert_product(dims, seed, low):
     """The stacks hold I_T(mat) for every T in ascending order, bit for bit
