@@ -13,14 +13,16 @@ rows of a large mixed state while the CLI process codes the first ones
 (see :mod:`qinvert.io`).  It imports only json, array and sys, so it
 starts without numpy or the rest of the package::
 
-    python -I -S _rowcodec.py encode D  # float64 bytes of rows in, their text out
-    python -I -S _rowcodec.py decode D  # the text of rows in, their float64 bytes out
+    python -I -S _rowcodec.py encode D SIZE  # float64 bytes of rows in, their text out
+    python -I -S _rowcodec.py decode D SIZE  # the text of rows in, their float64 bytes out
 
-``encode`` writes the text of the rows joined by ``", "``, and nothing
-else.  ``decode`` reads rows joined by ``", "``, as the writer joins
-them, and writes D*16 bytes per row.  Either exits with
-:data:`NOT_ROWS`, writing nothing, when its input is not whole rows of D
-pairs.
+Either reads SIZE bytes from its standard input, from its position on,
+which need not be the start or the end of a file.  ``encode`` writes
+the text of the rows joined by ``", "``, and nothing else.  ``decode``
+reads rows joined by ``", "``, as the writer joins them, a piece at a
+time (:func:`pieces`), and writes D*16 bytes per row.  Either exits with
+:data:`NOT_ROWS`, writing nothing, when those bytes are not whole rows
+of D pairs.
 """
 
 import array
@@ -91,40 +93,67 @@ def decode(s: str, d: int, out: memoryview, first: int) -> int | None:
     return None
 
 
-def decode_text(raw, start: int, stop: int, d: int, out: memoryview, first: int) -> int | None:
-    """Read the rows in the UTF-8 bytes ``raw[start:stop]``, joined by
-    ``", "``, into ``out`` from row ``first`` on, decoding about
-    :data:`PIECE` bytes of text at a time (each cut before a row start).
-    Returns the row after the last one read, or None when the bytes are
-    not whole rows of d pairs that fit in ``out``, or are not UTF-8."""
-    view = memoryview(raw)
-    row = first
+def pieces(read, size: int):
+    """The text of the ``size`` bytes of rows that ``read(n)``, called in
+    turn, returns at most n at a time, in pieces of about :data:`PIECE`
+    bytes, each cut just before a row start with the ``", "`` before it
+    left out.  A last piece None ends it when the bytes end early or a
+    piece is not UTF-8."""
+    rest = b""
     while True:
-        cut = raw.find(ROW_START, start + PIECE, stop)
-        end = stop if cut < 0 else cut
+        more = read(min(PIECE, size)) if size else b""
+        if size and not more:
+            yield None
+            return
+        size -= len(more)
+        text = rest + more
+        cut = text.rfind(ROW_START) if size else len(text)
+        if cut < 0:
+            rest = text
+            continue
         try:
-            s = str(view[start:end], "utf-8")
+            yield str(memoryview(text)[:cut], "utf-8")
         except UnicodeDecodeError:
+            yield None
+            return
+        if not size:
+            return
+        rest = text[cut + 2:]
+
+
+def decode_stream(read, size: int, d: int, out: memoryview, first: int) -> int | None:
+    """Read the ``size`` bytes of rows, joined by ``", "``, that ``read``
+    returns (as for :func:`pieces`) into ``out`` from row ``first`` on, a
+    piece at a time.  Returns the row after the last one read, or None
+    when the bytes are not whole rows of d pairs that fit in ``out``, are
+    not UTF-8 or end early."""
+    row = first
+    for text in pieces(read, size):
+        row = None if text is None else decode(text, d, out, row)
+        if row is None:
             return None
-        row = decode(s, d, out, row)
-        if row is None or cut < 0:
-            return row
-        start = cut + 2
+    return row
 
 
 def _main(argv: list) -> int:
-    mode, d = argv[0], int(argv[1])
-    data = sys.stdin.buffer.read()
+    mode, d, size = argv[0], int(argv[1]), int(argv[2])
     if mode == "encode":
-        if not data or len(data) % (16 * d):
+        data = sys.stdin.buffer.read(size)
+        if not data or len(data) != size or size % (16 * d):
             return NOT_ROWS
         sys.stdout.buffer.write(", ".join(encode(memoryview(data), d)).encode("ascii"))
         return 0
-    n = data.count(ROW_START) + 1
-    out = array.array("d", [0.0]) * (2 * d * n)
-    if decode_text(data, 0, len(data), d, memoryview(out), 0) != n:
-        return NOT_ROWS
-    sys.stdout.buffer.write(out)
+    answer = []
+    for text in pieces(sys.stdin.buffer.read, size):
+        if text is None:
+            return NOT_ROWS
+        rows = text.count(", [[") + 1
+        part = array.array("d", [0.0]) * (2 * d * rows)
+        if decode(text, d, memoryview(part), 0) != rows:
+            return NOT_ROWS
+        answer.append(part)
+    for part in answer:
+        sys.stdout.buffer.write(part)
     return 0
 
 

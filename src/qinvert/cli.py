@@ -127,10 +127,12 @@ def _tolerance(tol: float) -> float:
 
 def _select(text: str | None, valid: tuple[str, ...], what: str, option: str) -> list[str]:
     """The entries of ``valid`` named in the comma list ``text`` (all of
-    them when it is None), in the order of ``valid``."""
-    names = valid if text is None else [x.strip() for x in text.split(",") if x.strip()]
-    if not names:
-        raise ValueError(f"{option} names no {what}; valid: {', '.join(valid)}")
+    them when it is None), in the order of ``valid``; an empty entry is
+    an error naming its position."""
+    names = valid if text is None else [x.strip() for x in text.split(",")]
+    if "" in names:
+        raise ValueError(f"{option} entry {names.index('') + 1} is empty; "
+                         f"name a {what} from: {', '.join(valid)}")
     for name in names:
         if name not in valid:
             raise ValueError(f"unknown {what} {name!r}; valid: {', '.join(valid)}")

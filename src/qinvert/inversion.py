@@ -45,7 +45,7 @@ import numpy as np
 
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, parties_from_mask
 from .gellmann import build_basis, minus_channel_indices, plus_channel_indices
-from .tensor import _diagonal, _trace_out, block_product, embed, reduction_sweep
+from .tensor import HOLD_BYTES, _diagonal, _trace_out, block_product, embed, reduction_sweep
 
 
 def _signed_sums(
@@ -177,8 +177,9 @@ def invert_product(
 # memory traffic than the calls it saves (at (3,3,3,3) all 16 masks in
 # one stack take twice as long as two stacks of 8).  verify sizes its
 # chunks of ensemble members against it too (see chunk_members), and
-# odd_inversions the chain of operators its depth-first tree holds.
-STACK_HOLD_BYTES = 1 << 20
+# odd_inversions the chain of operators its depth-first tree holds.  The
+# same 1 MiB bounds the row blocks of tensor's checks (tensor.HOLD_BYTES).
+STACK_HOLD_BYTES = HOLD_BYTES
 
 
 # (2^N, D, D) stacks per operand that a chunk of verify's ensemble holds

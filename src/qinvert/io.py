@@ -6,60 +6,68 @@ write/read cycle reproduces every entry exactly.
 The writer codes one matrix row at a time with the row codec of
 :mod:`qinvert._rowcodec`, so no D^2-sized tree of Python objects exists:
 it emits the header, then the text of each row of the float64 pair view,
-then the label.  The reader reads the file's bytes once and takes one of
-two routes.  A mixed state with at least :data:`HELPER_PAIRS` entries
+then the label.  The reader takes one of two routes.  A seekable file
+holding a mixed state with at least :data:`HELPER_PAIRS` entries
 (D >= 256) laid out as the writer lays it out (rows joined by ``", "``)
-has its rows cut out of the bytes and decoded a piece of text at a time
-into one preallocated (D, 2D) float64 array, which the state then owns
-without a copy; only the rest of the object becomes text, which
+is read in place: the first ``[[[`` of its first :data:`WINDOW` bytes
+and the last ``]]]`` of its last :data:`WINDOW` bytes bound its rows,
+which are read at their file offsets and decoded a piece of text at a
+time into one preallocated (D, 2D) float64 array, which the state then
+owns without a copy; only the rest of the object becomes text, which
 ``json.loads`` reads to check the header and that the cut is the
-top-level ``data``.  Every other file, and any whose cut rows are not D
-rows of D pairs, is decoded to text whole and read by ``json.loads``, so
-its diagnostics are those of the nested lists.
+top-level ``data``.  Every other file, any whose cut rows are not D rows
+of D pairs, and any input that cannot seek (a pipe, a FIFO, a piped
+``/dev/stdin``) is read whole, decoded to text and read by
+``json.loads``, so its diagnostics are those of the nested lists.
 
 A mixed state with at least :data:`HELPER_PAIRS` entries, in a process
 that may run on more than one CPU, is coded by two processes.
 The rows after the first :data:`SHARE` of them go to one helper process,
 which runs the row codec as a script (``python -I -S``, no numpy) while
-this process codes the rest.  The helper reads its input from one
-temporary file and writes its answer to another.  Both are made by
-``tempfile.TemporaryFile`` in ``tempfile``'s default directory and are
-unlinked at creation, so nothing is left on disk.  This process writes
-the input file, starts the helper, codes its own rows and then waits
-for the helper's exit.  The writer gives the helper the float64 bytes
-of its rows and copies the text it answers.  The reader gives it the
-bytes of its rows' text and reads the float64 rows it answers straight
-into the array.  Exit status 0 with an answer of the expected size is
-the only success: 16*D bytes a row for the reader, the ASCII text of its
-rows for the writer.  A helper that cannot start, or whose files cannot
-be made, has its rows coded here.  A writer's helper that answers
-anything else has its rows encoded here too; a reader's sends the file
-to ``json.loads``, as an irregular row does.  So the bytes written and
-the values read never depend on the helper.  It is killed and reaped,
-and both files are closed, before the call returns whatever happened.
-On a shared 2-core x86-64 container, medians of seven interleaved fresh
-processes with the helper against one process were: at D = 256, write
-0.18 against 0.20 s and read (:func:`_fields`) 0.092 against 0.110 s,
-with overlapping ranges (write 0.14-0.25 against 0.13-0.24 s); at
-D = 512, write 0.52 against 0.88 s and read 0.25 against 0.41 s.  The
-threshold was set when the helper talked over pipes and lost at D = 192
-(write 0.13 s against 0.11 s, read 0.09 against 0.06 s) and, reading,
-at D = 256; the crossover with files is not measured.  Then, with the
-reader's helper disabled, the ``large-state-9q`` benchmark's ``wall_s``
-rose from 1.09-1.20 s to 1.46-1.49 s (five alternating 10 s pairs).
+this process codes the rest.  The helper reads a byte count given on
+its command line from its standard input, from the position it starts
+at, and writes its answer to a temporary file made by
+``tempfile.TemporaryFile`` in ``tempfile``'s default directory and
+unlinked at creation, so nothing is left on disk.  The writer gives it
+the float64 bytes of its rows in one more such file and copies the text
+it answers.  The reader gives it the state file itself, positioned at
+its share of the rows (this process reads the file with ``os.pread``,
+which leaves that position alone), and reads the float64 rows it
+answers straight into the array.  Exit status 0 with an answer of the
+expected size is the only success: 16*D bytes a row for the reader, the
+ASCII text of its rows for the writer.  A helper that cannot start, or
+whose files cannot be made, has its rows coded here.  A writer's helper
+that answers anything else has its rows encoded here too; a reader's
+sends the file to ``json.loads``, as an irregular row does.  So the
+bytes written and the values read never depend on the helper.  It is
+killed and reaped, and the files made for it are closed, before the
+call returns whatever happened.  On a shared 2-core x86-64 container,
+medians of seven interleaved fresh processes with the helper against
+one process were: at D = 256, write 0.18 against 0.20 s and read
+(:func:`_fields`) 0.092 against 0.110 s, with overlapping ranges (write
+0.14-0.25 against 0.13-0.24 s); at D = 512, write 0.52 against 0.88 s
+and read 0.25 against 0.41 s.  The threshold was set when the helper
+talked over pipes and lost at D = 192 (write 0.13 s against 0.11 s,
+read 0.09 against 0.06 s) and, reading, at D = 256; the crossover with
+files is not measured.  Then, with the reader's helper disabled, the
+``large-state-9q`` benchmark's ``wall_s`` rose from 1.09-1.20 s to
+1.46-1.49 s (five alternating 10 s pairs).
 
-Measured with tracemalloc, writing an 8-qubit mixed file peaks at 0.1
-D x D complex arrays in one process and 1.5 with a helper (its text,
-held until it has exited cleanly), and reading it at the file's length
-plus 1.5 arrays: the bytes, the row array and a piece of text, all
-dropped before validation.  In one process on a shared 2-CPU x86-64
-container the cut parses in less time than ``json.loads`` of the whole
-text (medians of seven fresh processes: 0.068 against 0.086 s at
-D = 256, 0.27 against 0.42 s at D = 512).  At D = 128 the cut read
-30-50% slower inside the benchmark's passes, for a reason not found, so
-smaller files take ``json.loads``, which holds the file's text and then
-the tree of its ``data`` until it is converted: a 7-qubit mixed file
-peaks at its length plus 9.0 arrays (3.9 times its length).
+Measured with tracemalloc (numpy 2.4.6, Python 3.11.7), writing an
+8-qubit mixed file peaks at 0.1 D x D complex arrays in one process and
+1.5 with a helper (its text, held until it has exited cleanly).  Reading
+it in place peaks at 2.2 arrays, helper or not, with no term in the
+file's length: the row array and about 1.2 MB of pieces of text and
+their rows, which at D = 512 is 1.3 arrays.  Holding the file's bytes
+beside the array took its length (3.1 arrays) plus 1.5.  In one process
+on a shared 2-CPU x86-64 container the cut parses in less time than
+``json.loads`` of the whole text (medians of seven fresh processes:
+0.068 against 0.086 s at D = 256, 0.27 against 0.42 s at D = 512).  At
+D = 128 the cut read 30-50% slower inside the benchmark's passes, for a
+reason not found, so smaller files take ``json.loads``, which holds the
+file's text and then the tree of its ``data`` until it is converted: a
+7-qubit mixed file peaks at its length plus 9.0 arrays (3.9 times its
+length).
 """
 
 from __future__ import annotations
@@ -95,6 +103,9 @@ HELPER_PAIRS = 1 << 16
 SHARE = 0.56
 # the size of the pieces of the helper's text handed to the writer's handle
 _PIECE = 1 << 16
+# the bytes at the start of a state file searched for its first "[[[", and
+# at its end for its last "]]]", where the row cut looks for the rows
+WINDOW = 1 << 16
 
 
 class StateFileError(ValueError):
@@ -140,33 +151,40 @@ def _helper_rows(d: int) -> int:
     return d - max(1, round(SHARE * d))
 
 
-def _spawn(mode: str, d: int, source: IO[bytes], answer: IO[bytes]) -> subprocess.Popen:
-    """Start the row codec as a helper process that codes the rows of d
-    pairs in the file ``source`` and writes its answer to ``answer``."""
+def _spawn(mode: str, d: int, source: IO[bytes], size: int,
+           answer: IO[bytes]) -> subprocess.Popen:
+    """Start the row codec as a helper process that codes the ``size``
+    bytes of rows of d pairs in the file ``source`` from its position on
+    and writes its answer to ``answer``."""
     import subprocess  # here, so a command that starts no helper does not import it
 
     return subprocess.Popen(
-        [sys.executable, "-I", "-S", _rowcodec.__file__, mode, str(d)],
+        [sys.executable, "-I", "-S", _rowcodec.__file__, mode, str(d), str(size)],
         stdin=source, stdout=answer, stderr=subprocess.DEVNULL)
 
 
 @contextlib.contextmanager
-def _helper(mode: str, d: int, data: memoryview) -> Iterator[_Helper | None]:
-    """A helper process coding the rows of d pairs in ``data``, read from
-    an unlinked temporary file, with the one it answers in; None when
-    ``data`` is empty or the helper cannot start.  On exit it is killed
-    and reaped and both files are closed, whatever happened."""
+def _helper(mode: str, d: int, rows: memoryview | IO[bytes],
+            size: int) -> Iterator[_Helper | None]:
+    """A helper process coding the ``size`` bytes of rows of d pairs in
+    ``rows``, with the unlinked temporary file it answers in; None when
+    there are no such bytes or the helper cannot start.  ``rows`` is a
+    file positioned at them, which the helper reads itself, or their
+    bytes, which it reads from an unlinked temporary copy.  On exit it is
+    killed and reaped and the files made here are closed, whatever
+    happened."""
     proc = None
     with contextlib.ExitStack() as files:
-        if data:
+        if size > 0:
             import tempfile  # here, so a command that starts no helper does not import it
 
             with contextlib.suppress(OSError):
-                source = files.enter_context(tempfile.TemporaryFile())
+                if isinstance(rows, memoryview):
+                    data, rows = rows, files.enter_context(tempfile.TemporaryFile())
+                    rows.write(data)
+                    rows.seek(0)
                 answer = files.enter_context(tempfile.TemporaryFile())
-                source.write(data)
-                source.seek(0)
-                proc = _spawn(mode, d, source, answer)
+                proc = _spawn(mode, d, rows, size, answer)
         try:
             yield None if proc is None else (proc, answer)
         finally:
@@ -210,7 +228,7 @@ def _mixed_data(pairs: np.ndarray) -> Iterator[str]:
     raw = memoryview(pairs).cast("B")
     n = _helper_rows(d)
     split = 16 * d * (d - n)
-    with _helper("encode", d, raw[split:]) as helper:
+    with _helper("encode", d, raw[split:], len(raw) - split) as helper:
         texts = _rowcodec.encode(raw[:split], d)
         yield "["
         yield next(texts)
@@ -353,12 +371,41 @@ def state_from_dict(obj: dict, cap: int = DEFAULT_DIM_CAP) -> DensityMatrix | Pu
 # the reader
 
 
-def _cut_rows(raw: bytes, cap: int) -> tuple[SubsystemDims, np.ndarray] | None:
+def _find(fd: int, pattern: bytes, begin: int, end: int) -> int:
+    """The offset of the first ``pattern`` wholly inside the bytes
+    [begin, end) of the file ``fd``, or -1, read a piece at a time."""
+    while begin < end:
+        window = os.pread(fd, min(_rowcodec.PIECE, end - begin), begin)
+        at = window.find(pattern)
+        if at >= 0:
+            return begin + at
+        if begin + len(window) >= end or len(window) < len(pattern):
+            break
+        begin += len(window) - len(pattern) + 1
+    return -1
+
+
+def _reader(fd: int, offset: int):
+    """``read(n)`` of the file ``fd`` from ``offset`` on, by ``os.pread``,
+    which leaves the file's position to the helper that shares it."""
+    def read(n: int) -> bytes:
+        nonlocal offset
+        data = os.pread(fd, n, offset)
+        offset += len(data)
+        return data
+    return read
+
+
+def _cut_rows(fh: IO[bytes], cap: int) -> tuple[SubsystemDims, np.ndarray] | None:
     """The dims and (D, 2D) float64 rows of a mixed state file with at
     least :data:`HELPER_PAIRS` entries whose rows, joined by ``", "`` as
-    the writer joins them, run from just after its first ``[[[`` to just
-    before its last ``]]]``'s final bracket; the last rows are decoded by
-    a helper process when one may run.  None for any other file.
+    the writer joins them, run from just after the first ``[[[`` of its
+    first :data:`WINDOW` bytes to just before the final bracket of the
+    last ``]]]`` of its last :data:`WINDOW` bytes; the last rows are
+    decoded by a helper process when one may run.  None for any other
+    file.  ``fh`` is a seekable, unbuffered binary file; the rows are
+    read in place, at file offsets, and decoded a piece at a time
+    straight into the array, and the helper reads its share itself.
 
     Only the rest of the object becomes text.  It is read with a ``0`` and
     then a ``1`` in the rows' place, and must read as a valid header with
@@ -366,14 +413,19 @@ def _cut_rows(raw: bytes, cap: int) -> tuple[SubsystemDims, np.ndarray] | None:
     ``data``, not a string holding rows text.  A key repeated in the rest
     sends the file to ``json.loads`` too, which refuses it naming the
     key, so every diagnostic is that of the whole text."""
-    first, end = raw.find(b"[[["), raw.rfind(b"]]]")
-    if first < 0 or end <= first:
+    fd = fh.fileno()
+    size = os.fstat(fd).st_size
+    head = os.pread(fd, WINDOW, 0)
+    tail_at = max(0, size - WINDOW)
+    tail = os.pread(fd, size - tail_at, tail_at)
+    first, end = head.find(b"[[["), tail.rfind(b"]]]")
+    if first < 0 or end < 0 or tail_at + end <= first:
         return None
-    start, stop = first + 1, end + 2
-    view = memoryview(raw)
+    start, stop = first + 1, tail_at + end + 2
     try:
-        head, tail = str(view[:start], "utf-8"), str(view[stop:], "utf-8")
-        objs = [json.loads(head + token + tail, object_pairs_hook=_members) for token in "01"]
+        before, after = str(head[:start], "utf-8"), str(tail[end + 2:], "utf-8")
+        objs = [json.loads(before + token + after, object_pairs_hook=_members)
+                for token in "01"]
         if not all(isinstance(obj, dict) and obj.get("data") == [k]
                    for k, obj in enumerate(objs)):
             return None
@@ -389,12 +441,13 @@ def _cut_rows(raw: bytes, cap: int) -> tuple[SubsystemDims, np.ndarray] | None:
     out = memoryview(buf).cast("B").cast("d")
     split = stop
     if _helper_rows(d):
-        cut = raw.find(ROW_START, start + int(SHARE * (stop - start)), stop)
+        cut = _find(fd, ROW_START, start + int(SHARE * (stop - start)), stop)
         split = stop if cut < 0 else cut
-    with _helper("decode", d, view[split + 2:stop]) as helper:
+    fh.seek(split + 2)
+    with _helper("decode", d, fh, stop - split - 2) as helper:
         if helper is None:  # no helper, or it could not start: every row is decoded here
             split = stop
-        rows = _rowcodec.decode_text(raw, start, split, d, out, 0)
+        rows = _rowcodec.decode_stream(_reader(fd, start), split - start, d, out, 0)
         if helper is not None and rows is not None:
             # any answer but exactly its rows sends the file to json.loads
             rows = d if _answer(helper, out[2 * d * rows:].cast("B")) is not None else None
@@ -414,16 +467,21 @@ def _text(raw: bytes, path: str | Path) -> str:
 
 
 def _fields(path: str | Path, cap: int) -> tuple[str, SubsystemDims, np.ndarray]:
-    """The checked kind, dims and entries of a state file; its bytes, text
-    and parsed lists are dropped on return, before validation."""
+    """The checked kind, dims and entries of a state file; whatever it
+    read is dropped on return, before validation.  A seekable file is
+    first offered to the row cut (:func:`_cut_rows`); a file it leaves,
+    and any input that cannot seek (a pipe), is read whole as bytes."""
     try:
-        raw = Path(path).read_bytes()
+        with Path(path).open("rb", buffering=0) as fh:
+            if hasattr(os, "pread") and fh.seekable():  # pread: the cut reads at offsets
+                cut = _cut_rows(fh, cap)
+                if cut is not None:
+                    # the state owns the decoder's row buffer, already checked against D
+                    return "mixed", cut[0], cut[1].view(np.complex128)
+                fh.seek(0)
+            raw = fh.read()
     except OSError as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
-    cut = _cut_rows(raw, cap)
-    if cut is not None:
-        # the state owns the decoder's row buffer, already checked against D
-        return "mixed", cut[0], cut[1].view(np.complex128)
     text = _text(raw, path)
     del raw
     try:

@@ -10,8 +10,8 @@ import numpy as np
 
 from .dims import SubsystemDims, mask_bitstring
 from .tensor import (
-    _require_finite, _require_hermitian, block_product, partial_trace, psd_violation,
-    subset_purities, trace_product,
+    _add_adjoint, _require_finite, _require_hermitian, block_product, partial_trace,
+    psd_violation, subset_purities, trace_product,
 )
 
 TOL_TRACE = 1e-10
@@ -26,15 +26,17 @@ class DensityMatrix:
     Validation happens at construction; the stored matrix is a read-only
     copy, so instances can be shared freely across threads.  The PSD check
     is :func:`~qinvert.tensor.psd_violation`: a Cholesky certificate, with
-    an eigen-solve only to name a failure.  ``_psd_known`` is internal to
-    this module: the constructors whose result is PSD by construction,
-    :meth:`from_gram`, :meth:`from_product` and :meth:`PureState.density`,
-    set it to skip only the PSD check (shape, finiteness, Hermiticity and
-    trace are still checked); every other construction, a state file
-    included, runs the full validation.  ``_owned`` is internal to the
-    package: a caller that hands over a fresh complex128 array nothing
-    else references (:meth:`from_gram`, the state-file reader) sets it, and
-    the state keeps that array, made read-only, instead of a copy.
+    an eigen-solve only to name a failure, shifted in place on the array
+    the state keeps.  ``_psd_known`` is internal to the package: the
+    constructors whose result is PSD by construction, :meth:`from_gram`,
+    :meth:`from_product`, :meth:`PureState.density` and
+    :func:`~qinvert.zoo.ginibre_mixed` (a Gram state), set it to skip only
+    the PSD check (shape, finiteness, Hermiticity and trace are still
+    checked); every other construction, a state file included, runs the
+    full validation.  ``_owned`` is internal to the package: a caller that
+    hands over a fresh complex128 array nothing else references
+    (:meth:`from_gram`, ``ginibre_mixed``, the state-file reader) sets it,
+    and the state keeps that array, made read-only, instead of a copy.
     """
 
     matrix: np.ndarray
@@ -139,7 +141,7 @@ def gram_density(g: np.ndarray) -> np.ndarray:
     / 2 / tr``.  Unchecked: :meth:`DensityMatrix.from_gram` validates one
     state, and a stack's caller checks the stack."""
     mat = g @ g.conj().swapaxes(-1, -2)
-    np.add(mat, mat.conj().swapaxes(-1, -2), out=mat)
+    _add_adjoint(mat)
     mat /= 2.0
     mat /= np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
     return mat
@@ -147,15 +149,16 @@ def gram_density(g: np.ndarray) -> np.ndarray:
 
 def _require_density(mat: np.ndarray, psd: bool = True) -> None:
     """The checks of :class:`DensityMatrix` on one matrix or each member of a
-    (M, D, D) stack: finite, Hermitian, unit trace and, with ``psd``, one
-    PSD certificate; a stack's errors give its worst member."""
+    (M, D, D) stack the caller owns: finite, Hermitian, unit trace and,
+    with ``psd``, one PSD certificate, shifted and restored in place; a
+    stack's errors give its worst member."""
     _require_hermitian(mat, "density matrix")
     what = "density matrix" if mat.ndim == 2 else "density matrix stack"
     traces = np.trace(mat, axis1=-2, axis2=-1).reshape(-1)
     tr = complex(traces[np.argmax(np.abs(traces - 1.0))])
     if abs(tr - 1.0) > TOL_TRACE:
         raise ValueError(f"{what} trace {tr} is not 1 within {TOL_TRACE}")
-    lo = psd_violation(mat, TOL_PSD) if psd else None
+    lo = psd_violation(mat, TOL_PSD, True) if psd else None  # owned: shifted in place
     if lo is not None:
         raise ValueError(f"{what} has negative eigenvalue {lo:.3e} below -{TOL_PSD}")
 

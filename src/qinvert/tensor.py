@@ -22,23 +22,73 @@ from .dims import SubsystemDims, parties_from_mask
 
 TOL_HERM = 1e-10
 
+# Bytes of an operand that one block of the finiteness and Hermiticity
+# checks reads (_require_finite, herm_defect), and four blocks of the
+# Gram symmetrization (_add_adjoint), so that their temporaries stay
+# within the budget the inversion stacks hold (inversion.STACK_HOLD_BYTES).
+# An operator or stack within it, such as one operator up to D = 256, is
+# checked as one block.
+HOLD_BYTES = 1 << 20
+
+
+def _row_blocks(a: np.ndarray) -> Iterator[slice]:
+    """Slices of the second-last axis of ``a`` whose rows, across every
+    member of a stack, hold at most :data:`HOLD_BYTES` (at least one row
+    each); one slice of all rows when ``a`` is within it."""
+    n = a.shape[-2]
+    if a.nbytes <= HOLD_BYTES:
+        yield slice(None)
+        return
+    step = max(1, HOLD_BYTES * n // a.nbytes)
+    for i in range(0, n, step):
+        yield slice(i, i + step)
+
 
 def _require_finite(a: np.ndarray, what: str) -> None:
     # NaN slips through every tolerance test (NaN > tol is False)
-    bad = ~np.isfinite(a)
-    if bad.any():
-        index = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(
-            f"{what} has non-finite entries (NaN or inf); "
-            f"the first is {a[index]} at index {index}"
-        )
+    rows = a.reshape(-1, a.shape[-1])
+    if all(np.isfinite(rows[block]).all() for block in _row_blocks(rows)):
+        return
+    index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+    raise ValueError(
+        f"{what} has non-finite entries (NaN or inf); "
+        f"the first is {a[index]} at index {index}"
+    )
 
 
 def herm_defect(a: np.ndarray) -> float | np.ndarray:
     """Largest absolute entry of a - a^dagger over the last two axes: a
-    float for one operator, one value per member for a stack of them."""
-    defect = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    float for one operator, one value per member for a stack of them.
+    Formed a block of rows at a time (:data:`HOLD_BYTES`), each block's
+    difference written over its conjugated columns, so no temporary is
+    larger than a block and a half."""
+    defect = None
+    for rows in _row_blocks(a):
+        diff = np.conjugate(a[..., :, rows]).swapaxes(-1, -2)  # a copy, even of real a
+        np.subtract(a[..., rows, :], diff, out=diff)
+        block = np.max(np.abs(diff), axis=(-2, -1))
+        defect = block if defect is None else np.maximum(defect, block)
     return float(defect) if a.ndim == 2 else defect
+
+
+def _add_adjoint(mat: np.ndarray) -> None:
+    """m_ij + conj(m_ji) into every entry of a square matrix (or each
+    member of a stack) in place, by pairs of mirrored square blocks: each
+    block of a pair gets its own entries plus the conjugated transpose of
+    the other's, copied before either is written.  Each entry is the
+    complex sum of the out-of-place ``m + m^dag``, bit for bit.  A block
+    holds at most a quarter of :data:`HOLD_BYTES`, so the two copies of a
+    pair stay within half of it (D <= 128 alone is one block)."""
+    d = mat.shape[-1]
+    step = max(1, math.isqrt(HOLD_BYTES // 4 * d * d // max(mat.nbytes, 1)))
+    for i in range(0, d, step):
+        for j in range(i, d, step):
+            upper, lower = mat[..., i:i + step, j:j + step], mat[..., j:j + step, i:i + step]
+            # np.conjugate copies even a real block, which .conj() would not
+            mirrored = np.conjugate(upper).swapaxes(-1, -2) if j > i else None
+            np.add(upper, np.conjugate(lower).swapaxes(-1, -2), out=upper)
+            if mirrored is not None:
+                np.add(lower, mirrored, out=lower)
 
 
 def _trace_out(tensor: np.ndarray, axes: tuple[int, ...], batch: int = 0) -> np.ndarray:
@@ -234,33 +284,42 @@ def _rounding_bound(h: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
     return g / (1.0 - g) * (diagonal + d * np.maximum(tol, 0.0))
 
 
-def _cholesky_certifies(h: np.ndarray, tol: float | np.ndarray) -> bool:
-    """True when ``np.linalg.cholesky`` of a copy of h + (tol - r) 1,
-    shifted on its diagonal in place, runs to completion for every member
-    of ``h``, which proves lambda_min >= -tol for each; ``tol`` is a
-    scalar or one value per member."""
-    d = h.shape[-1]
-    shifted = np.array(h, dtype=np.complex128, order="C")
-    shift = tol - _rounding_bound(h, tol)
-    shifted.reshape(shifted.shape[:-2] + (d * d,))[..., :: d + 1] += np.expand_dims(shift, -1)
+def _cholesky_certifies(h: np.ndarray, tol: float | np.ndarray, owned: bool = False) -> bool:
+    """True when ``np.linalg.cholesky`` of h + (tol - r) 1 runs to
+    completion for every member of ``h``, which proves lambda_min >= -tol
+    for each; ``tol`` is a scalar or one value per member.  The diagonal
+    is shifted in place and restored bit for bit in a ``finally``,
+    whatever the factorization does: of ``h`` itself when ``owned`` (a
+    writable complex128 array no other thread reads), else of a copy."""
+    if not owned:
+        h = np.array(h, dtype=np.complex128, order="C")
+    shift = np.expand_dims(tol - _rounding_bound(h, tol), -1)
+    diagonal = np.einsum("...ii->...i", h)
+    saved = diagonal.copy()
+    diagonal += shift
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        diagonal[...] = saved
     return True
 
 
-def psd_violation(h: np.ndarray, tol: float) -> float | None:
+def psd_violation(h: np.ndarray, tol: float, owned: bool = False) -> float | None:
     """None when the finite Hermitian operator ``h`` (or every member of a
     (K, D, D) stack) has lambda_min >= -tol; otherwise the smallest
     eigenvalue from ``eigvalsh``, which is then below -tol.  Like
-    ``eigvalsh``, it reads the lower triangle of ``h``.
+    ``eigvalsh``, it reads the lower triangle of ``h``.  With ``owned``,
+    ``h`` is a writable complex128 array that no other thread reads while
+    the test runs: its diagonal is shifted in place and restored bit for
+    bit, so no copy of ``h`` is made; otherwise a copy is shifted.
 
     The test is Rump's certificate (Verification of positive definiteness,
-    BIT Numer. Math. 46, 433 (2006)): ``np.linalg.cholesky`` of a copy of
-    A = h + (tol - r) 1, shifted on its diagonal in place.  If it runs to
-    completion, lambda_min(h) >= -tol.  The computed factor satisfies
-    R^H R = A + E with ||E||_2 <= gamma_{D+1} / (1 - gamma_{D+1}) tr A,
+    BIT Numer. Math. 46, 433 (2006)): ``np.linalg.cholesky`` of
+    A = h + (tol - r) 1.  If it runs to completion, lambda_min(h) >= -tol.
+    The computed factor satisfies R^H R = A + E with
+    ||E||_2 <= gamma_{D+1} / (1 - gamma_{D+1}) tr A,
     gamma_k = k u / (1 - k u), u = 2^-53 (Demmel's bound, Higham, Accuracy
     and Stability of Numerical Algorithms, Thm 10.5), so the shift must
     exceed that by r.  The code takes
@@ -276,7 +335,7 @@ def psd_violation(h: np.ndarray, tol: float) -> float | None:
     Only when the factorization fails does ``eigvalsh`` run, so a verdict
     can differ from a raw ``eigvalsh`` one only where that solve's own
     rounding straddles -tol, and a failure is named by its exact value."""
-    if _cholesky_certifies(h, tol):
+    if _cholesky_certifies(h, tol, owned):
         return None
     low = float(np.linalg.eigvalsh(h)[..., 0].min())
     return low if low < -tol else None

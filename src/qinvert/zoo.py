@@ -158,21 +158,31 @@ def _ginibre_factor(
     dims: SubsystemDims, seed: int, member: int, rank: int | None
 ) -> np.ndarray:
     """The D x rank complex Gaussian G of ``member``, drawn from its own
-    stream (full rank by default)."""
+    stream (full rank by default): its real parts, then its imaginary
+    parts, each filled into one complex array as drawn.  The values are
+    those of ``rng.normal(size) + 1j * rng.normal(size)`` without its
+    three temporaries (a draw of exactly zero, about one in 2^52, may
+    differ from it in the sign of a zero)."""
     d = dims.total
     rank = d if rank is None else int(rank)
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in 1..{d}, got {rank}")
     rng = stream_rng(seed, member)
-    return rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    g = np.empty((d, rank), dtype=np.complex128)
+    g.real = rng.normal(size=(d, rank))
+    g.imag = rng.normal(size=(d, rank))
+    return g
 
 
 def ginibre_mixed(
     dims: SubsystemDims, seed: int, member: int = 0, rank: int | None = None
 ) -> DensityMatrix:
     """Random density matrix G G^dag / Tr(G G^dag) with a D x rank complex
-    Gaussian G (full rank by default)."""
-    return DensityMatrix.from_gram(_ginibre_factor(dims, seed, member, rank), dims)
+    Gaussian G (full rank by default): the state of
+    :meth:`~qinvert.states.DensityMatrix.from_gram`, with G dropped before
+    the matrix is validated."""
+    mat = gram_density(_ginibre_factor(dims, seed, member, rank))
+    return DensityMatrix(mat, dims, _psd_known=True, _owned=True)
 
 
 def ginibre_stack(

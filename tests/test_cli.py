@@ -392,6 +392,29 @@ def test_empty_selection_is_an_input_error(capsys, bell_file, argv, option):
     assert option in captured.err
 
 
+@pytest.mark.parametrize("families, position", [
+    ("correlation,,monogamy", 2), ("shadow,", 2), (",entropy", 1), ("marginal, ,shadow", 2),
+])
+def test_an_empty_family_entry_is_an_input_error_naming_its_position(capsys, bell_file,
+                                                                     families, position):
+    code = main(["check", "--state", bell_file, "--families", families])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--families entry {position} is empty" in captured.err
+
+
+@pytest.mark.parametrize("suites, position", [
+    ("parity,", 2), ("positivity,,parity", 2), (",cross_form", 1), ("parity, ", 2),
+])
+def test_an_empty_suite_entry_is_an_input_error_naming_its_position(capsys, suites, position):
+    code = main(["verify", "--dims", "2,2", "--size", "1", "--suites", suites])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--suites entry {position} is empty" in captured.err
+
+
 REPORT_KEYS = ["command", "family", "label", "value", "threshold", "margin", "pass",
                "tolerance", "elapsed_ms"]
 

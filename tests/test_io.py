@@ -525,9 +525,9 @@ def spawned(monkeypatch, no_child_left):
     started = []
     spawn = qio._spawn
 
-    def record(mode, d, source, answer):
+    def record(mode, d, source, size, answer):
         started.append(mode)
-        return spawn(mode, d, source, answer)
+        return spawn(mode, d, source, size, answer)
 
     monkeypatch.setattr(qio, "HELPER_PAIRS", 64)
     monkeypatch.setattr(qio, "_spare_cpu", lambda: True)
@@ -597,12 +597,12 @@ def exits(code: int):
     return [sys.executable, "-c", f"import sys; sys.exit({code})"]
 
 
-def codec(mode, d):
-    return [sys.executable, "-I", "-S", _rowcodec.__file__, mode, str(d)]
+def codec(mode, d, size):
+    return [sys.executable, "-I", "-S", _rowcodec.__file__, mode, str(d), str(size)]
 
 
-def killed(mode, d, source, answer):
-    proc = subprocess.Popen(codec(mode, d), stdin=source, stdout=answer)
+def killed(mode, d, source, size, answer):
+    proc = subprocess.Popen(codec(mode, d, size), stdin=source, stdout=answer)
     proc.kill()
     return proc
 
@@ -610,8 +610,8 @@ def killed(mode, d, source, answer):
 def answering(change, status=0):
     """A launcher whose helper exits with ``status`` having answered
     ``change`` of the row codec's answer."""
-    def spawn(mode, d, source, answer):
-        answer.write(change(subprocess.run(codec(mode, d), stdin=source,
+    def spawn(mode, d, source, size, answer):
+        answer.write(change(subprocess.run(codec(mode, d, size), stdin=source,
                                            stdout=subprocess.PIPE).stdout))
         answer.flush()
         return subprocess.Popen(exits(status))
@@ -620,7 +620,7 @@ def answering(change, status=0):
 
 def launcher(kind):
     if kind == "oserror":
-        def spawn(mode, d, source, answer):
+        def spawn(mode, d, source, size, answer):
             raise OSError("no helper")
     elif kind == "killed":
         spawn = killed
@@ -633,7 +633,7 @@ def launcher(kind):
     else:
         argv = {"exit3": exits(3), "exit0": exits(0), "not_rows": exits(_rowcodec.NOT_ROWS)}[kind]
 
-        def spawn(mode, d, source, answer):
+        def spawn(mode, d, source, size, answer):
             return subprocess.Popen(argv, stdin=source, stdout=answer)
     return spawn
 
@@ -732,7 +732,7 @@ def test_an_answer_with_more_rows_than_asked_is_refused(tmp_path, spawned, monke
 def test_no_helper_starts_for_a_seven_qubit_state(tmp_path, monkeypatch, no_child_left):
     """At the shipped threshold, a D = 128 file is written and read in one
     process, however many CPUs there are."""
-    def spawn(mode, d, source, answer):
+    def spawn(mode, d, source, size, answer):
         raise AssertionError(f"a {mode} helper started for D = {d}")
 
     monkeypatch.setattr(qio, "_spare_cpu", lambda: True)
@@ -763,9 +763,12 @@ def test_closing_the_chunks_early_reaps_the_helper(spawned):
 
 @pytest.mark.parametrize("helper", [False, True])
 def test_the_reader_holds_the_file_once(tmp_path, monkeypatch, no_child_left, helper):
-    """An 8-qubit mixed file is read and validated in under its own length
-    plus two D x D complex arrays of traced memory, helper or not (holding
-    its bytes and its text at once took the length plus 3.1 arrays)."""
+    """An 8-qubit mixed file in the writer's layout is read and validated
+    in under three D x D complex arrays of traced memory, helper or not,
+    with no term in the file's length: the rows are read in place into
+    the array the state keeps, and the PSD certificate shifts that array's
+    diagonal in place (reading all the file's bytes first, and shifting a
+    copy, took the length plus 1.5 arrays)."""
     monkeypatch.setattr(qio, "_spare_cpu", lambda: helper)
     rho = ginibre_mixed(SubsystemDims((2,) * 8), 8)
     path = tmp_path / "rho.json"
@@ -776,7 +779,7 @@ def test_the_reader_holds_the_file_once(tmp_path, monkeypatch, no_child_left, he
         read = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert read < path.stat().st_size + 2 * rho.matrix.nbytes
+    assert read < 3 * rho.matrix.nbytes
     assert loaded.matrix.tobytes() == rho.matrix.tobytes()
 
 
@@ -793,7 +796,7 @@ def test_another_layout_at_the_threshold_is_read_whole(tmp_path, monkeypatch, no
     whole = []
     text = qio._text
 
-    def spawn(mode, d, source, answer):
+    def spawn(mode, d, source, size, answer):
         raise AssertionError(f"a {mode} helper started for D = {d}")
 
     def read_whole(raw, path):
@@ -819,7 +822,7 @@ def test_the_cut_refuses_a_repeated_header_key(tmp_path, monkeypatch, no_child_l
     raw = path.read_bytes()
     path.write_bytes(raw.replace(b'"kind": "mixed", ', b'"kind": "mixed", "kind": "mixed", ', 1))
 
-    def spawn(mode, d, source, answer):
+    def spawn(mode, d, source, size, answer):
         raise AssertionError(f"a {mode} helper started for D = {d}")
 
     monkeypatch.setattr(qio, "_spare_cpu", lambda: helper)
@@ -850,10 +853,130 @@ def test_the_helper_runs_as_a_script_without_numpy():
                                        ("decode", encoded, 0, rows.tobytes()),
                                        ("encode", rows.tobytes()[:-8], not_rows, b""),
                                        ("decode", encoded[:-1], not_rows, b"")]:
-        got = subprocess.run(codec(mode, 4), input=data, capture_output=True)
+        got = subprocess.run(codec(mode, 4, len(data)), input=data, capture_output=True)
         assert (got.returncode, got.stdout, got.stderr) == (status, answer, b"")
     probe = (f"import runpy, sys; runpy.run_path({_rowcodec.__file__!r}); "
              "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'qinvert'}))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# input routes: a seekable file in the writer's layout is cut in place;
+# a pipe, a FIFO and a file whose brackets lie outside the windows are
+# read whole, with the same values and the same report lines
+
+
+def untimed(out: str) -> list[dict]:
+    return [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+            for line in out.splitlines()]
+
+
+def fresh_cli(argv, **kwargs):
+    """``python -m qinvert argv`` in a new process, warnings as errors."""
+    src = os.path.dirname(os.path.dirname(qio.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "qinvert", *argv],
+                          capture_output=True, env=env, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def d256(tmp_path_factory):
+    """A D = 256 mixed file in the writer's layout and the report lines
+    of ``invariants`` on it."""
+    path = tmp_path_factory.mktemp("d256") / "rho.json"
+    write_state_file(path, ginibre_mixed(SubsystemDims((2,) * 8), 6))
+    done = fresh_cli(["invariants", "--state", str(path)])
+    assert done.returncode == 0 and done.stderr == b""
+    return path, untimed(done.stdout.decode())
+
+
+def test_stdin_gives_the_report_lines_of_the_file(d256):
+    """``--state /dev/stdin``, redirected from the file (seekable, so cut
+    in place) and fed through a pipe (read whole), prints the lines the
+    file's path prints, with nothing on stderr."""
+    path, expected = d256
+    with open(path, "rb") as fh:
+        redirected = fresh_cli(["invariants", "--state", "/dev/stdin"], stdin=fh)
+    piped = fresh_cli(["invariants", "--state", "/dev/stdin"], input=path.read_bytes())
+    for done in (redirected, piped):
+        assert done.returncode == 0 and done.stderr == b""
+        assert untimed(done.stdout.decode()) == expected
+
+
+def test_a_fifo_is_read_whole_with_the_report_lines_of_the_file(tmp_path, d256, monkeypatch,
+                                                               capsys, no_child_left):
+    path, expected = d256
+    fifo = tmp_path / "rho.fifo"
+    os.mkfifo(fifo)
+    whole = []
+    text = qio._text
+    monkeypatch.setattr(qio, "_text", lambda raw, name: whole.append(name) or text(raw, name))
+    feeder = subprocess.Popen([sys.executable, "-c",
+                               "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'),"
+                               " open(sys.argv[2], 'wb'))", str(path), str(fifo)])
+    try:
+        code = main(["invariants", "--state", str(fifo)])
+    finally:
+        try:
+            feeder.wait(timeout=60)
+        finally:
+            feeder.kill()
+            feeder.wait()
+    assert code == 0 and feeder.returncode == 0
+    assert untimed(capsys.readouterr().out) == expected
+    assert whole == [str(fifo)]
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_brackets_outside_the_windows_send_the_file_to_the_whole_text(tmp_path, d256,
+                                                                      monkeypatch, capsys,
+                                                                      where):
+    """A label of WINDOW bytes before the data pushes its ``[[[`` out of
+    the head window; after the data, its ``]]]`` out of the tail window.
+    Either file is read whole, with the values and lines of the file."""
+    path, expected = d256
+    raw = path.read_bytes()
+    label = b'"label": "' + b"x" * qio.WINDOW + b'"'
+    moved = tmp_path / "labelled.json"
+    if where == "before":
+        moved.write_bytes(b"{" + label + b", " + raw[1:])
+    else:
+        moved.write_bytes(raw.rstrip()[:-1] + b", " + label + b"}\n")
+    whole = []
+    text = qio._text
+    monkeypatch.setattr(qio, "_text", lambda raw, name: whole.append(name) or text(raw, name))
+    assert read_state_file(moved).matrix.tobytes() == read_state_file(path).matrix.tobytes()
+    assert whole == [moved]
+    assert main(["invariants", "--state", str(moved)]) == 0
+    assert untimed(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("helper", [False, True])
+@pytest.mark.parametrize("edit", ["truncate", "first_rows", "last_rows"])
+def test_a_large_file_broken_inside_its_rows_keeps_the_whole_text_diagnostic(
+    tmp_path, d256, monkeypatch, capsys, no_child_left, helper, edit
+):
+    """A D = 256 file cut short inside its rows, or with a number replaced
+    by ``true`` in a row this process decodes or in one the helper
+    decodes, is refused with the diagnostic of json.loads of its whole
+    text, and the CLI exits 2 with it."""
+    monkeypatch.setattr(qio, "_spare_cpu", lambda: helper)
+    path, _ = d256
+    raw = path.read_bytes()
+    broken = tmp_path / "broken.json"
+    if edit == "truncate":
+        broken.write_bytes(raw[:len(raw) // 2])
+    else:
+        at = raw.index(b"[[", len(raw) // 4 if edit == "first_rows" else 3 * len(raw) // 4)
+        number = raw.index(b",", at) - at - 2
+        broken.write_bytes(raw[:at + 2] + b"true".ljust(number) + raw[at + 2 + number:])
+    with pytest.raises(StateFileError) as expected:
+        loads_route(broken)
+    with pytest.raises(StateFileError) as got:
+        read_state_file(broken)
+    assert str(got.value) == str(expected.value)
+    assert main(["invariants", "--state", str(broken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(expected.value) in captured.err

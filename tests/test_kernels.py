@@ -11,8 +11,11 @@ routes take (each member as its own one-mask call), the member axis
 every stacked layer takes (each member as its own call) and the one the
 purity sweep and the signed subset sum take, the purity profile a pure state sweeps
 without forming a DensityMatrix, the invariant table every scalar
-family reads, and the Cholesky PSD certificate and the certified stack
-minimum, pinned to eigvalsh.  The formulas the kernels replaced are kept
+family reads, the Cholesky PSD certificate (shifting its operand in
+place, pinned to the copy it shifted before) and the certified stack
+minimum, pinned to eigvalsh, and the row-block forms of the finiteness
+and Hermiticity checks and of the Gram symmetrization, pinned to their
+one-shot expressions.  The formulas the kernels replaced are kept
 here as oracles."""
 
 import contextlib
@@ -21,6 +24,7 @@ import itertools
 import math
 import operator
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinvert import inversion
+from qinvert import inversion, tensor
 from qinvert.constraints import (
     correlation_constraint,
     is_psd,
@@ -782,6 +786,154 @@ def test_psd_certificate_of_a_stack_judges_every_member(d, lows, seed):
     assert got is None or got == float(lo.min())
     if np.all(np.abs(lo + TOL_PSD) > 1e-13):
         assert (got is None) == all(psd_violation(h, TOL_PSD) is None for h in stack)
+
+
+def copy_certifies(h, tol):
+    """The certificate as it was before it shifted its operand in place:
+    ``np.linalg.cholesky`` of a shifted copy.  Kept as the oracle of the
+    in-place route, with the copy it factors."""
+    d = h.shape[-1]
+    shifted = np.array(h, dtype=np.complex128, order="C")
+    shift = tol - tensor._rounding_bound(h, tol)
+    shifted.reshape(shifted.shape[:-2] + (d * d,))[..., :: d + 1] += np.expand_dims(shift, -1)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False, shifted
+    return True, shifted
+
+
+class Interrupted(Exception):
+    pass
+
+
+@PSD_PROPERTY
+@given(d=st.integers(1, 24), lows=st.lists(planted_lows, min_size=1, max_size=3), seed=seeds,
+       stacked=st.booleans(), tol=st.sampled_from([TOL_PSD, 0.0, -TOL_PSD]),
+       raises=st.booleans())
+def test_the_in_place_certificate_is_the_copy_route_and_restores_its_operand(
+    d, lows, seed, stacked, tol, raises
+):
+    """On success, on failure and when the factorization raises, the
+    certificate of an owned operand factors that operand itself, shifted
+    bit for bit as the copy route shifts its copy, gives the copy route's
+    verdict and leaves the operand's bytes as they were."""
+    h = planted(d, lows[0], seed)
+    if stacked:
+        h = np.stack([h] + [planted(d, low, seed + i) for i, low in enumerate(lows[1:], 1)])
+    before = h.tobytes()
+    want, shifted = copy_certifies(h, tol)
+    factored = []
+    real = np.linalg.cholesky
+
+    def cholesky(a):
+        factored.append((a is h, a.tobytes()))
+        if raises:
+            raise Interrupted
+        return real(a)
+
+    with mock.patch.object(np.linalg, "cholesky", cholesky):
+        if raises:
+            with pytest.raises(Interrupted):
+                tensor._cholesky_certifies(h, tol, True)
+        else:
+            assert tensor._cholesky_certifies(h, tol, True) is want
+    assert factored == [(True, shifted.tobytes())]
+    assert h.tobytes() == before
+    if not raises:
+        assert psd_violation(h, tol, True) == psd_violation(h, tol)
+        assert h.tobytes() == before
+
+
+def one_shot_finite(a):
+    """The finiteness check before it ran in row blocks, as its message or
+    None.  Kept as the oracle of the blocked check."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        return (f"operator has non-finite entries (NaN or inf); "
+                f"the first is {a[index]} at index {index}")
+    return None
+
+
+def finite_message(a):
+    try:
+        tensor._require_finite(a, "operator")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
+
+
+def special_operand(lead, n, seed, plants):
+    """A random complex (lead.., n, n) operand with the special values of
+    ``plants``, (flat index, value, imaginary part?) triples, planted."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (n, n)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    parts = a.reshape(-1).view(np.float64)
+    for flat, value, imag in plants:
+        parts[2 * (flat % a.size) + imag] = value
+    return a
+
+
+block_cases = dict(
+    lead=st.lists(st.integers(1, 3), max_size=2), n=st.integers(1, 12),
+    hold=st.integers(0, 4096), seed=seeds,
+    plants=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(SPECIALS),
+                              st.integers(0, 1)), max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**block_cases)
+def test_the_blocked_checks_are_the_one_shot_expressions(lead, n, hold, seed, plants):
+    """With the block budget patched down to cross row-block edges of
+    operators and stacks, herm_defect is exactly the one-shot maximum and
+    the finiteness check raises the one-shot message, naming the first
+    non-finite entry in C order, or passes as it did."""
+    a = special_operand(lead, n, seed, plants)
+    before = a.tobytes()
+    with np.errstate(invalid="ignore"), mock.patch.object(tensor, "HOLD_BYTES", hold):
+        defect = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        want = float(defect) if a.ndim == 2 else defect
+        got = herm_defect(a)
+        messages = [finite_message(x) for x in (a, a.reshape(-1))]
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got, want)
+    assert messages == [one_shot_finite(a), one_shot_finite(a.reshape(-1))]
+    assert a.tobytes() == before
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(**block_cases)
+def test_the_blocked_adjoint_sum_is_the_out_of_place_sum(lead, n, hold, seed, plants):
+    """m + m^dag added in place by mirrored blocks, across block edges, is
+    the out-of-place complex sum bit for bit, signed zeros included."""
+    m = special_operand(lead, n, seed, plants)
+    with np.errstate(invalid="ignore"), mock.patch.object(tensor, "HOLD_BYTES", hold):
+        want = m + m.conj().swapaxes(-1, -2)
+        tensor._add_adjoint(m)
+    assert bit_identical(m, want)
+
+
+def test_min_eigenvalue_checks_hold_no_operator_sized_temporary():
+    """At D = 512 the finiteness and Hermiticity checks run in row blocks
+    of at most tensor.HOLD_BYTES, so min_eigenvalue holds no D x D
+    temporary of its own (the one-shot checks held two and a half)."""
+    d = 512
+    h = planted(d, 0.0, 5)
+    min_eigenvalue(h[:4, :4])
+    tracemalloc.start()
+    try:
+        low = min_eigenvalue(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h.nbytes
+    assert low == float(np.linalg.eigvalsh(h)[0])
 
 
 @PSD_PROPERTY

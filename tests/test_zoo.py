@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,40 @@ def test_ginibre_is_the_validated_gram_state_without_an_eigen_solve(monkeypatch,
     assert solves == []
     assert np.array_equal(rho.matrix, validated.matrix)
     assert not rho.matrix.flags.writeable
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(local=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), member=st.integers(0, 9), rank=st.integers(0, 64))
+def test_the_ginibre_factor_is_the_sum_of_its_two_draws_bit_for_bit(local, seed, member, rank):
+    """The real parts then the imaginary parts, filled into one array, are
+    rng.normal(...) + 1j * rng.normal(...) of the same stream, bit for bit."""
+    dims = SubsystemDims(tuple(local))
+    d = dims.total
+    rank = min(rank, d) or None
+    g = zoo._ginibre_factor(dims, seed, member, rank)
+    rng = stream_rng(seed, member)
+    shape = (d, rank or d)
+    want = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert g.dtype == want.dtype and g.shape == want.shape
+    assert g.tobytes() == want.tobytes()
+
+
+def test_an_eight_qubit_ginibre_state_holds_at_most_three_arrays():
+    """Drawn, formed and validated at D = 256 within three D x D complex
+    arrays of traced memory: the factor, its conjugate and their product
+    at the Gram product, which no step exceeds (the factor is dropped
+    before validation, and the symmetrization and checks run in blocks).
+    The slack is for the arrays' and generator's small objects."""
+    dims = SubsystemDims((2,) * 8)
+    ginibre_mixed(SubsystemDims((2, 2)), 0)  # the generator's one-time setup
+    tracemalloc.start()
+    try:
+        rho = ginibre_mixed(dims, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * rho.matrix.nbytes + (1 << 14)
 
 
 def test_haar_unitary_is_unitary():
