@@ -147,7 +147,7 @@ def _main(argv: list) -> int:
     for text in pieces(sys.stdin.buffer.read, size):
         if text is None:
             return NOT_ROWS
-        rows = text.count(", [[") + 1
+        rows = text.count(ROW_START.decode()) + 1
         part = array.array("d", [0.0]) * (2 * d * rows)
         if decode(text, d, memoryview(part), 0) != rows:
             return NOT_ROWS

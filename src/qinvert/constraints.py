@@ -320,6 +320,7 @@ def _witness_operators(rho: DensityMatrix) -> Iterator[tuple[int, np.ndarray]]:
     for t, w in odd_inversions(rho.matrix, rho.dims):
         w += rho.matrix
         yield t, w
+        del w  # not held while the next witness is built
 
 
 def marginal_witnesses(rho: DensityMatrix) -> list[MarginalWitness]:
@@ -391,7 +392,10 @@ def marginal_report(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintRepo
     witnesses are built by :func:`~qinvert.inversion.odd_inversions`,
     checked finite and Hermitian by :func:`min_eigenvalue`, and dropped
     one at a time."""
-    values = {t: min_eigenvalue(w) for t, w in _witness_operators(rho)}
+    values = {}
+    for t, w in _witness_operators(rho):
+        values[t] = min_eigenvalue(w)
+        del w  # not held while the next witness is built
     entries = [_entry(mask_bitstring(t, rho.dims.n), values[t], tol) for t in sorted(values)]
     return ConstraintReport(family="marginal", entries=entries, tolerance=tol)
 

@@ -60,11 +60,12 @@ def herm_defect(a: np.ndarray) -> float | np.ndarray:
     """Largest absolute entry of a - a^dagger over the last two axes: a
     float for one operator, one value per member for a stack of them.
     Formed a block of rows at a time (:data:`HOLD_BYTES`), each block's
-    difference written over its conjugated columns, so no temporary is
-    larger than a block and a half."""
+    difference written over its conjugated columns, so the temporaries
+    come to a block and a half."""
     defect = None
     for rows in _row_blocks(a):
-        diff = np.conjugate(a[..., :, rows]).swapaxes(-1, -2)  # a copy, even of real a
+        # a C-ordered copy, even of real a, so the subtraction runs in order
+        diff = np.conjugate(a[..., :, rows].swapaxes(-1, -2), order="C")
         np.subtract(a[..., rows, :], diff, out=diff)
         block = np.max(np.abs(diff), axis=(-2, -1))
         defect = block if defect is None else np.maximum(defect, block)
