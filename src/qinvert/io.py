@@ -15,9 +15,10 @@ which are read at their file offsets and decoded a piece of text at a
 time into one preallocated (D, 2D) float64 array, which the state then
 owns without a copy; only the rest of the object becomes text, which
 ``json.loads`` reads to check the header and that the cut is the
-top-level ``data``.  Every other file, any whose cut rows are not D rows
-of D pairs, and any input that cannot seek (a pipe, a FIFO, a piped
-``/dev/stdin``) is read whole, decoded to text and read by
+top-level ``data``.  An input that cannot seek (a pipe, a FIFO, a piped
+``/dev/stdin``) is first copied to an unlinked temporary file, which
+takes the same routes.  Every other file, and any whose cut rows are not
+D rows of D pairs, is read whole, decoded to text and read by
 ``json.loads``, so its diagnostics are those of the nested lists.
 
 A mixed state with at least :data:`HELPER_PAIRS` entries, in a process
@@ -466,19 +467,39 @@ def _text(raw: bytes, path: str | Path) -> str:
     return text
 
 
+def _spooled(fh: IO[bytes], files: contextlib.ExitStack) -> IO[bytes]:
+    """An unlinked temporary file holding the rest of the input ``fh``
+    (a pipe or a FIFO), at its start, closed with ``files``; ``fh``
+    itself when the file cannot be made."""
+    import shutil
+    import tempfile  # here, so a command that reads no pipe does not import them
+
+    try:
+        spool = files.enter_context(tempfile.TemporaryFile(buffering=0))
+    except OSError:
+        return fh
+    shutil.copyfileobj(fh, spool, _rowcodec.PIECE)
+    spool.seek(0)
+    return spool
+
+
 def _fields(path: str | Path, cap: int) -> tuple[str, SubsystemDims, np.ndarray]:
     """The checked kind, dims and entries of a state file; whatever it
-    read is dropped on return, before validation.  A seekable file is
-    first offered to the row cut (:func:`_cut_rows`); a file it leaves,
-    and any input that cannot seek (a pipe), is read whole as bytes."""
+    read is dropped on return, before validation.  The file, or a copy
+    of an input that cannot seek, is first offered to the row cut
+    (:func:`_cut_rows`); a file it leaves is read whole as bytes."""
     try:
-        with Path(path).open("rb", buffering=0) as fh:
-            if hasattr(os, "pread") and fh.seekable():  # pread: the cut reads at offsets
-                cut = _cut_rows(fh, cap)
-                if cut is not None:
-                    # the state owns the decoder's row buffer, already checked against D
-                    return "mixed", cut[0], cut[1].view(np.complex128)
-                fh.seek(0)
+        with contextlib.ExitStack() as files:
+            fh = files.enter_context(Path(path).open("rb", buffering=0))
+            if hasattr(os, "pread"):  # the row cut reads at file offsets
+                if not fh.seekable():
+                    fh = _spooled(fh, files)
+                if fh.seekable():
+                    cut = _cut_rows(fh, cap)
+                    if cut is not None:
+                        # the state owns the decoder's row buffer, already checked against D
+                        return "mixed", cut[0], cut[1].view(np.complex128)
+                    fh.seek(0)
             raw = fh.read()
     except OSError as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc

@@ -863,9 +863,10 @@ def test_the_helper_runs_as_a_script_without_numpy():
 
 
 # ---------------------------------------------------------------------------
-# input routes: a seekable file in the writer's layout is cut in place;
-# a pipe, a FIFO and a file whose brackets lie outside the windows are
-# read whole, with the same values and the same report lines
+# input routes: a file in the writer's layout is cut in place, a pipe or
+# a FIFO is copied to a temporary file first, and a file whose brackets
+# lie outside the windows is read whole, with the same values and the
+# same report lines
 
 
 def untimed(out: str) -> list[dict]:
@@ -893,9 +894,9 @@ def d256(tmp_path_factory):
 
 
 def test_stdin_gives_the_report_lines_of_the_file(d256):
-    """``--state /dev/stdin``, redirected from the file (seekable, so cut
-    in place) and fed through a pipe (read whole), prints the lines the
-    file's path prints, with nothing on stderr."""
+    """``--state /dev/stdin``, redirected from the file (cut in place) and
+    fed through a pipe (copied to a temporary file, then cut), prints the
+    lines the file's path prints, with nothing on stderr."""
     path, expected = d256
     with open(path, "rb") as fh:
         redirected = fresh_cli(["invariants", "--state", "/dev/stdin"], stdin=fh)
@@ -905,14 +906,23 @@ def test_stdin_gives_the_report_lines_of_the_file(d256):
         assert untimed(done.stdout.decode()) == expected
 
 
-def test_a_fifo_is_read_whole_with_the_report_lines_of_the_file(tmp_path, d256, monkeypatch,
-                                                               capsys, no_child_left):
+@pytest.mark.parametrize("spool", [True, False])
+def test_a_fifo_gives_the_report_lines_of_the_file(tmp_path, d256, monkeypatch, capsys,
+                                                   no_child_left, spool):
+    """A FIFO cannot seek: it is copied to an unlinked temporary file whose
+    rows are cut in place, or, when that file cannot be made, read whole.
+    Either way it prints the lines the file's path prints."""
     path, expected = d256
     fifo = tmp_path / "rho.fifo"
     os.mkfifo(fifo)
     whole = []
     text = qio._text
     monkeypatch.setattr(qio, "_text", lambda raw, name: whole.append(name) or text(raw, name))
+    if not spool:
+        def no_file(*args, **kwargs):
+            raise OSError("no temporary file")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
     feeder = subprocess.Popen([sys.executable, "-c",
                                "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'),"
                                " open(sys.argv[2], 'wb'))", str(path), str(fifo)])
@@ -926,7 +936,7 @@ def test_a_fifo_is_read_whole_with_the_report_lines_of_the_file(tmp_path, d256, 
             feeder.wait()
     assert code == 0 and feeder.returncode == 0
     assert untimed(capsys.readouterr().out) == expected
-    assert whole == [str(fifo)]
+    assert whole == ([] if spool else [str(fifo)])
 
 
 @pytest.mark.parametrize("where", ["before", "after"])
