@@ -34,12 +34,12 @@ from .constraints import (
     ConstraintReport,
     ReportEntry,
     _entry,
+    _table_report,
     correlation_report,
     entropy_inequalities,
     marginal_report,
     monogamy_report,
     numerical_rank,
-    shadow_report,
 )
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, relative_mask
 from .invariants import invariant_table
@@ -163,8 +163,8 @@ def _parse_dims(text: str) -> SubsystemDims:
 
 def cmd_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
-    state = _read_state(args.state)
     families = _select(args.families, FAMILIES, "family", "--families")
+    state = _read_state(args.state)
     needs_matrix = isinstance(state, PureState) and "marginal" in families
     rho = state.density() if needs_matrix else state
 
@@ -179,7 +179,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                     "warning: mixed state; monogamy downgraded to correlation"])
                 yield correlation_report(state, tol=tol)
             elif fam == "shadow":
-                yield shadow_report(None, None, state.dims, tol=tol, purities=state.purities)
+                yield _table_report("shadow", state, tol, first=0)
             elif fam == "entropy":
                 yield entropy_inequalities(state, tol=tol)
             else:
@@ -190,16 +190,18 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
-    state = _read_state(args.state)
-    if args.masks == "all":
-        masks = list(state.dims.subset_masks())
-    else:
+    masks = None
+    if args.masks != "all":
         tokens = [tok.strip() for tok in args.masks.split(";")]
         if "" in tokens:
             raise ValueError(f'--masks token {tokens.index("") + 1} is empty; '
                              '"0" names the empty mask')
-        masks = [state.dims.validate_mask(0 if tok == "0" else parse_party_list(tok))
-                 for tok in tokens]
+        masks = [0 if tok == "0" else parse_party_list(tok) for tok in tokens]
+    state = _read_state(args.state)
+    if masks is None:
+        masks = list(state.dims.subset_masks())
+    for t in masks:
+        state.dims.validate_mask(t)
 
     def reports() -> Iterator[ConstraintReport]:
         table = invariant_table(state)
@@ -215,15 +217,16 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
-    state = _read_state(args.state)
-    rho = state if isinstance(state, DensityMatrix) else state.density()
-    act_on = rho.dims.validate_mask(parse_party_list(args.act_on))
+    act_on = parse_party_list(args.act_on)
     if act_on == 0:
         raise ValueError("--act-on must name at least one party")
-    t = rho.dims.validate_mask(parse_party_list(args.t)) if args.t else 0
+    t = parse_party_list(args.t) if args.t else 0
     alpha = _parse_weights(args.alpha, "--alpha")
     beta = _parse_weights(args.beta, "--beta")
     params = DetectionParams(t=t, act_on=act_on, alpha=alpha, beta=beta)
+    state = _read_state(args.state)
+    state.dims.validate_mask(act_on)
+    rho = state if isinstance(state, DensityMatrix) else state.density()
 
     def reports() -> Iterator[ConstraintReport]:
         low = min_eigenvalue(apply_detection_map(rho.matrix, rho.dims, params))

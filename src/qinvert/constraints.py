@@ -4,8 +4,11 @@ states, shadow inequalities for PSD operator pairs, named entropy
 inequalities, and operator witnesses for marginal compatibility.
 
 The scalar families read one table, C_T^2 = Tr[rho I_T(rho)] of
-:func:`~qinvert.invariants.invariant_table`: correlation is C_T^2, pure
-monogamy 2 C_T^2, the entropy fallback C^2 of the full set."""
+:func:`~qinvert.invariants.invariant_table`, through one report builder:
+correlation is C_T^2 for T != {}, pure monogamy 2 C_T^2, the shadow
+lines of a state (M1 = M2 = rho, Rains' inequalities) C_T^2 for every T,
+and the entropy fallback C^2 of the full set.  :func:`shadow_report`
+sweeps an arbitrary operand pair."""
 
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ from .tensor import (
     psd_violation,
     reduction_sweep,
     signed_subset_sums,
-    subset_purities,
     trace_product,
 )
 from .zoo import pinned_ghz_tables, pinned_mix_table
@@ -74,6 +76,17 @@ def _entry(
     return ReportEntry(label, value, threshold, margin, margin >= -tol, theorem, extra)
 
 
+def _table_report(family: str, state: DensityMatrix | PureState, tol: float,
+                  scale: float = 1.0, first: int = 1) -> ConstraintReport:
+    """One line per mask T >= ``first``, in ascending order, with the value
+    ``scale`` C_T^2 read off :func:`invariant_table`: the report of every
+    family that lists the table (correlation, monogamy, ``check``'s shadow)."""
+    n = state.dims.n
+    values = (scale * invariant_table(state).values[first:]).tolist()
+    entries = [_entry(mask_bitstring(t, n), v, tol) for t, v in enumerate(values, first)]
+    return ConstraintReport(family=family, entries=entries, tolerance=tol)
+
+
 # ---------------------------------------------------------------------------
 # correlation constraints and monogamy relations
 
@@ -84,14 +97,11 @@ def correlation_constraint(rho: DensityMatrix | PureState, t: int) -> float:
     rho.dims.validate_mask(t)
     if t == 0:
         raise ValueError("t = empty set gives the trivial constraint; pick t != 0")
-    return invariant_table(rho).values[t]
+    return invariant_table(rho).c_squared(t)
 
 
 def correlation_report(rho: DensityMatrix | PureState, tol: float = PASS_TOL) -> ConstraintReport:
-    n = rho.dims.n
-    values = invariant_table(rho).values
-    entries = [_entry(mask_bitstring(t, n), values[t], tol) for t in range(1, 1 << n)]
-    return ConstraintReport(family="correlation", entries=entries, tolerance=tol)
+    return _table_report("correlation", rho, tol)
 
 
 def monogamy_check(psi: PureState, t: int) -> float:
@@ -100,14 +110,11 @@ def monogamy_check(psi: PureState, t: int) -> float:
     psi.dims.validate_mask(t)
     if t == 0:
         raise ValueError("t = empty set gives the trivial constraint; pick t != 0")
-    return 2.0 * invariant_table(psi).values[t]
+    return 2.0 * invariant_table(psi).c_squared(t)
 
 
 def monogamy_report(psi: PureState, tol: float = PASS_TOL) -> ConstraintReport:
-    n = psi.dims.n
-    values = invariant_table(psi).values
-    entries = [_entry(mask_bitstring(t, n), 2.0 * values[t], tol) for t in range(1, 1 << n)]
-    return ConstraintReport(family="monogamy", entries=entries, tolerance=tol)
+    return _table_report("monogamy", psi, tol, scale=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +122,11 @@ def monogamy_report(psi: PureState, tol: float = PASS_TOL) -> ConstraintReport:
 
 
 def _shadow_sums(m1: np.ndarray, m2: np.ndarray, dims: SubsystemDims) -> list[float]:
-    """Shadow values for every mask: one reduction sweep per distinct
-    operand, then one O(N 2^N) signed subset sum.  With M2 = M1 the terms
-    are the subset purities and the values are the invariant table's."""
-    operands = {"M1": m1} if m2 is m1 else {"M1": m1, "M2": m2}
-    for name, m in operands.items():
+    """Shadow values for every mask: one reduction sweep per operand, then
+    one O(N 2^N) signed subset sum.  With M2 = M1 = rho the terms are the
+    subset purities and the values are the invariant table's, bit for bit."""
+    for name, m in (("M1", m1), ("M2", m2)):
         _require_hermitian(np.asarray(m), name)
-    if m2 is m1:
-        return signed_subset_sums(subset_purities(m1, dims)).tolist()
     terms = np.empty(1 << dims.n)
     for (s, a), (_, b) in zip(reduction_sweep(m1, dims), reduction_sweep(m2, dims)):
         terms[s] = trace_product(a, b).real
@@ -147,31 +151,15 @@ def is_psd(mat: np.ndarray, tol: float = TOL_PSD) -> bool:
 
 
 def shadow_report(
-    m1: np.ndarray | None,
-    m2: np.ndarray | None,
-    dims: SubsystemDims,
-    tol: float = PASS_TOL,
-    purities: np.ndarray | None = None,
+    m1: np.ndarray, m2: np.ndarray, dims: SubsystemDims, tol: float = PASS_TOL
 ) -> ConstraintReport:
     """Evaluate every mask; if either operator fails the PSD check the
     entries are still reported but tagged non-theorem (no pass/fail
-    judgement applies).
-
-    ``purities``, the subset-purity profile of a validated state rho (as
-    ``state.purities``), stands for M1 = M2 = rho, and ``m1`` and ``m2``
-    must then be None: the values are its signed subset sums, bit for bit
-    those of the operands' own sweep, and the state's validation is the
-    PSD certificate, so no matrix is swept or tested again."""
-    if purities is not None:
-        if m1 is not None or m2 is not None:
-            raise ValueError("pass either the operands M1, M2 or a purity profile, not both")
-        if np.shape(purities) != (1 << dims.n,):
-            raise ValueError(f"purity profile of shape {np.shape(purities)} does not "
-                             f"match {dims.n} parties")
-        sums, psd_ok = signed_subset_sums(purities).tolist(), True
-    else:
-        sums = _shadow_sums(m1, m2, dims)
-        psd_ok = is_psd(m1) and (m2 is m1 or is_psd(m2))
+    judgement applies).  ``check`` reads its M1 = M2 = rho lines off the
+    state's invariant table instead (:func:`_table_report` from the
+    empty mask), with the state's validation as the PSD certificate."""
+    sums = _shadow_sums(m1, m2, dims)
+    psd_ok = is_psd(m1) and is_psd(m2)
     entries = [
         _entry(mask_bitstring(t, dims.n), value, tol, theorem=psd_ok)
         for t, value in enumerate(sums)
@@ -266,7 +254,8 @@ def entropy_inequalities(rho: DensityMatrix | PureState,
                 _entry(f"ssa-analogue-reversed:mid={b}", lhs - rhs, tol, theorem=False)
             )
     else:
-        entries.append(_entry("inclusion-exclusion:full", invariant_table(rho).values[full], tol))
+        c2_full = invariant_table(rho).c_squared(full)
+        entries.append(_entry("inclusion-exclusion:full", c2_full, tol))
         notes.append(
             f"note: named 2- and 3-party inequality families are skipped for N = {n}; "
             "only the full-mask constraint is reported"

@@ -1,9 +1,16 @@
-"""Quadratic local-unitary invariants derived from the inversion map."""
+"""Quadratic local-unitary invariants derived from the inversion map.
+
+C_T^2 = Tr[rho I_T(rho)] = sum_S (-1)^{|S & T|} Tr(rho_S^2) for every mask
+T is one array, :func:`invariant_table`: the degree-two table that every
+scalar constraint family reads (correlation, pure monogamy, ``check``'s
+shadow with M1 = M2 = rho, the N != 2, 3 entropy line)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .inversion import invert_product
 from .states import DensityMatrix, PureState
@@ -36,33 +43,36 @@ def c_t(rho: DensityMatrix, t: int) -> float:
     return math.sqrt(max(c_t_squared(rho, t), 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvariantTable:
-    """Squared invariants for every mask, with presentation-time clamping
-    of small negative solver noise."""
+    """Squared invariants C_T^2 for every mask T, as a read-only float64
+    array indexed by mask, with presentation-time clamping of negative
+    solver noise down to -CLAMP_TOL.  Every method returns a Python float
+    or bool."""
 
-    values: dict[int, float]
-    tolerance: float = CLAMP_TOL
+    values: np.ndarray
 
     def c_squared(self, t: int) -> float:
-        return self.values[t]
+        return float(self.values[t])
 
     def c_squared_clamped(self, t: int) -> float:
-        v = self.values[t]
-        return 0.0 if -self.tolerance <= v < 0.0 else v
+        v = self.c_squared(t)
+        return 0.0 if -CLAMP_TOL <= v < 0.0 else v
 
     def was_clamped(self, t: int) -> bool:
-        return -self.tolerance <= self.values[t] < 0.0
+        return -CLAMP_TOL <= self.c_squared(t) < 0.0
 
     def c(self, t: int) -> float:
-        return math.sqrt(max(self.values[t], 0.0))
+        return math.sqrt(max(self.c_squared(t), 0.0))
 
 
 def invariant_table(rho: DensityMatrix | PureState) -> InvariantTable:
     """All 2^N squared invariants from the state's subset purities:
     C_T^2 = sum_S (-1)^{|S & T|} Tr(rho_S^2), one Walsh-Hadamard
     transform."""
-    return InvariantTable(values=dict(enumerate(signed_subset_sums(rho.purities).tolist())))
+    values = signed_subset_sums(rho.purities)
+    values.setflags(write=False)
+    return InvariantTable(values)
 
 
 def bipartite_concurrence_squared(psi: PureState, s: int) -> float:

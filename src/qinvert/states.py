@@ -28,15 +28,15 @@ class DensityMatrix:
     is :func:`~qinvert.tensor.psd_violation`: a Cholesky certificate, with
     an eigen-solve only to name a failure, shifted in place on the array
     the state keeps.  ``_psd_known`` is internal to the package: the
-    constructors whose result is PSD by construction, :meth:`from_gram`,
-    :meth:`from_product`, :meth:`PureState.density` and
-    :func:`~qinvert.zoo.ginibre_mixed` (a Gram state), set it to skip only
-    the PSD check (shape, finiteness, Hermiticity and trace are still
-    checked); every other construction, a state file included, runs the
-    full validation.  ``_owned`` is internal to the package: a caller that
-    hands over a fresh complex128 array nothing else references
-    (:meth:`from_gram`, ``ginibre_mixed``, the state-file reader) sets it,
-    and the state keeps that array, made read-only, instead of a copy.
+    constructors whose result is PSD by construction, :meth:`from_product`,
+    :meth:`PureState.density` and :func:`~qinvert.zoo.ginibre_mixed` (a
+    Gram state), set it to skip only the PSD check (shape, finiteness,
+    Hermiticity and trace are still checked); every other construction, a
+    state file included, runs the full validation.  ``_owned`` is internal
+    to the package: a caller that hands over a fresh complex128 array
+    nothing else references (``ginibre_mixed``, the state-file reader)
+    sets it, and the state keeps that array, made read-only, instead of a
+    copy.
     """
 
     matrix: np.ndarray
@@ -54,14 +54,6 @@ class DensityMatrix:
         _require_density(mat, psd=not _psd_known)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_gram(cls, g: np.ndarray, dims: SubsystemDims) -> "DensityMatrix":
-        """The state :func:`gram_density` of a D x r matrix ``g``.  A Gram
-        matrix is PSD, and rounding moves its eigenvalues by about r eps of
-        its trace, far inside the PSD tolerance, so validation skips the
-        eigen-solve."""
-        return cls(gram_density(g), dims, _psd_known=True, _owned=True)
 
     @classmethod
     def from_product(
@@ -138,8 +130,8 @@ def gram_density(g: np.ndarray) -> np.ndarray:
     bit the matrix of its own ``g[i]``.  The matrix is symmetrized and
     normalized in place; each step is the same complex ufunc as the
     out-of-place expression, so the result is bit for bit ``(m + m^dag)
-    / 2 / tr``.  Unchecked: :meth:`DensityMatrix.from_gram` validates one
-    state, and a stack's caller checks the stack."""
+    / 2 / tr``.  Unchecked: :func:`~qinvert.zoo.ginibre_mixed` validates
+    one state, and a stack's caller checks the stack."""
     mat = g @ g.conj().swapaxes(-1, -2)
     _add_adjoint(mat)
     mat /= 2.0

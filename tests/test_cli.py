@@ -11,7 +11,7 @@ from qinvert import cli, constraints, invariants, inversion, states, tensor, zoo
 from qinvert.cli import main
 from qinvert.dims import SubsystemDims
 from qinvert.inversion import invert_kraus, invert_product, invert_sum
-from qinvert.io import write_state_file
+from qinvert.io import read_state_file, write_state_file
 from qinvert.states import PureState
 from qinvert.tensor import min_eigenvalue
 from qinvert.zoo import bell_pair_with_mixed_qubit, bell_state, ginibre_mixed, haar_pure
@@ -145,6 +145,58 @@ def test_a_repeated_party_is_an_input_error(capsys, bell_file, argv):
     assert captured.out == ""
     party = argv[-1].split(",")[-1]
     assert f"names party {party} more than once" in captured.err
+
+
+@pytest.mark.parametrize("command, options, named", [
+    ("check", [["--families", "correlation,,monogamy"], ["--families", "bogus"]],
+     ["--families entry 2 is empty", "unknown family 'bogus'"]),
+    ("invariants", [["--masks", "1;;2"], ["--masks", "1;x"], ["--masks", "2,2"]],
+     ["--masks token 2 is empty", "cannot parse party list 'x'",
+      "party list '2,2' names party 2 more than once"]),
+    ("detect", [["--act-on", ""], ["--act-on", "1", "--t", "x"],
+                ["--act-on", "1", "--alpha", "x"], ["--act-on", "1", "--beta", "2:y"],
+                ["--act-on", "1", "--t", "2"], ["--act-on", "1", "--alpha", "2"]],
+     ["--act-on must name at least one party", "cannot parse party list 'x'",
+      "--alpha 'x' is not a weight", "--beta token '2:y' is not a party:weight pair",
+      "t must be a subset of act_on", "alpha = 2.0 is outside [0, 1]"]),
+], ids=["check", "invariants", "detect"])
+def test_an_option_error_is_named_before_the_state_file_is_read(
+    capsys, tmp_path, command, options, named
+):
+    """An option that needs no dimensions is checked first, so a bad or
+    missing state file does not hide its error."""
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    for state in (str(empty), "/dev/null", str(tmp_path / "missing.json")):
+        for argv, message in zip(options, named):
+            code = main([command, "--state", state, *argv])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith(f"error: {message}")
+            assert state not in captured.err
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_check_shadow_lines_are_the_operands_shadow_report(capsys, tmp_path, pure):
+    """check's shadow lines, read off the state's invariant table, are
+    shadow_report(rho, rho) bit for bit, judged as theorems: the empty
+    mask's line, then the correlation values."""
+    dims = SubsystemDims((2, 3, 2))
+    state = haar_pure(dims, 5) if pure else ginibre_mixed(dims, 5)
+    path = tmp_path / "state.json"
+    write_state_file(path, state)
+    code, lines = run(capsys, "check", "--state", str(path), "--families", "correlation,shadow")
+    assert code == 0
+    shadow = [line for line in lines if line["family"] == "shadow"]
+    correlation = [line for line in lines if line["family"] == "correlation"]
+    rho = read_state_file(path)
+    rho = rho.density() if pure else rho
+    want = constraints.shadow_report(rho.matrix, rho.matrix, dims)
+    assert [line["label"] for line in shadow] == [e.label for e in want.entries]
+    assert shadow[0]["label"] == "000" and all(line["pass"] for line in shadow)
+    got = np.array([line["value"] for line in shadow])
+    assert got.tobytes() == np.array([e.value for e in want.entries]).tobytes()
+    assert got[1:].tobytes() == np.array([line["value"] for line in correlation]).tobytes()
 
 
 def test_detect_bell(capsys, bell_file):
@@ -470,7 +522,7 @@ def test_input_error_creates_no_out_file(capsys, bell_file, tmp_path, argv):
 def test_invariants_exit_1_when_a_printed_pass_is_false(capsys, monkeypatch, bell_file):
     from qinvert.invariants import InvariantTable
 
-    table = InvariantTable(values={0: 3.0, 1: 0.0, 2: 0.0, 3: -1e-6})
+    table = InvariantTable(np.array([3.0, 0.0, 0.0, -1e-6]))
     monkeypatch.setattr("qinvert.cli.invariant_table", lambda rho: table)
     code, lines = run(capsys, "invariants", "--state", bell_file)
     assert [l["pass"] for l in lines] == [True, True, True, False]

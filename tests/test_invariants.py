@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from qinvert.invariants import (
     invariant_table,
 )
 from qinvert.states import DensityMatrix, PureState
+from qinvert.tensor import signed_subset_sums
 from qinvert.zoo import (
     bell_state,
     ghz_state,
@@ -118,10 +120,28 @@ def test_factorization_on_product_states():
         assert abs(lhs - rhs) < 1e-9
 
 
+@pytest.mark.parametrize("pure", [False, True])
+def test_invariant_table_is_a_read_only_float64_array_read_as_python_scalars(pure):
+    """values is the signed subset sums of the purity profile, one float64
+    per mask, read-only; the methods return Python floats and bools, which
+    the report writer's json module can encode."""
+    dims = SubsystemDims((2, 3, 2))
+    state = haar_pure(dims, 9) if pure else ginibre_mixed(dims, 9)
+    table = invariant_table(state)
+    assert isinstance(table.values, np.ndarray)
+    assert table.values.dtype == np.float64 and table.values.shape == (1 << dims.n,)
+    assert not table.values.flags.writeable
+    assert table.values.tobytes() == signed_subset_sums(state.purities).tobytes()
+    for t in range(1 << dims.n):
+        row = [table.c_squared(t), table.c_squared_clamped(t), table.c(t), table.was_clamped(t)]
+        assert [type(x) for x in row] == [float, float, float, bool]
+        json.dumps(row)
+
+
 def test_clamping_of_solver_noise():
     from qinvert.invariants import InvariantTable
 
-    table = InvariantTable(values={0: -5e-10, 1: 0.5})
+    table = InvariantTable(np.array([-5e-10, 0.5]))
     assert table.c_squared_clamped(0) == 0.0
     assert table.was_clamped(0)
     assert not table.was_clamped(1)

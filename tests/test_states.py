@@ -5,9 +5,9 @@ from qinvert import states
 from qinvert.constraints import correlation_report, entropy_inequalities, monogamy_report
 from qinvert.dims import SubsystemDims
 from qinvert.invariants import invariant_table
-from qinvert.states import DensityMatrix, PureState
+from qinvert.states import DensityMatrix, PureState, gram_density
 from qinvert.tensor import block_product
-from qinvert.zoo import bell_state, ginibre_mixed, haar_pure
+from qinvert.zoo import _ginibre_factor, bell_state, ginibre_mixed, haar_pure
 
 
 def test_density_matrix_accepts_valid_state():
@@ -159,8 +159,8 @@ def test_product_constructor_checks_its_blocks():
 
 
 def gram_out_of_place(g):
-    """DensityMatrix.from_gram's matrix as a chain of out-of-place
-    operations; kept as the oracle of the in-place constructor."""
+    """The Gram state's matrix as a chain of out-of-place operations; kept
+    as the oracle of the in-place :func:`gram_density`."""
     mat = g @ g.conj().T
     mat = (mat + mat.conj().T) / 2.0
     return mat / np.trace(mat).real
@@ -171,11 +171,16 @@ def gram_out_of_place(g):
     ((3, 3), 9), ((2, 2, 2, 2), 16),
 ])
 def test_from_gram_is_the_out_of_place_expression_bit_for_bit(local_dims, rank):
+    """A state from a Gram matrix, by :func:`gram_density` and by
+    :func:`ginibre_mixed` (which draws its G from member 0's stream)."""
     dims = SubsystemDims(local_dims)
     rng = np.random.default_rng(rank * 100 + dims.total)
     g = rng.normal(size=(dims.total, rank)) + 1j * rng.normal(size=(dims.total, rank))
     g[0, 0] = -0.0  # a signed zero in the product
-    rho = DensityMatrix.from_gram(g, dims)
+    assert gram_density(g).tobytes() == gram_out_of_place(g).tobytes()
+    seed = rank * 100 + dims.total
+    rho = ginibre_mixed(dims, seed, rank=rank)
+    g = _ginibre_factor(dims, seed, 0, rank)
     assert rho.matrix.tobytes() == gram_out_of_place(g).tobytes()
     assert not rho.matrix.flags.writeable
 
