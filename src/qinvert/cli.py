@@ -34,12 +34,12 @@ from .constraints import (
     ConstraintReport,
     ReportEntry,
     _entry,
-    _table_report,
     correlation_report,
     entropy_inequalities,
     marginal_report,
     monogamy_report,
     numerical_rank,
+    shadow_report,
 )
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, relative_mask
 from .invariants import invariant_table
@@ -179,7 +179,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                     "warning: mixed state; monogamy downgraded to correlation"])
                 yield correlation_report(state, tol=tol)
             elif fam == "shadow":
-                yield _table_report("shadow", state, tol, first=0)
+                yield shadow_report(state, state, state.dims, tol=tol)
             elif fam == "entropy":
                 yield entropy_inequalities(state, tol=tol)
             else:
@@ -198,10 +198,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
                              '"0" names the empty mask')
         masks = [0 if tok == "0" else parse_party_list(tok) for tok in tokens]
     state = _read_state(args.state)
-    if masks is None:
-        masks = list(state.dims.subset_masks())
-    for t in masks:
-        state.dims.validate_mask(t)
+    masks = (list(state.dims.subset_masks()) if masks is None
+             else [state.dims.validate_mask(t) for t in masks])
 
     def reports() -> Iterator[ConstraintReport]:
         table = invariant_table(state)

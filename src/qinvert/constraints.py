@@ -6,9 +6,9 @@ inequalities, and operator witnesses for marginal compatibility.
 The scalar families read one table, C_T^2 = Tr[rho I_T(rho)] of
 :func:`~qinvert.invariants.invariant_table`, through one report builder:
 correlation is C_T^2 for T != {}, pure monogamy 2 C_T^2, the shadow
-lines of a state (M1 = M2 = rho, Rains' inequalities) C_T^2 for every T,
-and the entropy fallback C^2 of the full set.  :func:`shadow_report`
-sweeps an arbitrary operand pair."""
+lines of one state passed to :func:`shadow_report` as both operands
+(Rains' inequalities) C_T^2 for every T, the entropy fallback C^2 of
+the full set."""
 
 from __future__ import annotations
 
@@ -151,13 +151,21 @@ def is_psd(mat: np.ndarray, tol: float = TOL_PSD) -> bool:
 
 
 def shadow_report(
-    m1: np.ndarray, m2: np.ndarray, dims: SubsystemDims, tol: float = PASS_TOL
+    m1: np.ndarray | DensityMatrix | PureState,
+    m2: np.ndarray | DensityMatrix | PureState,
+    dims: SubsystemDims,
+    tol: float = PASS_TOL,
 ) -> ConstraintReport:
     """Evaluate every mask; if either operator fails the PSD check the
     entries are still reported but tagged non-theorem (no pass/fail
-    judgement applies).  ``check`` reads its M1 = M2 = rho lines off the
-    state's invariant table instead (:func:`_table_report` from the
-    empty mask), with the state's validation as the PSD certificate."""
+    judgement applies).  One validated state passed as both operands (as
+    ``check`` does) is read off its invariant table from the empty mask,
+    bit for bit the lines of its matrix, with its validation as the PSD
+    certificate."""
+    if isinstance(m1, (DensityMatrix, PureState)):
+        if m2 is not m1 or m1.dims != dims:
+            raise ValueError("pass a state as both operands, with its own dims")
+        return _table_report("shadow", m1, tol, first=0)
     sums = _shadow_sums(m1, m2, dims)
     psd_ok = is_psd(m1) and is_psd(m2)
     entries = [

@@ -1,9 +1,6 @@
-"""Quadratic local-unitary invariants derived from the inversion map.
-
-C_T^2 = Tr[rho I_T(rho)] = sum_S (-1)^{|S & T|} Tr(rho_S^2) for every mask
-T is one array, :func:`invariant_table`: the degree-two table that every
-scalar constraint family reads (correlation, pure monogamy, ``check``'s
-shadow with M1 = M2 = rho, the N != 2, 3 entropy line)."""
+"""Quadratic local-unitary invariants derived from the inversion map;
+:func:`invariant_table`, the array of every C_T^2, is the degree-two
+table that every scalar constraint family reads."""
 
 from __future__ import annotations
 
@@ -45,10 +42,8 @@ def c_t(rho: DensityMatrix, t: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class InvariantTable:
-    """Squared invariants C_T^2 for every mask T, as a read-only float64
-    array indexed by mask, with presentation-time clamping of negative
-    solver noise down to -CLAMP_TOL.  Every method returns a Python float
-    or bool."""
+    """C_T^2 as a read-only float64 array indexed by mask T; methods return
+    Python scalars, clamping solver noise down to -CLAMP_TOL to 0."""
 
     values: np.ndarray
 

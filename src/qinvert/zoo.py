@@ -178,11 +178,9 @@ def ginibre_mixed(
     dims: SubsystemDims, seed: int, member: int = 0, rank: int | None = None
 ) -> DensityMatrix:
     """Random density matrix G G^dag / Tr(G G^dag) with a D x rank complex
-    Gaussian G (full rank by default): :func:`~qinvert.states.gram_density`
-    of G, with G dropped before the matrix is validated.  A Gram matrix is
-    PSD, and rounding moves its eigenvalues by about rank eps of its
-    trace, far inside the PSD tolerance, so validation skips the PSD
-    check."""
+    Gaussian G (full rank by default), G dropped before validation.  A Gram
+    matrix is PSD up to about rank eps of its trace, far inside the PSD
+    tolerance, so validation skips the PSD check."""
     mat = gram_density(_ginibre_factor(dims, seed, member, rank))
     return DensityMatrix(mat, dims, _psd_known=True, _owned=True)
 

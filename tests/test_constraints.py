@@ -184,6 +184,24 @@ def test_shadow_report_flags_non_psd_input():
     assert all(e.theorem for e in ok.entries)
 
 
+@pytest.mark.parametrize("pure", [False, True])
+def test_shadow_report_on_a_purity_profile_is_the_operands_report(pure):
+    """A validated state passed as both operands is read off its purity
+    profile's table: the lines of M1 = M2 = rho bit for bit, judged as
+    theorems.  A state with another operand, or with other dims, is an
+    error."""
+    dims = SubsystemDims((2, 3, 2))
+    state = haar_pure(dims, 5) if pure else ginibre_mixed(dims, 5)
+    rho = state.density().matrix if pure else state.matrix
+    want = shadow_report(rho, rho, dims)
+    got = shadow_report(state, state, dims)
+    assert got == want and all(e.theorem for e in got.entries)
+    with pytest.raises(ValueError, match="a state as both operands"):
+        shadow_report(state, rho, dims)
+    with pytest.raises(ValueError, match="a state as both operands"):
+        shadow_report(state, state, SubsystemDims((6, 2)))
+
+
 # ---------------------------------------------------------------------------
 # entropy inequalities
 
