@@ -41,7 +41,9 @@ from .constraints import (
     numerical_rank,
     shadow_report,
 )
-from .dims import DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, relative_mask
+from .dims import (
+    DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, parties_from_mask, relative_mask,
+)
 from .invariants import invariant_table
 from .inversion import (
     DetectionParams, KrausGenerators, apply_detection_map, chunk_members, embedded_generators,
@@ -188,6 +190,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return _write_reports(args.out, "check", reports())
 
 
+def _within(mask: int, dims: SubsystemDims, option: str) -> int:
+    """``mask`` if its parties are among the N of ``dims``, else an error
+    naming ``option`` and its first party beyond N."""
+    beyond = [p for p in parties_from_mask(mask) if p > dims.n]
+    if beyond:
+        raise ValueError(f"{option} names party {beyond[0]}, beyond the {dims.n} available")
+    return mask
+
+
 def cmd_invariants(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
     masks = None
@@ -199,7 +210,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         masks = [0 if tok == "0" else parse_party_list(tok) for tok in tokens]
     state = _read_state(args.state)
     masks = (list(state.dims.subset_masks()) if masks is None
-             else [state.dims.validate_mask(t) for t in masks])
+             else [_within(t, state.dims, f"--masks token {i}") for i, t in enumerate(masks, 1)])
 
     def reports() -> Iterator[ConstraintReport]:
         table = invariant_table(state)
@@ -223,7 +234,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     beta = _parse_weights(args.beta, "--beta")
     params = DetectionParams(t=t, act_on=act_on, alpha=alpha, beta=beta)
     state = _read_state(args.state)
-    state.dims.validate_mask(act_on)
+    _within(act_on, state.dims, "--act-on")
     rho = state if isinstance(state, DensityMatrix) else state.density()
 
     def reports() -> Iterator[ConstraintReport]:
@@ -459,7 +470,7 @@ def _suite_report(suite: str, battery: Rows) -> ConstraintReport:
 
 def cmd_make_state(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)
-    s = dims.validate_mask(parse_party_list(args.s)) if args.s else None
+    s = _within(parse_party_list(args.s), dims, "--s") if args.s else None
     recipe = StateRecipe(
         kind=args.kind, dims=dims, s=s, seed=_seed(args.seed), rank=args.rank
     )

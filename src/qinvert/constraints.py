@@ -12,6 +12,7 @@ the full set."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -295,20 +296,6 @@ def _witness(t: int, out: np.ndarray) -> MarginalWitness:
     return MarginalWitness(t=t, operator=out, min_eig=min_eigenvalue(out))
 
 
-def _build_witness(
-    marginals: Mapping[int, np.ndarray], dims: SubsystemDims, t: int
-) -> MarginalWitness:
-    """Signed embed sum over the proper subsets in ascending mask order,
-    the empty set contributing the identity."""
-    terms = [(0, np.ones((1, 1)))] + [(s, marginals[s]) for s in range(1, dims.full_mask)]
-    out = _signed_sums(((s, embed(op_s, s, dims)) for s, op_s in terms), dims, [t])[0]
-    return _witness(t, out)
-
-
-def _odd_masks(dims: SubsystemDims) -> list[int]:
-    return [t for t in dims.subset_masks() if mask_size(t) % 2 == 1]
-
-
 def _witness_operators(rho: DensityMatrix) -> Iterator[tuple[int, np.ndarray]]:
     """``(T, W_T)`` for every odd-size mask T, in the order of
     :func:`~qinvert.inversion.odd_inversions`: W_T = I_T(rho) + rho (the
@@ -332,56 +319,64 @@ def marginal_witnesses_from_marginals(
     dims: SubsystemDims,
     overlap_tol: float = OVERLAP_TOL,
 ) -> list[MarginalWitness]:
-    """Witnesses from user-supplied marginals.
+    """Witnesses from user-supplied marginals, in ascending mask order.
 
-    Every proper nonempty subset must be present, finite and Hermitian
-    (an error names the marginal); traces must be 1 and overlapping
-    marginals must agree on their common reduction within
-    ``overlap_tol`` (consistency is checked, not assumed).
+    Every key must be a proper nonempty subset (an error names any other
+    key) and every such subset must be present, finite and Hermitian (an
+    error names the marginal); traces must be 1 and overlapping marginals
+    must agree on their common reduction within ``overlap_tol``
+    (consistency is checked, not assumed), the first disagreeing pair in
+    ascending order named.
+
+    Each marginal is traced once onto each of its overlaps and embedded
+    once: 2^N - 1 embeds (the empty set contributes the identity), then
+    one signed sum of O(4^N D^2) adds over all odd masks, each operator
+    bit for bit its own one-mask sum.  The operators are views of one
+    (2^(N-1), D, D) stack, which the returned list holds in full anyway.
     """
     full = dims.full_mask
+    for s in marginals:
+        if not 0 < s < full:
+            kind = ("the empty set" if s == 0 else "the full set" if s == full
+                    else f"not a mask of the {dims.n} parties")
+            raise ValueError(f"marginal key {s} is {kind}; keys are the proper "
+                             f"nonempty subsets 1..{full - 1}")
     table: dict[int, np.ndarray] = {}
-    for s in dims.subset_masks():
-        if s in (0, full):
-            continue
+    for s in range(1, full):
+        bits = mask_bitstring(s, dims.n)
         if s not in marginals:
-            raise ValueError(
-                f"missing marginal for subset {mask_bitstring(s, dims.n)}"
-            )
+            raise ValueError(f"missing marginal for subset {bits}")
         m = np.asarray(marginals[s], dtype=np.complex128)
         d_s = dims.block_dim(s)
         if m.shape != (d_s, d_s):
-            raise ValueError(
-                f"marginal {mask_bitstring(s, dims.n)} has shape {m.shape}, "
-                f"expected {(d_s, d_s)}"
-            )
-        _require_hermitian(m, f"marginal {mask_bitstring(s, dims.n)}")
+            raise ValueError(f"marginal {bits} has shape {m.shape}, expected {(d_s, d_s)}")
+        _require_hermitian(m, f"marginal {bits}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > overlap_tol:
-            raise ValueError(
-                f"marginal {mask_bitstring(s, dims.n)} has trace {tr}, expected 1"
-            )
+            raise ValueError(f"marginal {bits} has trace {tr}, expected 1")
         table[s] = m
-    subsets = sorted(table)
-    for i, s1 in enumerate(subsets):
-        sub1 = SubsystemDims(dims.dims_of(s1))
-        for s2 in subsets[i + 1 :]:
+
+    @functools.cache
+    def reduced(s: int, overlap: int) -> np.ndarray:
+        return partial_trace(table[s], SubsystemDims(dims.dims_of(s)), relative_mask(overlap, s))
+
+    for s1 in table:
+        for s2 in range(s1 + 1, full):
             overlap = s1 & s2
             if overlap == 0:
                 continue
-            keep1 = relative_mask(overlap, s1)
-            keep2 = relative_mask(overlap, s2)
-            sub2 = SubsystemDims(dims.dims_of(s2))
-            r1 = partial_trace(table[s1], sub1, keep1)
-            r2 = partial_trace(table[s2], sub2, keep2)
-            dev = float(np.max(np.abs(r1 - r2)))
+            dev = float(np.max(np.abs(reduced(s1, overlap) - reduced(s2, overlap))))
             if dev > overlap_tol:
                 raise ValueError(
                     f"marginals {mask_bitstring(s1, dims.n)} and "
                     f"{mask_bitstring(s2, dims.n)} disagree on their overlap "
                     f"by {dev:.3e}"
                 )
-    return [_build_witness(table, dims, t) for t in _odd_masks(dims)]
+    del reduced  # the traced overlaps are not held while the witnesses are built
+    odd = [t for t in dims.subset_masks() if mask_size(t) % 2 == 1]
+    terms = [(0, np.ones((1, 1)))] + list(table.items())
+    stack = _signed_sums(((s, embed(m, s, dims)) for s, m in terms), dims, odd)
+    return [_witness(t, w) for t, w in zip(odd, stack)]
 
 
 def marginal_report(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintReport:

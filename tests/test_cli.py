@@ -176,6 +176,22 @@ def test_an_option_error_is_named_before_the_state_file_is_read(
             assert state not in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "--act-on", "1,3"], "--act-on names party 3"),
+    (["invariants", "--masks", "1;2,4,3"], "--masks token 2 names party 3"),
+    (["make-state", "--kind", "product_basis", "--dims", "2,2", "--s", "3"], "--s names party 3"),
+], ids=["act-on", "masks", "s"])
+def test_a_party_beyond_the_file_names_its_option(capsys, bell_file, tmp_path, argv, message):
+    """A party list past the N parties names the option, the --masks
+    token's position and the first party beyond N; exit 2, nothing written."""
+    out = tmp_path / "out.json"
+    state = [] if argv[0] == "make-state" else ["--state", bell_file]
+    code = main([*argv, *state, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err == f"error: {message}, beyond the 2 available\n"
+
+
 @pytest.mark.parametrize("pure", [False, True])
 def test_check_shadow_lines_are_the_operands_shadow_report(capsys, tmp_path, pure):
     """check's shadow lines, read off the state's invariant table, are

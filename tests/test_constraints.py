@@ -21,7 +21,7 @@ from qinvert.constraints import (
     shadow_report,
     shadow_value,
 )
-from qinvert import inversion
+from qinvert import constraints, inversion
 from qinvert.dims import SubsystemDims, mask_bitstring
 from qinvert.invariants import c_t_squared, invariant_table
 from qinvert.inversion import STACK_HOLD_BYTES, invert_product, invert_sum
@@ -322,6 +322,49 @@ def test_from_marginals_inconsistent_overlap():
     marg[0b011] = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
     with pytest.raises(ValueError, match="disagree"):
         marginal_witnesses_from_marginals(marg, dims)
+
+
+def test_from_marginals_names_the_first_disagreeing_pair_in_ascending_order():
+    """Marginals 101 and 011 both disagree with the rest; pairs are
+    compared in ascending mask order, so 100 against 101 is named,
+    whatever order the overlaps are traced in."""
+    dims = SubsystemDims((2, 2, 2))
+    rho = ginibre_mixed(dims, 311)
+    marg = {s: partial_trace(rho.matrix, dims, s) for s in range(1, 7)}
+    marg[0b101] = marg[0b110] = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="^marginals 100 and 101 disagree on their overlap by"):
+        marginal_witnesses_from_marginals(marg, dims)
+
+
+@pytest.mark.parametrize("key, kind", [
+    (0, "the empty set"), (0b111, "the full set"), (0b1000, "not a mask of the 3 parties"),
+])
+def test_from_marginals_rejects_a_key_that_is_not_a_proper_nonempty_subset(key, kind):
+    """Named before the other checks, so even with every marginal missing."""
+    dims = SubsystemDims((2, 2, 2))
+    rho = ginibre_mixed(dims, 312)
+    marg = {s: partial_trace(rho.matrix, dims, s) for s in range(1, 7)}
+    for table in ({**marg, key: np.eye(2) / 2}, {key: np.eye(2) / 2}):
+        with pytest.raises(ValueError, match=f"^marginal key {key} is {kind}; keys are the "
+                                             "proper nonempty subsets 1..6$"):
+            marginal_witnesses_from_marginals(table, dims)
+
+
+def test_from_marginals_embeds_each_marginal_and_traces_each_overlap_once(monkeypatch):
+    """(2,3,2,2): 15 embeds (the empty set's identity among them) and one
+    trace per subset-overlap pair, 46, against 120 and 132 per mask and
+    per pair."""
+    dims = SubsystemDims((2, 3, 2, 2))
+    rho = ginibre_mixed(dims, 313)
+    marg = {s: partial_trace(rho.matrix, dims, s) for s in range(1, 15)}
+    calls = {"embed": 0, "partial_trace": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(constraints, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(constraints, name, counted)
+    assert len(marginal_witnesses_from_marginals(marg, dims)) == 8
+    assert calls == {"embed": 15, "partial_trace": 46}
 
 
 def test_from_marginals_names_a_non_hermitian_marginal():

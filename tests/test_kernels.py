@@ -29,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qinvert import inversion, tensor
@@ -391,6 +391,7 @@ def witness_embed_loop(marginals, dims, t):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(dims=subsystem_dims(max_total=24), seed=seeds)
+@example(dims=SubsystemDims((2,) * 6), seed=6)  # D = 64: 32 odd masks in one signed sum
 def test_witnesses_from_marginals_are_bit_identical_to_embed_loop(dims, seed):
     rho = ginibre_mixed(dims, seed)
     marginals = {

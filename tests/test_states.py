@@ -170,7 +170,7 @@ def gram_out_of_place(g):
     ((2,), 1), ((2,), 2), ((3,), 2), ((2, 2), 1), ((2, 2), 4), ((2, 3), 5), ((2, 2, 2), 3),
     ((3, 3), 9), ((2, 2, 2, 2), 16),
 ])
-def test_from_gram_is_the_out_of_place_expression_bit_for_bit(local_dims, rank):
+def test_gram_states_are_the_out_of_place_expression_bit_for_bit(local_dims, rank):
     """A state from a Gram matrix, by :func:`gram_density` and by
     :func:`ginibre_mixed` (which draws its G from member 0's stream)."""
     dims = SubsystemDims(local_dims)
