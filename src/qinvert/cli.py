@@ -238,7 +238,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     rho = state if isinstance(state, DensityMatrix) else state.density()
 
     def reports() -> Iterator[ConstraintReport]:
-        low = min_eigenvalue(apply_detection_map(rho.matrix, rho.dims, params))
+        low = min_eigenvalue(apply_detection_map(rho.operand, rho.dims, params))
         verdict = "detected" if low < -tol else "inconclusive"
         yield ConstraintReport("detection", [
             _entry(f"act_on={args.act_on};t={args.t or ''}", low, tol, theorem=False,

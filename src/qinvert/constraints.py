@@ -300,9 +300,15 @@ def _witness_operators(rho: DensityMatrix) -> Iterator[tuple[int, np.ndarray]]:
     """``(T, W_T)`` for every odd-size mask T, in the order of
     :func:`~qinvert.inversion.odd_inversions`: W_T = I_T(rho) + rho (the
     full-set term of I_T(rho) is -rho for odd T), formed in place in the
-    fresh inversion."""
-    for t, w in odd_inversions(rho.matrix, rho.dims):
-        w += rho.matrix
+    fresh inversion, from the state's exactly Hermitian
+    :attr:`~qinvert.states.DensityMatrix.operand`.  Each step of the
+    factor kernel (a trace in a fixed order, a real scale, a diagonal add)
+    and the added rho map conjugate entry pairs to conjugate pairs, so
+    every W_T is exactly Hermitian too, and finite, and is not checked
+    again."""
+    op = rho.operand
+    for t, w in odd_inversions(op, rho.dims):
+        w += op
         yield t, w
         del w  # not held while the next witness is built
 
@@ -310,7 +316,8 @@ def _witness_operators(rho: DensityMatrix) -> Iterator[tuple[int, np.ndarray]]:
 def marginal_witnesses(rho: DensityMatrix) -> list[MarginalWitness]:
     """Witnesses for every odd-size mask, in ascending mask order, from the
     state's own marginals (always PSD up to solver noise for a genuine
-    state), with the global state known."""
+    state), with the global state known; built from the state's
+    :attr:`~qinvert.states.DensityMatrix.operand`."""
     return sorted((_witness(t, w) for t, w in _witness_operators(rho)), key=lambda w: w.t)
 
 
@@ -381,12 +388,12 @@ def marginal_witnesses_from_marginals(
 
 def marginal_report(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintReport:
     """2^(N-1) D x D eigen-solves, reported in ascending mask order;
-    witnesses are built by :func:`~qinvert.inversion.odd_inversions`,
-    checked finite and Hermitian by :func:`min_eigenvalue`, and dropped
-    one at a time."""
+    witnesses are built by :func:`_witness_operators`, exactly Hermitian
+    from the validated state, each solved by ``eigvalsh`` with no further
+    check and dropped one at a time."""
     values = {}
     for t, w in _witness_operators(rho):
-        values[t] = min_eigenvalue(w)
+        values[t] = float(np.linalg.eigvalsh(w)[0])
         del w  # not held while the next witness is built
     entries = [_entry(mask_bitstring(t, rho.dims.n), values[t], tol) for t in sorted(values)]
     return ConstraintReport(family="marginal", entries=entries, tolerance=tol)

@@ -14,9 +14,9 @@ per member and block, and everything production runs goes through it:
 :func:`invert_product` (the one-mask route), coarse graining, the
 detection map and Choi matrices call it with K = 1,
 :func:`odd_inversions` (the production route for all odd masks, which
-``marginal`` reads) calls :func:`invert_product` on blocks of parties
-to share the factors of the first parties depth first across masks,
-and :func:`inversion_stacks` evaluates I_T for every T as a butterfly
+``marginal`` reads) runs its trace and factor steps as a depth-first
+tree that shares each node's trace and factors across the masks below
+it, and :func:`inversion_stacks` evaluates I_T for every T as a butterfly
 over the parties, 2^N masks per call when they fit in a cache-sized
 stack.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
@@ -123,30 +123,50 @@ def _apply_factors(
     (disjoint party masks), in ascending mask order, to every member of
     ``stack``, a (K, D, D) stack or one D x D operator (K = 1), and return
     the (K, D, D) results; ``weights[b]`` is one weight per member (a
-    length-K array) or one for all (a scalar).  On the (K, d_1..d_N, d_1..d_N)
-    reshape the block's parties are traced out
-    (:func:`~qinvert.tensor._trace_out`) and the result is added in place
-    onto the b-diagonal view (:func:`~qinvert.tensor._diagonal`) of w_b
-    times the operand, so no identity-padded D x D operator is formed;
-    from :data:`SLICE_ADD_ENTRIES` on, the add runs per block-index slice.
-    Each member's result is bit-identical to its own K = 1 call.
-    O(K D^2) per block."""
+    length-K array) or one for all (a scalar).  Each block is one
+    :func:`_block_trace` of the current operands and one
+    :func:`_add_factor` onto a copy of them, so no identity-padded D x D
+    operator is formed.  Each member's result is bit-identical to its own
+    K = 1 call.  O(K D^2) per block."""
     flat = np.array(stack, dtype=np.complex128, order="C").reshape(-1, dims.total**2)
-    k = len(flat)
-    tensor = flat.reshape((k,) + dims.dims + dims.dims)
-    per_slice = flat.size >= SLICE_ADD_ENTRIES
+    _factors_in_place(flat, dims, weights)
+    return flat.reshape(len(flat), dims.total, dims.total)
+
+
+def _factors_in_place(
+    flat: np.ndarray, dims: SubsystemDims, weights: Mapping[int, float | np.ndarray]
+) -> None:
+    """:func:`_apply_factors` on a C-ordered (K, D^2) complex stack, in place."""
     for block in sorted(weights):
-        axes = tuple(p - 1 for p in parties_from_mask(block))
-        traced = _trace_out(tensor, axes, batch=1)
-        w = weights[block]
-        flat *= w[:, np.newaxis] if isinstance(w, np.ndarray) else w
-        diagonal = _diagonal(tensor, axes, batch=1)
-        if per_slice:
-            for index in np.ndindex(diagonal.shape[:len(axes)]):
-                diagonal[index] += traced
-        else:
-            diagonal += traced
-    return flat.reshape(k, dims.total, dims.total)
+        _add_factor(flat, dims, block, _block_trace(flat, dims, block), weights[block])
+
+
+def _block_trace(flat: np.ndarray, dims: SubsystemDims, block: int) -> np.ndarray:
+    """The parties of ``block`` traced out of every member of a C-ordered
+    (K, D^2) stack (:func:`~qinvert.tensor._trace_out` on its
+    (K, d_1..d_N, d_1..d_N) reshape): the operator that the block's factor
+    adds back onto the block diagonal, for either weight."""
+    axes = tuple(p - 1 for p in parties_from_mask(block))
+    return _trace_out(flat.reshape((len(flat),) + dims.dims + dims.dims), axes, batch=1)
+
+
+def _add_factor(
+    flat: np.ndarray, dims: SubsystemDims, block: int, traced: np.ndarray,
+    w: float | np.ndarray,
+) -> None:
+    """Tr_b(.) (x) 1_b + w id of ``block`` on a C-ordered (K, D^2) stack, in
+    place, from its :func:`_block_trace` ``traced``: the stack is scaled
+    by w (one per member, or one for all) and ``traced`` is added onto its
+    b-diagonal view (:func:`~qinvert.tensor._diagonal`); from
+    :data:`SLICE_ADD_ENTRIES` on, the add runs per block-index slice."""
+    axes = tuple(p - 1 for p in parties_from_mask(block))
+    flat *= w[:, np.newaxis] if isinstance(w, np.ndarray) else w
+    diagonal = _diagonal(flat.reshape((len(flat),) + dims.dims + dims.dims), axes, batch=1)
+    if flat.size >= SLICE_ADD_ENTRIES:
+        for index in np.ndindex(diagonal.shape[:len(axes)]):
+            diagonal[index] += traced
+    else:
+        diagonal += traced
 
 
 def _inversion_weights(n: int, t: int) -> dict[int, float]:
@@ -177,7 +197,7 @@ def invert_product(
 # memory traffic than the calls it saves (at (3,3,3,3) all 16 masks in
 # one stack take twice as long as two stacks of 8).  verify sizes its
 # chunks of ensemble members against it too (see chunk_members), and
-# odd_inversions the chain of operators its depth-first tree holds.  The
+# odd_inversions the operators and traces its depth-first tree holds.  The
 # same 1 MiB bounds the row blocks of tensor's checks (tensor.HOLD_BYTES).
 STACK_HOLD_BYTES = HOLD_BYTES
 
@@ -232,37 +252,87 @@ def odd_inversions(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int, 
     """Yield ``(T, I_T(mat))`` once for every mask T of odd size, in a
     fixed depth-first (not ascending) order; each D x D operator is a
     fresh array that the caller owns, bit for bit
-    :func:`invert_product` ``(mat, dims, T)``.
+    :func:`invert_product` ``(mat, dims, T)``.  ``mat`` is never written.
 
-    The factors of parties 1..k run as a depth-first tree over their
-    signs, k = min(N, STACK_HOLD_BYTES // (16 D^2)): each child of a node
-    is one :func:`invert_product` call on it for one party, made when its
-    subtree starts, so each factor is applied once per node and shared by
-    every mask below it, and the tree holds at most k operators of D^2
-    entries, within :data:`STACK_HOLD_BYTES` (4 at 7 qubits, 1 at 8).
-    ``mat`` is never written.  Each leaf applies the factors of parties
-    k+1..N with one more call per mask; from k = 0 (D >= 512) that is the
-    one-mask route, one call on ``mat`` per mask."""
-    k = min(dims.n, STACK_HOLD_BYTES // (16 * dims.total**2))
-    return _odd_subtree(mat, dims, k, 0, 0)
+    The factors run as a depth-first tree over the parties' signs, party
+    1 first.  A node's one-party trace is taken once and both sign
+    children are formed from it (:func:`_add_factor`): the second in
+    place of the node, before the first child's subtree runs, unless the
+    node is ``mat``, whose trace is then held for its copy.  So each
+    node's trace and factor are shared by every mask below it.  The last
+    party forms only the child of odd size, one :func:`invert_product`
+    call on its node.  What the tree holds beyond the operator it yields
+    stays within :data:`STACK_HOLD_BYTES`, each operator counted as 16 D^2
+    bytes and each held trace by its entries: a node whose children do
+    not fit yields each odd mask below it from its own copy, with the
+    first factor from its trace held (if that fits) and the rest of the
+    factors in place.  At 7 qubits the tree runs 149 one-party traces
+    and 206 factors for the 64 masks (the per-mask route: 448 of each);
+    at 8 qubits only mat's two children fit, and from D = 512 mat's trace
+    at most, so each mask there is nearly the one-mask route."""
+    d = dims.total
+    return _odd_subtree(np.asarray(mat, dtype=np.complex128).reshape(1, d * d), dims, 0, 0, None)
 
 
 def _odd_subtree(
-    node: np.ndarray, dims: SubsystemDims, k: int, j: int, mask: int
+    node: np.ndarray, dims: SubsystemDims, j: int, mask: int, held: int | None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The odd masks of :func:`odd_inversions` whose bits 0..j-1 are those
-    of ``mask``, from ``node``, the operand with the factors of parties
-    1..j applied (the last party forms only the child of odd size)."""
-    n = dims.n
-    if j == k:
-        rest = dims.full_mask >> k << k
-        for t in range(mask, 1 << n, 1 << k):
-            if t.bit_count() % 2:
-                yield t, invert_product(node, dims, t, rest) if rest else node
+    of ``mask``, from ``node``, the (1, D^2) operand with the factors of
+    parties 1..j applied.  ``held`` is the bytes that the tree holds,
+    ``node`` included, or None when ``node`` is ``mat``."""
+    size, traced_size = 16 * dims.total**2, 16 * (dims.total // dims.dims[j]) ** 2
+    block = 1 << j
+    if j == dims.n - 1:
+        t = mask | (1 - mask.bit_count() % 2) << j
+        yield t, invert_product(node, dims, t, block)
         return
-    for bit in (0, 1) if j < n - 1 else (1 - mask.bit_count() % 2,):
-        t = mask | bit << j
-        yield from _odd_subtree(invert_product(node, dims, t, 1 << j), dims, k, j + 1, t)
+    if (held or 0) + size > STACK_HOLD_BYTES:
+        shared = (held or 0) + traced_size <= STACK_HOLD_BYTES
+        yield from _odd_leaves(node, dims, j, mask, _block_trace(node, dims, block) if shared
+                               else None)
+        return
+    traced = _block_trace(node, dims, block)
+    first = node.copy()
+    _add_factor(first, dims, block, traced, 1.0)
+    if held is not None:  # the second child in place of the node
+        _add_factor(node, dims, block, traced, -1.0)
+        del traced
+        yield from _odd_subtree(first, dims, j + 1, mask, held + size)
+        del first
+        yield from _odd_subtree(node, dims, j + 1, mask | block, held)
+        return
+    if size + traced_size > STACK_HOLD_BYTES:  # mat's trace is taken again
+        traced = None
+    yield from _odd_subtree(first, dims, j + 1, mask, size + (traced_size if traced is not None
+                                                                else 0))
+    del first
+    second = node.copy()
+    _add_factor(second, dims, block, _block_trace(node, dims, block) if traced is None
+                else traced, -1.0)
+    del traced
+    yield from _odd_subtree(second, dims, j + 1, mask | block, size)
+
+
+def _odd_leaves(
+    node: np.ndarray, dims: SubsystemDims, j: int, mask: int, traced: np.ndarray | None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The odd masks of :func:`_odd_subtree` from ``node`` one at a time:
+    the factors of parties j+1..N on a copy of it, the first from
+    ``traced``, its held trace, unless that is None."""
+    d = dims.total
+    rest = dims.full_mask >> j << j
+    for t in range(mask, 1 << dims.n, 1 << j):
+        if t.bit_count() % 2 == 0:
+            continue
+        if traced is None:
+            yield t, invert_product(node, dims, t, rest)
+            continue
+        out = node.copy()
+        weights = {b: w for b, w in _inversion_weights(dims.n, t).items() if b & rest}
+        _add_factor(out, dims, 1 << j, traced, weights.pop(1 << j))
+        _factors_in_place(out, dims, weights)
+        yield t, out.reshape(d, d)
 
 
 def _channel_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, ...]]:

@@ -30,13 +30,13 @@ its command line from its standard input, from the position it starts
 at, and writes its answer to a temporary file made by
 ``tempfile.TemporaryFile`` in ``tempfile``'s default directory and
 unlinked at creation, so nothing is left on disk.  The writer gives it
-the float64 bytes of its rows in one more such file and copies the text
-it answers.  The reader gives it the state file itself, positioned at
-its share of the rows (this process reads the file with ``os.pread``,
-which leaves that position alone), and reads the float64 rows it
-answers straight into the array.  Exit status 0 with an answer of the
-expected size is the only success: 16*D bytes a row for the reader, the
-ASCII text of its rows for the writer.  A helper that cannot start, or
+the float64 bytes of its rows in one more such file, checks the text it
+answers and copies it, a piece at a time.  The reader gives it the state
+file itself, positioned at its share of the rows (this process reads the
+file with ``os.pread``, which leaves that position alone), and reads the
+float64 rows it answers straight into the array.  Exit status 0 with an
+answer of the expected size is the only success: 16*D bytes a row for the
+reader, the ASCII text of its rows for the writer.  A helper that cannot start, or
 whose files cannot be made, has its rows coded here.  A writer's helper
 that answers anything else has its rows encoded here too; a reader's
 sends the file to ``json.loads``, as an irregular row does.  So the
@@ -56,7 +56,8 @@ files is not measured.  Then, with the reader's helper disabled, the
 
 Measured with tracemalloc (numpy 2.4.6, Python 3.11.7), writing an
 8-qubit mixed file peaks at 0.1 D x D complex arrays in one process and
-1.5 with a helper (its text, held until it has exited cleanly).  Reading
+0.2 with a helper (0.06 at D = 512), whose answer is checked and then
+copied a :data:`_PIECE` at a time, never held whole.  Reading
 it in place peaks at 2.2 arrays, helper or not, with no term in the
 file's length: the row array and about 1.2 MB of pieces of text and
 their rows, which at D = 512 is 1.3 arrays.  Holding the file's bytes
@@ -195,17 +196,18 @@ def _helper(mode: str, d: int, rows: memoryview | IO[bytes],
 
 
 def _answer(helper: _Helper | None,
-            out: memoryview | None = None) -> memoryview | bytearray | None:
-    """The helper's answer once it has exited: read into ``out``, or into
-    a new buffer of its length when ``out`` is None.  None when there is
-    no helper, it exited with a status other than 0, or its answer is not
-    exactly as long as ``out``."""
+            out: memoryview | None = None) -> memoryview | IO[bytes] | None:
+    """The helper's answer once it has exited: read into ``out``, or, when
+    ``out`` is None, its file, unread.  None when there is no helper, it
+    exited with a status other than 0, or its answer is not exactly as
+    long as ``out``."""
     if helper is None or helper[0].wait() != 0:
         return None
     answer = helper[1]
+    if out is None:
+        return answer
     try:
         size = answer.seek(0, os.SEEK_END)
-        out = bytearray(size) if out is None else out
         answer.seek(0)
         return out if len(out) == size and answer.readinto(out) == size else None
     except OSError:
@@ -222,9 +224,40 @@ def _joined(texts: Iterator[str]) -> Iterator[str]:
         yield text
 
 
+def _pieces(answer: IO[bytes]) -> Iterator[bytes]:
+    """The bytes of the file ``answer`` from its start, :data:`_PIECE` at a time."""
+    answer.seek(0)
+    while piece := answer.read(_PIECE):
+        yield piece
+
+
+def _rows_text(answer: IO[bytes] | None, n: int) -> bool:
+    """Whether the answer file holds the ASCII text of n rows: at least 4
+    bytes, from ``[[`` to ``]]``, with n - 1 row separators; read a piece
+    at a time, so the text is never held whole."""
+    if answer is None:
+        return False
+    sep = b"]], [["
+    head = tail = b""
+    count = size = 0
+    try:
+        for piece in _pieces(answer):
+            if not piece.isascii():
+                return False
+            head = head or piece[:2]
+            joined = tail + piece  # a separator may span two pieces
+            count += joined.count(sep)
+            tail = joined[1 - len(sep):]
+            size += len(piece)
+    except OSError:
+        return False
+    return size >= 4 and head == b"[[" and tail.endswith(b"]]") and count == n - 1
+
+
 def _mixed_data(pairs: np.ndarray) -> Iterator[str]:
     """The text of a mixed state's ``data``: its rows joined by ``", "`` in
-    brackets, the last rows coded by a helper process when it is large."""
+    brackets, the last rows coded by a helper process when it is large.
+    The helper's answer is checked, then copied, a piece at a time."""
     d = len(pairs)
     raw = memoryview(pairs).cast("B")
     n = _helper_rows(d)
@@ -235,15 +268,12 @@ def _mixed_data(pairs: np.ndarray) -> Iterator[str]:
         yield next(texts)
         yield from _joined(texts)
         # any answer but the ASCII text of its rows has them encoded here
-        text = _answer(helper)
-        if text is None or not (
-                text.isascii() and text.startswith(b"[[") and text.endswith(b"]]")
-                and text.count(b"]], [[") == n - 1):
-            yield from _joined(_rowcodec.encode(raw[split:], d))
-        else:
+        answer = _answer(helper)
+        if _rows_text(answer, n):
             yield ", "
-            view = memoryview(text)
-            yield from (str(view[k:k + _PIECE], "ascii") for k in range(0, len(text), _PIECE))
+            yield from (str(piece, "ascii") for piece in _pieces(answer))
+        else:
+            yield from _joined(_rowcodec.encode(raw[split:], d))
         yield "]"
 
 

@@ -10,8 +10,8 @@ import numpy as np
 
 from .dims import SubsystemDims, mask_bitstring
 from .tensor import (
-    _add_adjoint, _require_finite, _require_hermitian, block_product, partial_trace,
-    psd_violation, subset_purities, trace_product,
+    HOLD_BYTES, _add_adjoint, _require_finite, _require_hermitian, block_product,
+    lower_completion, partial_trace, psd_violation, subset_purities, trace_product,
 )
 
 TOL_TRACE = 1e-10
@@ -37,6 +37,10 @@ class DensityMatrix:
     nothing else references (``ginibre_mixed``, the state-file reader)
     sets it, and the state keeps that array, made read-only, instead of a
     copy.
+
+    :attr:`operand` is the exactly Hermitian matrix that the positive maps
+    (``marginal``, ``detect``) act on, so that nothing built from it is
+    checked again.
     """
 
     matrix: np.ndarray
@@ -51,9 +55,10 @@ class DensityMatrix:
             raise ValueError(
                 f"density matrix shape {mat.shape} does not match total dimension {d}"
             )
-        _require_density(mat, psd=not _psd_known)
+        exact = _require_density(mat, psd=not _psd_known) == 0.0
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_exact", exact)
 
     @classmethod
     def from_product(
@@ -88,6 +93,20 @@ class DensityMatrix:
     def purities(self) -> np.ndarray:
         """Tr(rho_S^2) for every subset S, indexed by bitmask; one sweep, cached."""
         return subset_purities(self.matrix, self.dims)
+
+    @cached_property
+    def operand(self) -> np.ndarray:
+        """The state's matrix made exactly Hermitian, read-only: the matrix
+        itself when validation measured a Hermiticity defect of exactly
+        0.0 (every matrix ``make-state`` and the zoo write), else its
+        :func:`~qinvert.tensor.lower_completion`, the matrix that
+        validation's Cholesky certificate and ``eigvalsh`` read.  Formed
+        on first use and cached."""
+        if self._exact:
+            return self.matrix
+        out = lower_completion(self.matrix)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,24 +146,41 @@ def gram_density(g: np.ndarray) -> np.ndarray:
     """G G^dag / Tr(G G^dag), averaged with its adjoint so it is exactly
     Hermitian, for one D x r matrix or each member of an (M, D, r) stack;
     every step works member by member, so a stack's member i is bit for
-    bit the matrix of its own ``g[i]``.  The matrix is symmetrized and
-    normalized in place; each step is the same complex ufunc as the
-    out-of-place expression, so the result is bit for bit ``(m + m^dag)
-    / 2 / tr``.  Unchecked: :func:`~qinvert.zoo.ginibre_mixed` validates
-    one state, and a stack's caller checks the stack."""
-    mat = g @ g.conj().swapaxes(-1, -2)
+    bit the matrix of its own ``g[i]``.  One matrix's product is formed a
+    block of columns at a time, each from a conjugated block of rows of G,
+    the two within about :data:`~qinvert.tensor.HOLD_BYTES`, so G's whole
+    conjugate is never held; each block is the one-shot product's columns
+    bit for bit (OpenBLAS ``zgemm``, numpy 2.4.6: D = 300 and 512, blocks
+    of 16 to 256 columns).  A stack takes the one-shot product.  The matrix is
+    symmetrized and normalized in place; each step is the same complex
+    ufunc as the out-of-place expression, so the result is bit for bit
+    ``(m + m^dag) / 2 / tr``.  Unchecked:
+    :func:`~qinvert.zoo.ginibre_mixed` validates one state, and a stack's
+    caller checks the stack."""
+    if g.ndim == 2:
+        d, r = g.shape
+        mat = np.empty((d, d), dtype=g.dtype)
+        # blocks of even width, so no last block of one column takes numpy's
+        # matrix-vector route
+        blocks = -(-d * 16 * (d + r) // HOLD_BYTES)
+        bounds = [d * k // blocks for k in range(blocks + 1)]
+        for i, j in zip(bounds, bounds[1:]):
+            np.matmul(g, g[i:j].conj().T, out=mat[:, i:j])
+    else:
+        mat = g @ g.conj().swapaxes(-1, -2)
     _add_adjoint(mat)
     mat /= 2.0
     mat /= np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
     return mat
 
 
-def _require_density(mat: np.ndarray, psd: bool = True) -> None:
+def _require_density(mat: np.ndarray, psd: bool = True) -> float:
     """The checks of :class:`DensityMatrix` on one matrix or each member of a
     (M, D, D) stack the caller owns: finite, Hermitian, unit trace and,
     with ``psd``, one PSD certificate, shifted and restored in place; a
-    stack's errors give its worst member."""
-    _require_hermitian(mat, "density matrix")
+    stack's errors give its worst member.  Returns the largest
+    Hermiticity defect."""
+    defect = _require_hermitian(mat, "density matrix")
     what = "density matrix" if mat.ndim == 2 else "density matrix stack"
     traces = np.trace(mat, axis1=-2, axis2=-1).reshape(-1)
     tr = complex(traces[np.argmax(np.abs(traces - 1.0))])
@@ -153,6 +189,7 @@ def _require_density(mat: np.ndarray, psd: bool = True) -> None:
     lo = psd_violation(mat, TOL_PSD, True) if psd else None  # owned: shifted in place
     if lo is not None:
         raise ValueError(f"{what} has negative eigenvalue {lo:.3e} below -{TOL_PSD}")
+    return defect
 
 
 def purity(rho: DensityMatrix) -> float:

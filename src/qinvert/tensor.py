@@ -72,6 +72,25 @@ def herm_defect(a: np.ndarray) -> float | np.ndarray:
     return float(defect) if a.ndim == 2 else defect
 
 
+def lower_completion(a: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian matrix that ``eigvalsh`` and
+    ``np.linalg.cholesky`` read from a square matrix: a copy with the real
+    part of its diagonal, its strict lower triangle, and the conjugate of
+    that triangle above the diagonal.  Completed a block of rows at a
+    time, so the temporaries stay within :data:`HOLD_BYTES`."""
+    out = np.array(a, dtype=np.complex128, order="C")
+    d = out.shape[-1]
+    step = max(1, HOLD_BYTES // (16 * d))
+    for i in range(0, d, step):
+        stop = min(i + step, d)
+        out[i:stop, stop:] = np.conjugate(out[stop:, i:stop]).T
+        square = out[i:stop, i:stop]
+        upper = np.triu_indices(stop - i, 1)
+        square[upper] = np.conjugate(square.T[upper])
+    np.einsum("ii->i", out).imag = 0.0
+    return out
+
+
 def _add_adjoint(mat: np.ndarray) -> None:
     """m_ij + conj(m_ji) into every entry of a square matrix (or each
     member of a stack) in place, by pairs of mirrored square blocks: each
@@ -255,16 +274,18 @@ def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> np.ndarray:
     return out
 
 
-def _require_hermitian(h: np.ndarray, what: str, tol_herm: float = TOL_HERM) -> None:
+def _require_hermitian(h: np.ndarray, what: str, tol_herm: float = TOL_HERM) -> float:
     """Check an operator, or every member of a (K, D, D) stack, finite and
-    Hermitian within ``tol_herm``; the errors name it ``what``, and for a
-    stack the Hermiticity error gives its worst member."""
+    Hermitian within ``tol_herm``, and return the largest Hermiticity
+    defect; the errors name it ``what``, and for a stack the Hermiticity
+    error gives its worst member."""
     _require_finite(h, what if h.ndim == 2 else f"{what} stack")
     defects = np.atleast_1d(herm_defect(h))
     k = int(np.argmax(defects))
     if defects[k] > tol_herm:
         name = what if h.ndim == 2 else f"{what} {k} of the stack"
         raise ValueError(f"{name} is not Hermitian: max |h - h^dag| = {defects[k]:.3e}")
+    return float(defects[k])
 
 
 def min_eigenvalue(h: np.ndarray, tol_herm: float = TOL_HERM) -> float:

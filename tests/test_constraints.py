@@ -26,7 +26,7 @@ from qinvert.dims import SubsystemDims, mask_bitstring
 from qinvert.invariants import c_t_squared, invariant_table
 from qinvert.inversion import STACK_HOLD_BYTES, invert_product, invert_sum
 from qinvert.states import DensityMatrix, PureState
-from qinvert.tensor import embed, min_eigenvalue, partial_trace
+from qinvert.tensor import embed, herm_defect, min_eigenvalue, partial_trace
 from qinvert.zoo import (
     bell_pair_with_mixed_qubit,
     bell_state,
@@ -439,14 +439,13 @@ def traced_peak(build, rho):
 
 
 def test_the_depth_first_witnesses_hold_at_most_the_stack_budget_more(monkeypatch):
-    """At 7 qubits the tree is k = 4 parties deep, so while a witness is
-    solved it holds four D^2 operators, 16 k D^2 = STACK_HOLD_BYTES, above
-    the per-mask route of the same code (STACK_HOLD_BYTES = 0): that bound
-    is structural, plus 16 KiB for the tree's generator frames and weight
-    dicts (2,624 bytes measured).  Against the parent's route, which kept
-    a report entry per solved mask, it peaks 38,720 bytes below
-    STACK_HOLD_BYTES more (numpy 2.4.6, Python 3.11.7: 1,973,856 against
-    963,344 traced bytes).  The lines are the parent's."""
+    """The tree counts what it holds for masks still to come, each D^2
+    operator and each held one-party trace, against STACK_HOLD_BYTES, so
+    while a witness is solved it holds at most that much above the
+    per-mask route of the same code (STACK_HOLD_BYTES = 0): that bound is
+    structural, plus 16 KiB for the tree's generator frames and weight
+    dicts.  Against the route that kept a report entry per solved mask,
+    it peaks below STACK_HOLD_BYTES more.  The lines are that route's."""
     rho = ginibre_mixed(SubsystemDims((2,) * 7), 1)
     parent, reference = traced_peak(per_mask_marginal_report, rho)
     with monkeypatch.context() as patch:
@@ -456,6 +455,52 @@ def test_the_depth_first_witnesses_hold_at_most_the_stack_budget_more(monkeypatc
     assert peak <= per_mask + STACK_HOLD_BYTES + (1 << 14)
     assert peak <= parent + STACK_HOLD_BYTES
     assert report == per_mask_report == reference
+
+
+def hermitian_within_tolerance(n, defect=4e-11, seed=1):
+    """A valid n-qubit Ginibre state plus an anti-Hermitian perturbation
+    with zero diagonal, so its matrix has Hermiticity defect ``defect``,
+    inside the 1e-10 tolerance, and unit trace."""
+    dims = SubsystemDims((2,) * n)
+    rho = ginibre_mixed(dims, seed).matrix
+    rng = np.random.default_rng(seed)
+    k = np.triu(rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape), 1)
+    k -= k.conj().T
+    k *= defect / 2 / np.abs(k).max()
+    return DensityMatrix(rho + k, dims)
+
+
+def lower_triangle(mat):
+    """What eigvalsh and the Cholesky certificate read of ``mat``, as an
+    exactly Hermitian matrix: its real diagonal and strict lower triangle."""
+    low = np.tril(mat, -1)
+    return low + low.conj().T + np.diag(mat.diagonal().real)
+
+
+def test_a_state_hermitian_within_tolerance_gets_the_witnesses_of_its_lower_triangle():
+    """A 5-qubit state with Hermiticity defect 4e-11 is accepted, and its
+    witnesses are those of its lower-triangle completion: every marginal
+    value is the per-mask route's (invert_product plus eigvalsh) on that
+    completion, bit for bit, where checking each witness again would
+    reject it (the sums amplify the defect to about 6e-10)."""
+    rho = hermitian_within_tolerance(5)
+    assert 3.9e-11 < herm_defect(rho.matrix) < 4.1e-11
+    op = lower_triangle(rho.matrix)
+    assert np.array_equal(rho.operand, op) and herm_defect(rho.operand) == 0.0
+    assert not rho.operand.flags.writeable and rho.operand is rho.operand
+    odd = [t for t in rho.dims.subset_masks() if bin(t).count("1") % 2]
+    want = [float(np.linalg.eigvalsh(invert_product(op, rho.dims, t) + op)[0]) for t in odd]
+    assert [e.value for e in marginal_report(rho).entries] == want
+    assert [w.min_eig for w in marginal_witnesses(rho)] == want
+    raw = invert_product(rho.matrix, rho.dims, 0b10101) + rho.matrix
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        min_eigenvalue(raw)  # the check the witnesses no longer run
+
+
+def test_an_exactly_hermitian_state_is_its_own_operand():
+    rho = ginibre_mixed(SubsystemDims((2, 3, 2)), 4)
+    assert herm_defect(rho.matrix) == 0.0
+    assert rho.operand is rho.matrix
 
 
 def test_witness_sign_vectors_are_linearly_independent():
