@@ -287,10 +287,10 @@ def _odd_subtree(
         t = mask | (1 - mask.bit_count() % 2) << j
         yield t, invert_product(node, dims, t, block)
         return
-    if (held or 0) + size > STACK_HOLD_BYTES:
+    if (held or 0) + size > STACK_HOLD_BYTES:  # no room for a child
         shared = (held or 0) + traced_size <= STACK_HOLD_BYTES
-        yield from _odd_leaves(node, dims, j, mask, _block_trace(node, dims, block) if shared
-                               else None)
+        traced = _block_trace(node, dims, block) if shared else None
+        yield from _odd_leaves(node, dims, j, mask, traced)
         return
     traced = _block_trace(node, dims, block)
     first = node.copy()
@@ -302,14 +302,14 @@ def _odd_subtree(
         del first
         yield from _odd_subtree(node, dims, j + 1, mask | block, held)
         return
-    if size + traced_size > STACK_HOLD_BYTES:  # mat's trace is taken again
-        traced = None
-    yield from _odd_subtree(first, dims, j + 1, mask, size + (traced_size if traced is not None
-                                                                else 0))
+    # node is mat: its second child is a copy, from mat's trace held
+    # meanwhile if that fits, else from the trace taken again
+    keep = size + traced_size <= STACK_HOLD_BYTES
+    traced = traced if keep else None
+    yield from _odd_subtree(first, dims, j + 1, mask, size + traced_size * keep)
     del first
     second = node.copy()
-    _add_factor(second, dims, block, _block_trace(node, dims, block) if traced is None
-                else traced, -1.0)
+    _add_factor(second, dims, block, traced if keep else _block_trace(node, dims, block), -1.0)
     del traced
     yield from _odd_subtree(second, dims, j + 1, mask | block, size)
 

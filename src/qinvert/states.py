@@ -149,9 +149,11 @@ def gram_density(g: np.ndarray) -> np.ndarray:
     bit the matrix of its own ``g[i]``.  One matrix's product is formed a
     block of columns at a time, each from a conjugated block of rows of G,
     the two within about :data:`~qinvert.tensor.HOLD_BYTES`, so G's whole
-    conjugate is never held; each block is the one-shot product's columns
-    bit for bit (OpenBLAS ``zgemm``, numpy 2.4.6: D = 300 and 512, blocks
-    of 16 to 256 columns).  A stack takes the one-shot product.  The matrix is
+    conjugate is never held.  Blocks start at multiples of 8 columns, so
+    each is the one-shot product's columns bit for bit (OpenBLAS
+    ``zgemm``, numpy 2.4.6, measured for D = 65 to 512 and widths of 8 to
+    128; a block starting at column 100 or 102 is not).  A stack takes the
+    one-shot product.  The matrix is
     symmetrized and normalized in place; each step is the same complex
     ufunc as the out-of-place expression, so the result is bit for bit
     ``(m + m^dag) / 2 / tr``.  Unchecked:
@@ -160,11 +162,14 @@ def gram_density(g: np.ndarray) -> np.ndarray:
     if g.ndim == 2:
         d, r = g.shape
         mat = np.empty((d, d), dtype=g.dtype)
-        # blocks of even width, so no last block of one column takes numpy's
-        # matrix-vector route
-        blocks = -(-d * 16 * (d + r) // HOLD_BYTES)
-        bounds = [d * k // blocks for k in range(blocks + 1)]
-        for i, j in zip(bounds, bounds[1:]):
+        # a block starting inside one of OpenBLAS's column panels (up to 8
+        # wide), or a last block of one column (numpy's matrix-vector
+        # route), rounds differently
+        step = max(8, HOLD_BYTES // (16 * (d + r)) // 8 * 8)
+        starts = list(range(0, d, step))
+        if len(starts) > 1 and d - starts[-1] == 1:
+            starts.pop()
+        for i, j in zip(starts, starts[1:] + [d]):
             np.matmul(g, g[i:j].conj().T, out=mat[:, i:j])
     else:
         mat = g @ g.conj().swapaxes(-1, -2)

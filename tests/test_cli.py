@@ -237,6 +237,39 @@ def test_detect_product_state_inconclusive(capsys, tmp_path):
     assert lines[0]["verdict"] == "inconclusive"
 
 
+def test_marginal_and_detect_accept_a_file_hermitian_only_within_tolerance(capsys, tmp_path):
+    """A valid 5-qubit file whose matrix has Hermiticity defect 4e-11,
+    inside the 1e-10 tolerance: ``check --families marginal`` and
+    ``detect`` exit 0 (the witnesses and the map's output amplify the
+    defect to 2e-10 to 7e-10, which a check of each operator built from
+    the state would reject), with the values of the per-mask route
+    (invert_product plus eigvalsh) on the state's lower-triangle
+    completion, bit for bit."""
+    dims = SubsystemDims((2,) * 5)
+    rho = ginibre_mixed(dims, 1).matrix
+    rng = np.random.default_rng(1)
+    k = np.triu(rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape), 1)
+    k -= k.conj().T
+    k *= 2e-11 / np.abs(k).max()
+    path = tmp_path / "within.json"
+    write_state_file(path, states.DensityMatrix(rho + k, dims))
+    state = read_state_file(path)
+    assert 3.9e-11 < tensor.herm_defect(state.matrix) < 4.1e-11
+    low = np.tril(state.matrix, -1)
+    op = low + low.conj().T + np.diag(state.matrix.diagonal().real)
+    code, lines = run(capsys, "check", "--state", str(path), "--families", "marginal")
+    assert code == 0 and len(lines) == 16
+    for line in lines:
+        t = int(line["label"][::-1], 2)
+        assert line["value"] == np.linalg.eigvalsh(invert_product(op, dims, t) + op)[0]
+    code, lines = run(capsys, "detect", "--state", str(path), "--act-on", "1,2,3,4,5",
+                      "--t", "1,2,3")
+    params = inversion.DetectionParams(t=0b00111, act_on=0b11111)
+    assert code == 0
+    assert lines[0]["value"] == np.linalg.eigvalsh(
+        inversion.apply_detection_map(op, dims, params))[0]
+
+
 def test_detect_rejects_out_of_range_weight(capsys, bell_file):
     code, _ = run(capsys, "detect", "--state", bell_file,
                   "--act-on", "2", "--t", "2", "--alpha", "1.5")

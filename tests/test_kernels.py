@@ -560,14 +560,18 @@ def test_stacked_factor_kernel_is_bit_identical_to_single_calls(dims, k, seed, d
         assert bit_identical(got[i], inversion._apply_factors(stack[i], dims, own)[0])
 
 
-@pytest.mark.parametrize("depth", ["per_mask", "one_level", "full"])
+@pytest.mark.parametrize("depth", ["per_mask", "one_level", "shared_leaves", "full"])
 @PROPERTY
 @given(dims=subsystem_dims(), seed=seeds)
 def test_odd_inversions_yield_each_odd_mask_once_as_invert_product(depth, dims, seed):
     """Every odd-size mask comes once, as a fresh operator bit for bit its
-    invert_product, whether the held chain allows no party (the per-mask
-    route), one operator (a one-level tree) or every party."""
-    hold = {"per_mask": 0, "one_level": 16 * dims.total**2, "full": 1 << 30}[depth]
+    invert_product, whether the hold bound allows no operator (the
+    per-mask route), one (a one-level tree, mat's trace taken again for
+    its second child), one and a half (mat's trace held, then leaves that
+    share their node's trace) or every party (second children formed in
+    place of their nodes)."""
+    hold = {"per_mask": 0, "one_level": 16 * dims.total**2, "shared_leaves": 24 * dims.total**2,
+            "full": 1 << 30}[depth]
     mat = random_operator(dims, seed)
     before = mat.copy()
     with mock.patch.object(inversion, "STACK_HOLD_BYTES", hold):
@@ -577,6 +581,33 @@ def test_odd_inversions_yield_each_odd_mask_once_as_invert_product(depth, dims, 
     for t, w in got:
         assert w.flags.writeable and not np.shares_memory(w, mat)
         assert bit_identical(w, invert_product(mat, dims, t))
+
+
+@PROPERTY
+@given(dims=subsystem_dims(), seed=seeds)
+@example(dims=SubsystemDims((3, 3, 3)), seed=2)
+@example(dims=SubsystemDims((2, 3, 4)), seed=3)
+@example(dims=SubsystemDims((2,) * 8), seed=4)  # D = 256: a one-level tree
+def test_exactly_hermitian_input_gives_exactly_hermitian_inversions_and_detection(dims, seed):
+    """On exactly Hermitian finite input every odd_inversions member and the
+    detection map's output are exactly Hermitian (herm_defect 0.0): each
+    trace, real scale and diagonal add maps conjugate entry pairs to
+    conjugate pairs, which lets marginal and detect skip checking what
+    they build from a validated state.  Every member is invert_product's
+    byte for byte."""
+    m = random_operator(dims, seed)
+    h = m + m.conj().T
+    assert herm_defect(h) == 0.0
+    got = list(odd_inversions(h, dims))
+    assert len(got) == 1 << (dims.n - 1)
+    for t, w in got:
+        assert herm_defect(w) == 0.0
+        assert bit_identical(w, invert_product(h, dims, t))
+    rng = np.random.default_rng(seed)
+    act_on = int(rng.integers(1, dims.full_mask + 1))
+    params = DetectionParams(t=int(rng.integers(0, dims.full_mask + 1)) & act_on, act_on=act_on,
+                             alpha=float(rng.uniform()), beta=float(rng.uniform()))
+    assert herm_defect(apply_detection_map(h, dims, params)) == 0.0
 
 
 @PROPERTY

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qinvert import states
+from qinvert import states, tensor
 from qinvert.constraints import correlation_report, entropy_inequalities, monogamy_report
 from qinvert.dims import SubsystemDims
 from qinvert.invariants import invariant_table
@@ -183,6 +185,35 @@ def test_gram_states_are_the_out_of_place_expression_bit_for_bit(local_dims, ran
     g = _ginibre_factor(dims, seed, 0, rank)
     assert rho.matrix.tobytes() == gram_out_of_place(g).tobytes()
     assert not rho.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("d, r, hold", [
+    (512, 512, None), (512, 4, None), (301, 301, None), (301, 301, 16 * 602 * 7),
+    (129, 4, 16 * 133 * 64), (121, 400, None),
+])
+def test_a_gram_state_by_column_blocks_is_the_one_shot_product_bit_for_bit(monkeypatch, d, r,
+                                                                          hold):
+    """One D x r factor's product is formed a block of columns at a time,
+    each starting at a multiple of 8 columns: at D = 512 (blocks of 64 or
+    120), at D = 301 (104, 104 and 93, or 8 at a time, the last 5 wide),
+    and with a last column merged into the block before it (D = 129 and
+    121), all bit for bit the one-shot product that a stack of the same
+    factor takes.  Beyond G it holds the result and one block, not G's
+    whole conjugate."""
+    if hold is not None:
+        monkeypatch.setattr(states, "HOLD_BYTES", hold)
+    rng = np.random.default_rng(d + r)
+    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    one_shot = gram_out_of_place(g).tobytes()
+    assert gram_density(g[np.newaxis])[0].tobytes() == one_shot
+    tracemalloc.start()
+    try:
+        got = gram_density(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == one_shot
+    assert peak <= got.nbytes + tensor.HOLD_BYTES + (1 << 12)
 
 
 def test_an_owned_array_is_kept_and_any_other_is_copied():
