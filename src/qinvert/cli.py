@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -70,10 +70,43 @@ if TYPE_CHECKING:
     Rows = list[tuple[str, float, float]]
 
 
+def _plain(token: str, what: str) -> str:
+    """``token``, unless it holds ``_`` or a non-ASCII character, which
+    ``int()`` and ``float()`` read as digit separators and as digits but
+    no number on the command line may hold: then an error naming ``what``
+    (the option or variable) and the token."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"{what} holds {token!r}, not a plain ASCII number")
+    return token
+
+
+def _number(kind: type) -> Callable[[str], int | float]:
+    """``kind`` (int or float) as an argparse type that also refuses what
+    :func:`_plain` refuses; argparse names the option."""
+    def parse(text: str) -> int | float:
+        try:
+            _plain(text, "the value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _party_list(text: str, what: str) -> int:
+    """:func:`~qinvert.dims.parse_party_list` of ``text``, each party a
+    :func:`_plain` number."""
+    for tok in text.split(","):
+        _plain(tok, what)
+    return parse_party_list(text)
+
+
 def _dim_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_DIM_CAP
+    _plain(raw, CAP_ENV_VAR)
     try:
         return int(raw)
     except ValueError as exc:
@@ -152,8 +185,9 @@ def _read_state(path: str) -> DensityMatrix | PureState:
 
 
 def _parse_dims(text: str) -> SubsystemDims:
+    tokens = [_plain(tok, "--dims") for tok in text.split(",")]
     try:
-        dims = tuple(int(tok) for tok in text.split(","))
+        dims = tuple(int(tok) for tok in tokens)
     except ValueError as exc:
         raise ValueError(f"cannot parse dims {text!r}") from exc
     return SubsystemDims(dims, cap=_dim_cap())
@@ -207,7 +241,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         if "" in tokens:
             raise ValueError(f'--masks token {tokens.index("") + 1} is empty; '
                              '"0" names the empty mask')
-        masks = [0 if tok == "0" else parse_party_list(tok) for tok in tokens]
+        masks = [0 if tok == "0" else _party_list(tok, f"--masks token {i}")
+                 for i, tok in enumerate(tokens, 1)]
     state = _read_state(args.state)
     masks = (list(state.dims.subset_masks()) if masks is None
              else [_within(t, state.dims, f"--masks token {i}") for i, t in enumerate(masks, 1)])
@@ -226,10 +261,10 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
-    act_on = parse_party_list(args.act_on)
+    act_on = _party_list(args.act_on, "--act-on")
     if act_on == 0:
         raise ValueError("--act-on must name at least one party")
-    t = parse_party_list(args.t) if args.t else 0
+    t = _party_list(args.t, "--t") if args.t else 0
     alpha = _parse_weights(args.alpha, "--alpha")
     beta = _parse_weights(args.beta, "--beta")
     params = DetectionParams(t=t, act_on=act_on, alpha=alpha, beta=beta)
@@ -252,6 +287,7 @@ def _parse_weights(text: str | None, option: str) -> dict[int, float] | float:
     if text is None:
         return 1.0
     if ":" not in text:
+        _plain(text, option)
         try:
             return float(text)
         except ValueError:
@@ -259,6 +295,8 @@ def _parse_weights(text: str | None, option: str) -> dict[int, float] | float:
     table = {}
     for tok in text.split(","):
         party, _, weight = tok.partition(":")
+        _plain(party, option)
+        _plain(weight, option)
         try:
             key, value = int(party), float(weight)
         except ValueError:
@@ -470,7 +508,7 @@ def _suite_report(suite: str, battery: Rows) -> ConstraintReport:
 
 def cmd_make_state(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)
-    s = _within(parse_party_list(args.s), dims, "--s") if args.s else None
+    s = _within(_party_list(args.s, "--s"), dims, "--s") if args.s else None
     recipe = StateRecipe(
         kind=args.kind, dims=dims, s=s, seed=_seed(args.seed), rank=args.rank
     )
@@ -504,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="path to a JSON state file")
     p.add_argument("--families", default=None,
                    help=f"comma list from: {', '.join(FAMILIES)} (default: all)")
-    p.add_argument("--tol", type=float, default=PASS_TOL)
+    p.add_argument("--tol", type=_number(float), default=PASS_TOL)
     p.add_argument("--out", default=None, help="report file (default: stdout)")
     p.set_defaults(fn="cmd_check")
 
@@ -513,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masks", default="all",
                    help='"all" or semicolon-separated party lists, e.g. "1;2;1,2" '
                         '("0" is the empty mask)')
-    p.add_argument("--tol", type=float, default=PASS_TOL)
+    p.add_argument("--tol", type=_number(float), default=PASS_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn="cmd_invariants")
 
@@ -525,14 +563,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None,
                    help='scalar or per-party pairs "2:1.0,3:0.5" (default 1.0)')
     p.add_argument("--beta", default=None, help="same format as --alpha")
-    p.add_argument("--tol", type=float, default=PASS_TOL)
+    p.add_argument("--tol", type=_number(float), default=PASS_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn="cmd_detect")
 
     p = sub.add_parser("verify", help="seeded self-verification campaigns")
     p.add_argument("--dims", required=True, help='local dimensions, e.g. "2,2,2"')
-    p.add_argument("--size", type=int, default=100, help="ensemble size per suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--size", type=_number(int), default=100, help="ensemble size per suite")
+    p.add_argument("--seed", type=_number(int), default=0)
     p.add_argument("--suites", default=None,
                    help=f"comma list from: {', '.join(VERIFY_SUITES)} (default: all)")
     p.add_argument("--out", default=None)
@@ -542,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True)
     p.add_argument("--dims", required=True)
     p.add_argument("--s", default=None, help="party list for recipes that need one")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--seed", type=_number(int), default=None)
+    p.add_argument("--rank", type=_number(int), default=None)
     p.add_argument("--label", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn="cmd_make_state")

@@ -34,11 +34,6 @@ def mask_size(mask: int) -> int:
     return mask.bit_count()
 
 
-def iter_masks(n: int) -> Iterator[int]:
-    """All subsets of {1..n} in ascending bitmask order (starts with 0)."""
-    return iter(range(1 << n))
-
-
 def mask_bitstring(mask: int, n: int) -> str:
     """Zero-padded bitstring with party 1 as the leftmost character."""
     return "".join("1" if mask >> j & 1 else "0" for j in range(n))
@@ -124,4 +119,6 @@ class SubsystemDims:
         return math.prod(self.dims_of(mask)) if mask else 1
 
     def subset_masks(self) -> Iterator[int]:
-        return iter_masks(self.n)
+        """All subsets of the parties in ascending bitmask order (starts
+        with 0)."""
+        return iter(range(1 << self.n))

@@ -10,15 +10,15 @@ inversion; T = {j} on a single party is the reduction map Tr(.)1 - id.
 Equivalently I_T is the product of the commuting single-party factors
 Tr_j(.) (x) 1_j -/+ id.  One factor kernel, :func:`_apply_factors`,
 applies such factors to a (K, D, D) stack of operators with one weight
-per member and block, and everything production runs goes through it:
+per block, and everything production runs goes through it:
 :func:`invert_product` (the one-mask route), coarse graining, the
 detection map and Choi matrices call it with K = 1,
 :func:`odd_inversions` (the production route for all odd masks, which
 ``marginal`` reads) runs its trace and factor steps as a depth-first
 tree that shares each node's trace and factors across the masks below
 it, and :func:`inversion_stacks` evaluates I_T for every T as a butterfly
-over the parties, 2^N masks per call when they fit in a cache-sized
-stack.  The subset sum above
+over the parties that takes each party's trace once for both signs, 2^N
+masks per call when they fit in a cache-sized stack.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
 input (:func:`invert_kraus`) are kept only as cross-check references.
 Both take one mask or the aligned block of masks of one such stack,
@@ -117,14 +117,13 @@ SLICE_ADD_ENTRIES = 1 << 14
 
 
 def _apply_factors(
-    stack: np.ndarray, dims: SubsystemDims, weights: Mapping[int, float | np.ndarray]
+    stack: np.ndarray, dims: SubsystemDims, weights: Mapping[int, float]
 ) -> np.ndarray:
     """Apply Tr_b(.) (x) 1_b + w_b id for each block b of ``weights``
     (disjoint party masks), in ascending mask order, to every member of
     ``stack``, a (K, D, D) stack or one D x D operator (K = 1), and return
-    the (K, D, D) results; ``weights[b]`` is one weight per member (a
-    length-K array) or one for all (a scalar).  Each block is one
-    :func:`_block_trace` of the current operands and one
+    the (K, D, D) results; ``weights[b]`` is one weight for all members.
+    Each block is one :func:`_block_trace` of the current operands and one
     :func:`_add_factor` onto a copy of them, so no identity-padded D x D
     operator is formed.  Each member's result is bit-identical to its own
     K = 1 call.  O(K D^2) per block."""
@@ -133,9 +132,7 @@ def _apply_factors(
     return flat.reshape(len(flat), dims.total, dims.total)
 
 
-def _factors_in_place(
-    flat: np.ndarray, dims: SubsystemDims, weights: Mapping[int, float | np.ndarray]
-) -> None:
+def _factors_in_place(flat: np.ndarray, dims: SubsystemDims, weights: Mapping[int, float]) -> None:
     """:func:`_apply_factors` on a C-ordered (K, D^2) complex stack, in place."""
     for block in sorted(weights):
         _add_factor(flat, dims, block, _block_trace(flat, dims, block), weights[block])
@@ -151,16 +148,15 @@ def _block_trace(flat: np.ndarray, dims: SubsystemDims, block: int) -> np.ndarra
 
 
 def _add_factor(
-    flat: np.ndarray, dims: SubsystemDims, block: int, traced: np.ndarray,
-    w: float | np.ndarray,
+    flat: np.ndarray, dims: SubsystemDims, block: int, traced: np.ndarray, w: float
 ) -> None:
     """Tr_b(.) (x) 1_b + w id of ``block`` on a C-ordered (K, D^2) stack, in
     place, from its :func:`_block_trace` ``traced``: the stack is scaled
-    by w (one per member, or one for all) and ``traced`` is added onto its
-    b-diagonal view (:func:`~qinvert.tensor._diagonal`); from
-    :data:`SLICE_ADD_ENTRIES` on, the add runs per block-index slice."""
+    by the one weight w and ``traced`` is added onto its b-diagonal view
+    (:func:`~qinvert.tensor._diagonal`); from :data:`SLICE_ADD_ENTRIES`
+    on, the add runs per block-index slice."""
     axes = tuple(p - 1 for p in parties_from_mask(block))
-    flat *= w[:, np.newaxis] if isinstance(w, np.ndarray) else w
+    flat *= w
     diagonal = _diagonal(flat.reshape((len(flat),) + dims.dims + dims.dims), axes, batch=1)
     if flat.size >= SLICE_ADD_ENTRIES:
         for index in np.ndindex(diagonal.shape[:len(axes)]):
@@ -227,21 +223,25 @@ def inversion_stacks(mat: np.ndarray, dims: SubsystemDims) -> Iterator[np.ndarra
     (M, D, D) stack of operands gives mask-major (2^m, M, D, D) stacks.
     2^m is the most masks within :data:`STACK_HOLD_BYTES` for all
     members, so one stack holds all 2^N unless the operands are large.
-    The factors of parties 1..m are applied as a butterfly: the stack for
-    the first j parties is doubled and its copies get the factor of party
-    j+1 with weight +1 and -1, one kernel call per party; each stack then
+    The factors of parties 1..m are applied as a butterfly with the sign
+    step of :func:`odd_inversions`: the stack for the first j parties is
+    traced once over party j+1 (:func:`_block_trace`), doubled, and its
+    halves get that party's factor from the one trace with weight +1 and
+    -1, so the butterfly traces (2^m - 1) M operators; each stack then
     applies the factors of the remaining parties with one sign pattern
     for all its members, in ascending mask order."""
-    mat = np.asarray(mat)
+    mat = np.asarray(mat, dtype=np.complex128)
     lead = mat.shape[:-2]
     d = dims.total
     m = dims.n
     while m and (16 << m) * math.prod(lead) * d**2 > STACK_HOLD_BYTES:
         m -= 1
-    low = mat.reshape(-1, d, d)  # mask-major: member k of mask t at t M + k
+    low = mat.reshape(-1, d * d)  # mask-major: member k of mask t at t M + k
     for j in range(m):
-        signs = np.repeat((1.0, -1.0), len(low))
-        low = _apply_factors(np.broadcast_to(low, (2,) + low.shape), dims, {1 << j: signs})
+        traced = _block_trace(low, dims, 1 << j)
+        low = np.concatenate([low, low])
+        _add_factor(low[:len(traced)], dims, 1 << j, traced, 1.0)
+        _add_factor(low[len(traced):], dims, 1 << j, traced, -1.0)
     for high in range(1 << (dims.n - m)):
         weights = {1 << j: -1.0 if high >> (j - m) & 1 else 1.0 for j in range(m, dims.n)}
         stack = _apply_factors(low, dims, weights) if weights else low

@@ -146,33 +146,31 @@ def gram_density(g: np.ndarray) -> np.ndarray:
     """G G^dag / Tr(G G^dag), averaged with its adjoint so it is exactly
     Hermitian, for one D x r matrix or each member of an (M, D, r) stack;
     every step works member by member, so a stack's member i is bit for
-    bit the matrix of its own ``g[i]``.  One matrix's product is formed a
-    block of columns at a time, each from a conjugated block of rows of G,
-    the two within about :data:`~qinvert.tensor.HOLD_BYTES`, so G's whole
-    conjugate is never held.  Blocks start at multiples of 8 columns, so
-    each is the one-shot product's columns bit for bit (OpenBLAS
-    ``zgemm``, numpy 2.4.6, measured for D = 65 to 512 and widths of 8 to
-    128; a block starting at column 100 or 102 is not).  A stack takes the
-    one-shot product.  The matrix is
+    bit the matrix of its own ``g[i]``.  The product is formed a block of
+    columns at a time, each from a conjugated block of rows of G, the two
+    within about :data:`~qinvert.tensor.HOLD_BYTES` per member, so G's
+    whole conjugate is never held; the blocks depend on D and r only, so
+    a stack and each of its members run the same blocks.  Blocks start at
+    multiples of 8 columns, so each is the one-shot product's columns bit
+    for bit (OpenBLAS ``zgemm``, numpy 2.4.6, measured for D = 65 to 512
+    and widths of 8 to 128; a block starting at column 100 or 102 is
+    not).  The matrix is
     symmetrized and normalized in place; each step is the same complex
     ufunc as the out-of-place expression, so the result is bit for bit
     ``(m + m^dag) / 2 / tr``.  Unchecked:
     :func:`~qinvert.zoo.ginibre_mixed` validates one state, and a stack's
     caller checks the stack."""
-    if g.ndim == 2:
-        d, r = g.shape
-        mat = np.empty((d, d), dtype=g.dtype)
-        # a block starting inside one of OpenBLAS's column panels (up to 8
-        # wide), or a last block of one column (numpy's matrix-vector
-        # route), rounds differently
-        step = max(8, HOLD_BYTES // (16 * (d + r)) // 8 * 8)
-        starts = list(range(0, d, step))
-        if len(starts) > 1 and d - starts[-1] == 1:
-            starts.pop()
-        for i, j in zip(starts, starts[1:] + [d]):
-            np.matmul(g, g[i:j].conj().T, out=mat[:, i:j])
-    else:
-        mat = g @ g.conj().swapaxes(-1, -2)
+    d, r = g.shape[-2:]
+    mat = np.empty(g.shape[:-1] + (d,), dtype=g.dtype)
+    # a block starting inside one of OpenBLAS's column panels (up to 8
+    # wide), or a last block of one column (numpy's matrix-vector route),
+    # rounds differently
+    step = max(8, HOLD_BYTES // (16 * (d + r)) // 8 * 8)
+    starts = list(range(0, d, step))
+    if len(starts) > 1 and d - starts[-1] == 1:
+        starts.pop()
+    for i, j in zip(starts, starts[1:] + [d]):
+        np.matmul(g, g[..., i:j, :].conj().swapaxes(-1, -2), out=mat[..., :, i:j])
     _add_adjoint(mat)
     mat /= 2.0
     mat /= np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]

@@ -32,16 +32,14 @@ HOLD_BYTES = 1 << 20
 
 
 def _row_blocks(a: np.ndarray) -> Iterator[slice]:
-    """Slices of the second-last axis of ``a`` whose rows, across every
-    member of a stack, hold at most :data:`HOLD_BYTES` (at least one row
-    each); one slice of all rows when ``a`` is within it."""
+    """Slices ``i:stop`` of the second-last axis of ``a``, in order, whose
+    rows, across every member of a stack, hold at most :data:`HOLD_BYTES`
+    (at least one row each); one slice of all rows when ``a`` is within
+    it."""
     n = a.shape[-2]
-    if a.nbytes <= HOLD_BYTES:
-        yield slice(None)
-        return
-    step = max(1, HOLD_BYTES * n // a.nbytes)
+    step = max(1, HOLD_BYTES * n // max(a.nbytes, 1))
     for i in range(0, n, step):
-        yield slice(i, i + step)
+        yield slice(i, min(i + step, n))
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -77,15 +75,13 @@ def lower_completion(a: np.ndarray) -> np.ndarray:
     ``np.linalg.cholesky`` read from a square matrix: a copy with the real
     part of its diagonal, its strict lower triangle, and the conjugate of
     that triangle above the diagonal.  Completed a block of rows at a
-    time, so the temporaries stay within :data:`HOLD_BYTES`."""
+    time (:func:`_row_blocks`), so the temporaries stay within
+    :data:`HOLD_BYTES`."""
     out = np.array(a, dtype=np.complex128, order="C")
-    d = out.shape[-1]
-    step = max(1, HOLD_BYTES // (16 * d))
-    for i in range(0, d, step):
-        stop = min(i + step, d)
-        out[i:stop, stop:] = np.conjugate(out[stop:, i:stop]).T
-        square = out[i:stop, i:stop]
-        upper = np.triu_indices(stop - i, 1)
+    for rows in _row_blocks(out):
+        out[rows, rows.stop:] = np.conjugate(out[rows.stop:, rows]).T
+        square = out[rows, rows]
+        upper = np.triu_indices(rows.stop - rows.start, 1)
         square[upper] = np.conjugate(square.T[upper])
     np.einsum("ii->i", out).imag = 0.0
     return out

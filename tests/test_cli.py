@@ -192,6 +192,64 @@ def test_a_party_beyond_the_file_names_its_option(capsys, bell_file, tmp_path, a
     assert captured.err == f"error: {message}, beyond the 2 available\n"
 
 
+@pytest.mark.parametrize("argv, option, token", [
+    (["verify", "--dims", "1_1", "--size", "1", "--suites", "parity"], "--dims", "1_1"),
+    (["verify", "--dims", "2,\u0662", "--size", "1"], "--dims", "\u0662"),
+    (["verify", "--dims", "2,2", "--size", "1_0"], "--size", "1_0"),
+    (["verify", "--dims", "2,2", "--size", "1", "--seed", "0_1"], "--seed", "0_1"),
+    (["make-state", "--kind", "ginibre_mixed", "--dims", "2,2", "--seed", "\uff11"],
+     "--seed", "\uff11"),
+    (["make-state", "--kind", "ginibre_mixed", "--dims", "2,2", "--seed", "1", "--rank", "1_0"],
+     "--rank", "1_0"),
+    (["make-state", "--kind", "pinned_mix", "--dims", "2,2", "--s", "1,0_2"], "--s", "0_2"),
+    (["check", "--tol", "1_0"], "--tol", "1_0"),
+    (["invariants", "--masks", "1;0_1"], "--masks token 2", "0_1"),
+    (["detect", "--act-on", "0_1"], "--act-on", "0_1"),
+    (["detect", "--act-on", "1,2", "--t", "\u0661"], "--t", "\u0661"),
+    (["detect", "--act-on", "1", "--alpha", "0_5"], "--alpha", "0_5"),
+    (["detect", "--act-on", "1,2", "--t", "1", "--beta", "2:0_5"], "--beta", "0_5"),
+    (["detect", "--act-on", "1,2", "--t", "1", "--alpha", "1_0:1.0"], "--alpha", "1_0"),
+], ids=["dims", "dims-non-ascii", "size", "seed", "seed-non-ascii", "rank", "s", "tol", "masks",
+        "act-on", "t", "alpha", "beta", "alpha-party"])
+def test_a_number_with_a_separator_or_a_non_ascii_digit_is_an_input_error(
+    capsys, bell_file, tmp_path, argv, option, token
+):
+    """int() and float() read "1_1" as 11 and non-ASCII digits as digits;
+    a command-line number holding either exits 2 before any line or file
+    is written, and the error names the option and the token."""
+    out = tmp_path / "out.json"
+    state = [] if argv[0] in ("verify", "make-state") else ["--state", bell_file]
+    try:
+        code = main([*argv, *state, "--out", str(out)])
+    except SystemExit as exc:  # argparse refused the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert option in captured.err and repr(token) in captured.err
+
+
+def test_a_dimension_cap_with_a_separator_is_an_input_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("QINVERT_DIM_CAP", "4_096")
+    out = tmp_path / "out.json"
+    code = main(["verify", "--dims", "2,2", "--size", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err == "error: QINVERT_DIM_CAP holds '4_096', not a plain ASCII number\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--dims", "2,2", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    (["verify", "--dims", "2,x"], "cannot parse dims '2,x'"),
+    (["make-state", "--kind", "pinned_mix", "--dims", "2,2", "--s", "0"],
+     "party indices are 1-based, got 0"),
+])
+def test_a_malformed_plain_number_keeps_its_message(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("pure", [False, True])
 def test_check_shadow_lines_are_the_operands_shadow_report(capsys, tmp_path, pure):
     """check's shadow lines, read off the state's invariant table, are

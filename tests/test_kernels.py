@@ -543,21 +543,49 @@ def test_misaligned_blocks_and_blocks_beyond_the_parties_are_rejected(form):
 @PROPERTY
 @given(dims=subsystem_dims(max_total=48), k=st.integers(1, 4), seed=seeds, data=st.data())
 def test_stacked_factor_kernel_is_bit_identical_to_single_calls(dims, k, seed, data):
-    """One _apply_factors call on a (K, D, D) stack, each member with its
-    own weight per block in [-1, 1], gives every member bit for bit as its
-    own K = 1 call with scalar weights, with either diagonal add."""
+    """One _apply_factors call on a (K, D, D) stack, with one weight per
+    block in [-1, 1], gives every member bit for bit as its own K = 1
+    call, with either diagonal add."""
     labels = data.draw(st.lists(st.integers(0, dims.n), min_size=dims.n, max_size=dims.n))
     blocks = {sum(1 << i for i, x in enumerate(labels) if x == label) for label in labels if label}
-    weights = {b: np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k,
-                                              unique=True))) for b in blocks}
+    weights = {b: data.draw(st.floats(-1.0, 1.0)) for b in blocks}
     stack = np.stack([random_operator(dims, seed + i) for i in range(k)])
     with mock.patch.object(inversion, "SLICE_ADD_ENTRIES",
                            data.draw(st.sampled_from([1, 1 << 30]))):
         got = inversion._apply_factors(stack, dims, weights)
     assert got.shape == stack.shape
     for i in range(k):
-        own = {b: float(w[i]) for b, w in weights.items()}
-        assert bit_identical(got[i], inversion._apply_factors(stack[i], dims, own)[0])
+        assert bit_identical(got[i], inversion._apply_factors(stack[i], dims, weights)[0])
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=48), m=st.integers(1, 4), seed=seeds, low=st.integers(0, 6))
+def test_the_butterfly_traces_each_party_once_for_both_signs(dims, m, seed, low):
+    """inversion_stacks on M operands hands _block_trace (2^low - 1) M
+    operators in its butterfly over parties 1..low, one trace per party
+    for both halves of the doubled stack (twice that if each copy were
+    traced), and 2^N M for each of the N - low parties after it; every
+    stack is bit for bit invert_product, with either diagonal add."""
+    d = dims.total
+    mats = np.stack([random_operator(dims, seed + k) for k in range(m)])
+    low = min(low, dims.n)
+    traced = []
+    real = inversion._block_trace
+
+    def counted(flat, dims, block):
+        traced.append(len(flat))
+        return real(flat, dims, block)
+
+    for entries in (1, 1 << 30):
+        traced.clear()
+        with mock.patch.object(inversion, "STACK_HOLD_BYTES", (16 << low) * m * d**2), \
+                mock.patch.object(inversion, "SLICE_ADD_ENTRIES", entries), \
+                mock.patch.object(inversion, "_block_trace", counted):
+            got = np.concatenate(list(inversion_stacks(mats, dims)))
+        assert sum(traced) == ((1 << low) - 1) * m + (dims.n - low) * (m << dims.n)
+        for t in range(1 << dims.n):
+            for k in range(m):
+                assert bit_identical(got[t, k], invert_product(mats[k], dims, t))
 
 
 @pytest.mark.parametrize("depth", ["per_mask", "one_level", "shared_leaves", "full"])

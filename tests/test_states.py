@@ -197,9 +197,9 @@ def test_a_gram_state_by_column_blocks_is_the_one_shot_product_bit_for_bit(monke
     each starting at a multiple of 8 columns: at D = 512 (blocks of 64 or
     120), at D = 301 (104, 104 and 93, or 8 at a time, the last 5 wide),
     and with a last column merged into the block before it (D = 129 and
-    121), all bit for bit the one-shot product that a stack of the same
-    factor takes.  Beyond G it holds the result and one block, not G's
-    whole conjugate."""
+    121), all bit for bit the one-shot product, as a stack of the same
+    factor, which runs the same blocks, is.  Beyond G it holds the result
+    and one block, not G's whole conjugate."""
     if hold is not None:
         monkeypatch.setattr(states, "HOLD_BYTES", hold)
     rng = np.random.default_rng(d + r)

@@ -281,6 +281,11 @@ member_lists = st.lists(st.integers(0, 9), min_size=1, max_size=5)
 @given(local=local_dims, seed=st.integers(0, 2**32 - 1), members=member_lists,
        rank=st.none() | st.integers(1, 24))
 @example(local=[3], seed=1, members=[4, 0, 4], rank=2)
+# D = 256 and 301: two or three Gram column blocks, full rank and rank 3
+@example(local=[2] * 8, seed=1, members=[3, 0, 3], rank=None)
+@example(local=[2] * 8, seed=1, members=[3, 0, 3], rank=3)
+@example(local=[7, 43], seed=1, members=[3, 0, 3], rank=None)
+@example(local=[7, 43], seed=1, members=[3, 0, 3], rank=3)
 def test_ginibre_stack_members_are_their_single_states_bit_for_bit(local, seed, members, rank):
     dims = SubsystemDims(tuple(local))
     rank = None if rank is None else min(rank, dims.total)
