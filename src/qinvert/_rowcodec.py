@@ -1,7 +1,8 @@
 """The row codec of state files, shared by the CLI process and its helper.
 
 A mixed state's ``data`` is a list of D rows, each a list of D [re, im]
-pairs of JSON numbers; a pure state's is one such row.  Rows are coded
+pairs of JSON numbers; a pure state's is one such row, and a factor's D
+rows of r pairs.  Rows are coded
 here one at a time: :func:`encode` turns the float64 bytes of whole rows
 into their JSON text, and :func:`decode` reads rows of JSON text back
 into a flat float64 buffer, checking each row's nesting and number types

@@ -42,7 +42,8 @@ from .constraints import (
     shadow_report,
 )
 from .dims import (
-    DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, parties_from_mask, relative_mask,
+    DEFAULT_DIM_CAP, SubsystemDims, mask_bitstring, parse_party_list, parties_from_mask,
+    plain_number, relative_mask,
 )
 from .invariants import invariant_table
 from .inversion import (
@@ -50,7 +51,7 @@ from .inversion import (
     invert_kraus, invert_sum, inversion_stacks,
 )
 from .io import StateFileError, read_state_file, write_state, write_state_file
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, FactorState
 from .tensor import block_product, certified_min_eigenvalue, min_eigenvalue
 from .zoo import (
     StateRecipe,
@@ -70,22 +71,12 @@ if TYPE_CHECKING:
     Rows = list[tuple[str, float, float]]
 
 
-def _plain(token: str, what: str) -> str:
-    """``token``, unless it holds ``_`` or a non-ASCII character, which
-    ``int()`` and ``float()`` read as digit separators and as digits but
-    no number on the command line may hold: then an error naming ``what``
-    (the option or variable) and the token."""
-    if "_" in token or not token.isascii():
-        raise ValueError(f"{what} holds {token!r}, not a plain ASCII number")
-    return token
-
-
 def _number(kind: type) -> Callable[[str], int | float]:
     """``kind`` (int or float) as an argparse type that also refuses what
-    :func:`_plain` refuses; argparse names the option."""
+    :func:`~qinvert.dims.plain_number` refuses; argparse names the option."""
     def parse(text: str) -> int | float:
         try:
-            _plain(text, "the value")
+            plain_number(text, "the value")
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return kind(text)
@@ -96,9 +87,9 @@ def _number(kind: type) -> Callable[[str], int | float]:
 
 def _party_list(text: str, what: str) -> int:
     """:func:`~qinvert.dims.parse_party_list` of ``text``, each party a
-    :func:`_plain` number."""
+    :func:`~qinvert.dims.plain_number` number."""
     for tok in text.split(","):
-        _plain(tok, what)
+        plain_number(tok, what)
     return parse_party_list(text)
 
 
@@ -106,7 +97,7 @@ def _dim_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_DIM_CAP
-    _plain(raw, CAP_ENV_VAR)
+    plain_number(raw, CAP_ENV_VAR)
     try:
         return int(raw)
     except ValueError as exc:
@@ -180,12 +171,12 @@ def _seed(seed: int | None) -> int | None:
     return seed
 
 
-def _read_state(path: str) -> DensityMatrix | PureState:
+def _read_state(path: str) -> DensityMatrix | FactorState:
     return read_state_file(path, cap=_dim_cap())
 
 
 def _parse_dims(text: str) -> SubsystemDims:
-    tokens = [_plain(tok, "--dims") for tok in text.split(",")]
+    tokens = [plain_number(tok, "--dims") for tok in text.split(",")]
     try:
         dims = tuple(int(tok) for tok in tokens)
     except ValueError as exc:
@@ -201,14 +192,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args.tol)
     families = _select(args.families, FAMILIES, "family", "--families")
     state = _read_state(args.state)
-    needs_matrix = isinstance(state, PureState) and "marginal" in families
-    rho = state.density() if needs_matrix else state
+    factor = isinstance(state, FactorState)
+    rho = state.density() if factor and "marginal" in families else state
 
     def reports() -> Iterator[ConstraintReport]:
         for fam in families:
             if fam == "correlation":
                 yield correlation_report(state, tol=tol)
-            elif fam == "monogamy" and isinstance(state, PureState):
+            elif fam == "monogamy" and factor and state.rank == 1:
                 yield monogamy_report(state, tol=tol)
             elif fam == "monogamy":
                 yield ConstraintReport("monogamy", [], tol, [
@@ -287,7 +278,7 @@ def _parse_weights(text: str | None, option: str) -> dict[int, float] | float:
     if text is None:
         return 1.0
     if ":" not in text:
-        _plain(text, option)
+        plain_number(text, option)
         try:
             return float(text)
         except ValueError:
@@ -295,8 +286,8 @@ def _parse_weights(text: str | None, option: str) -> dict[int, float] | float:
     table = {}
     for tok in text.split(","):
         party, _, weight = tok.partition(":")
-        _plain(party, option)
-        _plain(weight, option)
+        plain_number(party, option)
+        plain_number(weight, option)
         try:
             key, value = int(party), float(weight)
         except ValueError:

@@ -21,7 +21,7 @@ import numpy as np
 from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask, relative_mask
 from .invariants import invariant_table
 from .inversion import _signed_sums, odd_inversions
-from .states import TOL_PSD, DensityMatrix, PureState
+from .states import TOL_PSD, DensityMatrix, FactorState, PureState
 from .tensor import (
     _require_hermitian,
     embed,
@@ -77,7 +77,7 @@ def _entry(
     return ReportEntry(label, value, threshold, margin, margin >= -tol, theorem, extra)
 
 
-def _table_report(family: str, state: DensityMatrix | PureState, tol: float,
+def _table_report(family: str, state: DensityMatrix | FactorState, tol: float,
                   scale: float = 1.0, first: int = 1) -> ConstraintReport:
     """One line per mask T >= ``first``, in ascending order, with the value
     ``scale`` C_T^2 read off :func:`invariant_table`: the report of every
@@ -92,7 +92,7 @@ def _table_report(family: str, state: DensityMatrix | PureState, tol: float,
 # correlation constraints and monogamy relations
 
 
-def correlation_constraint(rho: DensityMatrix | PureState, t: int) -> float:
+def correlation_constraint(rho: DensityMatrix | FactorState, t: int) -> float:
     """C_T^2 = Tr[rho I_T(rho)] as in :func:`invariant_table`, nonnegative for
     every rho; (1/2) sum_{S != 0} (-1)^{|S & T| + 1} tau_S up to 1 - (Tr rho)^2."""
     rho.dims.validate_mask(t)
@@ -101,7 +101,7 @@ def correlation_constraint(rho: DensityMatrix | PureState, t: int) -> float:
     return invariant_table(rho).c_squared(t)
 
 
-def correlation_report(rho: DensityMatrix | PureState, tol: float = PASS_TOL) -> ConstraintReport:
+def correlation_report(rho: DensityMatrix | FactorState, tol: float = PASS_TOL) -> ConstraintReport:
     return _table_report("correlation", rho, tol)
 
 
@@ -152,8 +152,8 @@ def is_psd(mat: np.ndarray, tol: float = TOL_PSD) -> bool:
 
 
 def shadow_report(
-    m1: np.ndarray | DensityMatrix | PureState,
-    m2: np.ndarray | DensityMatrix | PureState,
+    m1: np.ndarray | DensityMatrix | FactorState,
+    m2: np.ndarray | DensityMatrix | FactorState,
     dims: SubsystemDims,
     tol: float = PASS_TOL,
 ) -> ConstraintReport:
@@ -163,7 +163,7 @@ def shadow_report(
     ``check`` does) is read off its invariant table from the empty mask,
     bit for bit the lines of its matrix, with its validation as the PSD
     certificate."""
-    if isinstance(m1, (DensityMatrix, PureState)):
+    if isinstance(m1, (DensityMatrix, FactorState)):
         if m2 is not m1 or m1.dims != dims:
             raise ValueError("pass a state as both operands, with its own dims")
         return _table_report("shadow", m1, tol, first=0)
@@ -185,7 +185,7 @@ def _pset(mask: int) -> str:
     return "".join(str(p) for p in parties_from_mask(mask))
 
 
-def entropy_inequalities(rho: DensityMatrix | PureState,
+def entropy_inequalities(rho: DensityMatrix | FactorState,
                          tol: float = PASS_TOL) -> ConstraintReport:
     """Named linear-entropy inequalities for the party count at hand.
 

@@ -50,14 +50,26 @@ def relative_mask(mask: int, within: int) -> int:
     return out
 
 
+def plain_number(token: str, what: str) -> str:
+    """``token``, unless it holds ``_`` or a non-ASCII character, which
+    ``int()`` and ``float()`` read as digit separators and as digits but
+    no number given as text may hold: then an error naming ``what`` and
+    the token."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"{what} holds {token!r}, not a plain ASCII number")
+    return token
+
+
 def parse_party_list(text: str) -> int:
-    """Parse a comma-separated 1-based party list such as ``"1,3"``; a
-    blank list is the empty mask and a repeated party is an error."""
+    """Parse a comma-separated 1-based party list such as ``"1,3"``, each
+    party a :func:`plain_number`; a blank list is the empty mask and a
+    repeated party is an error."""
     text = text.strip()
     if not text:
         return 0
+    tokens = [plain_number(tok, f"party list {text!r}") for tok in text.split(",")]
     try:
-        parties = [int(tok) for tok in text.split(",")]
+        parties = [int(tok) for tok in tokens]
     except ValueError as exc:
         raise ValueError(f"cannot parse party list {text!r}") from exc
     for pos, p in enumerate(parties):

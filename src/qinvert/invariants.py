@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inversion import invert_product
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, FactorState, PureState
 from .tensor import signed_subset_sums, trace_product
 
 IMAG_TOL = 1e-11
@@ -61,7 +61,7 @@ class InvariantTable:
         return math.sqrt(max(self.c_squared(t), 0.0))
 
 
-def invariant_table(rho: DensityMatrix | PureState) -> InvariantTable:
+def invariant_table(rho: DensityMatrix | FactorState) -> InvariantTable:
     """All 2^N squared invariants from the state's subset purities:
     C_T^2 = sum_S (-1)^{|S & T|} Tr(rho_S^2), one Walsh-Hadamard
     transform."""

@@ -88,7 +88,7 @@ import numpy as np
 from . import _rowcodec
 from ._rowcodec import ROW_START, flat_numbers
 from .dims import DEFAULT_DIM_CAP, SubsystemDims
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, FactorState, PureState
 
 if TYPE_CHECKING:
     import subprocess
@@ -114,11 +114,13 @@ class StateFileError(ValueError):
     """Raised when a state file cannot be parsed or fails validation."""
 
 
-def _pairs(state: DensityMatrix | PureState) -> tuple[str, np.ndarray]:
+def _pairs(state: DensityMatrix | FactorState) -> tuple[str, np.ndarray]:
     """The kind of ``state`` and its entries as [re, im] pairs: one float64
-    view of shape (D, 2) or (D, D, 2), row-major."""
+    view of shape (D, 2), (D, r, 2) or (D, D, 2), row-major."""
     if isinstance(state, PureState):
         kind, values = "pure", state.vector
+    elif isinstance(state, FactorState):
+        kind, values = "factor", state.factor
     elif isinstance(state, DensityMatrix):
         kind, values = "mixed", state.matrix
     else:
@@ -126,7 +128,7 @@ def _pairs(state: DensityMatrix | PureState) -> tuple[str, np.ndarray]:
     return kind, np.ascontiguousarray(values).view(np.float64).reshape(values.shape + (2,))
 
 
-def state_to_dict(state: DensityMatrix | PureState, label: str | None = None) -> dict:
+def state_to_dict(state: DensityMatrix | FactorState, label: str | None = None) -> dict:
     kind, pairs = _pairs(state)
     out = {"dims": list(state.dims.dims), "kind": kind, "data": pairs.tolist()}
     if label is not None:
@@ -277,7 +279,7 @@ def _mixed_data(pairs: np.ndarray) -> Iterator[str]:
         yield "]"
 
 
-def state_chunks(state: DensityMatrix | PureState, label: str | None = None) -> Iterator[str]:
+def state_chunks(state: DensityMatrix | FactorState, label: str | None = None) -> Iterator[str]:
     """The JSON object of a state file in chunks, without its final
     newline; joined, they are ``json.dumps(state_to_dict(state, label))``.
     Only one row's Python floats exist at a time, in each process.  The
@@ -289,9 +291,18 @@ def state_chunks(state: DensityMatrix | PureState, label: str | None = None) -> 
     tail = "}" if label is None else f', "label": {json.dumps(label)}}}'
     if kind == "pure":  # the whole list of pairs is one row
         data = _rowcodec.encode(memoryview(pairs).cast("B"), len(pairs))
+    elif kind == "factor":  # D rows of r pairs
+        data = _listed(_rowcodec.encode(memoryview(pairs).cast("B"), pairs.shape[1]))
     else:
         data = _mixed_data(pairs)
     return _chunks(head, data, tail)
+
+
+def _listed(texts: Iterator[str]) -> Iterator[str]:
+    yield "["
+    yield next(texts)
+    yield from _joined(texts)
+    yield "]"
 
 
 def _chunks(head: str, data: Iterator[str], tail: str) -> Iterator[str]:
@@ -300,7 +311,7 @@ def _chunks(head: str, data: Iterator[str], tail: str) -> Iterator[str]:
     yield tail
 
 
-def write_state(fh: IO[str], state: DensityMatrix | PureState, label: str | None = None) -> None:
+def write_state(fh: IO[str], state: DensityMatrix | FactorState, label: str | None = None) -> None:
     """Write a state file's text and final newline to the text handle ``fh``."""
     with contextlib.closing(state_chunks(state, label=label)) as chunks:
         fh.writelines(chunks)
@@ -308,7 +319,7 @@ def write_state(fh: IO[str], state: DensityMatrix | PureState, label: str | None
 
 
 def write_state_file(
-    path: str | Path, state: DensityMatrix | PureState, label: str | None = None
+    path: str | Path, state: DensityMatrix | FactorState, label: str | None = None
 ) -> None:
     chunks = state_chunks(state, label=label)
     with contextlib.closing(chunks), open(path, "w", encoding="utf-8") as fh:
@@ -365,9 +376,9 @@ def _dims(value, cap: int) -> SubsystemDims:
         raise StateFileError(f"invalid dims: {exc}") from exc
 
 
-def _header(obj: dict, cap: int) -> tuple[str, SubsystemDims, tuple[int, ...]]:
-    """The kind, dims and data shape of a parsed state file, each checked
-    (all but the data itself)."""
+def _header(obj: dict, cap: int) -> tuple[str, SubsystemDims]:
+    """The kind and dims of a parsed state file, each checked (all but the
+    data)."""
     if not isinstance(obj, dict):
         raise StateFileError("state file must hold a JSON object")
     for key in ("dims", "kind", "data"):
@@ -377,25 +388,51 @@ def _header(obj: dict, cap: int) -> tuple[str, SubsystemDims, tuple[int, ...]]:
     if "label" in obj and not isinstance(obj["label"], str):
         raise StateFileError(f"invalid label: expected a JSON string, got {obj['label']!r}")
     kind = obj["kind"]
-    if kind not in ("pure", "mixed"):
+    if kind not in ("pure", "factor", "mixed"):
         raise StateFileError(f"unknown state kind {kind!r}")
-    d = dims.total
-    return kind, dims, (d,) if kind == "pure" else (d, d)
+    return kind, dims
 
 
-def _state(kind: str, dims: SubsystemDims, values: np.ndarray) -> DensityMatrix | PureState:
+def _shape(kind: str, d: int, data) -> tuple[int, ...]:
+    """The shape of the entries ``data`` must hold: (D,), (D, D), or for a
+    factor (D, r), r the length of its first row, 1 <= r <= D, checked
+    against every row."""
+    if kind != "factor":
+        return (d,) if kind == "pure" else (d, d)
+    if not isinstance(data, list) or len(data) != d:
+        got = f"{len(data)} rows" if isinstance(data, list) else type(data).__name__
+        raise StateFileError(f"invalid data: a factor holds D = {d} rows of pairs, got {got}")
+    r = len(data[0]) if isinstance(data[0], list) else 0
+    if not 1 <= r <= d:
+        raise StateFileError(f"invalid data: a factor's rows hold r pairs, 1 <= r <= D = {d}; "
+                             f"row 1 holds {r}")
+    for i, row in enumerate(data, 1):
+        if not isinstance(row, list) or len(row) != r:
+            got = f"{len(row)} pairs" if isinstance(row, list) else type(row).__name__
+            raise StateFileError(f"invalid data: factor row {i} holds {got}, not the {r} of row 1")
+    return d, r
+
+
+def _state(kind: str, dims: SubsystemDims, values: np.ndarray) -> DensityMatrix | FactorState:
     # ``values`` is always a fresh array, which the state takes over uncopied
     try:
         if kind == "pure":
             return PureState(values, dims, _owned=True)
+        if kind == "factor":
+            return FactorState(values, dims, _owned=True)
         return DensityMatrix(values, dims, _owned=True)
     except ValueError as exc:
         raise StateFileError(f"invalid state data: {exc}") from exc
 
 
-def state_from_dict(obj: dict, cap: int = DEFAULT_DIM_CAP) -> DensityMatrix | PureState:
-    kind, dims, shape = _header(obj, cap)
-    return _state(kind, dims, _entries(obj["data"], shape))
+def _checked(obj: dict, cap: int) -> tuple[str, SubsystemDims, np.ndarray]:
+    """The checked kind, dims and entries of a parsed state file."""
+    kind, dims = _header(obj, cap)
+    return kind, dims, _entries(obj["data"], _shape(kind, dims.total, obj["data"]))
+
+
+def state_from_dict(obj: dict, cap: int = DEFAULT_DIM_CAP) -> DensityMatrix | FactorState:
+    return _state(*_checked(obj, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +497,7 @@ def _cut_rows(fh: IO[bytes], cap: int) -> tuple[SubsystemDims, np.ndarray] | Non
         if not all(isinstance(obj, dict) and obj.get("data") == [k]
                    for k, obj in enumerate(objs)):
             return None
-        kind, dims, _ = _header(objs[0], cap)
+        kind, dims = _header(objs[0], cap)
     except (UnicodeDecodeError, JSONDecodeError, StateFileError):
         return None
     d = dims.total
@@ -540,11 +577,10 @@ def _fields(path: str | Path, cap: int) -> tuple[str, SubsystemDims, np.ndarray]
     except JSONDecodeError as exc:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
     del text
-    kind, dims, shape = _header(obj, cap)
-    return kind, dims, _entries(obj["data"], shape)
+    return _checked(obj, cap)
 
 
 def read_state_file(
     path: str | Path, cap: int = DEFAULT_DIM_CAP
-) -> DensityMatrix | PureState:
+) -> DensityMatrix | FactorState:
     return _state(*_fields(path, cap))

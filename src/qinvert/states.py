@@ -1,4 +1,5 @@
-"""Validated density matrices and pure state vectors."""
+"""Validated density matrices, and states given by a factor: pure state
+vectors and low-rank Gram factors."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import numpy as np
 from .dims import SubsystemDims, mask_bitstring
 from .tensor import (
     HOLD_BYTES, _add_adjoint, _require_finite, _require_hermitian, block_product,
-    lower_completion, partial_trace, psd_violation, subset_purities, trace_product,
+    factor_purities, lower_completion, partial_trace, psd_violation, subset_purities,
+    trace_product,
 )
 
 TOL_TRACE = 1e-10
@@ -29,8 +31,8 @@ class DensityMatrix:
     an eigen-solve only to name a failure, shifted in place on the array
     the state keeps.  ``_psd_known`` is internal to the package: the
     constructors whose result is PSD by construction, :meth:`from_product`,
-    :meth:`PureState.density` and :func:`~qinvert.zoo.ginibre_mixed` (a
-    Gram state), set it to skip only the PSD check (shape, finiteness,
+    :meth:`FactorState.density` and :func:`~qinvert.zoo.ginibre_mixed`
+    (Gram states), set it to skip only the PSD check (shape, finiteness,
     Hermiticity and trace are still checked); every other construction, a
     state file included, runs the full validation.  ``_owned`` is internal
     to the package: a caller that hands over a fresh complex128 array
@@ -110,13 +112,54 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
-    """A normalized state vector, stored as a read-only copy (``_owned`` as
-    for :class:`DensityMatrix`)."""
+class FactorState:
+    """The state rho = G G^dag of a D x r factor G, 1 <= r <= D, with
+    ||G||_F = 1, stored as a read-only copy (``_owned`` as for
+    :class:`DensityMatrix`).  G G^dag is PSD and of unit trace by
+    construction, so validation checks the shape, finiteness and norm of
+    G only.  Its purity profile comes from Gram products of G
+    (:func:`~qinvert.tensor.factor_purities`), with no D x D array;
+    :meth:`density` forms rho for the families that act on the matrix."""
 
-    vector: np.ndarray
+    factor: np.ndarray
     dims: SubsystemDims
     _owned: InitVar[bool] = False
+
+    def __post_init__(self, _owned: bool) -> None:
+        g = self.factor if _owned else np.array(self.factor, dtype=np.complex128)
+        d = self.dims.total
+        if g.ndim != 2 or g.shape[0] != d or not 1 <= g.shape[1] <= d:
+            raise ValueError(f"factor shape {g.shape} is not (D, r) with D = {d} and 1 <= r <= D")
+        _require_unit_norm(g, "factor")
+        object.__setattr__(self, "factor", g)
+
+    @property
+    def rank(self) -> int:
+        """r, the number of columns of G: 1 for a pure state."""
+        return self.factor.shape[1]
+
+    def density(self) -> DensityMatrix:
+        """rho = G G^dag as a validated :class:`DensityMatrix`, formed by
+        :func:`gram_density`, so it is exactly Hermitian and its
+        ``operand`` is its matrix; PSD by construction, so validation skips
+        the PSD check.  Formed anew on each call."""
+        return DensityMatrix(gram_density(self.factor), self.dims, _psd_known=True, _owned=True)
+
+    @cached_property
+    def purities(self) -> np.ndarray:
+        """As DensityMatrix.purities, from Gram products of G; cached."""
+        return factor_purities(self.factor, self.dims)
+
+
+class PureState(FactorState):
+    """A normalized state vector, the r = 1 case of :class:`FactorState`,
+    stored as a read-only copy (``_owned`` as for :class:`DensityMatrix`);
+    its factor is the vector as one column."""
+
+    def __init__(self, vector: np.ndarray, dims: SubsystemDims, _owned: bool = False) -> None:
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "dims", dims)
+        self.__post_init__(_owned)
 
     def __post_init__(self, _owned: bool) -> None:
         vec = (self.vector if _owned else np.array(self.vector, dtype=np.complex128)).reshape(-1)
@@ -125,21 +168,26 @@ class PureState:
             raise ValueError(
                 f"state vector length {vec.shape[0]} does not match total dimension {d}"
             )
-        _require_finite(vec, "state vector")
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > TOL_NORM:
-            raise ValueError(f"state vector norm {norm} is not 1 within {TOL_NORM}")
-        vec.setflags(write=False)
+        _require_unit_norm(vec, "state vector")
         object.__setattr__(self, "vector", vec)
 
-    def density(self) -> DensityMatrix:
-        # the outer product of a unit vector is PSD by construction
-        return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims, _psd_known=True)
+    @property
+    def factor(self) -> np.ndarray:
+        return self.vector.reshape(-1, 1)
 
-    @cached_property
-    def purities(self) -> np.ndarray:
-        """As DensityMatrix.purities, swept over |psi><psi| with no DensityMatrix."""
-        return subset_purities(np.outer(self.vector, self.vector.conj()), self.dims)
+    # bound on this class too, where the benchmark's span recorder
+    # (perfbench/spans.py) patches PureState's own methods
+    density = FactorState.density
+
+
+def _require_unit_norm(g: np.ndarray, what: str) -> None:
+    """Check ``g`` finite with ||g|| = 1 within :data:`TOL_NORM`, then make
+    it read-only."""
+    _require_finite(g, what)
+    norm = float(np.linalg.norm(g))
+    if abs(norm - 1.0) > TOL_NORM:
+        raise ValueError(f"{what} norm {norm} is not 1 within {TOL_NORM}")
+    g.setflags(write=False)
 
 
 def gram_density(g: np.ndarray) -> np.ndarray:
@@ -200,6 +248,6 @@ def purity(rho: DensityMatrix) -> float:
     return trace_product(rho.matrix, rho.matrix).real
 
 
-def linear_entropies(rho: DensityMatrix | PureState) -> dict[int, float]:
+def linear_entropies(rho: DensityMatrix | FactorState) -> dict[int, float]:
     """tau_S = 2 [1 - Tr(rho_S^2)] for every nonempty subset S of parties."""
     return {s: 2.0 * (1.0 - p) for s, p in enumerate(rho.purities.tolist()) if s != 0}

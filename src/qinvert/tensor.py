@@ -270,6 +270,39 @@ def subset_purities(mat: np.ndarray, dims: SubsystemDims) -> np.ndarray:
     return out
 
 
+def factor_purities(g: np.ndarray, dims: SubsystemDims) -> np.ndarray:
+    """Tr(rho_S^2) for every subset S of rho = G G^dag, G a D x r factor,
+    as :func:`subset_purities` gives them (entry 0: (Tr rho)^2, read-only,
+    indexed by bitmask), with no D x D array.
+
+    rho_S = M_S M_S^dag, where M_S is G's (d.., r) tensor with the parties
+    of S first, reshaped to d_S x d_{S^c} r.  So Tr rho_S^2 is
+    ||M_S M_S^dag||_F^2 = ||M_S^dag M_S||_F^2, one Gram product on the
+    smaller side: O(D r min(d_S, d_{S^c} r)) per subset, one transposed
+    copy of G at a time.  For r = 1 the two sides are rho_S and
+    rho_{S^c}, which have the same purity, so each complement pair takes
+    one product, 2^(N-1) in all.  Not bit for bit the dense sweep, but
+    within a few ulps of each purity."""
+    g = np.asarray(g, dtype=np.complex128)
+    n, r = dims.n, g.shape[1]
+    tensor = g.reshape(dims.dims + (r,))
+    out = np.empty(1 << n)
+    half = 1 << (n - 1)
+    # for r = 1, the subsets without party N stand for their complements
+    for s in range(half if r == 1 else 1 << n):
+        inside = [j for j in range(n) if s >> j & 1]
+        m = tensor.transpose(inside + [j for j in range(n + 1) if not s >> j & 1])
+        m = m.reshape(math.prod(m.shape[:len(inside)]), -1)
+        if m.shape[0] > m.shape[1]:
+            m = m.T
+        gram = m @ m.conj().T
+        out[s] = np.vdot(gram, gram).real
+    if r == 1:
+        out[half:] = out[half - 1::-1]
+    out.setflags(write=False)
+    return out
+
+
 def _require_hermitian(h: np.ndarray, what: str, tol_herm: float = TOL_HERM) -> float:
     """Check an operator, or every member of a (K, D, D) stack, finite and
     Hermitian within ``tol_herm``, and return the largest Hermiticity

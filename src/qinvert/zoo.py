@@ -21,7 +21,7 @@ import numpy as np
 
 from .dims import SubsystemDims, mask_size
 from .invariants import c_t
-from .states import DensityMatrix, PureState, _require_density, gram_density
+from .states import DensityMatrix, FactorState, PureState, _require_density, gram_density
 from .tensor import block_product, embed, partial_trace, signed_subset_sums, subset_purities
 
 # Recipe kind -> the options (StateRecipe fields) it reads, each mapped to
@@ -37,6 +37,7 @@ RECIPE_KINDS = {
     "bell_mixed_13": {},
     "haar_pure": {"seed": True},
     "ginibre_mixed": {"seed": True, "rank": False},
+    "ginibre_factor": {"seed": True, "rank": True},
 }
 
 
@@ -185,6 +186,15 @@ def ginibre_mixed(
     return DensityMatrix(mat, dims, _psd_known=True, _owned=True)
 
 
+def ginibre_factor(dims: SubsystemDims, seed: int, rank: int, member: int = 0) -> FactorState:
+    """The state of :func:`ginibre_mixed` kept as its factor: the same G,
+    divided by its Frobenius norm, so its density matches that state's
+    matrix to rounding."""
+    g = _ginibre_factor(dims, seed, member, rank)
+    g /= np.linalg.norm(g)
+    return FactorState(g, dims, _owned=True)
+
+
 def ginibre_stack(
     dims: SubsystemDims, seed: int, members: Iterable[int], rank: int | None = None
 ) -> np.ndarray:
@@ -244,7 +254,8 @@ def pinned_mix_table(n: int, d: int = 2) -> np.ndarray:
 
 def pinned_ghz_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """C_T^2 of every pinned-GHZ member (row i for the pins 2i, column T) and
-    of its reduced state on parties 2..n, bit for bit the states' tables.
+    of its reduced state on parties 2..n, bit for bit the tables of their
+    density matrices.
     Each member is its checked :func:`pinned_ghz_state` and projector; the
     projectors form one stack, one stacked partial trace gives the reduced
     states, checked as each state is, and each stack is swept once."""
@@ -301,7 +312,7 @@ class StateRecipe:
                 raise ValueError(f"recipe {self.kind!r} requires the option {option!r}")
 
 
-def build(recipe: StateRecipe) -> DensityMatrix | PureState:
+def build(recipe: StateRecipe) -> DensityMatrix | FactorState:
     """Construct the state described by ``recipe``; deterministic for a
     fixed seed."""
     dims = recipe.dims
@@ -339,6 +350,8 @@ def build(recipe: StateRecipe) -> DensityMatrix | PureState:
         return haar_pure(dims, recipe.seed)
     if kind == "ginibre_mixed":
         return ginibre_mixed(dims, recipe.seed, rank=recipe.rank)
+    if kind == "ginibre_factor":
+        return ginibre_factor(dims, recipe.seed, recipe.rank)
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 

@@ -12,7 +12,7 @@ from qinvert.cli import main
 from qinvert.dims import SubsystemDims
 from qinvert.inversion import invert_kraus, invert_product, invert_sum
 from qinvert.io import read_state_file, write_state_file
-from qinvert.states import PureState
+from qinvert.states import FactorState, PureState
 from qinvert.tensor import min_eigenvalue
 from qinvert.zoo import bell_pair_with_mixed_qubit, bell_state, ginibre_mixed, haar_pure
 
@@ -253,8 +253,10 @@ def test_a_malformed_plain_number_keeps_its_message(capsys, argv, message):
 @pytest.mark.parametrize("pure", [False, True])
 def test_check_shadow_lines_are_the_operands_shadow_report(capsys, tmp_path, pure):
     """check's shadow lines, read off the state's invariant table, are
-    shadow_report(rho, rho) bit for bit, judged as theorems: the empty
-    mask's line, then the correlation values."""
+    shadow_report(rho, rho), judged as theorems: the empty mask's line,
+    then the correlation values bit for bit.  A mixed state's lines are
+    the dense sweep's bit for bit; a pure state's table comes from its
+    factor, within 1e-12 of that sweep."""
     dims = SubsystemDims((2, 3, 2))
     state = haar_pure(dims, 5) if pure else ginibre_mixed(dims, 5)
     path = tmp_path / "state.json"
@@ -269,7 +271,11 @@ def test_check_shadow_lines_are_the_operands_shadow_report(capsys, tmp_path, pur
     assert [line["label"] for line in shadow] == [e.label for e in want.entries]
     assert shadow[0]["label"] == "000" and all(line["pass"] for line in shadow)
     got = np.array([line["value"] for line in shadow])
-    assert got.tobytes() == np.array([e.value for e in want.entries]).tobytes()
+    ref = np.array([e.value for e in want.entries])
+    if pure:
+        assert np.max(np.abs(got - ref)) <= 1e-12
+    else:
+        assert got.tobytes() == ref.tobytes()
     assert got[1:].tobytes() == np.array([line["value"] for line in correlation]).tobytes()
 
 
@@ -1081,3 +1087,62 @@ def test_the_cached_parser_calls_the_command_the_module_holds_now(capsys, monkey
     assert main(["make-state", "--kind", "ghz", "--dims", "2,2"]) == 0
     assert calls == ["ghz"]
     capsys.readouterr()
+
+
+def test_make_state_writes_a_ginibre_factor_only_with_a_rank(capsys, tmp_path):
+    factor, mixed = tmp_path / "factor.json", tmp_path / "mixed.json"
+    assert main(["make-state", "--kind", "ginibre_factor", "--dims", "2,3,2", "--seed", "4",
+                 "--out", str(tmp_path / "none.json")]) == 2
+    assert "requires the option 'rank'" in capsys.readouterr().err
+    common = ["--dims", "2,3,2", "--seed", "4", "--rank", "3"]
+    assert main(["make-state", "--kind", "ginibre_factor", *common, "--out", str(factor)]) == 0
+    assert main(["make-state", "--kind", "ginibre_mixed", *common, "--out", str(mixed)]) == 0
+    state, rho = read_state_file(factor), read_state_file(mixed)
+    assert isinstance(state, FactorState) and state.rank == 3
+    assert np.max(np.abs(state.density().matrix - rho.matrix)) <= 1e-15
+
+
+def test_check_on_a_factor_file_is_check_on_its_density_matrix(capsys, tmp_path):
+    """A factor file prints the lines of the mixed file of its density
+    matrix, within 1e-12, with the same labels, verdicts and exit code.
+    Monogamy reads a rank-1 factor as pure and downgrades any other."""
+    dims = SubsystemDims((2, 3, 2))
+    families = "correlation,shadow,entropy,marginal"
+    keys = ("family", "label", "threshold", "pass", "tolerance")
+    for rank in (1, 4):
+        state = zoo.ginibre_factor(dims, 9, rank)
+        factor, mixed = tmp_path / f"factor{rank}.json", tmp_path / f"mixed{rank}.json"
+        write_state_file(factor, state)
+        write_state_file(mixed, state.density())
+        code, lines = run(capsys, "check", "--state", str(factor), "--families", families)
+        code_mixed, want = run(capsys, "check", "--state", str(mixed), "--families", families)
+        assert code == code_mixed == 0
+        assert [[line[k] for k in keys] for line in lines] == [[line[k] for k in keys]
+                                                              for line in want]
+        assert max(abs(a["value"] - b["value"]) for a, b in zip(lines, want)) <= 1e-12
+        correlation = [line["value"] for line in lines if line["family"] == "correlation"]
+        _, monogamy = run(capsys, "check", "--state", str(factor), "--families", "monogamy")
+        if rank == 1:
+            assert [line["value"] for line in monogamy] == [2.0 * v for v in correlation]
+        else:
+            assert monogamy[0]["label"] == "warning: mixed state; monogamy downgraded to correlation"
+            assert [line["value"] for line in monogamy[1:]] == correlation
+
+
+def test_pure_marginal_and_detect_stay_within_1e_12_of_the_outer_product_route(capsys, tmp_path):
+    """Pure input acts on its exactly Hermitian Gram density; the values
+    stay within 1e-12 of those of |psi><psi| formed by np.outer, which
+    marginal and detect read through its lower-triangle completion."""
+    psi = haar_pure(SubsystemDims((2, 3, 2)), 4)
+    path = tmp_path / "pure.json"
+    write_state_file(path, psi)
+    old = states.DensityMatrix(np.outer(psi.vector, psi.vector.conj()), psi.dims)
+    assert old.operand is not old.matrix
+    _, lines = run(capsys, "check", "--state", str(path), "--families", "marginal")
+    want = constraints.marginal_report(old).entries
+    assert [line["label"] for line in lines] == [e.label for e in want]
+    assert max(abs(line["value"] - e.value) for line, e in zip(lines, want)) <= 1e-12
+    params = inversion.DetectionParams(t=0b001, act_on=0b011, alpha=1.0, beta=1.0)
+    _, [line] = run(capsys, "detect", "--state", str(path), "--act-on", "1,2", "--t", "1")
+    low = min_eigenvalue(inversion.apply_detection_map(old.operand, old.dims, params))
+    assert abs(line["value"] - low) <= 1e-12

@@ -187,15 +187,22 @@ def test_shadow_report_flags_non_psd_input():
 @pytest.mark.parametrize("pure", [False, True])
 def test_shadow_report_on_a_purity_profile_is_the_operands_report(pure):
     """A validated state passed as both operands is read off its purity
-    profile's table: the lines of M1 = M2 = rho bit for bit, judged as
-    theorems.  A state with another operand, or with other dims, is an
-    error."""
+    profile's table: the lines of M1 = M2 = rho, judged as theorems, bit
+    for bit for a mixed state and within 1e-12 for a pure state, whose
+    profile comes from its factor.  A state with another operand, or with
+    other dims, is an error."""
     dims = SubsystemDims((2, 3, 2))
     state = haar_pure(dims, 5) if pure else ginibre_mixed(dims, 5)
     rho = state.density().matrix if pure else state.matrix
     want = shadow_report(rho, rho, dims)
     got = shadow_report(state, state, dims)
-    assert got == want and all(e.theorem for e in got.entries)
+    assert all(e.theorem for e in got.entries)
+    if pure:
+        assert [e.label for e in got.entries] == [e.label for e in want.entries]
+        assert all(e.passed for e in got.entries) and got.notes == want.notes == []
+        assert max(abs(e.value - w.value) for e, w in zip(got.entries, want.entries)) <= 1e-12
+    else:
+        assert got == want
     with pytest.raises(ValueError, match="a state as both operands"):
         shadow_report(state, rho, dims)
     with pytest.raises(ValueError, match="a state as both operands"):
@@ -593,8 +600,11 @@ def test_independence_rank_pure_reads_the_per_state_tables_bit_for_bit(n):
     old = old_pure_matrix(n)
     tables, reduced = pinned_ghz_tables(n)
     for idx, row in enumerate(tables):
-        table = invariant_table(pinned_ghz_state(n, idx << 1))
+        psi = pinned_ghz_state(n, idx << 1)
+        table = invariant_table(psi.density())
         assert row.tolist() == [table.c_squared(t) for t in range(1 << n)]
+        # the pure state's own table comes from its factor
+        assert np.max(np.abs(row - invariant_table(psi).values)) <= 1e-13
     assert reduced.tobytes() == old.tobytes()
     assert independence_rank_pure(n) == old_numerical_rank(old) == 1 << (n - 1)
 

@@ -69,6 +69,17 @@ def test_parse_party_list():
         parse_party_list("3,1,3")
 
 
+@pytest.mark.parametrize("text, token", [
+    ("0_1", "0_1"), ("\u0661,2", "\u0661"), ("1,\uff12", "\uff12"), ("1, 2_", " 2_"),
+])
+def test_parse_party_list_refuses_separators_and_non_ascii_digits(text, token):
+    """int() reads "0_1" as 1 and the Arabic-Indic digit one as 1; a party
+    list is plain ASCII, so the error names the list and the token."""
+    with pytest.raises(ValueError, match=f"party list {text!r} holds {token!r}, "
+                                         "not a plain ASCII number"):
+        parse_party_list(text)
+
+
 def test_relative_mask_restricts_and_reindexes():
     assert relative_mask(0b101, 0b111) == 0b101
     assert relative_mask(0b100, 0b110) == 0b10

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -27,8 +28,8 @@ from qinvert.io import (
     state_from_dict,
     write_state_file,
 )
-from qinvert.states import DensityMatrix, PureState
-from qinvert.zoo import ginibre_mixed, haar_pure
+from qinvert.states import DensityMatrix, FactorState, PureState
+from qinvert.zoo import ginibre_factor, ginibre_mixed, haar_pure
 
 
 def test_pure_roundtrip_is_exact(tmp_path):
@@ -96,6 +97,77 @@ def test_mixed_roundtrip_keeps_bit_patterns(tmp_path_factory, seed, data):
     for k in data.draw(st.lists(st.integers(0, d - 1), max_size=d, unique=True)):
         mat[k, k] = complex(mat[k, k].real, -0.0)
     roundtrip_bits(tmp_path_factory.mktemp("mixed"), DensityMatrix(mat, dims))
+
+
+def test_factor_roundtrip_is_bit_for_bit(tmp_path):
+    state = ginibre_factor(SubsystemDims((2, 3)), 5, 3)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_state_file(first, state, label="rank 3")
+    loaded = read_state_file(first)
+    assert type(loaded) is FactorState and loaded.rank == 3
+    assert loaded.factor.view(np.uint64).tobytes() == state.factor.view(np.uint64).tobytes()
+    obj = json.loads(first.read_text())
+    assert obj["kind"] == "factor" and len(obj["data"]) == 6
+    assert all(len(row) == 3 for row in obj["data"])
+    write_state_file(second, loaded, label="rank 3")
+    assert second.read_bytes() == first.read_bytes()
+    assert first.read_text() == json.dumps(qio.state_to_dict(state, "rank 3")) + "\n"
+
+
+def test_a_pure_file_is_the_rank_one_factor_and_keeps_its_format(tmp_path):
+    psi = haar_pure(SubsystemDims((3, 2)), 8)
+    path = tmp_path / "psi.json"
+    write_state_file(path, psi)
+    loaded = read_state_file(path)
+    assert type(loaded) is PureState and loaded.rank == 1
+    assert json.loads(path.read_text())["kind"] == "pure"
+    # formed exactly Hermitian, so marginal and detect act on the matrix itself
+    rho = loaded.density()
+    assert rho.operand is rho.matrix
+
+
+def factor_text(data, norm=1.0, first=None):
+    """A (2, 3) factor file whose data is ``data`` (rows of [re, im]
+    pairs) scaled to Frobenius norm ``norm``, its first number replaced
+    by ``first`` when given."""
+    scale = norm / math.sqrt(math.fsum(x * x for row in data for pair in row for x in pair))
+    rows = [[[x * scale for x in pair] for pair in row] for row in data]
+    if first is not None:
+        rows[0][0][0] = first
+    return json.dumps({"dims": [2, 3], "kind": "factor", "data": rows})
+
+
+GOOD_ROWS = [[[1.0, 0.5], [0.25, -1.0]] for _ in range(6)]
+
+
+@pytest.mark.parametrize("text, message", [
+    (factor_text(GOOD_ROWS[:2] + [[[1.0, 0.5]]] + GOOD_ROWS[3:]),
+     "invalid data: factor row 3 holds 1 pairs, not the 2 of row 1"),
+    (factor_text(GOOD_ROWS[:5]), "invalid data: a factor holds D = 6 rows of pairs, got 5 rows"),
+    ('{"dims": [2, 3], "kind": "factor", "data": [[], [], [], [], [], []]}',
+     r"invalid data: a factor's rows hold r pairs, 1 <= r <= D = 6; row 1 holds 0"),
+    (factor_text([[[1.0, 0.5]] * 7] * 6),
+     r"invalid data: a factor's rows hold r pairs, 1 <= r <= D = 6; row 1 holds 7"),
+    (factor_text(GOOD_ROWS, first=math.nan), "invalid state data: factor has non-finite entries"),
+    (factor_text(GOOD_ROWS, first=-math.inf), "invalid state data: factor has non-finite entries"),
+    (factor_text(GOOD_ROWS, first=True), "data entries must be JSON numbers, got bool"),
+    (factor_text(GOOD_ROWS, norm=1.0 + 2e-12), "invalid state data: factor norm .* is not 1"),
+    (factor_text(GOOD_ROWS, norm=1.0 - 2e-12), "invalid state data: factor norm .* is not 1"),
+], ids=["row-length", "row-count", "rank-0", "rank-above-D", "nan", "inf", "bool", "norm-high",
+        "norm-low"])
+def test_a_malformed_factor_file_exits_2_naming_the_field(tmp_path, capsys, text, message):
+    path = tmp_path / "factor.json"
+    path.write_text(text)
+    assert main(["check", "--state", str(path), "--families", "correlation"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(message, captured.err), captured.err
+
+
+def test_a_factor_within_the_norm_tolerance_is_read(tmp_path):
+    path = tmp_path / "factor.json"
+    path.write_text(factor_text(GOOD_ROWS, norm=1.0 + 5e-13))
+    assert read_state_file(path).rank == 2
 
 
 def test_label_preserved(tmp_path):

@@ -9,8 +9,9 @@ witnesses from marginals, the broadcast embed and block product (with the
 Kraus operators built on it), the aligned mask blocks the reference
 routes take (each member as its own one-mask call), the member axis
 every stacked layer takes (each member as its own call) and the one the
-purity sweep and the signed subset sum take, the purity profile a pure state sweeps
-without forming a DensityMatrix, the invariant table every scalar
+purity sweep and the signed subset sum take, the Gram-product purity
+profile of a factor state (within a tolerance of the dense sweep of its
+density matrix), the invariant table every scalar
 family reads, the Cholesky PSD certificate (shifting its operand in
 place, pinned to the copy it shifted before) and the certified stack
 minimum, pinned to eigvalsh, and the row-block forms of the finiteness
@@ -213,31 +214,62 @@ def test_correlation_constraint_is_bit_identical_to_report(dims, seed):
     ]
 
 
+# how far a factor's purity profile, and the reports built from it, may
+# lie from the dense sweep of its density matrix
+PROFILE_TOL = 1e-13
+
+
 @PROPERTY
 @given(dims=subsystem_dims(max_total=48), seed=seeds)
-def test_pure_purity_profile_is_bit_identical_to_the_density_route(dims, seed):
+def test_pure_purity_profile_matches_the_density_route(dims, seed):
     psi = haar_pure(dims, seed)
     rho = psi.density()
     want = subset_purities(rho.matrix, dims)
-    assert np.array_equal(psi.purities.view(np.uint64), want.view(np.uint64))
-    assert invariant_table(psi).values.tobytes() == invariant_table(rho).values.tobytes()
-    assert linear_entropies(psi) == linear_entropies(rho)
-    assert correlation_report(psi).entries == correlation_report(rho).entries
-    assert entropy_inequalities(psi).entries == entropy_inequalities(rho).entries
-    # monogamy is twice the table; the routes before the profile (the signed
-    # list over a tau dict, which drops the norm residue at the empty and
-    # full sets, and each bipartite concurrence from a reduced density
-    # matrix) agree to rounding and bit for bit
+    assert np.max(np.abs(psi.purities - want)) <= PROFILE_TOL
+    table = invariant_table(psi).values
+    assert np.max(np.abs(table - invariant_table(rho).values)) <= PROFILE_TOL
+    # the paired route makes every odd-size invariant of a pure state exactly 0
+    odd = [t for t in range(1 << dims.n) if mask_size(t) % 2]
+    assert not table[odd].any()
+    taus, rho_taus = linear_entropies(psi), linear_entropies(rho)
+    assert taus.keys() == rho_taus.keys()
+    assert max(abs(taus[s] - rho_taus[s]) for s in taus) <= 2 * PROFILE_TOL
+    for family in (correlation_report, entropy_inequalities):
+        got, ref = family(psi).entries, family(rho).entries
+        assert [(e.label, e.theorem) for e in got] == [(e.label, e.theorem) for e in ref]
+        assert max(abs(e.value - r.value) for e, r in zip(got, ref)) <= 8 * PROFILE_TOL
+    # within one state, monogamy is twice the table and correlation is the
+    # table: bit for bit
     monogamy = [e.value for e in monogamy_report(psi).entries]
-    assert monogamy == [2.0 * v for v in signed_subset_sums(want)[1:].tolist()]
-    taus = linear_entropies(rho)
-    signed = [0.0 if s in (0, dims.full_mask) else -taus[s] for s in range(1 << dims.n)]
+    assert monogamy == [2.0 * v for v in table[1:].tolist()]
+    assert [e.value for e in correlation_report(psi).entries] == table[1:].tolist()
+    # the routes before the profile (the signed list over a tau dict, which
+    # drops the norm residue at the empty and full sets, and each bipartite
+    # concurrence from a reduced density matrix) agree to rounding
+    signed = [0.0 if s in (0, dims.full_mask) else -rho_taus[s] for s in range(1 << dims.n)]
     old = signed_subset_sums(signed)[1:]
     assert np.max(np.abs(np.array(monogamy) - old)) <= 1e-12
     for s in range(1, dims.full_mask):
         rho_s = rho.reduce(s).matrix
         want_s = 2.0 * (1.0 - trace_product(rho_s, rho_s).real)
-        assert bipartite_concurrence_squared(psi, s) == want_s
+        assert abs(bipartite_concurrence_squared(psi, s) - want_s) <= 2 * PROFILE_TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dims=subsystem_dims(max_total=48), seed=seeds, rank=st.sampled_from(["1", "2", "D"]))
+def test_factor_purities_match_the_dense_sweep_of_the_gram_density(dims, seed, rank):
+    d = dims.total
+    r = {"1": 1, "2": 2, "D": d}[rank]
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    g /= np.linalg.norm(g)
+    got = tensor.factor_purities(g, dims)
+    want = subset_purities(g @ g.conj().T, dims)
+    assert got.shape == want.shape and not got.flags.writeable
+    assert np.max(np.abs(got - want)) <= PROFILE_TOL
+    assert abs(got[0] - np.linalg.norm(g) ** 4) <= PROFILE_TOL
+    if r == 1:  # a pure state: each complement pair shares one product
+        assert np.array_equal(got, got[::-1])
 
 
 def old_entropy_sums(purities, skip=0):
@@ -275,7 +307,10 @@ def test_scalar_families_are_views_of_the_invariant_table(dims, seed, pure):
     same = np.array([e.value for e in shadow_report(m, m, dims).entries])
     apart = np.array([e.value for e in shadow_report(m, m.copy(), dims).entries])
     assert np.array_equal(same.view(np.uint64), apart.view(np.uint64))
-    assert np.array_equal(same.view(np.uint64), np.array(table).view(np.uint64))
+    if pure:  # the factor route against the dense sweep of the matrix
+        assert np.max(np.abs(same - table)) <= 8 * PROFILE_TOL
+    else:
+        assert np.array_equal(same.view(np.uint64), np.array(table).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from qinvert import states, tensor
 from qinvert.constraints import correlation_report, entropy_inequalities, monogamy_report
 from qinvert.dims import SubsystemDims
 from qinvert.invariants import invariant_table
-from qinvert.states import DensityMatrix, PureState, gram_density
+from qinvert.states import DensityMatrix, FactorState, PureState, gram_density
 from qinvert.tensor import block_product
-from qinvert.zoo import _ginibre_factor, bell_state, ginibre_mixed, haar_pure
+from qinvert.zoo import _ginibre_factor, bell_state, ginibre_factor, ginibre_mixed, haar_pure
 
 
 def test_density_matrix_accepts_valid_state():
@@ -98,8 +98,10 @@ def test_non_finite_entries_are_rejected(bad):
 
 def test_purity_profile_is_swept_once_per_state_and_read_only(monkeypatch):
     calls = []
-    sweep = states.subset_purities
-    monkeypatch.setattr(states, "subset_purities", lambda *a: calls.append(a) or sweep(*a))
+    for name in ("subset_purities", "factor_purities"):
+        kernel = getattr(states, name)
+        monkeypatch.setattr(states, name,
+                            lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
     dims = SubsystemDims((2, 3, 2))
     rho, psi = ginibre_mixed(dims, 4), haar_pure(dims, 4)
     for state in (rho, psi):
@@ -107,7 +109,8 @@ def test_purity_profile_is_swept_once_per_state_and_read_only(monkeypatch):
         entropy_inequalities(state)
         invariant_table(state)
     monogamy_report(psi)
-    assert len(calls) == 2
+    # the mixed state sweeps its matrix, the pure state reads its factor
+    assert calls == ["subset_purities", "factor_purities"]
     for state in (rho, psi):
         with pytest.raises(ValueError, match="read-only"):
             state.purities[1] = 0.0
@@ -120,7 +123,8 @@ def test_pure_density_skips_only_the_psd_eigen_solve(monkeypatch):
     monkeypatch.setattr(states, "psd_violation", lambda *a: solves.append(a) or real(*a))
     rho = psi.density()
     assert solves == []
-    assert np.array_equal(rho.matrix, np.outer(psi.vector, psi.vector.conj()))
+    assert np.array_equal(rho.matrix, gram_density(psi.vector[:, None]))
+    assert np.max(np.abs(rho.matrix - np.outer(psi.vector, psi.vector.conj()))) <= 1e-15
     assert not rho.matrix.flags.writeable
     DensityMatrix(rho.matrix, rho.dims)
     assert len(solves) == 1
@@ -226,3 +230,63 @@ def test_an_owned_array_is_kept_and_any_other_is_copied():
     vec = np.array(haar_pure(dims, 6).vector)
     assert not np.shares_memory(PureState(vec, dims).vector, vec)
     assert np.shares_memory(PureState(vec, dims, _owned=True).vector, vec)
+
+
+def unit_factor(d, r, seed=0):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    return g / np.linalg.norm(g)
+
+
+def test_a_factor_state_is_checked_by_shape_finiteness_and_norm_only(monkeypatch):
+    solves = []
+    real = states.psd_violation
+    monkeypatch.setattr(states, "psd_violation", lambda *a: solves.append(a) or real(*a))
+    dims = SubsystemDims((2, 3))
+    g = unit_factor(6, 2)
+    state = FactorState(g, dims)
+    assert state.rank == 2 and not state.factor.flags.writeable
+    assert not np.shares_memory(state.factor, g)
+    assert solves == []
+    for bad in (g[:, 0], g[:5], np.zeros((6, 0)), unit_factor(6, 7)):
+        with pytest.raises(ValueError, match="factor shape"):
+            FactorState(bad, dims)
+    nan = g.copy()
+    nan[3, 1] = np.nan
+    with pytest.raises(ValueError, match="factor has non-finite entries"):
+        FactorState(nan, dims)
+    with pytest.raises(ValueError, match="factor norm"):
+        FactorState(g * (1.0 + 2e-12), dims)
+    FactorState(g * (1.0 + 1e-13), dims)
+
+
+def test_a_pure_state_is_the_rank_one_factor_state():
+    psi = haar_pure(SubsystemDims((2, 3, 2)), 4)
+    assert isinstance(psi, FactorState) and psi.rank == 1
+    assert psi.factor.shape == (12, 1) and np.shares_memory(psi.factor, psi.vector)
+    as_factor = FactorState(psi.vector[:, None], psi.dims)
+    assert as_factor.purities.tobytes() == psi.purities.tobytes()
+    assert as_factor.density().matrix.tobytes() == psi.density().matrix.tobytes()
+
+
+def test_a_factor_density_is_exactly_hermitian_and_is_its_own_operand():
+    """np.outer(v, v.conj()) has a Hermiticity defect of 2.8e-17 on this
+    state, which made marginal and detect build a second D x D array; the
+    Gram density is exactly Hermitian, so the operand is the matrix."""
+    psi = haar_pure(SubsystemDims((2, 3, 2)), 4)
+    assert tensor.herm_defect(np.outer(psi.vector, psi.vector.conj())) > 0.0
+    for state in (psi, FactorState(unit_factor(12, 3), psi.dims)):
+        rho = state.density()
+        assert tensor.herm_defect(rho.matrix) == 0.0
+        assert rho.operand is rho.matrix
+        assert np.max(np.abs(rho.purities - state.purities)) <= 1e-13
+
+
+@pytest.mark.parametrize("local_dims, rank", [((2, 3), 1), ((2, 3), 4), ((2, 2, 2), 8)])
+def test_the_ginibre_factor_state_is_the_ginibre_state_to_rounding(local_dims, rank):
+    dims = SubsystemDims(local_dims)
+    state = ginibre_factor(dims, 7, rank, member=2)
+    assert state.rank == rank
+    assert abs(np.linalg.norm(state.factor) - 1.0) <= 1e-15
+    want = ginibre_mixed(dims, 7, member=2, rank=rank).matrix
+    assert np.max(np.abs(state.density().matrix - want)) <= 1e-15

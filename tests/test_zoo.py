@@ -265,7 +265,7 @@ def test_pinned_ghz_tables_check_each_member_and_the_reduced_stack(monkeypatch):
         return reduced
 
     monkeypatch.setattr(zoo, "partial_trace", corrupted)
-    with pytest.raises(ValueError, match=r"density matrix stack trace \(1.4999.*\+0j\) is not 1"):
+    with pytest.raises(ValueError, match=r"density matrix stack trace \(1.5\+0j\) is not 1"):
         zoo.pinned_ghz_tables(3)
 
 
