@@ -47,8 +47,8 @@ from .dims import (
 )
 from .invariants import invariant_table
 from .inversion import (
-    DetectionParams, KrausGenerators, apply_detection_map, chunk_members, embedded_generators,
-    invert_kraus, invert_sum, inversion_stacks,
+    DetectionParams, KrausTransfers, apply_detection_map, chunk_members, invert_kraus, invert_sum,
+    inversion_stacks, kraus_transfers,
 )
 from .io import StateFileError, read_state_file, write_state, write_state_file
 from .states import DensityMatrix, FactorState
@@ -352,8 +352,8 @@ def _ensemble_suites(
     whatever ``size`` is, unless one member alone exceeds it and runs as
     a chunk of one.  Rows do not depend on the chunking: deviations are
     maxima, and parity adds each member's masks in ascending order.  The
-    Kraus generators of ``cross_form`` depend only on ``dims`` and are
-    built once."""
+    Kraus transfer matrices of ``cross_form`` depend only on ``dims`` and
+    are built once."""
     cross, positivity, parity = (s in suites for s in ENSEMBLE_SUITES)
     if not (cross or positivity or parity):
         return {}
@@ -362,7 +362,7 @@ def _ensemble_suites(
     d = dims.total
     eye = np.eye(d)
     scale = 2.0 ** (1 - dims.n)
-    generators = embedded_generators(dims) if cross else None
+    transfers = kraus_transfers(dims) if cross else None
     chunk = chunk_members(dims)
     for start in range(0, size, chunk):
         mats = ginibre_stack(dims, seed, range(start, min(start + chunk, size)))
@@ -373,7 +373,7 @@ def _ensemble_suites(
                 low = certified_min_eigenvalue(stack.reshape(-1, d, d), len(mats), low)
             if cross:
                 block = range(first, first + len(stack))
-                form_dev = max(form_dev, _form_deviation(mats, dims, stack, block, generators))
+                form_dev = max(form_dev, _form_deviation(mats, dims, stack, block, transfers))
             if parity:
                 for t, inv in enumerate(stack, first):
                     sums[t.bit_count() % 2] = sums[t.bit_count() % 2] + inv
@@ -391,11 +391,12 @@ def _ensemble_suites(
 
 
 def _form_deviation(mats: np.ndarray, dims: SubsystemDims, stack: np.ndarray, block: range,
-                    generators: KrausGenerators) -> float:
+                    transfers: KrausTransfers) -> float:
     """Max |sum - stack| and |sum - Kraus| over the masks of ``block``, which
-    ``stack`` holds; no reference form outlives the call, and the Kraus
-    temporaries peak before the sum stack exists."""
-    by_kraus = invert_kraus(mats, dims, block, generators)
+    ``stack`` holds, the Kraus form from the campaign's ``transfers``; no
+    reference form outlives the call, and the Kraus temporaries peak
+    before the sum stack exists."""
+    by_kraus = invert_kraus(mats, dims, block, transfers)
     by_sum = invert_sum(mats, dims, block)
     return max(_deviation(by_sum, stack, "cross_form"), _deviation(by_sum, by_kraus, "cross_form"))
 

@@ -20,14 +20,16 @@ it, and :func:`inversion_stacks` evaluates I_T for every T as a butterfly
 over the parties that takes each party's trace once for both signs, 2^N
 masks per call when they fit in a cache-sized stack.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
-input (:func:`invert_kraus`) are kept only as cross-check references.
-Both take one mask or the aligned block of masks of one such stack,
-range(k 2^m, (k+1) 2^m), and return a (2^m, D, D) stack for a block,
-each member bit-identical to its own one-mask call.
+input (:func:`invert_kraus`, each party's channel one (d^2, d^2) transfer
+matrix on that party's row and column indices) are kept only as
+cross-check references.  Both take one mask or the aligned block of
+masks of one such stack, range(k 2^m, (k+1) 2^m), and return a
+(2^m, D, D) stack for a block, each member bit-identical to its own
+one-mask call.
 
 Every one of these routes also takes a (M, D, D) stack of operands:
 the leading member axis rides through the same kernels (the reduction
-sweep, embeds, the signed sums, the broadcast matrix products, the
+sweep, embeds, the signed sums, the batched matrix products, the
 factor kernel) with no second code path, each member bit-identical to
 its own call, so an ensemble of M small operands costs one call per
 kernel instead of M.  :func:`chunk_members` sizes such stacks against
@@ -199,11 +201,12 @@ STACK_HOLD_BYTES = HOLD_BYTES
 
 
 # (2^N, D, D) stacks per operand that a chunk of verify's ensemble holds
-# at its peak, temporaries included: the factor stack and, while the
-# Kraus butterfly runs its last party, its input, both party sums, their
-# concatenation and the matrix-product temporaries (about 4.9 at (2,2,2,2)
-# under tracemalloc; factorization's stacks, products and differences
-# peak below that).
+# at its peak, temporaries included: in cross_form, the factor stack, both
+# reference forms' stacks and one deviation's difference and its absolute
+# values (4.7-4.9 at (2,2,2,2), (2,3,4), (3,3) and (2,2,2,2,2) under
+# tracemalloc; the Kraus call alone peaks at 2.0, its rows, one half's
+# product and the doubled stack; factorization's stacks, products and
+# differences peak below that).
 CHUNK_STACKS = 5
 
 
@@ -347,73 +350,107 @@ def _channel_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, .
     return generators
 
 
-# Per party, the embedded generators of its Kraus channel for the plus
-# sign and for the minus sign.
-KrausGenerators = tuple[list[tuple[np.ndarray, ...]], list[tuple[np.ndarray, ...]]]
+# Per party, the transfer matrix of its Kraus channel for the plus sign
+# and for the minus sign.
+KrausTransfers = tuple[list[np.ndarray], list[np.ndarray]]
 
 
-def embedded_generators(dims: SubsystemDims) -> KrausGenerators:
-    """The generators of :func:`_channel_generators` for both signs, each
-    embedded on its party as a D x D operator: ``(plus, minus)``, indexed
-    by party.  They depend only on ``dims``, so a campaign builds them once
-    and hands them to every :func:`invert_kraus` call."""
-    plus, minus = ([tuple(embed(g, 1 << i, dims) for g in party_generators)
-                    for i, party_generators in enumerate(_channel_generators(dims, t))]
+def kraus_transfers(dims: SubsystemDims) -> KrausTransfers:
+    """The channels of :func:`_channel_generators` for both signs, each as
+    its (d^2, d^2) transfer matrix on its party,
+    T[(a, b), (x, y)] = (2/d) sum_g g[x, a] g[b, y], which takes the row
+    of an operator's (a, b) entries on that party to ``row @ T``:
+    ``(plus, minus)``, indexed by party.  They depend only on ``dims``, so
+    a campaign builds them once and hands them to every
+    :func:`invert_kraus` call."""
+    plus, minus = ([_transfer(np.array(party_generators))
+                    for party_generators in _channel_generators(dims, t)]
                    for t in (0, dims.full_mask))
     return plus, minus
 
 
-def _party_channel(
-    src: np.ndarray, generators: tuple[np.ndarray, ...], d: int, plus: bool
-) -> np.ndarray:
-    """One party's Kraus channel, with its embedded ``generators``, on
-    every member of ``src``, accumulated in a single buffer.  The plus
-    channel's first generator is the identity, so its sum starts from a
-    copy of ``src`` (equal to 1 src 1 up to the sign of zeros)."""
-    acc = src.copy() if plus else np.zeros_like(src)
-    for h in generators[1:] if plus else generators:
-        acc += h @ src @ h
-    acc *= 2.0 / d
-    return acc
+def _transfer(generators: np.ndarray) -> np.ndarray:
+    """The transfer matrix of the channel (2/d) sum_g g . g of a (G, d, d)
+    stack of generators."""
+    d = generators.shape[-1]
+    return np.einsum("gxa,gby->abxy", generators, generators).reshape(d * d, d * d) * (2.0 / d)
+
+
+def _check_transfers(dims: SubsystemDims, transfers: KrausTransfers) -> None:
+    """Raise a ValueError naming the first party whose prebuilt transfer
+    matrix, of either sign, is missing or not (d_j^2, d_j^2)."""
+    want = [(d * d, d * d) for d in dims.dims]
+    for channels in transfers:
+        got = [np.shape(t) for t in channels]
+        for j, (a, b) in enumerate(itertools.zip_longest(got, want)):
+            if a != b:
+                raise ValueError(f"prebuilt Kraus transfer matrices do not match party "
+                                 f"{j + 1} of dims {dims.dims}: {a} against {b}")
+
+
+def _party_last(stack: np.ndarray, dims: SubsystemDims, i: int) -> np.ndarray:
+    """The (n, L, R, L, R, d, d) view of a C-ordered (n, D, D) stack with
+    party i's row and column axes moved last."""
+    d = dims.dims[i]
+    left, right = math.prod(dims.dims[:i]), math.prod(dims.dims[i + 1:])
+    view = stack.reshape(len(stack), left, d, right, left, d, right)
+    return view.transpose(0, 1, 3, 4, 6, 2, 5)
 
 
 def invert_kraus(
     mat: np.ndarray,
     dims: SubsystemDims,
     t: int | range,
-    generators: KrausGenerators | None = None,
+    transfers: KrausTransfers | None = None,
 ) -> np.ndarray:
     """Evaluate the inversion as a Kraus channel acting on the entrywise
     conjugate of ``mat``.
 
     Per party the channel sums over the y-type generators when the party
-    carries a minus sign, and over identity, x and z types otherwise.
-    Parties are iterated outermost, 1..N, and generator indices innermost;
-    each party's sum is accumulated in a single buffer.  Agrees with
-    :func:`invert_sum` on Hermitian inputs.  ``t`` is one mask (a D x D
-    result) or an aligned block range(k 2^m, (k+1) 2^m) (a (2^m, D, D)
-    stack in ascending mask order): parties 1..m run as a butterfly that
-    doubles the stack once per party, as the plus channel's results
-    followed by the minus channel's, and parties m+1..N apply the one
-    channel that k's bits give them, so each member is bit-identical to
-    its own one-mask call.  Leading axes of ``mat`` are member axes,
-    carried through by the broadcast matrix products: (M, D, D) gives
-    (M, D, D) for one mask and (2^m, M, D, D) for a block, each member
-    bit-identical to its own call.  ``generators``, from
-    :func:`embedded_generators`, skips rebuilding them.
+    carries a minus sign, and over identity, x and z types otherwise, as
+    one transfer matrix (:func:`kraus_transfers`) applied to the party's
+    row and column indices of every operator; parties are iterated 1..N.
+    Agrees with :func:`invert_sum` on Hermitian inputs.  ``t`` is one mask
+    (a D x D result) or an aligned block range(k 2^m, (k+1) 2^m) (a
+    (2^m, D, D) stack in ascending mask order): parties 1..m run as a
+    butterfly that doubles the stack once per party, as the plus
+    channel's results followed by the minus channel's, both from one copy
+    of the stack's rows, and parties m+1..N apply the one channel that
+    k's bits give them, so each member is bit-identical to its own
+    one-mask call.  Leading axes of ``mat`` are member axes, carried
+    through on the matmul's leading axis: (M, D, D) gives (M, D, D) for
+    one mask and (2^m, M, D, D) for a block, each member bit-identical to
+    its own call.  ``transfers``, from :func:`kraus_transfers`, skips
+    rebuilding them; transfers for other dims are a ValueError naming the
+    first party they do not match.  O(D^2 sum_j d_j^2) per operator.
     """
     block = _mask_block(dims, t)
     m = len(block).bit_length() - 1
-    plus, minus = embedded_generators(dims) if generators is None else generators
-    out = np.asarray(mat, dtype=np.complex128).conj()[np.newaxis]
-    for i, d in enumerate(dims.dims):
+    if transfers is None:
+        transfers = kraus_transfers(dims)
+    else:
+        _check_transfers(dims, transfers)
+    plus, minus = transfers
+    mat = np.asarray(mat, dtype=np.complex128)
+    lead = mat.shape[:-2]
+    d = dims.total
+    out = np.conjugate(mat, order="C").reshape(-1, d, d)
+    for i, d_i in enumerate(dims.dims):
+        # one matmul over the leading axis, so each member runs the same
+        # product whatever the stack's length (one (n L^2 R^2, d^2) product
+        # would let BLAS pick its kernel by the row count)
+        last = _party_last(out, dims, i)
+        shape, rows = last.shape, last.reshape(len(out), -1, d_i * d_i)
+        del last  # a butterfly step frees its input once the rows are copied
         if i < m:
-            out = np.concatenate([_party_channel(out, plus[i], d, True),
-                                  _party_channel(out, minus[i], d, False)])
-        elif block.start >> i & 1:
-            out = _party_channel(out, minus[i], d, False)
+            out = np.empty((2 * len(rows), d, d), dtype=np.complex128)
+            halves = ((out[:len(rows)], plus[i]), (out[len(rows):], minus[i]))
         else:
-            out = _party_channel(out, plus[i], d, True)
+            halves = ((out, minus[i] if block.start >> i & 1 else plus[i]),)
+        for half, transfer in halves:
+            _party_last(half, dims, i)[...] = np.matmul(rows, transfer).reshape(shape)
+        del rows
+    out = out.reshape((len(block),) + lead + (d, d))
     return out if isinstance(t, range) else out[0]
 
 

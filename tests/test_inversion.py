@@ -12,6 +12,7 @@ from qinvert.inversion import (
     invert_product,
     invert_sum,
     kraus_operators,
+    kraus_transfers,
 )
 from qinvert.states import DensityMatrix
 from qinvert.tensor import block_product, min_eigenvalue
@@ -169,12 +170,39 @@ def _restrict(t, block):
 
 
 def test_kraus_operators_reproduce_channel():
-    dims = SubsystemDims((2, 3))
-    rho = ginibre_mixed(dims, 105).matrix
-    for t in (0b00, 0b01, 0b11):
+    """Every mask's transfer-matrix route is the explicit sum K rho* K^dag
+    over its Kraus operators, local dims up to 5 included."""
+    for local in ((2, 3), (4,), (5,), (2, 5), (4, 3)):
+        dims = SubsystemDims(local)
+        rho = ginibre_mixed(dims, 105).matrix
         conj = rho.conj()
-        total = sum(k @ conj @ k.conj().T for k in kraus_operators(dims, t))
-        assert max_dev(total, invert_kraus(rho, dims, t)) < 1e-11
+        for t in dims.subset_masks():
+            total = sum(k @ conj @ k.conj().T for k in kraus_operators(dims, t))
+            assert max_dev(total, invert_kraus(rho, dims, t)) < 1e-11, (local, t)
+
+
+@pytest.mark.parametrize(("local", "built_for", "party"), [
+    ((2, 3), (3, 2), 1),  # the same D = 6, every party of the wrong size
+    ((2, 2), (4,), 1),
+    ((2, 2), (2,), 2),  # a party missing
+    ((2,), (2, 2), 2),  # a party too many
+    ((2, 3, 4), (2, 3, 3), 3),
+])
+def test_kraus_transfers_for_other_dims_are_rejected(local, built_for, party):
+    """Prebuilt transfer matrices must have one (d_j^2, d_j^2) matrix per
+    party of either sign; any other raises a ValueError naming the first
+    party that does not match, for one mask and for a block."""
+    dims = SubsystemDims(local)
+    rho = ginibre_mixed(dims, 1).matrix
+    wrong = kraus_transfers(SubsystemDims(built_for))
+    for t in (0, range(1 << dims.n)):
+        with pytest.raises(ValueError, match=f"do not match party {party} of dims "):
+            invert_kraus(rho, dims, t, wrong)
+    plus, minus = kraus_transfers(dims)
+    for bad in ((plus, minus[:-1]), (plus[:-1], minus)):
+        with pytest.raises(ValueError, match=f"do not match party {dims.n} of dims "):
+            invert_kraus(rho, dims, 0, bad)
+    assert np.array_equal(invert_kraus(rho, dims, 0, (plus, minus)), invert_kraus(rho, dims, 0))
 
 
 def test_kraus_operator_count():

@@ -521,11 +521,11 @@ def test_mask_blocks_are_bit_identical_to_one_mask_calls(dims, lead, prebuilt, s
     """Every aligned block range(k 2^m, (k+1) 2^m) of both reference forms
     is the (2^m, lead.., D, D) stack of their one-mask calls in ascending
     mask order, bit for bit, with 0 to 3 member axes and the Kraus form
-    with or without prebuilt generators."""
+    with or without prebuilt transfer matrices."""
     d = dims.total
     rng = np.random.default_rng(seed)
     mat = rng.normal(size=(*lead, d, d)) + 1j * rng.normal(size=(*lead, d, d))
-    kraus_args = (inversion.embedded_generators(dims),) if prebuilt else ()
+    kraus_args = (inversion.kraus_transfers(dims),) if prebuilt else ()
     for form, args in ((invert_sum, ()), (invert_kraus, kraus_args)):
         one = [form(mat, dims, t, *args) for t in dims.subset_masks()]
         assert all(x.shape == (*lead, d, d) for x in one), form
@@ -543,12 +543,12 @@ def test_mask_blocks_are_bit_identical_to_one_mask_calls(dims, lead, prebuilt, s
 def test_all_masks_calls_are_bit_identical_to_one_mask_calls(dims, seed):
     """invert_sum and invert_kraus on the block of all masks return the
     (2^N, D, D) stack of their one-mask calls in ascending mask order, bit
-    for bit, the Kraus form with and without prebuilt generators.  A mask
-    beyond the parties raises a ValueError naming it."""
+    for bit, the Kraus form with and without prebuilt transfer matrices.
+    A mask beyond the parties raises a ValueError naming it."""
     mat = random_operator(dims, seed)
     d = dims.total
-    generators = inversion.embedded_generators(dims)
-    for form, prebuilt in ((invert_sum, ()), (invert_kraus, ()), (invert_kraus, (generators,))):
+    transfers = inversion.kraus_transfers(dims)
+    for form, prebuilt in ((invert_sum, ()), (invert_kraus, ()), (invert_kraus, (transfers,))):
         stack = form(mat, dims, range(1 << dims.n), *prebuilt)
         assert stack.shape == (1 << dims.n, d, d), form
         for t in dims.subset_masks():
@@ -708,9 +708,9 @@ def test_member_stacks_are_bit_identical_to_per_member_calls(dims, m, seed, data
     """Every layer on a (M, D, D) stack of operands gives each member its
     own call's result bit for bit: the reduction sweep and the embeds of
     its reductions, both reference forms on one mask and on the block of
-    all masks (the Kraus form with and without prebuilt generators), the
-    mask-major all-masks stacks whatever the hold bound, and the smallest
-    eigenvalue of the flattened Hermitian stacks."""
+    all masks (the Kraus form with and without prebuilt transfer
+    matrices), the mask-major all-masks stacks whatever the hold bound,
+    and the smallest eigenvalue of the flattened Hermitian stacks."""
     d = dims.total
     mats = np.stack([random_operator(dims, seed + k) for k in range(m)])
     sweep = dict(reduction_sweep(mats, dims))
@@ -719,10 +719,10 @@ def test_member_stacks_are_bit_identical_to_per_member_calls(dims, m, seed, data
         for s, mat_s in reduction_sweep(mats[k], dims):
             assert bit_identical(sweep[s][k], mat_s)
             assert bit_identical(embed(sweep[s], s, dims)[k], embed(mat_s, s, dims))
-    generators = inversion.embedded_generators(dims)
+    transfers = inversion.kraus_transfers(dims)
     t = data.draw(st.integers(0, dims.full_mask))
     every = range(1 << dims.n)
-    for form, prebuilt in ((invert_sum, ()), (invert_kraus, ()), (invert_kraus, (generators,))):
+    for form, prebuilt in ((invert_sum, ()), (invert_kraus, ()), (invert_kraus, (transfers,))):
         stack = form(mats, dims, every, *prebuilt)
         assert stack.shape == (1 << dims.n, m, d, d), form
         one = form(mats, dims, t, *prebuilt)
