@@ -153,15 +153,18 @@ def _tolerance(tol: float) -> float:
 
 def _select(text: str | None, valid: tuple[str, ...], what: str, option: str) -> list[str]:
     """The entries of ``valid`` named in the comma list ``text`` (all of
-    them when it is None), in the order of ``valid``; an empty entry is
-    an error naming its position."""
+    them when it is None), in the order of ``valid``; an empty entry, or
+    one that repeats an earlier entry, is an error naming its position."""
     names = valid if text is None else [x.strip() for x in text.split(",")]
     if "" in names:
         raise ValueError(f"{option} entry {names.index('') + 1} is empty; "
                          f"name a {what} from: {', '.join(valid)}")
-    for name in names:
+    for pos, name in enumerate(names):
         if name not in valid:
             raise ValueError(f"unknown {what} {name!r}; valid: {', '.join(valid)}")
+        if name in names[:pos]:
+            raise ValueError(f"{option} entry {pos + 1} names {what} {name!r} again; "
+                             f"name each {what} once")
     return [x for x in valid if x in names]
 
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask, relative_mask
 from .invariants import invariant_table
-from .inversion import _signed_sums, odd_inversions
+from .inversion import odd_inversions
 from .states import TOL_PSD, DensityMatrix, FactorState, PureState
 from .tensor import (
     _require_hermitian,
@@ -319,6 +319,28 @@ def marginal_witnesses(rho: DensityMatrix) -> list[MarginalWitness]:
     state), with the global state known; built from the state's
     :attr:`~qinvert.states.DensityMatrix.operand`."""
     return sorted((_witness(t, w) for t, w in _witness_operators(rho)), key=lambda w: w.t)
+
+
+def _signed_sums(
+    terms: Iterable[tuple[int, np.ndarray]], dims: SubsystemDims, masks: Sequence[int]
+) -> np.ndarray:
+    """The (K, D, D) stack of sum_S (-1)^{|S & T|} term_S, one member per
+    mask T of ``masks``, over the ``(S, term_S)`` pairs of D x D terms
+    added one after another in the order given.  Each member runs the
+    ``out -= term`` / ``out += term`` of its own K = 1 call, so it is
+    bit-identical to it; a term whose sign differs between members is
+    applied as two masked in-place ufuncs.  O(K D^2) per term."""
+    out = np.zeros((len(masks), dims.total, dims.total), dtype=np.complex128)
+    for s, term in terms:
+        odd = np.array([(s & t).bit_count() % 2 for t in masks], dtype=bool)
+        if odd.all():
+            out -= term
+        elif not odd.any():
+            out += term
+        else:
+            np.subtract(out, term, out=out, where=odd[:, None, None])
+            np.add(out, term, out=out, where=~odd[:, None, None])
+    return out
 
 
 def marginal_witnesses_from_marginals(

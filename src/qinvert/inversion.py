@@ -25,14 +25,20 @@ matrix on that party's row and column indices) are kept only as
 cross-check references.  Both take one mask or the aligned block of
 masks of one such stack, range(k 2^m, (k+1) 2^m), and return a
 (2^m, D, D) stack for a block, each member bit-identical to its own
-one-mask call.
+one-mask call.  The subset sum adds its 2^N embedded reductions as one
+fixed pairwise tree per mask, party 1 the outermost level and party N
+the innermost; a block shares the levels of parties m+1..N and runs
+those of parties 1..m as a Walsh-Hadamard butterfly over its members,
+(m + 1) 2^N adds where separate sums would take 2^m 2^N.  It holds the
+reductions of its one sweep, the output and at most N - m + 1 more
+operators per member (the bound is in :func:`invert_sum`).
 
 Every one of these routes also takes a (M, D, D) stack of operands:
 the leading member axis rides through the same kernels (the reduction
-sweep, embeds, the signed sums, the batched matrix products, the
-factor kernel) with no second code path, each member bit-identical to
-its own call, so an ensemble of M small operands costs one call per
-kernel instead of M.  :func:`chunk_members` sizes such stacks against
+sweep, embeds, the signed tree and butterfly, the batched matrix
+products, the factor kernel) with no second code path, each member
+bit-identical to its own call, so an ensemble of M small operands costs
+one call per kernel instead of M.  :func:`chunk_members` sizes such stacks against
 :data:`STACK_HOLD_BYTES`.
 """
 
@@ -41,39 +47,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, parties_from_mask
 from .gellmann import build_basis, minus_channel_indices, plus_channel_indices
 from .tensor import HOLD_BYTES, _diagonal, _trace_out, block_product, embed, reduction_sweep
-
-
-def _signed_sums(
-    terms: Iterable[tuple[int, np.ndarray]],
-    dims: SubsystemDims,
-    masks: Sequence[int],
-    lead: tuple[int, ...] = (),
-) -> np.ndarray:
-    """The (K, lead.., D, D) stack of sum_S (-1)^{|S & T|} term_S, one
-    member per mask T of ``masks``, over the ``(S, term_S)`` pairs of
-    (lead.., D, D) terms in the order given.  Each member runs the
-    ``out -= term`` / ``out += term`` of its own K = 1 call, so it is
-    bit-identical to it; a term whose sign differs between members is
-    applied as two masked in-place ufuncs."""
-    out = np.zeros((len(masks),) + lead + (dims.total, dims.total), dtype=np.complex128)
-    per_mask = (len(masks),) + (1,) * (out.ndim - 1)
-    for s, term in terms:
-        odd = np.array([(s & t).bit_count() % 2 for t in masks], dtype=bool)
-        if odd.all():
-            out -= term
-        elif not odd.any():
-            out += term
-        else:
-            np.subtract(out, term, out=out, where=odd.reshape(per_mask))
-            np.add(out, term, out=out, where=~odd.reshape(per_mask))
-    return out
 
 
 def _mask_block(dims: SubsystemDims, t: int | range) -> range:
@@ -92,19 +72,72 @@ def _mask_block(dims: SubsystemDims, t: int | range) -> range:
 
 
 def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int | range) -> np.ndarray:
-    """Signed sum of identity-padded reductions, added in the fixed order of
-    one :func:`~qinvert.tensor.reduction_sweep`, so the summation order is
-    reproducible.  ``t`` is one mask (a D x D result) or an aligned block
-    range(k 2^m, (k+1) 2^m) (a (2^m, D, D) stack in ascending mask order,
-    each member bit-identical to its own one-mask call).  Leading axes of
-    ``mat`` are member axes: a (M, D, D) stack gives (M, D, D) for one
-    mask and (2^m, M, D, D) for a block, each member bit-identical to its
-    own call.  The 2^N embedded terms are formed one at a time, so one
-    mask takes O(D^2) memory.  A reference route, not a production one."""
+    """Signed sum of identity-padded reductions, added in one fixed tree
+    order, so the summation order is reproducible.  ``t`` is one mask (a
+    D x D result) or an aligned block range(k 2^m, (k+1) 2^m) (a
+    (2^m, D, D) stack in ascending mask order, each member bit-identical
+    to its own one-mask call).  Leading axes of ``mat`` are member axes:
+    a (M, D, D) stack gives (M, D, D) for one mask and (2^m, M, D, D) for
+    a block, each member bit-identical to its own call.  A reference
+    route, not a production one.
+
+    For one mask T the 2^N - 1 adds form a pairwise tree over the subset
+    bits, party 1 the outermost level and party N the innermost: each
+    node is a + b, or a - b when T holds the node's party, with a the sum
+    over the subsets without that party and b over those with it.  A
+    block's members share the levels of parties m+1..N, whose signs k's
+    bits fix: for each pattern l of parties 1..m, :func:`_signed_tree`
+    streams the embedded terms S = h 2^m | l depth first into row l of
+    the output, and the m levels left run as an in-place Walsh-Hadamard
+    butterfly over the rows, party m first and party 1 last.  So each
+    member runs its one-mask lineage node for node, with
+    (2^(N-m) - 1) 2^m + m 2^N adds of D x D in all instead of
+    2^m (2^N - 1).  The reductions of one
+    :func:`~qinvert.tensor.reduction_sweep` are held by mask (prod_j
+    (1 + d_j^2) entries per member, the full set a view of ``mat``) and
+    each is embedded once, when the tree reaches it, then dropped; the
+    rows run from l = 2^m - 1 down and each node's subsets with its
+    party before those without, so the largest reductions go first.
+    Beyond ``mat`` the call holds at most
+    16 M (prod_j (1 + d_j^2) + (2^m + max(N - m, 2^(m-1))) D^2) bytes
+    besides what the one embed in progress allocates (its term, the
+    complement's identity and numpy's buffers): the reductions, the
+    output and either the N - m operators that the tree's open levels
+    hold or one butterfly level's difference."""
     block = _mask_block(dims, t)
-    terms = ((s, embed(m_s, s, dims)) for s, m_s in reduction_sweep(mat, dims))
-    out = _signed_sums(terms, dims, block, np.shape(mat)[:-2])
+    m = len(block).bit_length() - 1
+    mat = np.asarray(mat, dtype=np.complex128)
+    reductions = dict(reduction_sweep(mat, dims))
+    out = np.empty((len(block),) + mat.shape, dtype=np.complex128)
+    for low in reversed(range(len(block))):
+        out[low] = _signed_tree(reductions, dims, block.start, low, m)
+    for j in reversed(range(m)):
+        # contiguous halves: on interleaved views numpy cannot rule out
+        # overlap and copies an operand
+        for without, with_party in out.reshape(len(block) >> j + 1, 2, -1):
+            difference = without - with_party
+            without += with_party
+            with_party[...] = difference
+            del difference  # not held while the next difference is formed
     return out if isinstance(t, range) else out[0]
+
+
+def _signed_tree(
+    reductions: dict[int, np.ndarray], dims: SubsystemDims, t: int, s: int, j: int
+) -> np.ndarray:
+    """The node of :func:`invert_sum`'s tree for T = ``t`` at party j+1:
+    the sum of (-1)^{|S & T|} times the embedded reduction of S over the
+    subsets S that agree with ``s`` on parties 1..j (``s`` has no bit
+    from j on), one a + b or a - b per node, each written into its left
+    operand a, the subsets without the node's party, which run after b.
+    Each reduction is popped from ``reductions`` when its leaf is
+    embedded."""
+    if j == dims.n:
+        return embed(reductions.pop(s), s, dims)
+    other = _signed_tree(reductions, dims, t, s | 1 << j, j + 1)
+    total = _signed_tree(reductions, dims, t, s, j + 1)
+    (np.subtract if t >> j & 1 else np.add)(total, other, out=total)
+    return total
 
 
 # Entries of a stack (K D^2) from which _apply_factors adds the traced
@@ -205,8 +238,9 @@ STACK_HOLD_BYTES = HOLD_BYTES
 # reference forms' stacks and one deviation's difference and its absolute
 # values (4.7-4.9 at (2,2,2,2), (2,3,4), (3,3) and (2,2,2,2,2) under
 # tracemalloc; the Kraus call alone peaks at 2.0, its rows, one half's
-# product and the doubled stack; factorization's stacks, products and
-# differences peak below that).
+# product and the doubled stack; the sum call at 1.5-1.8, its output,
+# held reductions and one butterfly level's difference; factorization's
+# stacks, products and differences peak below that).
 CHUNK_STACKS = 5
 
 

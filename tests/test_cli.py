@@ -580,6 +580,33 @@ def test_an_empty_suite_entry_is_an_input_error_naming_its_position(capsys, suit
     assert f"--suites entry {position} is empty" in captured.err
 
 
+@pytest.mark.parametrize("families, position, name", [
+    ("correlation,correlation", 2, "correlation"), ("shadow,entropy, shadow", 3, "shadow"),
+    ("marginal,marginal,marginal", 2, "marginal"),
+])
+def test_a_repeated_family_is_an_input_error_naming_its_position(capsys, bell_file, families,
+                                                                 position, name):
+    """A family named twice is not merged into one: exit 2, nothing written."""
+    code = main(["check", "--state", bell_file, "--families", families])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--families entry {position} names family {name!r} again" in captured.err
+
+
+@pytest.mark.parametrize("suites, position, name", [
+    ("cross_form,cross_form", 2, "cross_form"), ("parity,positivity,parity", 3, "parity"),
+    ("factorization, factorization", 2, "factorization"),
+])
+def test_a_repeated_suite_is_an_input_error_naming_its_position(capsys, suites, position, name):
+    """A suite named twice is not merged into one: exit 2, nothing written."""
+    code = main(["verify", "--dims", "2,2", "--size", "1", "--suites", suites])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--suites entry {position} names suite {name!r} again" in captured.err
+
+
 REPORT_KEYS = ["command", "family", "label", "value", "threshold", "margin", "pass",
                "tolerance", "elapsed_ms"]
 

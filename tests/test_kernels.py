@@ -4,8 +4,9 @@ kernel behind invert_product, apply_detection_map and the state-based
 marginal witnesses, its stacked form (every member as its own single
 call) and the all-masks stacks built on it, the stacked smallest
 eigenvalue, its block form behind coarse_grain_invert and
-choi_matrix, the signed-embed sum shared by invert_sum and the
-witnesses from marginals, the broadcast embed and block product (with the
+choi_matrix, the signed tree and butterfly of invert_sum (pinned to the
+ascending embed loop, and bounded in memory), the signed-embed sum of
+the witnesses from marginals, the broadcast embed and block product (with the
 Kraus operators built on it), the aligned mask blocks the reference
 routes take (each member as its own one-mask call), the member axis
 every stacked layer takes (each member as its own call) and the one the
@@ -405,7 +406,7 @@ def test_choi_matrix_matches_basis_operator_construction(dims, data):
 
 
 # ---------------------------------------------------------------------------
-# the shared signed-embed loop
+# the signed-embed loop of the witnesses from marginals
 
 
 def witness_embed_loop(marginals, dims, t):
@@ -573,6 +574,77 @@ def test_misaligned_blocks_and_blocks_beyond_the_parties_are_rejected(form):
         for bad in blocks:
             with pytest.raises(ValueError, match=f"mask block {re.escape(str(bad))} {reason}"):
                 form(mat, dims, bad)
+
+
+def ascending_embed_sum(mat, dims, t):
+    """I_T as written before the tree: every embedded reduction added to
+    one sum in ascending subset order, with its own sign; also returns
+    the sum of the reductions' largest magnitudes."""
+    out = np.zeros(np.shape(mat), dtype=np.complex128)
+    scale = 0.0
+    for s in dims.subset_masks():
+        mat_s = partial_trace(mat, dims, s)
+        scale += float(np.max(np.abs(mat_s)))
+        term = embed(mat_s, s, dims)
+        if mask_size(s & t) % 2:
+            out -= term
+        else:
+            out += term
+    return out, scale
+
+
+@PROPERTY
+@given(dims=subsystem_dims(max_total=32), lead=st.lists(st.integers(1, 3), max_size=2),
+       seed=seeds)
+def test_invert_sum_matches_the_ascending_embed_loop(dims, lead, seed):
+    """One mask and every aligned block of invert_sum agree with the signed
+    embeds added in ascending subset order, with 0 to 2 member axes,
+    within the rounding of both orders: (2^N - 1 + N) ulps of the summed
+    term sizes, which are at most prod_j (1 + d_j) max|mat|."""
+    d = dims.total
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(*lead, d, d)) + 1j * rng.normal(size=(*lead, d, d))
+    oracle = [ascending_embed_sum(mat, dims, t) for t in dims.subset_masks()]
+    ulps = ((1 << dims.n) + dims.n) * EPS
+    for t, (want, scale) in enumerate(oracle):
+        assert np.max(np.abs(invert_sum(mat, dims, t) - want)) <= ulps * scale, t
+    for m in range(dims.n + 1):
+        for k in range(1 << (dims.n - m)):
+            block = range(k << m, (k + 1) << m)
+            stack = invert_sum(mat, dims, block)
+            assert stack.shape == (1 << m, *lead, d, d), block
+            for t, got in zip(block, stack, strict=True):
+                want, scale = oracle[t]
+                assert np.max(np.abs(got - want)) <= ulps * scale, (block, t)
+
+
+@pytest.mark.parametrize("local_dims, t", [((2,) * 6, 0b101101), ((2,) * 7, range(4, 8))])
+def test_invert_sum_holds_at_most_its_stated_bound(local_dims, t):
+    """Beyond mat, one mask at 6 qubits and a block of 4 at 7 qubits hold
+    at most the bound of invert_sum's docstring,
+    16 (prod_j (1 + d_j^2) + (2^m + max(N - m, 2^(m-1))) D^2) bytes, plus
+    the largest peak of one embed of a reduction, measured alone."""
+    dims = SubsystemDims(local_dims)
+    mat = random_operator(dims, 7)
+    d, n = dims.total, dims.n
+    m = len(t).bit_length() - 1 if isinstance(t, range) else 0
+    embed_peak = 0
+    for s, mat_s in reduction_sweep(mat, dims):
+        tracemalloc.start()
+        try:
+            embed(mat_s, s, dims)
+            embed_peak = max(embed_peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    held = math.prod(1 + x * x for x in local_dims) + ((1 << m) + max(n - m, (1 << m) // 2)) * d * d
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        invert_sum(mat, dims, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * held + embed_peak
 
 
 @PROPERTY
