@@ -47,8 +47,7 @@ from .dims import (
 )
 from .invariants import invariant_table
 from .inversion import (
-    DetectionParams, KrausTransfers, apply_detection_map, chunk_members, invert_kraus, invert_sum,
-    inversion_stacks, kraus_transfers,
+    DetectionParams, apply_detection_map, chunk_members, invert_kraus, invert_sum, inversion_stacks,
 )
 from .io import StateFileError, read_state_file, write_state, write_state_file
 from .states import DensityMatrix, FactorState
@@ -237,6 +236,11 @@ def cmd_invariants(args: argparse.Namespace) -> int:
                              '"0" names the empty mask')
         masks = [0 if tok == "0" else _party_list(tok, f"--masks token {i}")
                  for i, tok in enumerate(tokens, 1)]
+        for pos, t in enumerate(masks):
+            first = masks.index(t)
+            if first < pos:
+                raise ValueError(f"--masks token {pos + 1} ({tokens[pos]!r}) names the mask of "
+                                 f"token {first + 1} ({tokens[first]!r}) again; name each mask once")
     state = _read_state(args.state)
     masks = (list(state.dims.subset_masks()) if masks is None
              else [_within(t, state.dims, f"--masks token {i}") for i, t in enumerate(masks, 1)])
@@ -354,9 +358,10 @@ def _ensemble_suites(
     memory is one chunk and its stacks at a time: within ``STACK_HOLD_BYTES``
     whatever ``size`` is, unless one member alone exceeds it and runs as
     a chunk of one.  Rows do not depend on the chunking: deviations are
-    maxima, and parity adds each member's masks in ascending order.  The
-    Kraus transfer matrices of ``cross_form`` depend only on ``dims`` and
-    are built once."""
+    maxima, and parity adds each member's masks in ascending order.
+    ``cross_form`` calls each reference form once per stack, and the
+    Kraus form builds its transfer matrices in that call, so nothing
+    built for one stack outlives it."""
     cross, positivity, parity = (s in suites for s in ENSEMBLE_SUITES)
     if not (cross or positivity or parity):
         return {}
@@ -365,7 +370,6 @@ def _ensemble_suites(
     d = dims.total
     eye = np.eye(d)
     scale = 2.0 ** (1 - dims.n)
-    transfers = kraus_transfers(dims) if cross else None
     chunk = chunk_members(dims)
     for start in range(0, size, chunk):
         mats = ginibre_stack(dims, seed, range(start, min(start + chunk, size)))
@@ -376,7 +380,7 @@ def _ensemble_suites(
                 low = certified_min_eigenvalue(stack.reshape(-1, d, d), len(mats), low)
             if cross:
                 block = range(first, first + len(stack))
-                form_dev = max(form_dev, _form_deviation(mats, dims, stack, block, transfers))
+                form_dev = max(form_dev, _form_deviation(mats, dims, stack, block))
             if parity:
                 for t, inv in enumerate(stack, first):
                     sums[t.bit_count() % 2] = sums[t.bit_count() % 2] + inv
@@ -393,13 +397,13 @@ def _ensemble_suites(
     return {s: rows[s] for s in ENSEMBLE_SUITES if s in suites}
 
 
-def _form_deviation(mats: np.ndarray, dims: SubsystemDims, stack: np.ndarray, block: range,
-                    transfers: KrausTransfers) -> float:
+def _form_deviation(mats: np.ndarray, dims: SubsystemDims, stack: np.ndarray, block: range) -> float:
     """Max |sum - stack| and |sum - Kraus| over the masks of ``block``, which
-    ``stack`` holds, the Kraus form from the campaign's ``transfers``; no
+    ``stack`` holds, one call of each reference form per stack (the Kraus
+    call builds its own transfer matrices, once per local dimension); no
     reference form outlives the call, and the Kraus temporaries peak
     before the sum stack exists."""
-    by_kraus = invert_kraus(mats, dims, block, transfers)
+    by_kraus = invert_kraus(mats, dims, block)
     by_sum = invert_sum(mats, dims, block)
     return max(_deviation(by_sum, stack, "cross_form"), _deviation(by_sum, by_kraus, "cross_form"))
 

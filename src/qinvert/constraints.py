@@ -143,12 +143,12 @@ def shadow_value(
     return _shadow_sums(m1, m2, dims)[t]
 
 
-def is_psd(mat: np.ndarray, tol: float = TOL_PSD) -> bool:
-    """lambda_min >= -tol for a finite Hermitian operator (or each member of
-    a stack), by the Cholesky certificate of :func:`~qinvert.tensor.psd_violation`."""
+def is_psd(mat: np.ndarray) -> bool:
+    """lambda_min >= -TOL_PSD for a finite Hermitian operator (or each member
+    of a stack), by the Cholesky certificate of :func:`~qinvert.tensor.psd_violation`."""
     h = np.asarray(mat, dtype=np.complex128)
     _require_hermitian(h, "operator")
-    return psd_violation(h, tol) is None
+    return psd_violation(h, TOL_PSD) is None
 
 
 def shadow_report(

@@ -21,17 +21,18 @@ over the parties that takes each party's trace once for both signs, 2^N
 masks per call when they fit in a cache-sized stack.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
 input (:func:`invert_kraus`, each party's channel one (d^2, d^2) transfer
-matrix on that party's row and column indices) are kept only as
-cross-check references.  Both take one mask or the aligned block of
-masks of one such stack, range(k 2^m, (k+1) 2^m), and return a
-(2^m, D, D) stack for a block, each member bit-identical to its own
-one-mask call.  The subset sum adds its 2^N embedded reductions as one
-fixed pairwise tree per mask, party 1 the outermost level and party N
-the innermost; a block shares the levels of parties m+1..N and runs
-those of parties 1..m as a Walsh-Hadamard butterfly over its members,
-(m + 1) 2^N adds where separate sums would take 2^m 2^N.  It holds the
-reductions of its one sweep, the output and at most N - m + 1 more
-operators per member (the bound is in :func:`invert_sum`).
+matrix on that party's row and column indices, built in each call once
+per local dimension and sign) are kept only as cross-check references.
+Both take one mask or the aligned block of masks of one such stack,
+range(k 2^m, (k+1) 2^m), and return a (2^m, D, D) stack for a block,
+each member bit-identical to its own one-mask call.  The subset sum adds
+its 2^N embedded reductions as one fixed pairwise tree per mask, party 1
+the outermost level and party N the innermost; a block shares the levels
+of parties m+1..N and runs those of parties 1..m as a Walsh-Hadamard
+butterfly over its members, (m + 1) 2^N adds where separate sums would
+take 2^m 2^N.  It holds the reductions of its one sweep, the output and
+at most N - m + 1 more operators per member (the bound is in
+:func:`invert_sum`).
 
 Every one of these routes also takes a (M, D, D) stack of operands:
 the leading member axis rides through the same kernels (the reduction
@@ -372,54 +373,27 @@ def _odd_leaves(
         yield t, out.reshape(d, d)
 
 
+def _sign_generators(d: int, minus: bool) -> tuple[np.ndarray, ...]:
+    """The Gell-Mann generators of one party's Kraus channel: the y types
+    for a minus sign, identity, x and z types for a plus sign."""
+    basis = build_basis(d).matrices
+    return tuple(basis[m] for m in (minus_channel_indices(d) if minus else plus_channel_indices(d)))
+
+
 def _channel_generators(dims: SubsystemDims, t: int) -> list[tuple[np.ndarray, ...]]:
-    """Per party, the Gell-Mann generators of its Kraus channel: the y types
-    for parties in ``t``, identity, x and z types otherwise."""
+    """Per party, the generators of its Kraus channel, the minus sign for
+    the parties in ``t``."""
     dims.validate_mask(t)
-    generators = []
-    for i, d in enumerate(dims.dims):
-        basis = build_basis(d).matrices
-        indices = minus_channel_indices(d) if t >> i & 1 else plus_channel_indices(d)
-        generators.append(tuple(basis[m] for m in indices))
-    return generators
-
-
-# Per party, the transfer matrix of its Kraus channel for the plus sign
-# and for the minus sign.
-KrausTransfers = tuple[list[np.ndarray], list[np.ndarray]]
-
-
-def kraus_transfers(dims: SubsystemDims) -> KrausTransfers:
-    """The channels of :func:`_channel_generators` for both signs, each as
-    its (d^2, d^2) transfer matrix on its party,
-    T[(a, b), (x, y)] = (2/d) sum_g g[x, a] g[b, y], which takes the row
-    of an operator's (a, b) entries on that party to ``row @ T``:
-    ``(plus, minus)``, indexed by party.  They depend only on ``dims``, so
-    a campaign builds them once and hands them to every
-    :func:`invert_kraus` call."""
-    plus, minus = ([_transfer(np.array(party_generators))
-                    for party_generators in _channel_generators(dims, t)]
-                   for t in (0, dims.full_mask))
-    return plus, minus
+    return [_sign_generators(d, bool(t >> i & 1)) for i, d in enumerate(dims.dims)]
 
 
 def _transfer(generators: np.ndarray) -> np.ndarray:
     """The transfer matrix of the channel (2/d) sum_g g . g of a (G, d, d)
-    stack of generators."""
+    stack of generators, T[(a, b), (x, y)] = (2/d) sum_g g[x, a] g[b, y],
+    which takes the row of an operator's (a, b) entries on its party to
+    ``row @ T``."""
     d = generators.shape[-1]
     return np.einsum("gxa,gby->abxy", generators, generators).reshape(d * d, d * d) * (2.0 / d)
-
-
-def _check_transfers(dims: SubsystemDims, transfers: KrausTransfers) -> None:
-    """Raise a ValueError naming the first party whose prebuilt transfer
-    matrix, of either sign, is missing or not (d_j^2, d_j^2)."""
-    want = [(d * d, d * d) for d in dims.dims]
-    for channels in transfers:
-        got = [np.shape(t) for t in channels]
-        for j, (a, b) in enumerate(itertools.zip_longest(got, want)):
-            if a != b:
-                raise ValueError(f"prebuilt Kraus transfer matrices do not match party "
-                                 f"{j + 1} of dims {dims.dims}: {a} against {b}")
 
 
 def _party_last(stack: np.ndarray, dims: SubsystemDims, i: int) -> np.ndarray:
@@ -431,40 +405,33 @@ def _party_last(stack: np.ndarray, dims: SubsystemDims, i: int) -> np.ndarray:
     return view.transpose(0, 1, 3, 4, 6, 2, 5)
 
 
-def invert_kraus(
-    mat: np.ndarray,
-    dims: SubsystemDims,
-    t: int | range,
-    transfers: KrausTransfers | None = None,
-) -> np.ndarray:
+def invert_kraus(mat: np.ndarray, dims: SubsystemDims, t: int | range) -> np.ndarray:
     """Evaluate the inversion as a Kraus channel acting on the entrywise
     conjugate of ``mat``.
 
     Per party the channel sums over the y-type generators when the party
     carries a minus sign, and over identity, x and z types otherwise, as
-    one transfer matrix (:func:`kraus_transfers`) applied to the party's
-    row and column indices of every operator; parties are iterated 1..N.
-    Agrees with :func:`invert_sum` on Hermitian inputs.  ``t`` is one mask
-    (a D x D result) or an aligned block range(k 2^m, (k+1) 2^m) (a
-    (2^m, D, D) stack in ascending mask order): parties 1..m run as a
-    butterfly that doubles the stack once per party, as the plus
-    channel's results followed by the minus channel's, both from one copy
-    of the stack's rows, and parties m+1..N apply the one channel that
-    k's bits give them, so each member is bit-identical to its own
-    one-mask call.  Leading axes of ``mat`` are member axes, carried
-    through on the matmul's leading axis: (M, D, D) gives (M, D, D) for
-    one mask and (2^m, M, D, D) for a block, each member bit-identical to
-    its own call.  ``transfers``, from :func:`kraus_transfers`, skips
-    rebuilding them; transfers for other dims are a ValueError naming the
-    first party they do not match.  O(D^2 sum_j d_j^2) per operator.
+    one (d^2, d^2) transfer matrix (:func:`_transfer`) applied to the
+    party's row and column indices of every operator; parties are iterated
+    1..N.  Each call builds the transfer matrices of both signs once for
+    each distinct local dimension (tens of microseconds a pair for
+    d <= 5), shared by the parties of that dimension.  Agrees with
+    :func:`invert_sum` on Hermitian inputs.  ``t`` is one mask (a D x D
+    result) or an aligned block range(k 2^m, (k+1) 2^m) (a (2^m, D, D)
+    stack in ascending mask order): parties 1..m run as a butterfly that
+    doubles the stack once per party, as the plus channel's results
+    followed by the minus channel's, both from one copy of the stack's
+    rows, and parties m+1..N apply the one channel that k's bits give
+    them, so each member is bit-identical to its own one-mask call.
+    Leading axes of ``mat`` are member axes, carried through on the
+    matmul's leading axis: (M, D, D) gives (M, D, D) for one mask and
+    (2^m, M, D, D) for a block, each member bit-identical to its own
+    call.  O(D^2 sum_j d_j^2) per operator.
     """
     block = _mask_block(dims, t)
     m = len(block).bit_length() - 1
-    if transfers is None:
-        transfers = kraus_transfers(dims)
-    else:
-        _check_transfers(dims, transfers)
-    plus, minus = transfers
+    channels = {d_i: [_transfer(np.array(_sign_generators(d_i, minus))) for minus in (False, True)]
+                for d_i in dict.fromkeys(dims.dims)}
     mat = np.asarray(mat, dtype=np.complex128)
     lead = mat.shape[:-2]
     d = dims.total
@@ -473,14 +440,15 @@ def invert_kraus(
         # one matmul over the leading axis, so each member runs the same
         # product whatever the stack's length (one (n L^2 R^2, d^2) product
         # would let BLAS pick its kernel by the row count)
+        plus, minus = channels[d_i]
         last = _party_last(out, dims, i)
         shape, rows = last.shape, last.reshape(len(out), -1, d_i * d_i)
         del last  # a butterfly step frees its input once the rows are copied
         if i < m:
             out = np.empty((2 * len(rows), d, d), dtype=np.complex128)
-            halves = ((out[:len(rows)], plus[i]), (out[len(rows):], minus[i]))
+            halves = ((out[:len(rows)], plus), (out[len(rows):], minus))
         else:
-            halves = ((out, minus[i] if block.start >> i & 1 else plus[i]),)
+            halves = ((out, minus if block.start >> i & 1 else plus),)
         for half, transfer in halves:
             _party_last(half, dims, i)[...] = np.matmul(rows, transfer).reshape(shape)
         del rows

@@ -317,11 +317,11 @@ def _require_hermitian(h: np.ndarray, what: str, tol_herm: float = TOL_HERM) -> 
     return float(defects[k])
 
 
-def min_eigenvalue(h: np.ndarray, tol_herm: float = TOL_HERM) -> float:
+def min_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian operator, or the smallest over a
     (K, D, D) stack of them from one stacked ``eigvalsh``.  Every member is
-    checked finite and Hermitian first."""
-    _require_hermitian(h, "operator", tol_herm)
+    checked finite and Hermitian within :data:`TOL_HERM` first."""
+    _require_hermitian(h, "operator")
     return float(np.linalg.eigvalsh(h)[..., 0].min())
 
 

@@ -607,6 +607,22 @@ def test_a_repeated_suite_is_an_input_error_naming_its_position(capsys, suites, 
     assert f"--suites entry {position} names suite {name!r} again" in captured.err
 
 
+@pytest.mark.parametrize("masks, position, first", [
+    ("1;1", 2, 1), ("1,2;2,1", 2, 1), ("0;0", 2, 1), ("2;1; 2", 3, 1), ("1;0;2;0", 4, 2),
+])
+def test_a_repeated_mask_is_an_input_error_naming_both_positions(capsys, tmp_path, bell_file,
+                                                                 masks, position, first):
+    """A mask named twice, in any party order, is not printed twice: exit
+    2, nothing written, both tokens named, before the state file is read."""
+    for state in (bell_file, str(tmp_path / "missing.json")):
+        code = main(["invariants", "--state", state, "--masks", masks])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --masks token {position} (")
+        assert f"names the mask of token {first} (" in captured.err
+
+
 REPORT_KEYS = ["command", "family", "label", "value", "threshold", "margin", "pass",
                "tolerance", "elapsed_ms"]
 

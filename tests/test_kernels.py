@@ -8,7 +8,8 @@ choi_matrix, the signed tree and butterfly of invert_sum (pinned to the
 ascending embed loop, and bounded in memory), the signed-embed sum of
 the witnesses from marginals, the broadcast embed and block product (with the
 Kraus operators built on it), the aligned mask blocks the reference
-routes take (each member as its own one-mask call), the member axis
+routes take (each member as its own one-mask call, the Kraus form
+building its transfer matrices once per local dimension), the member axis
 every stacked layer takes (each member as its own call) and the one the
 purity sweep and the signed subset sum take, the Gram-product purity
 profile of a factor state (within a tolerance of the dense sweep of its
@@ -517,23 +518,21 @@ def test_block_product_and_kraus_operators_match_kron_constructions(dims, seed, 
 
 @PROPERTY
 @given(dims=subsystem_dims(max_total=32), lead=st.lists(st.integers(1, 2), max_size=3),
-       prebuilt=st.booleans(), seed=seeds)
-def test_mask_blocks_are_bit_identical_to_one_mask_calls(dims, lead, prebuilt, seed):
+       seed=seeds)
+def test_mask_blocks_are_bit_identical_to_one_mask_calls(dims, lead, seed):
     """Every aligned block range(k 2^m, (k+1) 2^m) of both reference forms
     is the (2^m, lead.., D, D) stack of their one-mask calls in ascending
-    mask order, bit for bit, with 0 to 3 member axes and the Kraus form
-    with or without prebuilt transfer matrices."""
+    mask order, bit for bit, with 0 to 3 member axes."""
     d = dims.total
     rng = np.random.default_rng(seed)
     mat = rng.normal(size=(*lead, d, d)) + 1j * rng.normal(size=(*lead, d, d))
-    kraus_args = (inversion.kraus_transfers(dims),) if prebuilt else ()
-    for form, args in ((invert_sum, ()), (invert_kraus, kraus_args)):
-        one = [form(mat, dims, t, *args) for t in dims.subset_masks()]
+    for form in (invert_sum, invert_kraus):
+        one = [form(mat, dims, t) for t in dims.subset_masks()]
         assert all(x.shape == (*lead, d, d) for x in one), form
         for m in range(dims.n + 1):
             for k in range(1 << (dims.n - m)):
                 block = range(k << m, (k + 1) << m)
-                stack = form(mat, dims, block, *args)
+                stack = form(mat, dims, block)
                 assert stack.shape == (1 << m, *lead, d, d), (form, block)
                 for t, got in zip(block, stack, strict=True):
                     assert bit_identical(got, one[t]), (form, block, t)
@@ -544,21 +543,19 @@ def test_mask_blocks_are_bit_identical_to_one_mask_calls(dims, lead, prebuilt, s
 def test_all_masks_calls_are_bit_identical_to_one_mask_calls(dims, seed):
     """invert_sum and invert_kraus on the block of all masks return the
     (2^N, D, D) stack of their one-mask calls in ascending mask order, bit
-    for bit, the Kraus form with and without prebuilt transfer matrices.
-    A mask beyond the parties raises a ValueError naming it."""
+    for bit.  A mask beyond the parties raises a ValueError naming it."""
     mat = random_operator(dims, seed)
     d = dims.total
-    transfers = inversion.kraus_transfers(dims)
-    for form, prebuilt in ((invert_sum, ()), (invert_kraus, ()), (invert_kraus, (transfers,))):
-        stack = form(mat, dims, range(1 << dims.n), *prebuilt)
+    for form in (invert_sum, invert_kraus):
+        stack = form(mat, dims, range(1 << dims.n))
         assert stack.shape == (1 << dims.n, d, d), form
         for t in dims.subset_masks():
-            one = form(mat, dims, t, *prebuilt)
+            one = form(mat, dims, t)
             assert one.shape == (d, d)
-            assert bit_identical(stack[t], one), (form, prebuilt != (), t)
+            assert bit_identical(stack[t], one), (form, t)
         for bad in (-1, 1 << dims.n):
             with pytest.raises(ValueError, match=f"mask {re.escape(bin(bad))} "):
-                form(mat, dims, bad, *prebuilt)
+                form(mat, dims, bad)
 
 
 @pytest.mark.parametrize("form", [invert_sum, invert_kraus])
@@ -574,6 +571,27 @@ def test_misaligned_blocks_and_blocks_beyond_the_parties_are_rejected(form):
         for bad in blocks:
             with pytest.raises(ValueError, match=f"mask block {re.escape(str(bad))} {reason}"):
                 form(mat, dims, bad)
+
+
+def test_the_kraus_form_builds_each_local_dimensions_transfers_once_per_call():
+    """One invert_kraus call, for one mask or for a block, with or without
+    a member axis, builds the transfer matrices of both signs once for
+    each distinct local dimension: 4 at (2,3,2,3), not one per party."""
+    dims = SubsystemDims((2, 3, 2, 3))
+    mat = random_operator(dims, 1)
+    built = []
+    real = inversion._transfer
+
+    def counted(generators):
+        built.append(generators.shape)
+        return real(generators)
+
+    for operand in (mat, np.stack([mat, mat])):
+        for t in (0, 0b0101, range(4, 8), range(1 << dims.n)):
+            built.clear()
+            with mock.patch.object(inversion, "_transfer", counted):
+                invert_kraus(operand, dims, t)
+            assert sorted(built) == [(1, 2, 2), (3, 2, 2), (3, 3, 3), (6, 3, 3)], t
 
 
 def ascending_embed_sum(mat, dims, t):
@@ -780,8 +798,7 @@ def test_member_stacks_are_bit_identical_to_per_member_calls(dims, m, seed, data
     """Every layer on a (M, D, D) stack of operands gives each member its
     own call's result bit for bit: the reduction sweep and the embeds of
     its reductions, both reference forms on one mask and on the block of
-    all masks (the Kraus form with and without prebuilt transfer
-    matrices), the mask-major all-masks stacks whatever the hold bound,
+    all masks, the mask-major all-masks stacks whatever the hold bound,
     and the smallest eigenvalue of the flattened Hermitian stacks."""
     d = dims.total
     mats = np.stack([random_operator(dims, seed + k) for k in range(m)])
@@ -791,17 +808,16 @@ def test_member_stacks_are_bit_identical_to_per_member_calls(dims, m, seed, data
         for s, mat_s in reduction_sweep(mats[k], dims):
             assert bit_identical(sweep[s][k], mat_s)
             assert bit_identical(embed(sweep[s], s, dims)[k], embed(mat_s, s, dims))
-    transfers = inversion.kraus_transfers(dims)
     t = data.draw(st.integers(0, dims.full_mask))
     every = range(1 << dims.n)
-    for form, prebuilt in ((invert_sum, ()), (invert_kraus, ()), (invert_kraus, (transfers,))):
-        stack = form(mats, dims, every, *prebuilt)
+    for form in (invert_sum, invert_kraus):
+        stack = form(mats, dims, every)
         assert stack.shape == (1 << dims.n, m, d, d), form
-        one = form(mats, dims, t, *prebuilt)
+        one = form(mats, dims, t)
         assert one.shape == (m, d, d), form
         for k in range(m):
-            assert bit_identical(stack[:, k], form(mats[k], dims, every, *prebuilt)), form
-            assert bit_identical(one[k], form(mats[k], dims, t, *prebuilt)), form
+            assert bit_identical(stack[:, k], form(mats[k], dims, every)), form
+            assert bit_identical(one[k], form(mats[k], dims, t)), form
     low = min(data.draw(st.integers(0, 6)), dims.n)
     with mock.patch.object(inversion, "STACK_HOLD_BYTES", (16 << low) * m * d**2):
         got = list(inversion_stacks(mats, dims))
