@@ -25,6 +25,7 @@ from .states import TOL_PSD, DensityMatrix, FactorState, PureState
 from .tensor import (
     _require_hermitian,
     embed,
+    lower_completion,
     min_eigenvalue,
     partial_trace,
     psd_violation,
@@ -346,16 +347,19 @@ def _signed_sums(
 def marginal_witnesses_from_marginals(
     marginals: Mapping[int, np.ndarray],
     dims: SubsystemDims,
-    overlap_tol: float = OVERLAP_TOL,
 ) -> list[MarginalWitness]:
     """Witnesses from user-supplied marginals, in ascending mask order.
 
     Every key must be a proper nonempty subset (an error names any other
     key) and every such subset must be present, finite and Hermitian (an
     error names the marginal); traces must be 1 and overlapping marginals
-    must agree on their common reduction within ``overlap_tol``
+    must agree on their common reduction within :data:`OVERLAP_TOL`
     (consistency is checked, not assumed), the first disagreeing pair in
-    ascending order named.
+    ascending order named.  After its trace check, a marginal whose
+    Hermiticity defect is not exactly 0.0 is replaced by its
+    :func:`~qinvert.tensor.lower_completion` (as in
+    :attr:`~qinvert.states.DensityMatrix.operand`), so no witness sums
+    the defects of its terms; exactly Hermitian marginals keep their bits.
 
     Each marginal is traced once onto each of its overlaps and embedded
     once: 2^N - 1 embeds (the empty set contributes the identity), then
@@ -379,11 +383,11 @@ def marginal_witnesses_from_marginals(
         d_s = dims.block_dim(s)
         if m.shape != (d_s, d_s):
             raise ValueError(f"marginal {bits} has shape {m.shape}, expected {(d_s, d_s)}")
-        _require_hermitian(m, f"marginal {bits}")
+        defect = _require_hermitian(m, f"marginal {bits}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > overlap_tol:
+        if abs(tr - 1.0) > OVERLAP_TOL:
             raise ValueError(f"marginal {bits} has trace {tr}, expected 1")
-        table[s] = m
+        table[s] = m if defect == 0.0 else lower_completion(m)
 
     @functools.cache
     def reduced(s: int, overlap: int) -> np.ndarray:
@@ -395,7 +399,7 @@ def marginal_witnesses_from_marginals(
             if overlap == 0:
                 continue
             dev = float(np.max(np.abs(reduced(s1, overlap) - reduced(s2, overlap))))
-            if dev > overlap_tol:
+            if dev > OVERLAP_TOL:
                 raise ValueError(
                     f"marginals {mask_bitstring(s1, dims.n)} and "
                     f"{mask_bitstring(s2, dims.n)} disagree on their overlap "

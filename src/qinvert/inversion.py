@@ -14,11 +14,12 @@ per block, and everything production runs goes through it:
 :func:`invert_product` (the one-mask route), coarse graining, the
 detection map and Choi matrices call it with K = 1,
 :func:`odd_inversions` (the production route for all odd masks, which
-``marginal`` reads) runs its trace and factor steps as a depth-first
-tree that shares each node's trace and factors across the masks below
-it, and :func:`inversion_stacks` evaluates I_T for every T as a butterfly
-over the parties that takes each party's trace once for both signs, 2^N
-masks per call when they fit in a cache-sized stack.  The subset sum above
+``marginal`` reads) runs a depth-first tree that shares each node's
+trace and factors across the masks below it, each leaf one
+:func:`invert_product` call, and :func:`inversion_stacks` evaluates I_T
+for every T as a butterfly over the parties that takes each party's
+trace once for both signs, 2^N masks per call when they fit in a
+cache-sized stack.  The subset sum above
 (:func:`invert_sum`) and the Gell-Mann Kraus channel on the conjugated
 input (:func:`invert_kraus`, each party's channel one (d^2, d^2) transfer
 matrix on that party's row and column indices, built in each call once
@@ -164,14 +165,9 @@ def _apply_factors(
     operator is formed.  Each member's result is bit-identical to its own
     K = 1 call.  O(K D^2) per block."""
     flat = np.array(stack, dtype=np.complex128, order="C").reshape(-1, dims.total**2)
-    _factors_in_place(flat, dims, weights)
-    return flat.reshape(len(flat), dims.total, dims.total)
-
-
-def _factors_in_place(flat: np.ndarray, dims: SubsystemDims, weights: Mapping[int, float]) -> None:
-    """:func:`_apply_factors` on a C-ordered (K, D^2) complex stack, in place."""
     for block in sorted(weights):
         _add_factor(flat, dims, block, _block_trace(flat, dims, block), weights[block])
+    return flat.reshape(len(flat), dims.total, dims.total)
 
 
 def _block_trace(flat: np.ndarray, dims: SubsystemDims, block: int) -> np.ndarray:
@@ -229,7 +225,7 @@ def invert_product(
 # memory traffic than the calls it saves (at (3,3,3,3) all 16 masks in
 # one stack take twice as long as two stacks of 8).  verify sizes its
 # chunks of ensemble members against it too (see chunk_members), and
-# odd_inversions the operators and traces its depth-first tree holds.  The
+# odd_inversions the operators its depth-first tree holds.  The
 # same 1 MiB bounds the row blocks of tensor's checks (tensor.HOLD_BYTES).
 STACK_HOLD_BYTES = HOLD_BYTES
 
@@ -296,81 +292,48 @@ def odd_inversions(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int, 
     1 first.  A node's one-party trace is taken once and both sign
     children are formed from it (:func:`_add_factor`): the second in
     place of the node, before the first child's subtree runs, unless the
-    node is ``mat``, whose trace is then held for its copy.  So each
-    node's trace and factor are shared by every mask below it.  The last
-    party forms only the child of odd size, one :func:`invert_product`
-    call on its node.  What the tree holds beyond the operator it yields
-    stays within :data:`STACK_HOLD_BYTES`, each operator counted as 16 D^2
-    bytes and each held trace by its entries: a node whose children do
-    not fit yields each odd mask below it from its own copy, with the
-    first factor from its trace held (if that fits) and the rest of the
-    factors in place.  At 7 qubits the tree runs 149 one-party traces
-    and 206 factors for the 64 masks (the per-mask route: 448 of each);
-    at 8 qubits only mat's two children fit, and from D = 512 mat's trace
-    at most, so each mask there is nearly the one-mask route."""
+    node is ``mat``, whose second child is a copy made from mat's trace
+    taken again.  So each node's trace and factor are shared by every
+    mask below it, and no trace is held across a subtree.  The operators
+    the tree holds stay within :data:`STACK_HOLD_BYTES`, 16 D^2 bytes
+    each, as in :func:`inversion_stacks`: a node with no room for a
+    child, or at the last party, yields each odd mask below it as one
+    :func:`invert_product` call on the parties left.  At 7 qubits the 64
+    masks take 144 one-party traces, 194 factors and 64 such calls (the
+    per-mask route: 448 traces and factors); at 8 qubits only mat's two
+    children fit (898 of each, 128 calls), and from D = 512 none does,
+    so each mask is the per-mask route."""
     d = dims.total
-    return _odd_subtree(np.asarray(mat, dtype=np.complex128).reshape(1, d * d), dims, 0, 0, None)
+    return _odd_subtree(np.asarray(mat, dtype=np.complex128).reshape(1, d * d), dims, 0, 0, 0)
 
 
 def _odd_subtree(
-    node: np.ndarray, dims: SubsystemDims, j: int, mask: int, held: int | None
+    node: np.ndarray, dims: SubsystemDims, j: int, mask: int, held: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The odd masks of :func:`odd_inversions` whose bits 0..j-1 are those
     of ``mask``, from ``node``, the (1, D^2) operand with the factors of
-    parties 1..j applied.  ``held`` is the bytes that the tree holds,
-    ``node`` included, or None when ``node`` is ``mat``."""
-    size, traced_size = 16 * dims.total**2, 16 * (dims.total // dims.dims[j]) ** 2
+    parties 1..j applied.  ``held`` is the bytes of the operators that the
+    tree holds, ``node`` included, or 0 when ``node`` is ``mat``."""
+    size = 16 * dims.total**2
     block = 1 << j
-    if j == dims.n - 1:
-        t = mask | (1 - mask.bit_count() % 2) << j
-        yield t, invert_product(node, dims, t, block)
-        return
-    if (held or 0) + size > STACK_HOLD_BYTES:  # no room for a child
-        shared = (held or 0) + traced_size <= STACK_HOLD_BYTES
-        traced = _block_trace(node, dims, block) if shared else None
-        yield from _odd_leaves(node, dims, j, mask, traced)
+    if j == dims.n - 1 or held + size > STACK_HOLD_BYTES:  # no room for a child
+        rest = dims.full_mask >> j << j
+        for t in range(mask, 1 << dims.n, block):
+            if t.bit_count() % 2:
+                yield t, invert_product(node, dims, t, rest)
         return
     traced = _block_trace(node, dims, block)
     first = node.copy()
     _add_factor(first, dims, block, traced, 1.0)
-    if held is not None:  # the second child in place of the node
+    if held:  # the second child in place of the node
         _add_factor(node, dims, block, traced, -1.0)
-        del traced
-        yield from _odd_subtree(first, dims, j + 1, mask, held + size)
-        del first
-        yield from _odd_subtree(node, dims, j + 1, mask | block, held)
-        return
-    # node is mat: its second child is a copy, from mat's trace held
-    # meanwhile if that fits, else from the trace taken again
-    keep = size + traced_size <= STACK_HOLD_BYTES
-    traced = traced if keep else None
-    yield from _odd_subtree(first, dims, j + 1, mask, size + traced_size * keep)
-    del first
-    second = node.copy()
-    _add_factor(second, dims, block, traced if keep else _block_trace(node, dims, block), -1.0)
     del traced
-    yield from _odd_subtree(second, dims, j + 1, mask | block, size)
-
-
-def _odd_leaves(
-    node: np.ndarray, dims: SubsystemDims, j: int, mask: int, traced: np.ndarray | None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The odd masks of :func:`_odd_subtree` from ``node`` one at a time:
-    the factors of parties j+1..N on a copy of it, the first from
-    ``traced``, its held trace, unless that is None."""
-    d = dims.total
-    rest = dims.full_mask >> j << j
-    for t in range(mask, 1 << dims.n, 1 << j):
-        if t.bit_count() % 2 == 0:
-            continue
-        if traced is None:
-            yield t, invert_product(node, dims, t, rest)
-            continue
-        out = node.copy()
-        weights = {b: w for b, w in _inversion_weights(dims.n, t).items() if b & rest}
-        _add_factor(out, dims, 1 << j, traced, weights.pop(1 << j))
-        _factors_in_place(out, dims, weights)
-        yield t, out.reshape(d, d)
+    yield from _odd_subtree(first, dims, j + 1, mask, held + size)
+    del first
+    if not held:  # node is mat: its second child is a copy, from the trace taken again
+        node = node.copy()
+        _add_factor(node, dims, block, _block_trace(node, dims, block), -1.0)
+    yield from _odd_subtree(node, dims, j + 1, mask | block, held or size)
 
 
 def _sign_generators(d: int, minus: bool) -> tuple[np.ndarray, ...]:

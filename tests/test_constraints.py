@@ -384,6 +384,28 @@ def test_from_marginals_names_a_non_hermitian_marginal():
         marginal_witnesses_from_marginals(marg, dims)
 
 
+def test_from_marginals_within_tolerance_give_exactly_hermitian_witnesses():
+    """Three marginals, each with a Hermiticity defect of 9e-11 (inside the
+    1e-10 tolerance) at entry (0, 1) and agreeing on every overlap, are
+    accepted: each one is replaced by its lower-triangle completion, so
+    no witness sums the defects of its terms (1.8e-10 before, refused as
+    a non-Hermitian operator).  Every witness is exactly Hermitian and is
+    the one built from the completed marginals, whose entry (0, 1) is
+    the conjugate of entry (1, 0)."""
+    dims = SubsystemDims((2, 2, 2))
+    marg = {s: np.eye(dims.block_dim(s), dtype=complex) / dims.block_dim(s) for s in range(1, 7)}
+    completed = {s: m.copy() for s, m in marg.items()}
+    for s in (0b100, 0b101, 0b110):
+        marg[s][0, 1], marg[s][1, 0] = 4.5e-11, -4.5e-11
+        completed[s][0, 1] = completed[s][1, 0] = -4.5e-11
+        assert herm_defect(marg[s]) == 9e-11
+    witnesses = marginal_witnesses_from_marginals(marg, dims)
+    assert [w.t for w in witnesses] == [0b001, 0b010, 0b100, 0b111]
+    for w, want in zip(witnesses, marginal_witnesses_from_marginals(completed, dims)):
+        assert herm_defect(w.operator) == 0.0
+        assert np.array_equal(w.operator, want.operator)
+
+
 def test_witness_rejects_a_non_finite_operator():
     operator = np.eye(2, dtype=complex)
     operator[0, 1] = np.nan
@@ -446,8 +468,8 @@ def traced_peak(build, rho):
 
 
 def test_the_depth_first_witnesses_hold_at_most_the_stack_budget_more(monkeypatch):
-    """The tree counts what it holds for masks still to come, each D^2
-    operator and each held one-party trace, against STACK_HOLD_BYTES, so
+    """The tree counts the D^2 operators it holds for masks still to
+    come against STACK_HOLD_BYTES and holds no trace across a subtree, so
     while a witness is solved it holds at most that much above the
     per-mask route of the same code (STACK_HOLD_BYTES = 0): that bound is
     structural, plus 16 KiB for the tree's generator frames and weight

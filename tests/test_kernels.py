@@ -713,18 +713,19 @@ def test_the_butterfly_traces_each_party_once_for_both_signs(dims, m, seed, low)
                 assert bit_identical(got[t, k], invert_product(mats[k], dims, t))
 
 
-@pytest.mark.parametrize("depth", ["per_mask", "one_level", "shared_leaves", "full"])
+@pytest.mark.parametrize("depth", ["per_mask", "one_level", "shared_leaves", "two_level", "full"])
 @PROPERTY
 @given(dims=subsystem_dims(), seed=seeds)
 def test_odd_inversions_yield_each_odd_mask_once_as_invert_product(depth, dims, seed):
     """Every odd-size mask comes once, as a fresh operator bit for bit its
     invert_product, whether the hold bound allows no operator (the
     per-mask route), one (a one-level tree, mat's trace taken again for
-    its second child), one and a half (mat's trace held, then leaves that
-    share their node's trace) or every party (second children formed in
-    place of their nodes)."""
+    its second child), one and a half (only operators count, so again
+    the one-level tree), two (a two-level tree whose nodes with no room
+    for a child yield invert_product leaves below it) or every party
+    (second children formed in place of their nodes)."""
     hold = {"per_mask": 0, "one_level": 16 * dims.total**2, "shared_leaves": 24 * dims.total**2,
-            "full": 1 << 30}[depth]
+            "two_level": 32 * dims.total**2, "full": 1 << 30}[depth]
     mat = random_operator(dims, seed)
     before = mat.copy()
     with mock.patch.object(inversion, "STACK_HOLD_BYTES", hold):
@@ -734,6 +735,36 @@ def test_odd_inversions_yield_each_odd_mask_once_as_invert_product(depth, dims, 
     for t, w in got:
         assert w.flags.writeable and not np.shares_memory(w, mat)
         assert bit_identical(w, invert_product(mat, dims, t))
+
+
+@pytest.mark.parametrize("n, hold, counts", [
+    (7, inversion.STACK_HOLD_BYTES, (144, 194, 64)),
+    (8, inversion.STACK_HOLD_BYTES, (898, 898, 128)),
+    (7, 0, (448, 448, 64)),
+])
+def test_the_odd_mask_tree_takes_its_pinned_traces_factors_and_leaf_calls(n, hold, counts):
+    """One-party traces, factors and invert_product calls of odd_inversions
+    on n qubits: at 7 qubits the 1 MiB hold bound fits up to four D x D
+    operators, each node's trace is shared by both children and every
+    mask is an invert_product leaf (mat's trace taken twice: 144 traces,
+    194 factors); at 8 qubits only mat's two children fit; with no room
+    for an operator each mask is the per-mask route, 7 traces each."""
+    dims = SubsystemDims((2,) * n)
+    calls = {name: 0 for name in ("_block_trace", "_add_factor", "invert_product")}
+
+    def counter(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(inversion, "STACK_HOLD_BYTES", hold))
+        for name in calls:
+            stack.enter_context(
+                mock.patch.object(inversion, name, counter(name, getattr(inversion, name))))
+        assert len(list(odd_inversions(random_operator(dims, 1), dims))) == 1 << (n - 1)
+    assert tuple(calls.values()) == counts
 
 
 @PROPERTY
