@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .dims import SubsystemDims, mask_bitstring, mask_size, parties_from_mask, relative_mask
+from .dims import SubsystemDims, mask_bitstring, parties_from_mask, relative_mask
 from .invariants import invariant_table
-from .inversion import odd_inversions
+from .inversion import _butterfly, odd_inversions
 from .states import TOL_PSD, DensityMatrix, FactorState, PureState
 from .tensor import (
     _require_hermitian,
+    _require_shape,
     embed,
     lower_completion,
     min_eigenvalue,
@@ -127,6 +128,8 @@ def _shadow_sums(m1: np.ndarray, m2: np.ndarray, dims: SubsystemDims) -> list[fl
     """Shadow values for every mask: one reduction sweep per operand, then
     one O(N 2^N) signed subset sum.  With M2 = M1 = rho the terms are the
     subset purities and the values are the invariant table's, bit for bit."""
+    for name, m in (("M1", m1), ("M2", m2)):
+        _require_shape(m, dims, name)
     for name, m in (("M1", m1), ("M2", m2)):
         _require_hermitian(np.asarray(m), name)
     terms = np.empty(1 << dims.n)
@@ -288,7 +291,7 @@ class MarginalWitness:
     min_eig: float
 
     def __post_init__(self) -> None:
-        if mask_size(self.t) % 2 == 0:
+        if self.t.bit_count() % 2 == 0:
             raise ValueError("marginal witnesses exist only for odd-size masks")
         _require_hermitian(self.operator, "witness operator", 1e-9)
 
@@ -322,28 +325,6 @@ def marginal_witnesses(rho: DensityMatrix) -> list[MarginalWitness]:
     return sorted((_witness(t, w) for t, w in _witness_operators(rho)), key=lambda w: w.t)
 
 
-def _signed_sums(
-    terms: Iterable[tuple[int, np.ndarray]], dims: SubsystemDims, masks: Sequence[int]
-) -> np.ndarray:
-    """The (K, D, D) stack of sum_S (-1)^{|S & T|} term_S, one member per
-    mask T of ``masks``, over the ``(S, term_S)`` pairs of D x D terms
-    added one after another in the order given.  Each member runs the
-    ``out -= term`` / ``out += term`` of its own K = 1 call, so it is
-    bit-identical to it; a term whose sign differs between members is
-    applied as two masked in-place ufuncs.  O(K D^2) per term."""
-    out = np.zeros((len(masks), dims.total, dims.total), dtype=np.complex128)
-    for s, term in terms:
-        odd = np.array([(s & t).bit_count() % 2 for t in masks], dtype=bool)
-        if odd.all():
-            out -= term
-        elif not odd.any():
-            out += term
-        else:
-            np.subtract(out, term, out=out, where=odd[:, None, None])
-            np.add(out, term, out=out, where=~odd[:, None, None])
-    return out
-
-
 def marginal_witnesses_from_marginals(
     marginals: Mapping[int, np.ndarray],
     dims: SubsystemDims,
@@ -362,10 +343,12 @@ def marginal_witnesses_from_marginals(
     the defects of its terms; exactly Hermitian marginals keep their bits.
 
     Each marginal is traced once onto each of its overlaps and embedded
-    once: 2^N - 1 embeds (the empty set contributes the identity), then
-    one signed sum of O(4^N D^2) adds over all odd masks, each operator
-    bit for bit its own one-mask sum.  The operators are views of one
-    (2^(N-1), D, D) stack, which the returned list holds in full anyway.
+    once (the empty set's identity too).  For odd |T| a subset and its
+    complement take opposite signs, so W_T is row T' = T without party N
+    of the :func:`~qinvert.inversion._butterfly` of y_S = m_S (x) 1 -
+    m_{S^c} (x) 1 (y_0 = 1, the full set has no marginal) over the S
+    without party N: (N - 1) 2^(N-1) adds.  The operators are views of
+    one (2^(N-1), D, D) stack, which the returned list holds anyway.
     """
     full = dims.full_mask
     for s in marginals:
@@ -406,10 +389,15 @@ def marginal_witnesses_from_marginals(
                     f"by {dev:.3e}"
                 )
     del reduced  # the traced overlaps are not held while the witnesses are built
-    odd = [t for t in dims.subset_masks() if mask_size(t) % 2 == 1]
-    terms = [(0, np.ones((1, 1)))] + list(table.items())
-    stack = _signed_sums(((s, embed(m, s, dims)) for s, m in terms), dims, odd)
-    return [_witness(t, w) for t, w in zip(odd, stack)]
+    half = 1 << (dims.n - 1)
+    stack = np.empty((half, dims.total, dims.total), dtype=np.complex128)
+    stack[0] = embed(np.ones((1, 1)), 0, dims)
+    for s in range(1, half):
+        stack[s] = embed(table[s], s, dims)
+        stack[s] -= embed(table[full ^ s], full ^ s, dims)
+    _butterfly(stack)
+    rows = {t if t.bit_count() % 2 else t | half: t for t in range(half)}
+    return [_witness(t, stack[rows[t]]) for t in sorted(rows)]
 
 
 def marginal_report(rho: DensityMatrix, tol: float = PASS_TOL) -> ConstraintReport:

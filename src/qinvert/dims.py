@@ -9,6 +9,7 @@ basis state |i_1 ... i_N> is sum_j i_j * prod_{k>j} d_k.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Iterator
 
@@ -28,10 +29,6 @@ def mask_from_parties(parties: Iterable[int]) -> int:
 def parties_from_mask(mask: int) -> tuple[int, ...]:
     """Sorted 1-based party indices contained in ``mask``."""
     return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-def mask_size(mask: int) -> int:
-    return mask.bit_count()
 
 
 def mask_bitstring(mask: int, n: int) -> str:
@@ -86,13 +83,17 @@ class SubsystemDims:
     cap: InitVar[int] = DEFAULT_DIM_CAP
 
     def __post_init__(self, cap: int) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if len(dims) < 1:
+        dims = []
+        for j, d in enumerate(self.dims, 1):
+            try:  # operator.index: an integer, never a truncated float
+                dims.append(operator.index(d))
+            except TypeError:
+                raise ValueError(f"local dimension {j} is {d!r}, not an integer") from None
+            if dims[-1] < 2:
+                raise ValueError(f"local dimensions must be >= 2, got {dims[-1]}")
+        if not dims:
             raise ValueError("at least one party is required")
-        for d in dims:
-            if d < 2:
-                raise ValueError(f"local dimensions must be >= 2, got {d}")
+        object.__setattr__(self, "dims", tuple(dims))
         total = math.prod(dims)
         if total > cap:
             raise ValueError(

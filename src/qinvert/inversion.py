@@ -31,9 +31,9 @@ its 2^N embedded reductions as one fixed pairwise tree per mask, party 1
 the outermost level and party N the innermost; a block shares the levels
 of parties m+1..N and runs those of parties 1..m as a Walsh-Hadamard
 butterfly over its members, (m + 1) 2^N adds where separate sums would
-take 2^m 2^N.  It holds the reductions of its one sweep, the output and
-at most N - m + 1 more operators per member (the bound is in
-:func:`invert_sum`).
+take 2^m 2^N; that :func:`_butterfly` also builds all witnesses from
+marginals.  It holds the reductions of its one sweep, the output and at
+most N - m + 1 more operators per member (bound in :func:`invert_sum`).
 
 Every one of these routes also takes a (M, D, D) stack of operands:
 the leading member axis rides through the same kernels (the reduction
@@ -55,7 +55,8 @@ import numpy as np
 
 from .dims import DEFAULT_DIM_CAP, SubsystemDims, parties_from_mask
 from .gellmann import build_basis, minus_channel_indices, plus_channel_indices
-from .tensor import HOLD_BYTES, _diagonal, _trace_out, block_product, embed, reduction_sweep
+from .tensor import (HOLD_BYTES, _diagonal, _require_shape, _trace_out, block_product, embed,
+                     reduction_sweep)
 
 
 def _mask_block(dims: SubsystemDims, t: int | range) -> range:
@@ -105,7 +106,7 @@ def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int | range) -> np.ndarr
     besides what the one embed in progress allocates (its term, the
     complement's identity and numpy's buffers): the reductions, the
     output and either the N - m operators that the tree's open levels
-    hold or one butterfly level's difference."""
+    hold or one butterfly difference, at most :data:`STACK_HOLD_BYTES`."""
     block = _mask_block(dims, t)
     m = len(block).bit_length() - 1
     mat = np.asarray(mat, dtype=np.complex128)
@@ -113,15 +114,26 @@ def invert_sum(mat: np.ndarray, dims: SubsystemDims, t: int | range) -> np.ndarr
     out = np.empty((len(block),) + mat.shape, dtype=np.complex128)
     for low in reversed(range(len(block))):
         out[low] = _signed_tree(reductions, dims, block.start, low, m)
-    for j in reversed(range(m)):
+    _butterfly(out)
+    return out if isinstance(t, range) else out[0]
+
+
+def _butterfly(stack: np.ndarray) -> None:
+    """Row T of a C-contiguous stack of 2^m rows to sum_S (-1)^{|S & T|}
+    row S, in place, bit m-1 first and bit 0 last: rows (a, b) = (S, S | bit)
+    to (a + b, a - b), in pieces of at most :data:`STACK_HOLD_BYTES` (one
+    entry at least), which bound the one difference and change no bit."""
+    step = max(1, STACK_HOLD_BYTES // stack.itemsize)
+    for j in reversed(range(len(stack).bit_length() - 1)):
         # contiguous halves: on interleaved views numpy cannot rule out
         # overlap and copies an operand
-        for without, with_party in out.reshape(len(block) >> j + 1, 2, -1):
-            difference = without - with_party
-            without += with_party
-            with_party[...] = difference
-            del difference  # not held while the next difference is formed
-    return out if isinstance(t, range) else out[0]
+        for without, with_party in stack.reshape(len(stack) >> j + 1, 2, -1):
+            for i in range(0, without.size, step):
+                a, b = without[i:i + step], with_party[i:i + step]
+                difference = a - b
+                a += b
+                b[...] = difference
+                del difference  # not held while the next difference is formed
 
 
 def _signed_tree(
@@ -164,6 +176,7 @@ def _apply_factors(
     :func:`_add_factor` onto a copy of them, so no identity-padded D x D
     operator is formed.  Each member's result is bit-identical to its own
     K = 1 call.  O(K D^2) per block."""
+    _require_shape(stack, dims)
     flat = np.array(stack, dtype=np.complex128, order="C").reshape(-1, dims.total**2)
     for block in sorted(weights):
         _add_factor(flat, dims, block, _block_trace(flat, dims, block), weights[block])
@@ -264,6 +277,7 @@ def inversion_stacks(mat: np.ndarray, dims: SubsystemDims) -> Iterator[np.ndarra
     -1, so the butterfly traces (2^m - 1) M operators; each stack then
     applies the factors of the remaining parties with one sign pattern
     for all its members, in ascending mask order."""
+    _require_shape(mat, dims)
     mat = np.asarray(mat, dtype=np.complex128)
     lead = mat.shape[:-2]
     d = dims.total
@@ -278,7 +292,7 @@ def inversion_stacks(mat: np.ndarray, dims: SubsystemDims) -> Iterator[np.ndarra
         _add_factor(low[len(traced):], dims, 1 << j, traced, -1.0)
     for high in range(1 << (dims.n - m)):
         weights = {1 << j: -1.0 if high >> (j - m) & 1 else 1.0 for j in range(m, dims.n)}
-        stack = _apply_factors(low, dims, weights) if weights else low
+        stack = _apply_factors(low.reshape(-1, d, d), dims, weights) if weights else low
         yield stack.reshape((-1,) + lead + (d, d))
 
 
@@ -303,6 +317,7 @@ def odd_inversions(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int, 
     per-mask route: 448 traces and factors); at 8 qubits only mat's two
     children fit (898 of each, 128 calls), and from D = 512 none does,
     so each mask is the per-mask route."""
+    _require_shape(mat, dims)
     d = dims.total
     return _odd_subtree(np.asarray(mat, dtype=np.complex128).reshape(1, d * d), dims, 0, 0, 0)
 
@@ -320,7 +335,7 @@ def _odd_subtree(
         rest = dims.full_mask >> j << j
         for t in range(mask, 1 << dims.n, block):
             if t.bit_count() % 2:
-                yield t, invert_product(node, dims, t, rest)
+                yield t, invert_product(node.reshape(1, dims.total, dims.total), dims, t, rest)
         return
     traced = _block_trace(node, dims, block)
     first = node.copy()
@@ -393,6 +408,7 @@ def invert_kraus(mat: np.ndarray, dims: SubsystemDims, t: int | range) -> np.nda
     """
     block = _mask_block(dims, t)
     m = len(block).bit_length() - 1
+    _require_shape(mat, dims)
     channels = {d_i: [_transfer(np.array(_sign_generators(d_i, minus))) for minus in (False, True)]
                 for d_i in dict.fromkeys(dims.dims)}
     mat = np.asarray(mat, dtype=np.complex128)

@@ -145,6 +145,13 @@ def _diagonal(tensor: np.ndarray, axes: tuple[int, ...], batch: int = 0) -> np.n
     return np.ndarray(shape, tensor.dtype, tensor, 0, strides)
 
 
+def _require_shape(mat: np.ndarray, dims: SubsystemDims, what: str = "operator") -> None:
+    """Refuse an operand whose last two axes are not (D, D), whatever its size."""
+    shape = np.shape(mat)
+    if shape[-2:] != (dims.total, dims.total):
+        raise ValueError(f"{what} shape {shape} does not match total dimension {dims.total}")
+
+
 def partial_trace(mat: np.ndarray, dims: SubsystemDims, keep: int) -> np.ndarray:
     """Trace out the complement of ``keep``; the result lives on the kept
     parties in their original order.  ``keep = 0`` yields the 1x1 matrix
@@ -152,6 +159,7 @@ def partial_trace(mat: np.ndarray, dims: SubsystemDims, keep: int) -> np.ndarray
     (M, D, D) stack gives the (M, d_keep, d_keep) stack of its members'
     traces."""
     dims.validate_mask(keep)
+    _require_shape(mat, dims)
     if keep == dims.full_mask:
         return np.array(mat, dtype=np.complex128)
     mat = np.asarray(mat, dtype=np.complex128)
@@ -252,6 +260,7 @@ def reduction_sweep(mat: np.ndarray, dims: SubsystemDims) -> Iterator[tuple[int,
             child = _trace_out(tensor, [pos], batch)
             yield from visit(mask ^ (1 << j), child, j + 1)
 
+    _require_shape(mat, dims)
     mat = np.asarray(mat, dtype=np.complex128)
     lead = mat.shape[:-2]
     batch = len(lead)

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dims import SubsystemDims, mask_size
+from .dims import SubsystemDims
 from .invariants import c_t
 from .states import DensityMatrix, FactorState, PureState, _require_density, gram_density
 from .tensor import block_product, embed, partial_trace, signed_subset_sums, subset_purities
@@ -239,7 +239,7 @@ def pinned_mix_invariant(n: int, pins: int, t: int) -> float:
     0 when the pins meet ``t``, else 4^|pins| 3^(n-|pins|-|t|) / 2^n."""
     if pins & t:
         return 0.0
-    return 4 ** mask_size(pins) * 3 ** (n - mask_size(pins) - mask_size(t)) / 2**n
+    return 4 ** pins.bit_count() * 3 ** (n - pins.bit_count() - t.bit_count()) / 2**n
 
 
 def pinned_mix_table(n: int, d: int = 2) -> np.ndarray:
@@ -277,10 +277,10 @@ def pinned_ghz_invariant(n: int, pins: int, t: int) -> float:
     """
     if pins & 0b1:
         raise ValueError("party 1 cannot be pinned")
-    if pins & t or mask_size(t) % 2 == 1:
+    if pins & t or t.bit_count() % 2 == 1:
         return 0.0
     base = 2 ** (n - 1) if t == 0 else 0
-    return float(base + 2 ** mask_size(pins))
+    return float(base + 2 ** pins.bit_count())
 
 
 # ---------------------------------------------------------------------------

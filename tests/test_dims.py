@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from qinvert.dims import (
@@ -26,6 +29,20 @@ def test_dims_rejects_trivial_parties():
         SubsystemDims((2, 1, 2))
     with pytest.raises(ValueError):
         SubsystemDims(())
+
+
+@pytest.mark.parametrize("entry, text", [
+    ((2.7, 3), "local dimension 1 is 2.7, not an integer"),
+    ((2, 3.0), "local dimension 2 is 3.0, not an integer"),
+    ((2, "3"), "local dimension 2 is '3', not an integer"),
+])
+def test_dims_refuses_a_non_integral_local_dimension(entry, text):
+    """An entry that is not an integer is named, never truncated or parsed;
+    numpy integers pass as the integers they are."""
+    with pytest.raises(ValueError, match=re.escape(text)):
+        SubsystemDims(entry)
+    dims = SubsystemDims((np.int64(2), np.uint8(3)))
+    assert dims.dims == (2, 3) and all(type(d) is int for d in dims.dims)
 
 
 def test_dims_cap():

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from qinvert.constraints import shadow_value
 from qinvert.dims import SubsystemDims
 from qinvert.inversion import (
     DetectionParams,
@@ -11,10 +14,18 @@ from qinvert.inversion import (
     invert_kraus,
     invert_product,
     invert_sum,
+    inversion_stacks,
     kraus_operators,
+    odd_inversions,
 )
 from qinvert.states import DensityMatrix
-from qinvert.tensor import block_product, min_eigenvalue
+from qinvert.tensor import (
+    block_product,
+    min_eigenvalue,
+    partial_trace,
+    reduction_sweep,
+    subset_purities,
+)
 from qinvert.zoo import (
     bell_state,
     ginibre_mixed,
@@ -384,3 +395,35 @@ def test_choi_matrix_honours_the_cap():
     with pytest.raises(ValueError, match="exceeds the dimension cap 15"):
         choi_matrix("t_inversion", dims, t=0b01, cap=15)
     assert choi_matrix("t_inversion", dims, t=0b01, cap=16).shape == (16, 16)
+
+
+SHAPE_CHECKED = {
+    "partial_trace": lambda m, dims: partial_trace(m, dims, 0b01),
+    "reduction_sweep": reduction_sweep,
+    "subset_purities": subset_purities,
+    "invert_sum": lambda m, dims: invert_sum(m, dims, 0b01),
+    "invert_product": lambda m, dims: invert_product(m, dims, 0b01),
+    "invert_kraus": lambda m, dims: invert_kraus(m, dims, 0b01),
+    "apply_detection_map": lambda m, dims: apply_detection_map(
+        m, dims, DetectionParams(t=0b01, act_on=0b11)),
+    "coarse_grain_invert": lambda m, dims: coarse_grain_invert(
+        m, dims, Grouping((0b01, 0b10), 2), 0b01),
+    "inversion_stacks": lambda m, dims: next(inversion_stacks(m, dims)),
+    "odd_inversions": odd_inversions,
+    # the other operand is not Hermitian: both shapes are checked first
+    "M1": lambda m, dims: shadow_value(m, 1j * np.ones((4, 4)), dims, 0),
+    "M2": lambda m, dims: shadow_value(1j * np.ones((4, 4)), m, dims, 0),
+}
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (8, 4), (3, 3)])
+@pytest.mark.parametrize("entry", sorted(SHAPE_CHECKED))
+def test_an_operand_of_the_wrong_shape_is_named_not_reinterpreted(entry, shape):
+    """On two qubits (D = 4) an operand whose last two axes are not (4, 4)
+    is refused with its shape, even when its entries would fill a 4 x 4
+    view, by every kernel that reshapes it; the shadow sums name the
+    operand, M1 or M2."""
+    what = entry if entry in ("M1", "M2") else "operator"
+    text = f"{what} shape {shape} does not match total dimension 4"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        SHAPE_CHECKED[entry](np.zeros(shape, dtype=np.complex128), SubsystemDims((2, 2)))

@@ -5,13 +5,15 @@ marginal witnesses, its stacked form (every member as its own single
 call) and the all-masks stacks built on it, the stacked smallest
 eigenvalue, its block form behind coarse_grain_invert and
 choi_matrix, the signed tree and butterfly of invert_sum (pinned to the
-ascending embed loop, and bounded in memory), the signed-embed sum of
-the witnesses from marginals, the broadcast embed and block product (with the
-Kraus operators built on it), the aligned mask blocks the reference
-routes take (each member as its own one-mask call, the Kraus form
-building its transfer matrices once per local dimension), the member axis
-every stacked layer takes (each member as its own call) and the one the
-purity sweep and the signed subset sum take, the Gram-product purity
+ascending embed loop, bounded in memory, and sliced with no bit
+changed), the complement-pair butterfly of the witnesses from marginals
+(within rounding of the signed embed loop), the broadcast embed and
+block product (with the Kraus operators built on it), the aligned mask
+blocks the reference routes take (each member as its own one-mask
+call, the Kraus form building its transfer matrices once per local
+dimension), the member axis every stacked layer takes (each member as
+its own call) and the one the purity sweep and the signed subset sum
+take, the Gram-product purity
 profile of a factor state (within a tolerance of the dense sweep of its
 density matrix), the invariant table every scalar
 family reads, the Cholesky PSD certificate (shifting its operand in
@@ -48,7 +50,7 @@ from qinvert.constraints import (
     monogamy_report,
     shadow_report,
 )
-from qinvert.dims import SubsystemDims, mask_size, parties_from_mask
+from qinvert.dims import SubsystemDims, parties_from_mask
 from qinvert.invariants import bipartite_concurrence_squared, invariant_table
 from qinvert.inversion import (
     DetectionParams,
@@ -113,7 +115,7 @@ def direct_signed_sums(x):
     """The double loop, correctly rounded, so only the kernel's own
     rounding is measured."""
     return [
-        math.fsum(-v if mask_size(s & t) % 2 else v for s, v in enumerate(x))
+        math.fsum(-v if (s & t).bit_count() % 2 else v for s, v in enumerate(x))
         for t in range(len(x))
     ]
 
@@ -231,7 +233,7 @@ def test_pure_purity_profile_matches_the_density_route(dims, seed):
     table = invariant_table(psi).values
     assert np.max(np.abs(table - invariant_table(rho).values)) <= PROFILE_TOL
     # the paired route makes every odd-size invariant of a pure state exactly 0
-    odd = [t for t in range(1 << dims.n) if mask_size(t) % 2]
+    odd = [t for t in range(1 << dims.n) if t.bit_count() % 2]
     assert not table[odd].any()
     taus, rho_taus = linear_entropies(psi), linear_entropies(rho)
     assert taus.keys() == rho_taus.keys()
@@ -325,7 +327,7 @@ def coarse_mask_filter_sum(mat, dims, grouping, t_coarse):
     inside every block matches that block's coarse sign."""
     out = np.zeros((dims.total, dims.total), dtype=np.complex128)
     for t_fine in dims.subset_masks():
-        if all(mask_size(t_fine & b) % 2 == t_coarse >> k & 1
+        if all((t_fine & b).bit_count() % 2 == t_coarse >> k & 1
                for k, b in enumerate(grouping.blocks)):
             out += invert_sum(mat, dims, t_fine)
     return 2.0 ** (grouping.num_blocks - dims.n) * out
@@ -407,39 +409,79 @@ def test_choi_matrix_matches_basis_operator_construction(dims, data):
 
 
 # ---------------------------------------------------------------------------
-# the signed-embed loop of the witnesses from marginals
+# the complement-pair butterfly of the witnesses from marginals
 
 
 def witness_embed_loop(marginals, dims, t):
-    """The marginal-witness operator as written before the signed-embed
-    sum was shared with invert_sum."""
+    """The marginal-witness operator as written before the complement-pair
+    butterfly: every proper subset's embedded marginal added in ascending
+    subset order with its own sign.  Also returns the sum of the terms'
+    largest magnitudes."""
     d = dims.total
     out = np.zeros((d, d), dtype=np.complex128)
+    scale = 0.0
     for s in dims.subset_masks():
         if s == dims.full_mask:
             continue
         term = np.eye(d, dtype=np.complex128) if s == 0 else embed(marginals[s], s, dims)
-        if mask_size(s & t) % 2:
+        scale += float(np.max(np.abs(term)))
+        if (s & t).bit_count() % 2:
             out -= term
         else:
             out += term
-    return out
+    return out, scale
+
+
+def state_marginals(dims, seed):
+    rho = ginibre_mixed(dims, seed)
+    return {s: partial_trace(rho.matrix, dims, s) for s in range(1, dims.full_mask)}
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(dims=subsystem_dims(max_total=24), seed=seeds)
-@example(dims=SubsystemDims((2,) * 6), seed=6)  # D = 64: 32 odd masks in one signed sum
-def test_witnesses_from_marginals_are_bit_identical_to_embed_loop(dims, seed):
-    rho = ginibre_mixed(dims, seed)
-    marginals = {
-        s: partial_trace(rho.matrix, dims, s)
-        for s in dims.subset_masks()
-        if s not in (0, dims.full_mask)
-    }
+@example(dims=SubsystemDims((2,)), seed=1)  # one witness: the identity
+@example(dims=SubsystemDims((2,) * 6), seed=6)  # D = 64: 32 odd masks
+@example(dims=SubsystemDims((2,) * 7), seed=7)  # top butterfly level in 8 slices of 1 MiB
+def test_witnesses_from_marginals_match_the_embed_loop(dims, seed):
+    """The witnesses come in ascending odd-mask order, each within
+    1e-12 of the summed term sizes of the signed embed loop, and exactly
+    Hermitian, as the exactly Hermitian marginals of a state are."""
+    marginals = state_marginals(dims, seed)
     witnesses = marginal_witnesses_from_marginals(marginals, dims)
-    assert [w.t for w in witnesses] == [t for t in dims.subset_masks() if mask_size(t) % 2]
+    assert [w.t for w in witnesses] == [t for t in dims.subset_masks() if t.bit_count() % 2]
     for w in witnesses:
-        assert np.array_equal(w.operator, witness_embed_loop(marginals, dims, w.t))
+        want, scale = witness_embed_loop(marginals, dims, w.t)
+        assert np.max(np.abs(w.operator - want)) <= 1e-12 * scale, w.t
+        assert herm_defect(w.operator) == 0.0, w.t
+    if dims.n == 1:
+        assert np.array_equal(witnesses[0].operator, np.eye(dims.total))
+
+
+@pytest.mark.parametrize("local_dims", [(2, 2, 2, 2), (2, 3, 4)])
+def test_the_butterfly_in_slices_of_a_few_hundred_bytes_changes_no_bit(local_dims):
+    """With STACK_HOLD_BYTES at 256 bytes (16 complex entries) every pair
+    of rows of the shared butterfly runs in many slices, yet each aligned
+    block of invert_sum, with and without a member axis, is its one-mask
+    calls byte for byte, and the witnesses from marginals are the
+    unpatched ones byte for byte."""
+    dims = SubsystemDims(local_dims)
+    d = dims.total
+    rng = np.random.default_rng(5)
+    marginals = state_marginals(dims, 5)
+    unpatched = marginal_witnesses_from_marginals(marginals, dims)
+    for lead in ((), (2,)):
+        mat = rng.normal(size=(*lead, d, d)) + 1j * rng.normal(size=(*lead, d, d))
+        one = [invert_sum(mat, dims, t) for t in dims.subset_masks()]
+        with mock.patch.object(inversion, "STACK_HOLD_BYTES", 256):
+            for m in range(dims.n + 1):
+                for k in range(1 << (dims.n - m)):
+                    block = range(k << m, (k + 1) << m)
+                    for t, got in zip(block, invert_sum(mat, dims, block), strict=True):
+                        assert bit_identical(got, one[t]), (lead, block, t)
+    with mock.patch.object(inversion, "STACK_HOLD_BYTES", 256):
+        patched = marginal_witnesses_from_marginals(marginals, dims)
+    for a, b in zip(patched, unpatched, strict=True):
+        assert a.t == b.t and bit_identical(a.operator, b.operator), a.t
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +646,7 @@ def ascending_embed_sum(mat, dims, t):
         mat_s = partial_trace(mat, dims, s)
         scale += float(np.max(np.abs(mat_s)))
         term = embed(mat_s, s, dims)
-        if mask_size(s & t) % 2:
+        if (s & t).bit_count() % 2:
             out -= term
         else:
             out += term
@@ -730,7 +772,7 @@ def test_odd_inversions_yield_each_odd_mask_once_as_invert_product(depth, dims, 
     before = mat.copy()
     with mock.patch.object(inversion, "STACK_HOLD_BYTES", hold):
         got = list(odd_inversions(mat, dims))
-    assert sorted(t for t, _ in got) == [t for t in dims.subset_masks() if mask_size(t) % 2]
+    assert sorted(t for t, _ in got) == [t for t in dims.subset_masks() if t.bit_count() % 2]
     assert bit_identical(mat, before)
     for t, w in got:
         assert w.flags.writeable and not np.shares_memory(w, mat)
